@@ -1,0 +1,80 @@
+"""Byte-exact report gate: the CLI must keep printing the committed reports.
+
+Each case runs `main` on one program with one flag set and compares the
+written report, byte for byte, with `tests/golden/<case>.txt`. A refactor of
+the engine or the domains must leave every one of them unchanged: values,
+probabilities to the last printed digit, warnings and their order, trace
+snapshots and the machine format.
+
+After an intended change to the reports, rewrite the expected files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from probrange.cli import main
+
+HERE = Path(__file__).parent
+CORPUS = HERE / "corpus"
+GOLDEN = HERE / "golden"
+SPEC4 = ("--spec", str(CORPUS / "uniform-1e4.spec"))
+SPEC7 = ("--spec", str(CORPUS / "uniform-1e7.spec"))
+TRACE = ("--trace", "--max-iters", "3")
+MACHINE = ("--format", "machine")
+
+# case name -> (program, flags, exit code)
+CASES = {}
+for _name in ("collatz", "counter", "factorial", "fig1", "gcd", "reverse"):
+    _code = 2 if _name == "counter" else 0
+    CASES[_name] = (CORPUS / f"{_name}.up", SPEC4, _code)
+    CASES[f"{_name}-widening"] = (CORPUS / f"{_name}.up",
+                                  SPEC4 + ("--widening",), 0)
+for _name in ("fig1", "collatz"):
+    _program = CORPUS / f"{_name}.up"
+    CASES[f"{_name}-machine"] = (_program, SPEC4 + MACHINE, 0)
+    CASES[f"{_name}-trace"] = (_program, SPEC4 + TRACE, 2)
+    CASES[f"{_name}-trace-machine"] = (_program, SPEC4 + TRACE + MACHINE, 2)
+    CASES[f"{_name}-concrete"] = (_program, SPEC4 + ("--mode", "concrete"), 0)
+CASES["fig1-widen-all"] = (CORPUS / "fig1.up", SPEC4 + ("--widen-all",), 0)
+CASES["fig1-spec7"] = (CORPUS / "fig1.up", SPEC7, 0)
+CASES["fig1-concrete-trace"] = (CORPUS / "fig1.up",
+                                SPEC4 + ("--mode", "concrete") + TRACE, 2)
+# generated by perfbench/progen.py: four loops under widening, and two loops
+# in concrete mode on [-64,63] (overflow warnings included)
+CASES["loops4-widening"] = (GOLDEN / "loops4.up",
+                            SPEC4 + ("--widening", "--max-iters", "1000"), 0)
+CASES["loops2-concrete"] = (GOLDEN / "loops2.up",
+                            SPEC4 + ("--mode", "concrete", "--minint", "-64",
+                                     "--maxint", "63", "--max-iters", "2000"),
+                            0)
+
+
+def _report(case: str, out: Path) -> tuple[int, bytes]:
+    program, flags, _ = CASES[case]
+    code = main([str(program), *flags, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, tmp_path):
+    code, got = _report(case, tmp_path / "report")
+    assert code == CASES[case][2]
+    assert got == (GOLDEN / f"{case}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    scratch = GOLDEN / ".report"
+    try:
+        for name in sorted(CASES):
+            code, report = _report(name, scratch)
+            if code != CASES[name][2]:
+                sys.exit(f"{name}: exit {code}, expected {CASES[name][2]}")
+            (GOLDEN / f"{name}.txt").write_bytes(report)
+    finally:
+        scratch.unlink(missing_ok=True)
