@@ -26,16 +26,26 @@ by an interval containing zero widens the target to the full machine range
 and reports it rather than failing; comparison guards refine the tested
 variable's interval when one side is a lone variable (or `var %. k` against a
 constant) and the other side folds to a constant.
+
+The solver's state is None when no environment is reachable, and otherwise a
+tuple of (lo, hi, prob) triples, never empty, indexed by variable position.
+ValueRange wraps the same triple for reporting and validates it; join, leq and
+widen are each written once, over triples, and its methods call them.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars, walk_exprs
-from .concrete import ValueSet
+from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars
+# sp_assign and sp_guard apply a compiled edge the same way in both domains;
+# the solver looks them up here when it runs in this domain
+from .concrete import (ARITH, COMPARE, ValueSet, _warn, assign_charge,
+                       guard_factor, sp_assign, sp_guard)
 
 PMF_TOLERANCE = 1e-12
 
@@ -82,19 +92,14 @@ class ValueRange:
             return True
         if other.is_bottom:
             return False
-        return (other.lo <= self.lo and self.hi <= other.hi
-                and self.pmf() >= other.pmf() - PMF_TOLERANCE)
+        return _leq(self.triple, other.triple)
 
     def join(self, other: ValueRange) -> ValueRange:
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        w = hi - lo + 1
-        p = w * min(self.pmf(), other.pmf(), 1.0 / w)
-        return ValueRange(lo, hi, min(1.0, p))
+        return ValueRange(*_join(self.triple, other.triple))
 
     def meet(self, other: ValueRange) -> ValueRange:
         if self.is_bottom or other.is_bottom:
@@ -122,15 +127,47 @@ class ValueRange:
         """
         if self.is_bottom:
             return other
-        if other.is_bottom or other.leq(self):
+        if other.is_bottom:
             return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        wlo = max(t for t in thresholds if t <= lo)
-        whi = min(t for t in thresholds if t >= hi)
-        w = whi - wlo + 1
-        p = w * min(max(self.pmf(), other.pmf()), 1.0 / w)
-        return ValueRange(wlo, whi, min(1.0, p))
+        return ValueRange(*_widen(self.triple, other.triple, thresholds))
+
+    @property
+    def triple(self) -> tuple[int, int, float]:
+        return self.lo, self.hi, self.prob
+
+
+Triple = tuple[int, int, float]
+
+
+def _leq(a: Triple, b: Triple) -> bool:
+    alo, ahi, ap = a
+    blo, bhi, bp = b
+    return (blo <= alo and ahi <= bhi
+            and ap / (ahi - alo + 1) >= bp / (bhi - blo + 1) - PMF_TOLERANCE)
+
+
+def _join(a: Triple, b: Triple) -> Triple:
+    alo, ahi, ap = a
+    blo, bhi, bp = b
+    lo = min(alo, blo)
+    hi = max(ahi, bhi)
+    w = hi - lo + 1
+    p = w * min(ap / (ahi - alo + 1), bp / (bhi - blo + 1), 1.0 / w)
+    return lo, hi, min(1.0, p)
+
+
+def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
+    if _leq(b, a):
+        return a
+    alo, ahi, ap = a
+    blo, bhi, bp = b
+    lo = min(alo, blo)
+    hi = max(ahi, bhi)
+    wlo = max(t for t in thresholds if t <= lo)
+    whi = min(t for t in thresholds if t >= hi)
+    w = whi - wlo + 1
+    p = w * min(max(ap / (ahi - alo + 1), bp / (bhi - blo + 1)), 1.0 / w)
+    return wlo, whi, min(1.0, p)
 
 
 def alpha(c: ValueSet) -> ValueRange:
@@ -146,95 +183,102 @@ def gamma(m: ValueRange) -> ValueSet:
     return ValueSet(frozenset(range(m.lo, m.hi + 1)), m.pmf())
 
 
-State = dict[str, ValueRange]
-
-
-def bottom_state(variables: tuple[str, ...]) -> State:
-    return {v: ValueRange.bottom() for v in variables}
+State = Optional[tuple[Triple, ...]]
+Transfer = Callable[[tuple], State]  # a compiled edge, on a non-bottom state
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
-    return {v: ValueRange(spec.minint, spec.maxint, 1.0) for v in variables}
+    return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-def state_is_bottom(state: State) -> bool:
-    return any(e.is_bottom for e in state.values())
+def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueRange]:
+    """The reported form of a state: variable -> validated element."""
+    if state is None:
+        return {v: ValueRange.bottom() for v in variables}
+    return {v: ValueRange(*e) for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:
-    return {v: a[v].join(b[v]) for v in a}
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return tuple(map(_join, a, b))
 
 
 def leq_states(a: State, b: State) -> bool:
-    if state_is_bottom(a):
+    if a is None:
         return True
-    if state_is_bottom(b):
+    if b is None:
         return False
-    return all(a[v].leq(b[v]) for v in a)
+    return all(map(_leq, a, b))
 
 
 def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
-    return {v: a[v].widen(b[v], thresholds) for v in a}
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return tuple([_widen(x, y, thresholds) for x, y in zip(a, b)])
 
 
 def value_part(state: State) -> tuple:
-    if state_is_bottom(state):
+    if state is None:
         return ()
-    return tuple(sorted((v, e.lo, e.hi) for v, e in state.items()))
+    return tuple([e[:2] for e in state])
 
 
-def _warn(warnings: list[str], message: str) -> None:
-    if message not in warnings:
-        warnings.append(message)
-
-
-def _clamp_interval(lo: int, hi: int, spec: HardwareSpec,
-                    warnings: list[str], line: int) -> tuple[int, int]:
-    # clamp each endpoint into the range: saturation maps every value of an
-    # interval lying wholly outside onto the nearer bound, never to nothing
-    clo = min(max(lo, spec.minint), spec.maxint)
-    chi = min(max(hi, spec.minint), spec.maxint)
-    if (clo, chi) != (lo, hi):
-        _warn(warnings, f"line {line}: interval arithmetic overflow clamped "
-                        f"to [{spec.minint},{spec.maxint}]")
-    return clo, chi
-
-
-def eval_interval(e: Expr, state: State, spec: HardwareSpec,
-                  warnings: list[str]) -> tuple[int, int]:
-    """Endpoint evaluation of an arithmetic expression over interval operands."""
+def interval_evaluator(e: Expr, index: dict[str, int], spec: HardwareSpec,
+                       warnings: list[str]) -> Callable[[tuple], tuple[int, int]]:
+    """Closure giving e's endpoints on a state, variables at index positions."""
     if isinstance(e, Const):
-        return e.value, e.value
+        pair = (e.value, e.value)
+        return lambda state: pair
     if isinstance(e, Var):
-        elem = state[e.name]
-        return elem.lo, elem.hi
-    a, b = eval_interval(e.lhs, state, spec, warnings)
-    c, d = eval_interval(e.rhs, state, spec, warnings)
-    if e.op == "add":
-        lo, hi = a + c, b + d
-    elif e.op == "sub":
-        lo, hi = a - d, b - c
-    elif e.op == "mul":
-        corners = (a * c, a * d, b * c, b * d)
-        lo, hi = min(corners), max(corners)
-    elif e.op == "div":
-        if c <= 0 <= d:
-            _warn(warnings, f"line {e.line}: divisor interval [{c},{d}] "
-                            f"contains zero; result widened to full range")
-            return spec.minint, spec.maxint
-        corners = (c_div(a, c), c_div(a, d), c_div(b, c), c_div(b, d))
-        lo, hi = min(corners), max(corners)
-    else:
-        lo, hi = _mod_interval(a, b, c, d, e.line, spec, warnings)
-    return _clamp_interval(lo, hi, spec, warnings, e.line)
+        i = index[e.name]
+        return lambda state: state[i][:2]
+    lhs = interval_evaluator(e.lhs, index, spec, warnings)
+    rhs = interval_evaluator(e.rhs, index, spec, warnings)
+    op, line = e.op, e.line
+    minint, maxint = spec.minint, spec.maxint
+    overflow = (f"line {line}: interval arithmetic overflow clamped to "
+                f"[{minint},{maxint}]")
+
+    def evaluate(state: tuple) -> tuple[int, int]:
+        a, b = lhs(state)
+        c, d = rhs(state)
+        if op in ("div", "mod") and c <= 0 <= d:
+            _warn(warnings, f"line {line}: "
+                            f"{'divisor' if op == 'div' else 'modulus'} "
+                            f"interval [{c},{d}] contains zero; result "
+                            f"widened to full range")
+            return minint, maxint
+        if op == "add":
+            lo, hi = a + c, b + d
+        elif op == "sub":
+            lo, hi = a - d, b - c
+        elif op == "mul":
+            corners = (a * c, a * d, b * c, b * d)
+            lo, hi = min(corners), max(corners)
+        elif op == "div":
+            corners = (c_div(a, c), c_div(a, d), c_div(b, c), c_div(b, d))
+            lo, hi = min(corners), max(corners)
+        else:
+            lo, hi = _mod_interval(a, b, c, d)
+        # clamp each endpoint into the range: saturation maps every value of
+        # an interval lying wholly outside onto the nearer bound, never to
+        # nothing
+        clo = min(max(lo, minint), maxint)
+        chi = min(max(hi, minint), maxint)
+        if (clo, chi) != (lo, hi):
+            _warn(warnings, overflow)
+        return clo, chi
+
+    return evaluate
 
 
-def _mod_interval(a: int, b: int, c: int, d: int, line: int,
-                  spec: HardwareSpec, warnings: list[str]) -> tuple[int, int]:
-    if c <= 0 <= d:
-        _warn(warnings, f"line {line}: modulus interval [{c},{d}] contains "
-                        f"zero; result widened to full range")
-        return spec.minint, spec.maxint
+def _mod_interval(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Endpoints of x %. y for x in [a,b] and y in [c,d], zero excluded."""
     if c == d:
         k = abs(c)
         if b - a + 1 >= k:
@@ -247,40 +291,40 @@ def _mod_interval(a: int, b: int, c: int, d: int, line: int,
     return lo, hi
 
 
-def sp_assign(state: State, target: str, expr: Expr, spec: HardwareSpec,
-              warnings: list[str]) -> State:
-    """Interval counterpart of the assignment transfer.
+def compile_assign(target: str, expr: Expr, index: dict[str, int],
+                   spec: HardwareSpec, warnings: list[str],
+                   cap: Optional[int] = None) -> Transfer:
+    """Interval counterpart of the assignment transfer, for one edge.
 
     The result interval comes from endpoint evaluation; its mass charges one
     write, one read per distinct variable, each operand's density, a factor
     per arithmetic op, and the result width (density times width is mass).
+    cap bounds the concrete domain's enumeration; intervals need none.
     """
-    if state_is_bottom(state):
-        return state
-    variables = expr_vars(expr)
-    lo, hi = eval_interval(expr, state, spec, warnings)
-    prob = spec.rel("write") * spec.rel("read") ** len(variables) * _op_rels(expr, spec)
-    for v in variables:
-        prob *= state[v].pmf()
-    prob *= hi - lo + 1
-    out = dict(state)
-    out[target] = ValueRange(lo, hi, min(1.0, prob))
-    return out
+    position = index[target]
+    reads = tuple(index[v] for v in expr_vars(expr))
+    charge = assign_charge(expr, spec)
+    evaluate = interval_evaluator(expr, index, spec, warnings)
 
+    def transfer(state: tuple) -> State:
+        lo, hi = evaluate(state)
+        prob = charge
+        for i in reads:
+            elo, ehi, ep = state[i]
+            prob *= ep / (ehi - elo + 1)
+        prob *= hi - lo + 1
+        out = list(state)
+        out[position] = (lo, hi, min(1.0, prob))
+        return tuple(out)
 
-def _op_rels(root, spec: HardwareSpec) -> float:
-    rel = 1.0
-    for node in walk_exprs(root):
-        if isinstance(node, BinOp):
-            rel *= spec.rel(node.op)
-    return rel
+    return transfer
 
 
 def _fold_const(e: Expr) -> int | None:
     """Evaluate a variable-free expression, or None if variables occur.
 
-    Raises EvalError-free: division by a zero constant yields None so the
-    caller falls back to the non-refining transfer.
+    Division by a zero constant yields None so the caller falls back to the
+    non-refining transfer.
     """
     if isinstance(e, Const):
         return e.value
@@ -288,25 +332,17 @@ def _fold_const(e: Expr) -> int | None:
         return None
     lhs = _fold_const(e.lhs)
     rhs = _fold_const(e.rhs)
-    if lhs is None or rhs is None:
+    if lhs is None or rhs is None or (rhs == 0 and e.op in ("div", "mod")):
         return None
-    if e.op == "add":
-        return lhs + rhs
-    if e.op == "sub":
-        return lhs - rhs
-    if e.op == "mul":
-        return lhs * rhs
-    if rhs == 0:
-        return None
-    return c_div(lhs, rhs) if e.op == "div" else c_mod(lhs, rhs)
+    return ARITH[e.op](lhs, rhs)
 
 
 _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
-def sp_guard(state: State, guard: Cmp, spec: HardwareSpec,
-             warnings: list[str]) -> State:
-    """Interval counterpart of the guard transfer.
+def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
+                  warnings: list[str], cap: Optional[int] = None) -> Transfer:
+    """Interval counterpart of the guard transfer, for one edge.
 
     Refinable shapes, after constant folding and putting the variable on the
     left: `x <op> c` truncates x's interval at c, and `x %. k ==. c` (or !=.)
@@ -314,23 +350,17 @@ def sp_guard(state: State, guard: Cmp, spec: HardwareSpec,
     refined variable's probability scales by the width ratio; every variable's
     probability then picks up the guard's read, comparison, and arithmetic
     factors. Anything else leaves all intervals unchanged. An unsatisfiable
-    guard bottoms the whole state.
+    guard bottoms the whole state. cap bounds the concrete domain only.
     """
-    if state_is_bottom(state):
-        return state
-    variables = expr_vars(guard)
-    factor = (spec.rel("read") ** len(variables) * spec.rel(guard.op)
-              * _op_rels(guard.lhs, spec) * _op_rels(guard.rhs, spec))
-
-    op = guard.op
-    lhs, rhs = guard.lhs, guard.rhs
+    factor = guard_factor(guard, spec)
+    op, lhs, rhs = guard.op, guard.lhs, guard.rhs
     lhs_const = _fold_const(lhs)
     rhs_const = _fold_const(rhs)
 
     if lhs_const is not None and rhs_const is not None:
-        if _COMPARE[op](lhs_const, rhs_const):
-            return _scale_all(state, factor)
-        return bottom_state(tuple(state))
+        if COMPARE[op](lhs_const, rhs_const):
+            return partial(_scale_all, factor)
+        return lambda state: None
 
     if lhs_const is not None and rhs_const is None:
         lhs, rhs = rhs, lhs
@@ -338,31 +368,43 @@ def sp_guard(state: State, guard: Cmp, spec: HardwareSpec,
         op = _FLIP[op]
 
     if rhs_const is not None and isinstance(lhs, Var):
-        return _refine_compare(state, lhs.name, op, rhs_const, factor)
+        return partial(_refine_compare, factor, index[lhs.name], op, rhs_const)
 
     if (rhs_const is not None and op in ("eq", "ne")
             and isinstance(lhs, BinOp) and lhs.op == "mod"
             and isinstance(lhs.lhs, Var)):
         k = _fold_const(lhs.rhs)
         if k is not None and k != 0:
-            return _refine_congruence(state, lhs.lhs.name, abs(k),
-                                      rhs_const, op == "eq", factor)
+            return partial(_refine_congruence, factor, index[lhs.lhs.name],
+                           abs(k), rhs_const, op == "eq")
         if k == 0:
-            _warn(warnings, f"line {guard.line}: congruence guard has zero "
-                            f"modulus; no refinement applied")
+            message = (f"line {guard.line}: congruence guard has zero "
+                       f"modulus; no refinement applied")
 
-    return _scale_all(state, factor)
+            def warned(state: tuple) -> State:
+                _warn(warnings, message)
+                return _scale_all(factor, state)
+
+            return warned
+
+    return partial(_scale_all, factor)
 
 
-def _scale_all(state: State, factor: float) -> State:
-    return {v: ValueRange(e.lo, e.hi, min(1.0, e.prob * factor))
-            for v, e in state.items()}
+def _scale_all(factor: float, state: tuple) -> State:
+    return tuple([(lo, hi, min(1.0, p * factor)) for lo, hi, p in state])
 
 
-def _refine_compare(state: State, name: str, op: str, c: int,
-                    factor: float) -> State:
-    e = state[name]
-    lo, hi = e.lo, e.hi
+def _narrowed(factor: float, state: tuple, i: int, lo: int, hi: int) -> State:
+    elo, ehi, p = state[i]
+    out = list(_scale_all(factor, state))
+    ratio = (hi - lo + 1) / (ehi - elo + 1)
+    out[i] = (lo, hi, min(1.0, p * ratio * factor))
+    return tuple(out)
+
+
+def _refine_compare(factor: float, i: int, op: str, c: int,
+                    state: tuple) -> State:
+    lo, hi, _ = state[i]
     if op == "lt":
         hi = min(hi, c - 1)
     elif op == "le":
@@ -375,49 +417,34 @@ def _refine_compare(state: State, name: str, op: str, c: int,
         lo, hi = max(lo, c), min(hi, c)
     else:
         if lo == hi == c:
-            return bottom_state(tuple(state))
+            return None
         if lo == c:
             lo += 1
         if hi == c:
             hi -= 1
     if lo > hi:
-        return bottom_state(tuple(state))
-    out = _scale_all(state, factor)
-    ratio = (hi - lo + 1) / e.width
-    out[name] = ValueRange(lo, hi, min(1.0, e.prob * ratio * factor))
-    return out
+        return None
+    return _narrowed(factor, state, i, lo, hi)
 
 
-def _refine_congruence(state: State, name: str, k: int, c: int,
-                       keep_equal: bool, factor: float) -> State:
-    e = state[name]
+def _refine_congruence(factor: float, i: int, k: int, c: int,
+                       keep_equal: bool, state: tuple) -> State:
+    elo, ehi, _ = state[i]
 
-    def sat(v: int) -> bool:
-        return (c_mod(v, k) == c) == keep_equal
+    def first(start: int, stop: int, step: int) -> Optional[int]:
+        for v in range(start, stop, step):
+            if (c_mod(v, k) == c) == keep_equal:
+                return v
+        return None
 
     # Residues of truncating % repeat with period k only within one sign; a
     # single bounded scan from an endpoint can miss the other sign's values,
     # so scan from each sign segment's boundary.
-    starts_up = [e.lo] + ([0] if e.lo < 0 <= e.hi else [])
-    starts_down = [e.hi] + ([-1] if e.lo <= -1 < e.hi else [])
-    lo = min((v for s in starts_up
-              for v in range(s, min(s + k, e.hi + 1)) if sat(v)),
-             default=None)
-    if lo is None:
-        return bottom_state(tuple(state))
-    hi = max(v for s in starts_down
-             for v in range(s, max(s - k, e.lo - 1), -1) if sat(v))
-    out = _scale_all(state, factor)
-    ratio = (hi - lo + 1) / e.width
-    out[name] = ValueRange(lo, hi, min(1.0, e.prob * ratio * factor))
-    return out
-
-
-_COMPARE = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+    ups = [first(s, min(s + k, ehi + 1), 1)
+           for s in [elo] + ([0] if elo < 0 <= ehi else [])]
+    if ups == [None] * len(ups):
+        return None
+    downs = [first(s, max(s - k, elo - 1), -1)
+             for s in [ehi] + ([-1] if elo <= -1 < ehi else [])]
+    return _narrowed(factor, state, i, min(v for v in ups if v is not None),
+                     max(v for v in downs if v is not None))

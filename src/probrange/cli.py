@@ -19,7 +19,7 @@ from .cfg import build_cfg, collect_thresholds
 from .concrete import OracleBlowup, ValueSet
 from .engine import build_equations, solve
 from .hardware import ALL_OPS, HardwareSpec, SpecError, parse_spec
-from .syntax import FrontendError, parse_program
+from .syntax import FrontendError, parse_program, validate_literals
 
 SET_DISPLAY_LIMIT = 12
 
@@ -92,6 +92,7 @@ def main(argv=None) -> int:
 
     try:
         program = parse_program(source)
+        validate_literals(program, spec.minint, spec.maxint)
         cfg = build_cfg(program)
     except FrontendError as exc:
         print(f"probrange: {exc}", file=sys.stderr)
@@ -239,3 +240,7 @@ def render_text(report: dict) -> str:
 
 def render_machine(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,16 +12,23 @@ bound unions the sets and keeps the smaller probability; the greatest lower
 bound intersects and keeps the larger one (an empty intersection keeps
 max(p1, p2), which is exactly the greatest lower bound under the order above).
 
-A program state maps every variable to an element. The strongest-postcondition
-transfers enumerate tuples of operand values, so they are exact but only
-viable on small sets; `cap` bounds the tuple product and OracleBlowup reports
-programs that exceed it.
+The solver's state is None when no environment is reachable, and otherwise a
+tuple of elements indexed by variable position. The strongest-postcondition
+transfers run over edges compiled once per solve and enumerate tuples of
+operand values, so they are exact but only viable on small sets; `cap` bounds
+the tuple product and OracleBlowup reports programs that exceed it.
+
+This module also holds what both domains share: the per-edge reliability
+charges, the comparison table and the warning helper.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars, walk_exprs
@@ -72,83 +79,19 @@ class ValueSet:
         return ValueSet(self.values & other.values, max(self.prob, other.prob))
 
 
-# A state maps every program variable to an element. The bottom state (no
-# reachable environment) is canonically the all-bottom map, so it is the
-# identity of state joins.
 
-State = dict[str, ValueSet]
+State = Optional[tuple[ValueSet, ...]]
+Transfer = Callable[[tuple[ValueSet, ...]], State]  # a compiled edge
 
-
-def bottom_state(variables: tuple[str, ...]) -> State:
-    return {v: ValueSet.bottom() for v in variables}
-
-
-def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
-    return {v: ValueSet(frozenset(range(spec.minint, spec.maxint + 1)), 1.0)
-            for v in variables}
-
-
-def state_is_bottom(state: State) -> bool:
-    return any(not e.values for e in state.values())
-
-
-def join_states(a: State, b: State) -> State:
-    return {v: a[v].join(b[v]) for v in a}
-
-
-def leq_states(a: State, b: State) -> bool:
-    if state_is_bottom(a):
-        return True
-    return all(a[v].leq(b[v]) for v in a)
-
-
-def value_part(state: State) -> tuple:
-    """The probability-free projection used to detect value changes."""
-    if state_is_bottom(state):
-        return ()
-    return tuple(sorted((v, e.values) for v, e in state.items()))
-
-
-def _eval(e: Expr, env: dict[str, int], spec: HardwareSpec, warnings: list[str]) -> int:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    lhs = _eval(e.lhs, env, spec, warnings)
-    rhs = _eval(e.rhs, env, spec, warnings)
-    if e.op == "add":
-        raw = lhs + rhs
-    elif e.op == "sub":
-        raw = lhs - rhs
-    elif e.op == "mul":
-        raw = lhs * rhs
-    elif e.op == "div":
-        if rhs == 0:
-            raise EvalError(f"line {e.line}: division by zero")
-        raw = c_div(lhs, rhs)
-    else:
-        if rhs == 0:
-            raise EvalError(f"line {e.line}: modulo by zero")
-        raw = c_mod(lhs, rhs)
-    clamped = spec.clamp(raw)
-    if clamped != raw:
-        _warn(warnings, f"line {e.line}: arithmetic overflow clamped to "
-                        f"[{spec.minint},{spec.maxint}]")
-    return clamped
+COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+           "ge": operator.ge, "eq": operator.eq, "ne": operator.ne}
+ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+         "div": c_div, "mod": c_mod}
 
 
 def _warn(warnings: list[str], message: str) -> None:
     if message not in warnings:
         warnings.append(message)
-
-
-def _tuple_space(state: State, variables: tuple[str, ...], cap: int) -> None:
-    total = 1
-    for v in variables:
-        total *= len(state[v].values)
-        if total > cap:
-            raise OracleBlowup(
-                f"tuple product over {variables} exceeds cap {cap}")
 
 
 def _op_rels(root, spec: HardwareSpec) -> float:
@@ -159,9 +102,97 @@ def _op_rels(root, spec: HardwareSpec) -> float:
     return rel
 
 
-def sp_assign(state: State, target: str, expr: Expr, spec: HardwareSpec,
-              warnings: list[str], cap: int = DEFAULT_TUPLE_CAP) -> State:
-    """Strongest postcondition of `target =. expr`.
+def assign_charge(expr: Expr, spec: HardwareSpec) -> float:
+    """Reliability of `x =. expr`: one write, one read per distinct
+    variable and one factor per arithmetic op."""
+    return (spec.rel("write") * spec.rel("read") ** len(expr_vars(expr))
+            * _op_rels(expr, spec))
+
+
+def guard_factor(guard: Cmp, spec: HardwareSpec) -> float:
+    """Reliability of evaluating a guard: one read per distinct variable,
+    the comparison, and one factor per arithmetic op on either side."""
+    return (spec.rel("read") ** len(expr_vars(guard)) * spec.rel(guard.op)
+            * _op_rels(guard.lhs, spec) * _op_rels(guard.rhs, spec))
+
+
+def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
+    full = ValueSet(frozenset(range(spec.minint, spec.maxint + 1)), 1.0)
+    return (full,) * len(variables)
+
+
+def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueSet]:
+    """The reported form of a state: variable -> element."""
+    if state is None:
+        return {v: ValueSet.bottom() for v in variables}
+    return dict(zip(variables, state))
+
+
+def join_states(a: State, b: State) -> State:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return tuple(map(ValueSet.join, a, b))
+
+
+def leq_states(a: State, b: State) -> bool:
+    if a is None:
+        return True
+    if b is None:
+        return False
+    return all(map(ValueSet.leq, a, b))
+
+
+def value_part(state: State) -> tuple:
+    """The probability-free projection used to detect value changes."""
+    if state is None:
+        return ()
+    return tuple([e.values for e in state])
+
+
+def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
+               warnings: list[str]) -> Callable[[tuple[int, ...]], int]:
+    """Closure evaluating e on one operand tuple ordered like names."""
+    if isinstance(e, Const):
+        value = e.value
+        return lambda operands: value
+    if isinstance(e, Var):
+        return operator.itemgetter(names.index(e.name))
+    lhs = _evaluator(e.lhs, names, spec, warnings)
+    rhs = _evaluator(e.rhs, names, spec, warnings)
+    apply = ARITH[e.op]
+    minint, maxint = spec.minint, spec.maxint
+    overflow = (f"line {e.line}: arithmetic overflow clamped to "
+                f"[{minint},{maxint}]")
+    zero = (f"line {e.line}: {'division' if e.op == 'div' else 'modulo'} "
+            f"by zero" if e.op in ("div", "mod") else None)
+
+    def evaluate(operands: tuple[int, ...]) -> int:
+        a = lhs(operands)
+        b = rhs(operands)
+        if zero is not None and b == 0:
+            raise EvalError(zero)
+        raw = apply(a, b)
+        if minint <= raw <= maxint:
+            return raw
+        _warn(warnings, overflow)
+        return minint if raw < minint else maxint
+
+    return evaluate
+
+
+def _operand_tuples(state: tuple[ValueSet, ...], reads: tuple[int, ...],
+                    names: tuple[str, ...], cap: int):
+    if math.prod(len(state[i].values) for i in reads) > cap:
+        raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
+    return itertools.product(*(sorted(state[i].values) for i in reads))
+
+
+def compile_assign(target: str, expr: Expr, index: dict[str, int],
+                   spec: HardwareSpec, warnings: list[str],
+                   cap: int = DEFAULT_TUPLE_CAP) -> Transfer:
+    """Strongest postcondition of `target =. expr`, for one edge.
 
     The result set is the image of expr over every tuple of operand values;
     the probability charges one write, one read per distinct variable, each
@@ -169,90 +200,84 @@ def sp_assign(state: State, target: str, expr: Expr, spec: HardwareSpec,
     divide by zero produce no value and are reported; if every tuple does, the
     state has no reachable environment and becomes bottom.
     """
-    if state_is_bottom(state):
-        return state
-    variables = expr_vars(expr)
-    _tuple_space(state, variables, cap)
-    domains = [sorted(state[v].values) for v in variables]
-    values = set()
-    had_eval_error = False
-    for tup in itertools.product(*domains):
-        env = dict(zip(variables, tup))
-        try:
-            values.add(_eval(expr, env, spec, warnings))
-        except EvalError as exc:
-            had_eval_error = True
-            _warn(warnings, f"{exc} (offending operand tuple excluded)")
-    if not values:
-        if had_eval_error:
-            _warn(warnings, f"every operand tuple of `{target} =. ...` divides "
-                            f"by zero; state is unreachable")
-        return bottom_state(tuple(state))
-    prob = spec.rel("write") * spec.rel("read") ** len(variables) * _op_rels(expr, spec)
-    for v in variables:
-        prob *= state[v].prob
-    out = dict(state)
-    out[target] = ValueSet(frozenset(values), min(1.0, prob))
-    return out
+    position = index[target]
+    names = expr_vars(expr)
+    reads = tuple(index[v] for v in names)
+    charge = assign_charge(expr, spec)
+    evaluate = _evaluator(expr, names, spec, warnings)
+
+    def transfer(state: tuple[ValueSet, ...]) -> State:
+        values = set()
+        had_eval_error = False
+        for operands in _operand_tuples(state, reads, names, cap):
+            try:
+                values.add(evaluate(operands))
+            except EvalError as exc:
+                had_eval_error = True
+                _warn(warnings, f"{exc} (offending operand tuple excluded)")
+        if not values:
+            if had_eval_error:
+                _warn(warnings, f"every operand tuple of `{target} =. ...` "
+                                f"divides by zero; state is unreachable")
+            return None
+        prob = charge
+        for i in reads:
+            prob *= state[i].prob
+        out = list(state)
+        out[position] = ValueSet(frozenset(values), min(1.0, prob))
+        return tuple(out)
+
+    return transfer
 
 
-def sp_guard(state: State, guard: Cmp, spec: HardwareSpec,
-             warnings: list[str], cap: int = DEFAULT_TUPLE_CAP) -> State:
-    """Strongest postcondition of passing a comparison guard.
+def sp_assign(state, edge):
+    """Apply a compiled assignment edge of either domain; bottom stays bottom."""
+    return None if state is None else edge(state)
+
+
+def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
+                  warnings: list[str],
+                  cap: int = DEFAULT_TUPLE_CAP) -> Transfer:
+    """Strongest postcondition of passing a comparison guard, for one edge.
 
     Each guard variable keeps only the values that occur in some satisfying
     tuple; every variable's probability (guard-related or not) picks up one
     read per distinct guard variable, the comparison's factor, and a factor
     per arithmetic op inside the guard. An unsatisfiable guard bottoms the
-    whole state.
+    whole state; a guard over constants alone is decided outright.
     """
-    if state_is_bottom(state):
-        return state
-    variables = expr_vars(guard)
-    _tuple_space(state, variables, cap)
-    domains = [sorted(state[v].values) for v in variables]
-    keep: dict[str, set[int]] = {v: set() for v in variables}
-    for tup in itertools.product(*domains):
-        env = dict(zip(variables, tup))
-        try:
-            lhs = _eval(guard.lhs, env, spec, warnings)
-            rhs = _eval(guard.rhs, env, spec, warnings)
-        except EvalError as exc:
-            _warn(warnings, f"{exc} (offending operand tuple excluded)")
-            continue
-        if _compare(guard.op, lhs, rhs):
-            for v, value in zip(variables, tup):
-                keep[v].add(value)
-    if variables and not any(keep.values()):
-        return bottom_state(tuple(state))
-    if not variables:
-        # constant guard: no tuples to filter, truth decided outright
-        try:
-            lhs = _eval(guard.lhs, {}, spec, warnings)
-            rhs = _eval(guard.rhs, {}, spec, warnings)
-        except EvalError as exc:
-            _warn(warnings, f"{exc} (constant guard unreachable)")
-            return bottom_state(tuple(state))
-        if not _compare(guard.op, lhs, rhs):
-            return bottom_state(tuple(state))
-    factor = (spec.rel("read") ** len(variables) * spec.rel(guard.op)
-              * _op_rels(guard.lhs, spec) * _op_rels(guard.rhs, spec))
-    out: State = {}
-    for v, e in state.items():
-        values = frozenset(keep[v]) if v in keep else e.values
-        out[v] = ValueSet(values, min(1.0, e.prob * factor))
-    return out
+    names = expr_vars(guard)
+    reads = tuple(index[v] for v in names)
+    factor = guard_factor(guard, spec)
+    lhs = _evaluator(guard.lhs, names, spec, warnings)
+    rhs = _evaluator(guard.rhs, names, spec, warnings)
+    compare = COMPARE[guard.op]
+
+    def transfer(state: tuple[ValueSet, ...]) -> State:
+        keep: list[set[int]] = [set() for _ in reads]
+        satisfiable = False
+        for operands in _operand_tuples(state, reads, names, cap):
+            try:
+                if not compare(lhs(operands), rhs(operands)):
+                    continue
+            except EvalError as exc:
+                _warn(warnings, f"{exc} (offending operand tuple excluded)")
+                if not reads:
+                    _warn(warnings, f"{exc} (constant guard unreachable)")
+                continue
+            satisfiable = True
+            for kept, value in zip(keep, operands):
+                kept.add(value)
+        if not satisfiable:
+            return None
+        out = [ValueSet(e.values, min(1.0, e.prob * factor)) for e in state]
+        for i, kept in zip(reads, keep):
+            out[i] = ValueSet(frozenset(kept), out[i].prob)
+        return tuple(out)
+
+    return transfer
 
 
-def _compare(op: str, lhs: int, rhs: int) -> bool:
-    if op == "lt":
-        return lhs < rhs
-    if op == "le":
-        return lhs <= rhs
-    if op == "gt":
-        return lhs > rhs
-    if op == "ge":
-        return lhs >= rhs
-    if op == "eq":
-        return lhs == rhs
-    return lhs != rhs
+def sp_guard(state, edge):
+    """Apply a compiled guard edge of either domain; bottom stays bottom."""
+    return None if state is None else edge(state)

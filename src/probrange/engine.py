@@ -16,6 +16,11 @@ here are committing passes; the final confirming pass is free.
 With widening enabled, loop-head nodes (targets of back edges) instead keep
 their state when the recomputation is below it and otherwise widen toward the
 threshold set; widened nodes commit on any change, value or probability.
+
+Each solve compiles every edge once through the domain module (operand
+positions, reliability charge, folded guard shape, expression closure) and
+iterates over flat states, None or a tuple indexed by variable position;
+SolveResult and trace snapshots hold {variable: element} dicts.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import abstract, concrete
-from .cfg import CFG, AssignAction, Edge, GuardAction, loop_heads
+from .cfg import CFG, AssignAction, Edge, loop_heads
 from .hardware import HardwareSpec
 
 SCHEDULES = ("round-robin", "worklist")
@@ -56,42 +61,6 @@ class SolveResult:
     trace: Optional[list[dict[int, dict]]] = None
 
 
-class _Domain:
-    """Uniform face over the two domain modules for the solver."""
-
-    def __init__(self, name: str, spec: HardwareSpec, cap: int):
-        self.mod = abstract if name == "abstract" else concrete
-        self.spec = spec
-        self.cap = cap
-
-    def bottom(self, variables):
-        return self.mod.bottom_state(variables)
-
-    def entry(self, variables):
-        return self.mod.entry_state(variables, self.spec)
-
-    def join(self, a, b):
-        return self.mod.join_states(a, b)
-
-    def leq(self, a, b):
-        return self.mod.leq_states(a, b)
-
-    def value_part(self, state):
-        return self.mod.value_part(state)
-
-    def transfer(self, state, action, warnings):
-        if isinstance(action, AssignAction):
-            if self.mod is concrete:
-                return concrete.sp_assign(state, action.target, action.value,
-                                          self.spec, warnings, self.cap)
-            return abstract.sp_assign(state, action.target, action.value,
-                                      self.spec, warnings)
-        if self.mod is concrete:
-            return concrete.sp_guard(state, action.cond, self.spec,
-                                     warnings, self.cap)
-        return abstract.sp_guard(state, action.cond, self.spec, warnings)
-
-
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
           widening: Optional[tuple[int, ...]] = None, max_iters: int = 20,
           schedule: str = "round-robin", widen_all: bool = False,
@@ -105,7 +74,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     and running into it clears the converged flag. schedule "round-robin"
     recomputes every node in id order each pass; "worklist" recomputes only
     nodes whose predecessors changed, and then the iteration count is
-    individual node commits rather than passes.
+    individual node commits rather than passes. cap bounds the concrete
+    domain's operand tuple enumeration.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
@@ -116,13 +86,24 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     if widening is not None and domain == "concrete":
         raise ValueError("widening applies to the abstract domain only")
 
-    dom = _Domain(domain, spec, cap)
+    dom = abstract if domain == "abstract" else concrete
     cfg = system.cfg
     variables = system.variables
+    index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
-    states: dict[int, dict] = {n: dom.bottom(variables)
-                               for n in range(cfg.node_count)}
-    states[cfg.entry] = dom.entry(variables)
+
+    def compiled(edge: Edge) -> tuple:
+        action = edge.action
+        if isinstance(action, AssignAction):
+            return edge.src, True, dom.compile_assign(
+                action.target, action.value, index, spec, warnings, cap)
+        return edge.src, False, dom.compile_guard(action.cond, index, spec,
+                                                  warnings, cap)
+
+    incoming = [[compiled(e) for e in preds] for preds in system.preds]
+    # without variables there is one state, and every node holds it
+    states: list = [None if variables else ()] * cfg.node_count
+    states[cfg.entry] = dom.entry_state(variables, spec)
     if widening is None:
         widen_nodes: frozenset[int] = frozenset()
     elif widen_all:
@@ -131,18 +112,21 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         widen_nodes = frozenset(loop_heads(cfg))
     trace: Optional[list[dict[int, dict]]] = [] if keep_trace else None
 
-    def recompute(node: int) -> dict:
-        out = dom.bottom(variables)
-        for edge in system.preds[node]:
-            out = dom.join(out, dom.transfer(states[edge.src], edge.action,
-                                             warnings))
+    def snapshot() -> dict[int, dict]:
+        return {n: dom.elements(s, variables) for n, s in enumerate(states)}
+
+    def recompute(node: int):
+        out = None
+        for src, is_assign, edge in incoming[node]:
+            transfer = dom.sp_assign if is_assign else dom.sp_guard
+            out = dom.join_states(out, transfer(states[src], edge))
         return out
 
     def try_commit(node: int) -> bool:
         new = recompute(node)
         if node in widen_nodes:
             cur = states[node]
-            if dom.leq(new, cur):
+            if dom.leq_states(new, cur):
                 return False
             widened = abstract.widen_states(cur, new, widening)
             if widened == cur:
@@ -167,8 +151,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
                 break
             iterations += 1
             if trace is not None:
-                trace.append({n: dict(s) for n, s in states.items()})
-        return SolveResult(states, iterations, converged, schedule,
+                trace.append(snapshot())
+        return SolveResult(snapshot(), iterations, converged, schedule,
                            warnings, trace)
 
     budget = max_iters * max(1, len(targets))
@@ -184,7 +168,7 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
             continue
         commits += 1
         if trace is not None:
-            trace.append({n: dict(s) for n, s in states.items()})
+            trace.append(snapshot())
         if commits >= budget:
             converged = False
             break
@@ -192,8 +176,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
             if dst != cfg.entry and dst not in queued:
                 pending.append(dst)
                 queued.add(dst)
-    return SolveResult(states, commits, converged and not pending, schedule,
-                       warnings, trace)
+    return SolveResult(snapshot(), commits, converged and not pending,
+                       schedule, warnings, trace)
 
 
 def check_soundness(concrete_result: SolveResult,

@@ -6,7 +6,9 @@ import itertools
 import random
 from pathlib import Path
 
-from probrange import build_cfg, build_equations, parse_program, solve
+from probrange import (abstract, build_cfg, build_equations, concrete,
+                       parse_program, solve)
+from probrange.concrete import DEFAULT_TUPLE_CAP
 from probrange.hardware import c_div, c_mod
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -20,6 +22,78 @@ def analyze(source: str, spec, **kwargs):
     """Parse, build, and solve in one step; returns (cfg, SolveResult)."""
     cfg = build_cfg(parse_program(source))
     return cfg, solve(build_equations(cfg), spec, **kwargs)
+
+
+class DictDomain:
+    """A domain module over {variable: element} states, one call per transfer.
+
+    The solver keeps flat states (None for bottom, else a tuple indexed by
+    variable position) and compiles every edge once per solve. Tests written
+    against dict states go through this face: each call converts the states,
+    compiles the action on the spot and converts the result back.
+    """
+
+    def __init__(self, module):
+        self.mod = module
+
+    def flat(self, state: dict):
+        elems = tuple(state.values())
+        if self.mod is abstract:
+            if any(e.is_bottom for e in elems):
+                return None
+            return tuple(e.triple for e in elems)
+        return None if any(not e.values for e in elems) else elems
+
+    def _index(self, state: dict) -> dict[str, int]:
+        return {v: i for i, v in enumerate(state)}
+
+    def bottom_state(self, variables) -> dict:
+        return self.mod.elements(None, tuple(variables))
+
+    def entry_state(self, variables, spec) -> dict:
+        return self.mod.elements(self.mod.entry_state(variables, spec),
+                                 tuple(variables))
+
+    def state_is_bottom(self, state: dict) -> bool:
+        return self.flat(state) is None
+
+    def sp_assign(self, state, target, expr, spec, warnings,
+                  cap=DEFAULT_TUPLE_CAP) -> dict:
+        edge = self.mod.compile_assign(target, expr, self._index(state), spec,
+                                       warnings, cap)
+        return self.mod.elements(self.mod.sp_assign(self.flat(state), edge),
+                                 tuple(state))
+
+    def sp_guard(self, state, guard, spec, warnings,
+                 cap=DEFAULT_TUPLE_CAP) -> dict:
+        edge = self.mod.compile_guard(guard, self._index(state), spec,
+                                      warnings, cap)
+        return self.mod.elements(self.mod.sp_guard(self.flat(state), edge),
+                                 tuple(state))
+
+    def eval_interval(self, expr, state, spec, warnings) -> tuple[int, int]:
+        evaluate = self.mod.interval_evaluator(expr, self._index(state), spec,
+                                               warnings)
+        return evaluate(self.flat(state))
+
+    def join_states(self, a, b) -> dict:
+        return self.mod.elements(
+            self.mod.join_states(self.flat(a), self.flat(b)), tuple(a))
+
+    def leq_states(self, a, b) -> bool:
+        return self.mod.leq_states(self.flat(a), self.flat(b))
+
+    def widen_states(self, a, b, thresholds) -> dict:
+        return self.mod.elements(
+            self.mod.widen_states(self.flat(a), self.flat(b), thresholds),
+            tuple(a))
+
+    def value_part(self, state) -> tuple:
+        return self.mod.value_part(self.flat(state))
+
+
+ABSTRACT = DictDomain(abstract)
+CONCRETE = DictDomain(concrete)
 
 
 def line_map(cfg) -> dict[int, int]:

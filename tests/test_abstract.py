@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probrange import abstract
-from probrange.abstract import (BottomArgument, ValueRange, alpha,
-                                bottom_state, entry_state, eval_interval,
-                                gamma, join_states, leq_states, sp_assign,
-                                sp_guard, state_is_bottom, value_part,
-                                widen_states)
+from probrange.abstract import BottomArgument, ValueRange, alpha, gamma
 from probrange.concrete import ValueSet
-from probrange.concrete import sp_assign as conc_assign
-from probrange.concrete import sp_guard as conc_guard
 from probrange.hardware import HardwareSpec, c_div, c_mod
+
+from helpers import ABSTRACT, CONCRETE
+
+# dict-state transfers and helpers, compiled per call
+bottom_state, entry_state = ABSTRACT.bottom_state, ABSTRACT.entry_state
+eval_interval = ABSTRACT.eval_interval
+sp_assign, sp_guard = ABSTRACT.sp_assign, ABSTRACT.sp_guard
+join_states, leq_states = ABSTRACT.join_states, ABSTRACT.leq_states
+state_is_bottom, widen_states = ABSTRACT.state_is_bottom, ABSTRACT.widen_states
+value_part = ABSTRACT.value_part
+conc_assign, conc_guard = CONCRETE.sp_assign, CONCRETE.sp_guard
 
 SPEC = HardwareSpec.uniform(0.9999)
 TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
@@ -568,7 +572,7 @@ def test_state_helpers():
     assert leq_states(a, j) and leq_states(b, j)
     assert leq_states(bottom_state(("x", "y")), a)
     assert not leq_states(a, bottom_state(("x", "y")))
-    assert value_part(a) == (("x", 0, 1), ("y", 2, 2))
+    assert value_part(a) == ((0, 1), (2, 2))
     assert value_part(bottom_state(("x", "y"))) == ()
     assert state_is_bottom({"x": ValueRange.bottom(), "y": ValueRange(0, 1, 1.0)})
     w = widen_states(a, b, T)

@@ -180,13 +180,22 @@ def test_unwritable_out_exits_one(capsys):
 
 
 def test_range_overrides(capsys):
-    code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--minint", "-8",
-                       "--maxint", "8", "--format", "machine")
+    # fig1's largest literal is 10, so the range must hold it
+    code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--minint", "-16",
+                       "--maxint", "15", "--format", "machine")
     report = json.loads(out)
-    assert report["spec"]["minint"] == -8
-    assert report["spec"]["maxint"] == 8
+    assert report["spec"]["minint"] == -16
+    assert report["spec"]["maxint"] == 15
     entry = next(r for r in report["results"] if r["node"] == 0)
-    assert entry["interval"] == [-8, 8]
+    assert entry["interval"] == [-16, 15]
+
+
+def test_literal_outside_overridden_range_rejected(capsys):
+    code, out, err = run(capsys, FIG1, "--spec", SPEC4, "--minint", "-8",
+                         "--maxint", "8")
+    assert code == 1
+    assert out == ""
+    assert "line 2: literal 10 outside [-8,8]" in err
 
 
 def test_trace_sections(capsys):
@@ -237,10 +246,16 @@ def test_console_script_runs(tmp_path, capsys):
     (COUNTER, str(CORPUS / "no-such.spec"), 1),
 ], ids=["converged", "budget-ran-out", "missing-spec"])
 def test_module_entry_point_exit_codes(tmp_path, program, spec, expected):
-    proc = subprocess.run(
-        [sys.executable, "-m", "probrange", program, "--spec", spec],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env())
-    assert proc.returncode == expected, proc.stderr
+    # both module forms are the same command; stderr is not compared, as
+    # runpy may warn that probrange.cli was imported before it ran
+    outputs = []
+    for module in ("probrange", "probrange.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, program, "--spec", spec],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert proc.returncode == expected, (module, proc.stderr)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_big_value_sets_elided(capsys):

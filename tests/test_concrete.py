@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import analyze, product_sets, random_program
+from helpers import CONCRETE, analyze, product_sets, random_program
 
-from probrange.concrete import (EvalError, OracleBlowup, ValueSet,
-                                bottom_state, entry_state, join_states,
-                                leq_states, sp_assign, sp_guard,
-                                state_is_bottom, value_part)
+from probrange.concrete import EvalError, OracleBlowup, ValueSet
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
 SPEC = HardwareSpec.uniform(0.9999)
 TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
+
+# dict-state transfers and helpers, compiled per call
+bottom_state, entry_state = CONCRETE.bottom_state, CONCRETE.entry_state
+sp_assign, sp_guard = CONCRETE.sp_assign, CONCRETE.sp_guard
+join_states, leq_states = CONCRETE.join_states, CONCRETE.leq_states
+state_is_bottom, value_part = CONCRETE.state_is_bottom, CONCRETE.value_part
 
 
 def elem(*values, prob=1.0):

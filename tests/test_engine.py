@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from probrange import abstract, concrete
 from probrange.abstract import ValueRange
 from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
                            collect_thresholds)
@@ -11,7 +10,11 @@ from probrange.engine import build_equations, check_soundness, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
-from helpers import analyze, corpus_source, line_map, random_program
+from helpers import (ABSTRACT, CONCRETE, analyze, corpus_source, line_map,
+                     random_program)
+
+# the domains over dict states, which is how SolveResult reports them
+abstract, concrete = ABSTRACT, CONCRETE
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
 
