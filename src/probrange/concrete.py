@@ -262,7 +262,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                     continue
             except EvalError as exc:
                 _warn(warnings, f"{exc} (offending operand tuple excluded)")
-                if not reads:
+                if not reads:  # the one empty tuple: nothing gets past
                     _warn(warnings, f"{exc} (constant guard unreachable)")
                 continue
             satisfiable = True

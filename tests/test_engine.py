@@ -127,6 +127,23 @@ def test_commit_keeps_probability_of_last_value_change(spec4):
     assert redo.prob < stored.prob
 
 
+def test_program_without_variables_reaches_every_guard(spec4):
+    # with no variables there is one state, so no node is ever bottom: the
+    # guard after the unsatisfiable loop guard is still evaluated
+    source = "while (1 >. 2) {\n}\nif (1 /. 0 <=. 2) {\n}\n"
+    cfg = build_cfg(parse_program(source))
+    for kwargs in ({"domain": "concrete"}, {"domain": "abstract"},
+                   {"domain": "abstract", "widening": (-32768, 32767),
+                    "widen_all": True}):
+        result = solve(build_equations(cfg), spec4, **kwargs)
+        assert result.converged and result.iterations == 0
+        assert all(state == {} for state in result.states.values())
+    concrete_run = solve(build_equations(cfg), spec4, domain="concrete")
+    assert concrete_run.warnings == [
+        "line 3: division by zero (offending operand tuple excluded)",
+        "line 3: division by zero (constant guard unreachable)"]
+
+
 def test_converged_run_is_a_value_fixpoint(spec4, spec7):
     runs = [
         (corpus_source("fig1.up"), spec4, "concrete", concrete),
