@@ -53,6 +53,15 @@ CASES["loops2-concrete"] = (GOLDEN / "loops2.up",
                             SPEC4 + ("--mode", "concrete", "--minint", "-64",
                                      "--maxint", "63", "--max-iters", "2000"),
                             0)
+WIDEN4 = SPEC4 + ("--widening",)
+CASES["loops4-budget"] = (GOLDEN / "loops4.up", WIDEN4, 2)
+CASES["loops4-widen-all"] = (GOLDEN / "loops4.up",
+                             SPEC4 + ("--widen-all", "--max-iters", "1000"), 0)
+CASES["loops4-trace"] = (GOLDEN / "loops4.up",
+                         WIDEN4 + ("--trace", "--max-iters", "5"), 2)
+# an empty loop body: the loop head is its own source through a self-loop edge
+CASES["emptyloop"] = (GOLDEN / "emptyloop.up", SPEC4, 0)
+CASES["emptyloop-widening"] = (GOLDEN / "emptyloop.up", WIDEN4, 0)
 
 
 def _report(case: str, out: Path) -> tuple[int, bytes]:
