@@ -4,7 +4,11 @@ Each non-entry node i owes its state to the join over incoming edges of the
 edge action's transfer applied to the source node's state; the entry node is
 the constant state giving every variable the full machine range at
 probability 1. The solver iterates from all-bottom until a full pass commits
-nothing.
+nothing. A pass visits nodes in id order but recomputes only those with a
+source that committed since their last recomputation (Kildall 1973): the
+transfers are pure and warnings de-duplicate, so a skipped recomputation
+would have committed nothing, and every commit happens as in a pass that
+recomputes every node.
 
 Commit rule: a node's stored state is replaced only when the recomputed
 state's value part (sets or intervals) differs. Probabilities shrink on every
@@ -32,6 +36,7 @@ from typing import Optional
 from . import abstract, concrete
 from .cfg import CFG, AssignAction, Edge, loop_heads
 from .hardware import HardwareSpec
+from .syntax import Const, LiteralRangeError, walk_exprs
 
 SCHEDULES = ("round-robin", "worklist")
 
@@ -49,6 +54,26 @@ class EquationSystem:
 def build_equations(cfg: CFG) -> EquationSystem:
     """One equation per node: the join over incoming edges' transfers."""
     return EquationSystem(cfg, tuple(tuple(p) for p in cfg.preds()))
+
+
+def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
+    """Raise LiteralRangeError for an edge constant outside [minint,maxint].
+
+    Guards are checked in canonical form, where `x <. c` became `x <=. c-1`,
+    so the right-hand constant of a `<=.` guard may also be minint-1.
+    """
+    for edge in cfg.edges:
+        action = edge.action
+        if isinstance(action, AssignAction):
+            root, shifted = action.value, None
+        else:
+            root = action.cond
+            shifted = root.rhs if root.op == "le" else None
+        for node in walk_exprs(root):
+            low = minint - 1 if node is shifted else minint
+            if isinstance(node, Const) and not low <= node.value <= maxint:
+                raise LiteralRangeError(f"line {node.line}: literal "
+                                        f"{node.value} outside [{minint},{maxint}]")
 
 
 @dataclass
@@ -72,10 +97,12 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     threshold tuple (abstract domain only); it applies at loop-head nodes, or
     at every node when widen_all is set. max_iters bounds committing passes
     and running into it clears the converged flag. schedule "round-robin"
-    recomputes every node in id order each pass; "worklist" recomputes only
-    nodes whose predecessors changed, and then the iteration count is
-    individual node commits rather than passes. cap bounds the concrete
-    domain's operand tuple enumeration.
+    visits nodes in id order each pass and recomputes those with a source
+    that committed since their last recomputation; iterations counts the
+    committing passes. "worklist" recomputes only nodes whose predecessors
+    changed, and then the iteration count is individual node commits rather
+    than passes. cap bounds the concrete domain's operand tuple enumeration.
+    Literals outside the spec's machine range raise LiteralRangeError.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
@@ -85,6 +112,7 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         raise ValueError("max_iters must be at least 1")
     if widening is not None and domain == "concrete":
         raise ValueError("widening applies to the abstract domain only")
+    _check_literals(system.cfg, spec.minint, spec.maxint)
 
     dom = abstract if domain == "abstract" else concrete
     cfg = system.cfg
@@ -139,13 +167,24 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         return True
 
     targets = [n for n in range(cfg.node_count) if n != cfg.entry]
+    succs = cfg.succs()
     if schedule == "round-robin":
         iterations = 0
         converged = False
+        dirty = [True] * cfg.node_count
         for _ in range(max_iters):
             changed = False
             for node in targets:
-                changed = try_commit(node) or changed
+                if not dirty[node]:
+                    continue
+                dirty[node] = False
+                if try_commit(node):
+                    changed = True
+                    for dst in succs[node]:
+                        dirty[dst] = True
+                    # widening is not known to be idempotent on floats
+                    if node in widen_nodes:
+                        dirty[node] = True
             if not changed:
                 converged = True
                 break
@@ -158,7 +197,6 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     budget = max_iters * max(1, len(targets))
     pending = deque(targets)
     queued = set(targets)
-    succs = cfg.succs()
     commits = 0
     converged = True
     while pending:

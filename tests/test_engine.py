@@ -1,14 +1,18 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
+import probrange.abstract
+import probrange.concrete
 from probrange.abstract import ValueRange
 from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
                            collect_thresholds)
 from probrange.concrete import OracleBlowup, ValueSet
 from probrange.engine import build_equations, check_soundness, solve
 from probrange.hardware import HardwareSpec
-from probrange.syntax import parse_program
+from probrange.syntax import LiteralRangeError, parse_program
 
 from helpers import (ABSTRACT, CONCRETE, analyze, corpus_source, line_map,
                      random_program)
@@ -17,6 +21,7 @@ from helpers import (ABSTRACT, CONCRETE, analyze, corpus_source, line_map,
 abstract, concrete = ABSTRACT, CONCRETE
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def transfer(mod, state, action, spec):
@@ -267,6 +272,43 @@ def test_round_robin_trace_matches_final_state(spec4):
     assert bare.trace is None
 
 
+# --- work done ---
+
+def count_transfers(monkeypatch, mod) -> list[int]:
+    """Count the solver's calls of mod.sp_assign and mod.sp_guard."""
+    calls = [0]
+    for name in ("sp_assign", "sp_guard"):
+        def counted(*args, real=getattr(mod, name)):
+            calls[0] += 1
+            return real(*args)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("program, domain, bounds, passes, share", [
+    ("loops4.up", "abstract", None, 99, 0.10),
+    ("loops2.up", "concrete", (-64, 63), 43, 0.20),
+])
+def test_round_robin_recomputes_only_changed_sources(
+        monkeypatch, spec4, program, domain, bounds, passes, share):
+    # a pass skips every node none of whose sources committed since its last
+    # visit, so the generated programs need a small share of all transfers
+    spec = spec4
+    if bounds is not None:
+        spec = dataclasses.replace(spec4, minint=bounds[0], maxint=bounds[1])
+    cfg = build_cfg(parse_program((GOLDEN / program).read_text()))
+    widening = None
+    if domain == "abstract":
+        widening = collect_thresholds(cfg, spec.minint, spec.maxint)
+    mod = probrange.abstract if domain == "abstract" else probrange.concrete
+    calls = count_transfers(monkeypatch, mod)
+    result = solve(build_equations(cfg), spec, domain=domain,
+                   widening=widening, max_iters=2000)
+    assert result.converged and result.iterations == passes
+    every_edge_every_pass = len(cfg.edges) * (passes + 1)
+    assert 0 < calls[0] <= share * every_edge_every_pass
+
+
 # --- exhaustion and validation ---
 
 def test_max_iters_exhaustion(spec4):
@@ -287,6 +329,26 @@ def test_argument_validation(spec4):
         solve(system, spec4, max_iters=0)
     with pytest.raises(ValueError):
         solve(system, spec4, domain="concrete", widening=(0, 1))
+
+
+def test_literal_outside_machine_range_rejected():
+    cfg = build_cfg(parse_program("y =. 1;\nx =. 100;\n"))
+    for domain in ("concrete", "abstract"):
+        with pytest.raises(LiteralRangeError,
+                           match=r"^line 2: literal 100 outside \[-8,8\]$"):
+            solve(build_equations(cfg), TINY, domain=domain)
+
+
+def test_less_than_minint_guard_solves():
+    # `x <. -8` reaches the edge as `x <=. -9`, which is still a valid program
+    cfg = build_cfg(parse_program("x =. 0;\nwhile (x <. -8) {\n  x =. x +. 1;\n}\n"))
+    conc = solve(build_equations(cfg), TINY, domain="concrete")
+    abst = solve(build_equations(cfg), TINY, domain="abstract")
+    assert conc.converged and abst.converged
+    exit_node = cfg.node_count - 1
+    assert conc.states[exit_node]["x"].values == frozenset({0})
+    exit_elem = abst.states[exit_node]["x"]
+    assert (exit_elem.lo, exit_elem.hi) == (0, 0)
 
 
 def test_tuple_cap_propagates():
