@@ -36,11 +36,12 @@ widen are each written once, over triples, and its methods call them.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .hardware import HardwareSpec, c_div, c_mod
+from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars
 # sp_assign and sp_guard apply a compiled edge the same way in both domains;
 # the solver looks them up here when it runs in this domain
@@ -54,17 +55,17 @@ class BottomArgument(Exception):
     """The density of the empty interval was requested."""
 
 
-@dataclass(frozen=True)
-class ValueRange:
-    lo: int
-    hi: int
-    prob: float
+class ValueRange(Record):
+    __slots__ = ("lo", "hi", "prob")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"probability out of [0,1]: {self.prob}")
-        if self.lo > self.hi and (self.lo, self.hi, self.prob) != (0, -1, 1.0):
+    def __init__(self, lo: int, hi: int, prob: float) -> None:
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"probability out of [0,1]: {prob}")
+        if lo > hi and (lo, hi, prob) != (0, -1, 1.0):
             raise ValueError("empty interval must be the canonical bottom <[0,-1], 1>")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "prob", prob)
 
     @classmethod
     def bottom(cls) -> ValueRange:
@@ -131,9 +132,7 @@ class ValueRange:
             return self
         return ValueRange(*_widen(self.triple, other.triple, thresholds))
 
-    @property
-    def triple(self) -> tuple[int, int, float]:
-        return self.lo, self.hi, self.prob
+    triple = property(attrgetter("lo", "hi", "prob"))
 
 
 Triple = tuple[int, int, float]

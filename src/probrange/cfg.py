@@ -15,29 +15,25 @@ language and are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (Assign, Cmp, Cond, Const, FrontendError, If, Program,
                      Stmt, While, cond_source, end_line, expr_source,
                      program_vars, walk_exprs)
+from .record import MutableRecord, Record, set_field
 
 
 class UnsupportedGuard(FrontendError):
     pass
 
 
-@dataclass(frozen=True)
-class AssignAction:
-    target: str
-    value: object  # Expr
+class AssignAction(Record):
+    __slots__ = ("target", "value")  # value: Expr
 
     def __str__(self) -> str:
         return f"{self.target} =. {expr_source(self.value)}"
 
 
-@dataclass(frozen=True)
-class GuardAction:
-    cond: Cmp
+class GuardAction(Record):
+    __slots__ = ("cond",)  # a Cmp
 
     def __str__(self) -> str:
         return cond_source(self.cond)
@@ -46,19 +42,18 @@ class GuardAction:
 Action = AssignAction | GuardAction
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    action: Action
+class Edge(Record):
+    __slots__ = ("src", "dst", "action")
+
+    def __init__(self, src: int, dst: int, action: Action) -> None:
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "action", action)
 
 
-@dataclass
-class CFG:
-    lines: list[int]  # node id -> source line
-    edges: list[Edge]
-    variables: tuple[str, ...]
-    entry: int = 0
+class CFG(MutableRecord):
+    __slots__ = ("lines", "edges", "variables", "entry")  # lines[node]: its source line
+    _defaults = {"entry": 0}
 
     @property
     def node_count(self) -> int:
@@ -89,13 +84,13 @@ def negate_guard(cond: Cond) -> Cmp:
     if not isinstance(cond, Cmp):
         raise UnsupportedGuard(
             f"line {cond.line}: only comparison guards are supported, got {cond_source(cond)!r}")
-    return Cmp(_NEGATED[cond.op], cond.lhs, cond.rhs, line=cond.line)
+    return Cmp(_NEGATED[cond.op], cond.lhs, cond.rhs, cond.line)
 
 
 def canonicalize_guard(cond: Cmp) -> Cmp:
     if cond.op == "lt" and isinstance(cond.rhs, Const):
-        return Cmp("le", cond.lhs, Const(cond.rhs.value - 1, line=cond.rhs.line),
-                   line=cond.line)
+        return Cmp("le", cond.lhs, Const(cond.rhs.value - 1, cond.rhs.line),
+                   cond.line)
     return cond
 
 

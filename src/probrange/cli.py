@@ -9,8 +9,6 @@ emitted, flagged as not converged).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -85,7 +83,7 @@ def main(argv=None) -> int:
         if args.maxint is not None:
             overrides["maxint"] = args.maxint
         if overrides:
-            spec = dataclasses.replace(spec, **overrides)
+            spec = spec.replace(**overrides)
     except SpecError as exc:
         print(f"probrange: spec error: {exc}", file=sys.stderr)
         return 1
@@ -239,6 +237,7 @@ def render_text(report: dict) -> str:
 
 
 def render_machine(report: dict) -> str:
+    import json  # imported here: text reports do not need it at start-up
     return json.dumps(report, indent=2) + "\n"
 
 

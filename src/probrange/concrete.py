@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .hardware import HardwareSpec, c_div, c_mod
+from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars, walk_exprs
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -44,14 +44,14 @@ class EvalError(Exception):
     """Division or modulo by zero while evaluating one operand tuple."""
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    values: frozenset[int]
-    prob: float
+class ValueSet(Record):
+    __slots__ = ("values", "prob")  # values: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"probability out of [0,1]: {self.prob}")
+    def __init__(self, values: frozenset[int], prob: float) -> None:
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"probability out of [0,1]: {prob}")
+        set_field(self, "values", values)
+        set_field(self, "prob", prob)
 
     @classmethod
     def bottom(cls) -> ValueSet:

@@ -30,21 +30,19 @@ SolveResult and trace snapshots hold {variable: element} dicts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from . import abstract, concrete
 from .cfg import CFG, AssignAction, Edge, loop_heads
 from .hardware import HardwareSpec
+from .record import MutableRecord, Record
 from .syntax import Const, LiteralRangeError, walk_exprs
 
 SCHEDULES = ("round-robin", "worklist")
 
 
-@dataclass(frozen=True)
-class EquationSystem:
-    cfg: CFG
-    preds: tuple[tuple[Edge, ...], ...]
+class EquationSystem(Record):
+    __slots__ = ("cfg", "preds")  # preds: incoming edges per node
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -76,14 +74,11 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
                                         f"{node.value} outside [{minint},{maxint}]")
 
 
-@dataclass
-class SolveResult:
-    states: dict[int, dict]
-    iterations: int
-    converged: bool
-    schedule: str
-    warnings: list[str]
-    trace: Optional[list[dict[int, dict]]] = None
+class SolveResult(MutableRecord):
+    # states and each trace snapshot: node -> {variable: element}
+    __slots__ = ("states", "iterations", "converged", "schedule", "warnings",
+                 "trace")
+    _defaults = {"trace": None}
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",

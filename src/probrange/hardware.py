@@ -16,7 +16,7 @@ file default to probability 1.0 and the parser records a warning for each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 ARITH_OPS = ("add", "sub", "mul", "div", "mod", "read", "write")
 BOOL_OPS = ("lt", "le", "gt", "ge", "eq", "ne", "and", "or", "not")
@@ -41,13 +41,11 @@ def c_mod(a: int, b: int) -> int:
     return a - c_div(a, b) * b
 
 
-@dataclass(frozen=True)
-class HardwareSpec:
+class HardwareSpec(Record):
     """Success probability per op plus the machine integer range."""
 
-    probs: dict[str, float] = field(default_factory=dict)
-    minint: int = DEFAULT_MININT
-    maxint: int = DEFAULT_MAXINT
+    __slots__ = ("probs", "minint", "maxint")
+    _defaults = {"probs": dict, "minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
 
     def __post_init__(self) -> None:
         for op, p in self.probs.items():

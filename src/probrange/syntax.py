@@ -4,12 +4,10 @@ The language is a C-like fragment whose every operation is suffixed with a dot
 to mark it as running on unreliable hardware. Programs are either a single
 `void` function with `int` parameters or a bare statement list.
 
-Expressions follow standard C precedence, assignment right-associative and the
-rest left-associative:
+Expressions follow standard C precedence, every binary operator
+left-associative:
 
-    expr       := assign
-    assign     := or [ '=.' assign ]        (left side must be a variable)
-    or         := and { '||.' and }
+    expr       := and { '||.' and }
     and        := equality { '&&.' equality }
     equality   := relational { ('==.'|'!=.') relational }
     relational := additive { ('<.'|'<=.'|'>.'|'>=.') additive }
@@ -24,21 +22,21 @@ Statements and the program shell:
     function   := 'void' IDENT '(' [ 'int' IDENT { ',' 'int' IDENT } ] ')' block
     block      := '{' { stmt } '}'
     body       := block | stmt
-    stmt       := expr ';'                  (must be a single assignment)
+    stmt       := IDENT '=.' expr ';'
                | 'while' '(' expr ')' body
                | 'if' '(' expr ')' body [ 'else' body ]
 
 Plain `-` and `+` exist only to write signed literals and are folded away at
 parse time; they are not unreliable ops and charge no reliability factor.
-Statement-level validation keeps the analyzable shape: an expression statement
-must be one non-chained assignment with an arithmetic right side, and a
-while/if condition must be a comparison of arithmetic operands or a logical
-combination of such comparisons. `//` starts a line comment.
+Statement-level validation keeps the analyzable shape: an assignment is not
+chained and has an arithmetic right side, and a while/if condition must be a
+comparison of arithmetic operands or a logical combination of such
+comparisons. `//` starts a line comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, set_field
 
 
 class FrontendError(Exception):
@@ -73,12 +71,15 @@ CMP_TOKENS = {"<.": "lt", "<=.": "le", ">.": "gt", ">=.": "ge", "==.": "eq", "!=
 _MAX_LITERAL = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "eof", a keyword, an operator, or punctuation
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    # kind: "ident", "int", "eof", a keyword, an operator, or punctuation
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -136,100 +137,87 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST ---
 
-@dataclass(frozen=True)
-class Const:
-    value: int
-    line: int = field(compare=False, default=0)
+class _Node(Record):
+    """An AST node; its source lines stay out of == and hash."""
+
+    __slots__ = ()
+    _defaults = {"line": 0, "end_line": 0, "orelse": None}
+    _loose = ("line", "end_line")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = field(compare=False, default=0)
+class Const(_Node):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: int, line: int = 0) -> None:
+        set_field(self, "value", value)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # add, sub, mul, div, mod
-    lhs: Expr
-    rhs: Expr
-    line: int = field(compare=False, default=0)
+class Var(_Node):
+    __slots__ = ("name", "line")
+
+    def __init__(self, name: str, line: int = 0) -> None:
+        set_field(self, "name", name)
+        set_field(self, "line", line)
+
+
+class BinOp(_Node):
+    __slots__ = ("op", "lhs", "rhs", "line")  # op: add, sub, mul, div, mod
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0) -> None:
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "line", line)
 
 
 Expr = Const | Var | BinOp
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # lt, le, gt, ge, eq, ne
-    lhs: object
-    rhs: object
-    line: int = field(compare=False, default=0)
+class Cmp(_Node):
+    __slots__ = ("op", "lhs", "rhs", "line")  # op: lt, le, gt, ge, eq, ne
+
+    def __init__(self, op: str, lhs, rhs, line: int = 0) -> None:
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class LogicalOp:
-    op: str  # and, or
-    lhs: Cond
-    rhs: Cond
-    line: int = field(compare=False, default=0)
+class LogicalOp(_Node):
+    __slots__ = ("op", "lhs", "rhs", "line")  # op: and, or
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: Cond
-    line: int = field(compare=False, default=0)
+class Not(_Node):
+    __slots__ = ("arg", "line")
 
 
 Cond = Cmp | LogicalOp | Not
 
 
-@dataclass(frozen=True)
-class AssignExpr:
-    """Assignment in expression position; statements unwrap one layer."""
-
-    target: str
-    value: object
-    line: int = field(compare=False, default=0)
+class Assign(_Node):
+    __slots__ = ("target", "value", "line")
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    value: Expr
-    line: int = field(compare=False, default=0)
+class Block(_Node):
+    __slots__ = ("stmts", "end_line")
 
 
-@dataclass(frozen=True)
-class Block:
-    stmts: tuple[Stmt, ...]
-    end_line: int = field(compare=False, default=0)
+class While(_Node):
+    __slots__ = ("cond", "body", "line")
 
 
-@dataclass(frozen=True)
-class While:
-    cond: Cond
-    body: Block
-    line: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class If:
-    cond: Cond
-    then: Block
-    orelse: Block | None = None
-    line: int = field(compare=False, default=0)
+class If(_Node):
+    __slots__ = ("cond", "then", "orelse", "line")
 
 
 Stmt = Assign | While | If
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str | None  # None for a bare statement list
-    params: tuple[str, ...]
-    body: Block
-    line: int = field(compare=False, default=1)
+class Program(_Node):
+    # name is None for a bare statement list
+    __slots__ = ("name", "params", "body", "line")
+    _defaults = {"line": 1}
 
 
 def end_line(stmt: Stmt) -> int:
@@ -262,6 +250,13 @@ def is_condition(c) -> bool:
 
 # --- parser ---
 
+# binary operators by binding level, loosest first, each left-associative
+_LEVELS = (("||.",), ("&&.",), ("==.", "!=."), ("<.", "<=.", ">.", ">=."),
+           ("+.", "-."), ("*.", "/.", "%."))
+_MAKE = {"||.": (LogicalOp, "or"), "&&.": (LogicalOp, "and"),
+         **{t: (Cmp, op) for t, op in CMP_TOKENS.items()},
+         **{t: (BinOp, op) for t, op in ARITH_TOKENS.items()}}
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -292,7 +287,7 @@ class _Parser:
         if not stmts:
             raise ParseError("empty program")
         return Program(None, (), Block(tuple(stmts), end_line(stmts[-1])),
-                       line=stmts[0].line)
+                       stmts[0].line)
 
     def function(self) -> Program:
         header = self.expect("void")
@@ -311,7 +306,7 @@ class _Parser:
         self.expect("eof")
         if len(set(params)) != len(params):
             raise ParseError(f"line {header.line}: duplicate parameter name")
-        return Program(name, tuple(params), body, line=header.line)
+        return Program(name, tuple(params), body, header.line)
 
     def block(self) -> Block:
         self.expect("{")
@@ -336,7 +331,7 @@ class _Parser:
             self.expect("(")
             cond = self.condition()
             self.expect(")")
-            return While(cond, self.body(), line=tok.line)
+            return While(cond, self.body(), tok.line)
         if tok.kind == "if":
             self.next()
             self.expect("(")
@@ -347,22 +342,23 @@ class _Parser:
             if self.peek().kind == "else":
                 self.next()
                 orelse = self.body()
-            return If(cond, then, orelse, line=tok.line)
-        e = self.expr()
-        self.expect(";")
-        if not isinstance(e, AssignExpr):
+            return If(cond, then, orelse, tok.line)
+        if tok.kind != "ident" or self.tokens[self.pos + 1].kind != "=.":
             raise ParseError(f"line {tok.line}: expression statement must be an assignment")
-        if isinstance(e.value, AssignExpr):
+        self.pos += 2  # the target and `=.`
+        value = self.expr()
+        if self.peek().kind == "=.":
             raise ParseError(f"line {tok.line}: chained assignment is not allowed")
-        if not is_arith(e.value):
+        self.expect(";")
+        if not is_arith(value):
             raise ParseError(
                 f"line {tok.line}: assignment right side must be an arithmetic expression")
-        return Assign(e.target, e.value, line=e.line)
+        return Assign(tok.text, value, tok.line)
 
     def condition(self) -> Cond:
         tok = self.peek()
         c = self.expr()
-        if isinstance(c, AssignExpr):
+        if self.peek().kind == "=.":
             raise ParseError(f"line {tok.line}: assignment is not allowed in a condition")
         if not is_condition(c):
             raise ParseError(f"line {tok.line}: condition must compare arithmetic expressions")
@@ -370,77 +366,36 @@ class _Parser:
 
     # expressions, loosest binding first
 
-    def expr(self):
-        lhs = self.or_level()
-        if self.peek().kind == "=.":
+    def expr(self, level: int = 0):
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.expr(level + 1)
+        while self.peek().kind in _LEVELS[level]:
             tok = self.next()
-            if not isinstance(lhs, Var):
-                raise ParseError(f"line {tok.line}: assignment target must be a variable")
-            return AssignExpr(lhs.name, self.expr(), line=lhs.line)
-        return lhs
-
-    def or_level(self):
-        node = self.and_level()
-        while self.peek().kind == "||.":
-            tok = self.next()
-            node = LogicalOp("or", node, self.and_level(), line=tok.line)
-        return node
-
-    def and_level(self):
-        node = self.equality()
-        while self.peek().kind == "&&.":
-            tok = self.next()
-            node = LogicalOp("and", node, self.equality(), line=tok.line)
-        return node
-
-    def equality(self):
-        node = self.relational()
-        while self.peek().kind in ("==.", "!=."):
-            tok = self.next()
-            node = Cmp(CMP_TOKENS[tok.kind], node, self.relational(), line=tok.line)
-        return node
-
-    def relational(self):
-        node = self.additive()
-        while self.peek().kind in ("<.", "<=.", ">.", ">=."):
-            tok = self.next()
-            node = Cmp(CMP_TOKENS[tok.kind], node, self.additive(), line=tok.line)
-        return node
-
-    def additive(self):
-        node = self.term()
-        while self.peek().kind in ("+.", "-."):
-            tok = self.next()
-            node = BinOp(ARITH_TOKENS[tok.kind], node, self.term(), line=tok.line)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*.", "/.", "%."):
-            tok = self.next()
-            node = BinOp(ARITH_TOKENS[tok.kind], node, self.unary(), line=tok.line)
+            make, op = _MAKE[tok.kind]
+            node = make(op, node, self.expr(level + 1), tok.line)
         return node
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "!.":
             self.next()
-            return Not(self.unary(), line=tok.line)
+            return Not(self.unary(), tok.line)
         if tok.kind in ("-", "+"):
             # signed literals only; there is no unreliable unary arithmetic
             self.next()
             operand = self.unary()
             if not isinstance(operand, Const):
                 raise ParseError(f"line {tok.line}: {tok.kind!r} applies to integer literals only")
-            return Const(-operand.value if tok.kind == "-" else operand.value, line=tok.line)
+            return Const(-operand.value if tok.kind == "-" else operand.value, tok.line)
         return self.atom()
 
     def atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return Const(int(tok.text), line=tok.line)
+            return Const(int(tok.text), tok.line)
         if tok.kind == "ident":
-            return Var(tok.text, line=tok.line)
+            return Var(tok.text, tok.line)
         if tok.kind == "(":
             node = self.expr()
             self.expect(")")
@@ -454,6 +409,20 @@ def parse_program(source: str) -> Program:
 
 # --- validation and queries ---
 
+def _statements(block: Block) -> list:
+    """Every statement in a block, nested ones included, in source order."""
+    out = []
+    for s in block.stmts:
+        out.append(s)
+        if isinstance(s, While):
+            out += _statements(s.body)
+        elif isinstance(s, If):
+            out += _statements(s.then)
+            if s.orelse is not None:
+                out += _statements(s.orelse)
+    return out
+
+
 def walk_exprs(node) -> list:
     """All expression and condition nodes under an AST node, preorder."""
     out: list = []
@@ -465,26 +434,10 @@ def walk_exprs(node) -> list:
             visit(x.rhs)
         elif isinstance(x, Not):
             visit(x.arg)
-        elif isinstance(x, AssignExpr):
-            visit(x.value)
 
-    def stmts(block: Block) -> None:
-        for s in block.stmts:
-            if isinstance(s, Assign):
-                visit(s.value)
-            elif isinstance(s, While):
-                visit(s.cond)
-                stmts(s.body)
-            elif isinstance(s, If):
-                visit(s.cond)
-                stmts(s.then)
-                if s.orelse is not None:
-                    stmts(s.orelse)
-
-    if isinstance(node, Program):
-        stmts(node.body)
-    elif isinstance(node, Block):
-        stmts(node)
+    if isinstance(node, (Program, Block)):
+        for s in _statements(node.body if isinstance(node, Program) else node):
+            visit(s.value if isinstance(s, Assign) else s.cond)
     else:
         visit(node)
     return out
@@ -505,22 +458,8 @@ def validate_literals(program: Program, minint: int, maxint: int) -> None:
 def program_vars(program: Program) -> tuple[str, ...]:
     """Every variable the program mentions, parameters included, sorted."""
     names = set(program.params)
-    for node in walk_exprs(program):
-        if isinstance(node, Var):
-            names.add(node.name)
-
-    def targets(block: Block) -> None:
-        for s in block.stmts:
-            if isinstance(s, Assign):
-                names.add(s.target)
-            elif isinstance(s, While):
-                targets(s.body)
-            elif isinstance(s, If):
-                targets(s.then)
-                if s.orelse is not None:
-                    targets(s.orelse)
-
-    targets(program.body)
+    names.update(x.name for x in walk_exprs(program) if isinstance(x, Var))
+    names.update(s.target for s in _statements(program.body) if isinstance(s, Assign))
     return tuple(sorted(names))
 
 

@@ -240,6 +240,19 @@ def test_console_script_runs(tmp_path, capsys):
     assert proc.stdout == in_process.encode()
 
 
+def test_import_leaves_out_start_up_heavy_modules(tmp_path):
+    # start-up is most of a CLI run on a small program: dataclasses pulls in
+    # inspect, ast and dis, and only machine reports need json
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import probrange.cli; "
+         "print(*[m for m in ('dataclasses', 'inspect', 'json') "
+         "if m in sys.modules and m not in before])"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.parametrize("program, spec, expected", [
     (FIG1, SPEC4, 0),
     (COUNTER, SPEC4, 2),

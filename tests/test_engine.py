@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -7,12 +6,13 @@ import pytest
 import probrange.abstract
 import probrange.concrete
 from probrange.abstract import ValueRange
-from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
+from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            collect_thresholds)
 from probrange.concrete import OracleBlowup, ValueSet
 from probrange.engine import build_equations, check_soundness, solve
 from probrange.hardware import HardwareSpec
-from probrange.syntax import LiteralRangeError, parse_program
+from probrange.syntax import (Cmp, Const, LiteralRangeError, Token, Var,
+                              parse_program)
 
 from helpers import (ABSTRACT, CONCRETE, analyze, corpus_source, line_map,
                      random_program)
@@ -295,7 +295,7 @@ def test_round_robin_recomputes_only_changed_sources(
     # visit, so the generated programs need a small share of all transfers
     spec = spec4
     if bounds is not None:
-        spec = dataclasses.replace(spec4, minint=bounds[0], maxint=bounds[1])
+        spec = spec4.replace(minint=bounds[0], maxint=bounds[1])
     cfg = build_cfg(parse_program((GOLDEN / program).read_text()))
     widening = None
     if domain == "abstract":
@@ -372,3 +372,56 @@ def test_check_soundness_flags_tampering(spec4):
     violations = check_soundness(conc, abst)
     assert violations
     assert any("node 1" in v and "x" in v for v in violations)
+
+
+# --- record contract ---
+
+FIG1_CFG = build_cfg(parse_program(corpus_source("fig1.up")))
+FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
+
+
+@pytest.mark.parametrize("record, field", [
+    (Token("int", "1", 1, 1), "kind"),
+    (Const(1, 2), "line"),
+    (Cmp("lt", Var("x"), Const(1)), "op"),
+    (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
+    (GuardAction(Cmp("lt", Var("x"), Const(1))), "cond"),
+    (ValueRange(0, 1, 0.5), "lo"),
+    (ValueSet.of(1, 2), "prob"),
+    (TINY, "minint"),
+    (build_equations(FIG1_CFG), "cfg"),
+])
+def test_frozen_record_fields_cannot_change(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown = 0
+
+
+@pytest.mark.parametrize("record, field", [
+    (FIG1_CFG, "entry"),
+    (FIG1_RESULT, "iterations"),
+])
+def test_mutable_records_are_unhashable(record, field):
+    with pytest.raises(TypeError):
+        hash(record)
+    changed = record.replace(**{field: 7})
+    setattr(changed, field, 8)
+    assert getattr(changed, field) == 8 and getattr(record, field) != 8
+
+
+# ValueRange(3, 1, 0.5) itself is test_abstract's canonical-bottom case, and
+# HardwareSpec.replace has its own cases in test_hardware
+@pytest.mark.parametrize("make, error", [
+    (lambda: ValueRange(0, 1, 0.5).replace(lo=3), ValueError),
+    (lambda: ValueRange(0, 1, 0.5).replace(prob=1.5), ValueError),
+    (lambda: ValueSet.of(1).replace(prob=-0.5), ValueError),
+    (lambda: Const(1).replace(name="x"), TypeError),
+    (lambda: AssignAction("x"), TypeError),
+    (lambda: Edge(0, 1, None, 2), TypeError),
+])
+def test_replace_and_construction_check_fields(make, error):
+    with pytest.raises(error):
+        make()

@@ -82,6 +82,30 @@ def test_validation_rejects_bad_range():
         HardwareSpec({}, minint=1, maxint=9)  # zero must be representable
 
 
+def test_default_probabilities_are_not_shared():
+    a, b = HardwareSpec(), HardwareSpec(minint=-8, maxint=8)
+    assert a.probs == {} and a.probs is not b.probs
+
+
+@pytest.mark.parametrize("changes", [
+    {"minint": 5, "maxint": 5},
+    {"minint": 1},
+    {"probs": {"add": 2.0}},
+    {"probs": {"xor": 0.5}},
+])
+def test_replace_validates_like_construction(changes):
+    spec = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
+    with pytest.raises(SpecError):
+        spec.replace(**changes)
+
+
+def test_replace_keeps_unchanged_fields():
+    spec = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
+    wider = spec.replace(maxint=100)
+    assert (wider.minint, wider.maxint, wider.probs) == (-8, 100, spec.probs)
+    assert (spec.minint, spec.maxint) == (-8, 8)
+
+
 def test_parse_spec_full_file():
     lines = [f"{op} = 0.5" for op in ALL_OPS]
     lines += ["minint = -8", "maxint = 8", "# trailing comment"]

@@ -2,8 +2,8 @@ import pytest
 
 from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
                               LiteralRangeError, LogicalOp, Not, ParseError,
-                              Program, Var, While, expr_vars, parse_program,
-                              program_vars, to_source, tokenize,
+                              Program, Token, Var, While, expr_vars,
+                              parse_program, program_vars, to_source, tokenize,
                               validate_literals, walk_exprs)
 
 from helpers import corpus_source
@@ -116,6 +116,20 @@ def test_chained_assignment_rejected():
 def test_assignment_rhs_must_be_arithmetic():
     with pytest.raises(ParseError):
         parse_program("x =. (y <. 3);")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x =. y =. 3;", "chained assignment is not allowed"),
+    ("x =. (y =. 3);", r"expected '\)'"),
+    ("if (x =. 1) { x =. 0; }", "assignment is not allowed in a condition"),
+    ("while (x <. 3 =. 2) { x =. 0; }", "assignment is not allowed in a condition"),
+    ("x +. 1;", "expression statement must be an assignment"),
+    ("3 =. x;", "expression statement must be an assignment"),
+    ("(x) =. 3;", "expression statement must be an assignment"),
+])
+def test_misplaced_assignment_messages(source, message):
+    with pytest.raises(ParseError, match=message):
+        parse_program(source)
 
 
 def test_condition_must_be_comparison_or_logical():
@@ -235,3 +249,47 @@ def test_line_numbers_ignored_in_equality():
     a = parse_program("x =. 1;")
     b = parse_program("\n\nx =. 1;")
     assert a.body == b.body
+
+
+X, TWO = Var("x"), Const(2)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Const(1, line=3), Const(1, line=9)),
+    (Var("x", 1), Var("x", 2)),
+    (BinOp("add", Var("x", 1), Const(1, 1), 1), BinOp("add", X, Const(1), 5)),
+    (Cmp("lt", X, TWO, line=2), Cmp("lt", X, TWO, line=7)),
+    (LogicalOp("or", Cmp("lt", X, TWO), Cmp("gt", X, TWO), 4),
+     LogicalOp("or", Cmp("lt", X, TWO), Cmp("gt", X, TWO))),
+    (Not(Cmp("eq", X, TWO), 3), Not(Cmp("eq", X, TWO), 8)),
+    (Assign("x", TWO, 1), Assign("x", TWO, line=6)),
+    (Block((Assign("x", TWO),), 4), Block((Assign("x", TWO),), end_line=11)),
+    (While(Cmp("lt", X, TWO), Block(()), 2), While(Cmp("lt", X, TWO), Block(()))),
+    (If(Cmp("lt", X, TWO), Block(()), None, 2), If(Cmp("lt", X, TWO), Block(()))),
+    (Program(None, (), Block(()), 5), Program(None, (), Block(()))),
+])
+def test_records_leave_lines_out_of_eq_and_hash(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Cmp("lt", X, TWO), BinOp("lt", X, TWO)),
+    (LogicalOp("and", X, TWO), BinOp("and", X, TWO)),
+    (Const("x"), Var("x")),
+    (Token("int", "2", 1, 1), Token("int", "2", 2, 1)),
+    (Const(1), 1),
+])
+def test_records_differ_across_classes_and_fields(a, b):
+    assert a != b and b != a
+
+
+@pytest.mark.parametrize("record, text", [
+    (Const(1, line=3), "Const(value=1, line=3)"),
+    (Token("int", "1", 2, 5), "Token(kind='int', text='1', line=2, col=5)"),
+    (Assign("x", Var("y")), "Assign(target='x', value=Var(name='y', line=0), line=0)"),
+    (Block(()), "Block(stmts=(), end_line=0)"),
+    (Program(None, (), Block(())),
+     "Program(name=None, params=(), body=Block(stmts=(), end_line=0), line=1)"),
+])
+def test_record_repr_lists_every_field(record, text):
+    assert repr(record) == text
