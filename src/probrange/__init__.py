@@ -13,7 +13,7 @@ from .hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
                        SpecError, c_div, c_mod, parse_spec)
 from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
                      Program, parse_program, to_source)
-from .cfg import CFG, UnsupportedGuard, build_cfg, collect_thresholds, loop_heads
+from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
 from .concrete import EvalError, OracleBlowup, ValueSet
 from .abstract import BottomArgument, ValueRange, alpha, gamma
 from .engine import (EquationSystem, SolveResult, build_equations,
@@ -27,7 +27,7 @@ __all__ = [
     "c_div", "c_mod", "parse_spec",
     "FrontendError", "LexError", "LiteralRangeError", "ParseError",
     "Program", "parse_program", "to_source",
-    "CFG", "UnsupportedGuard", "build_cfg", "collect_thresholds", "loop_heads",
+    "CFG", "build_cfg", "collect_thresholds", "loop_heads",
     "EvalError", "OracleBlowup", "ValueSet",
     "BottomArgument", "ValueRange", "alpha", "gamma",
     "EquationSystem", "SolveResult", "build_equations", "check_soundness",

@@ -36,9 +36,9 @@ widen are each written once, over triples, and its methods call them.
 from __future__ import annotations
 
 import warnings as _warnings
+from collections.abc import Callable
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Optional
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
@@ -182,8 +182,7 @@ def gamma(m: ValueRange) -> ValueSet:
     return ValueSet(frozenset(range(m.lo, m.hi + 1)), m.pmf())
 
 
-State = Optional[tuple[Triple, ...]]
-Transfer = Callable[[tuple], State]  # a compiled edge, on a non-bottom state
+State = tuple[Triple, ...] | None
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
@@ -292,7 +291,7 @@ def _mod_interval(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
                    spec: HardwareSpec, warnings: list[str],
-                   cap: Optional[int] = None) -> Transfer:
+                   cap: int | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the assignment transfer, for one edge.
 
     The result interval comes from endpoint evaluation; its mass charges one
@@ -340,7 +339,8 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], cap: Optional[int] = None) -> Transfer:
+                  warnings: list[str],
+                  cap: int | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge.
 
     Refinable shapes, after constant folding and putting the variable on the
@@ -430,7 +430,7 @@ def _refine_congruence(factor: float, i: int, k: int, c: int,
                        keep_equal: bool, state: tuple) -> State:
     elo, ehi, _ = state[i]
 
-    def first(start: int, stop: int, step: int) -> Optional[int]:
+    def first(start: int, stop: int, step: int) -> int | None:
         for v in range(start, stop, step):
             if (c_mod(v, k) == c) == keep_equal:
                 return v

@@ -6,23 +6,18 @@ lists are threaded so that a loop's head is the point the loop statement sits
 at, the loop body flows back into the head, and the point after the loop is
 reached through the negated guard.
 
-Guards are plain comparisons. `x <. c` with a constant right side is rewritten
-to `x <=. c-1` on the edge, which also swaps the charged reliability from the
-`lt` op to the `le` op; the false edge carries the negation of the original
-guard. Logical guards (`&&.`, `||.`, `!.`) have no negation in this edge
-language and are rejected.
+Guards are single comparisons, the only condition the parser admits. `x <. c`
+with a constant right side is rewritten to `x <=. c-1` on the edge, which also
+swaps the charged reliability from the `lt` op to the `le` op; the false edge
+carries the negation of the original guard.
 """
 
 from __future__ import annotations
 
-from .syntax import (Assign, Cmp, Cond, Const, FrontendError, If, Program,
-                     Stmt, While, cond_source, end_line, expr_source,
-                     program_vars, walk_exprs)
+from .syntax import (Assign, Cmp, Const, If, Program, Stmt, While,
+                     cond_source, end_line, expr_source, program_vars,
+                     walk_exprs)
 from .record import MutableRecord, Record, set_field
-
-
-class UnsupportedGuard(FrontendError):
-    pass
 
 
 class AssignAction(Record):
@@ -80,10 +75,7 @@ class CFG(MutableRecord):
 _NEGATED = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne": "eq"}
 
 
-def negate_guard(cond: Cond) -> Cmp:
-    if not isinstance(cond, Cmp):
-        raise UnsupportedGuard(
-            f"line {cond.line}: only comparison guards are supported, got {cond_source(cond)!r}")
+def negate_guard(cond: Cmp) -> Cmp:
     return Cmp(_NEGATED[cond.op], cond.lhs, cond.rhs, cond.line)
 
 
@@ -94,10 +86,7 @@ def canonicalize_guard(cond: Cmp) -> Cmp:
     return cond
 
 
-def _edge_guard(cond: Cond) -> GuardAction:
-    if not isinstance(cond, Cmp):
-        raise UnsupportedGuard(
-            f"line {cond.line}: only comparison guards are supported, got {cond_source(cond)!r}")
+def _edge_guard(cond: Cmp) -> GuardAction:
     return GuardAction(canonicalize_guard(cond))
 
 

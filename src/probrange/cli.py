@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="abstract", help="analysis domain")
     parser.add_argument("--widening", action="store_true",
                         help="widen loop heads toward program constants")
-    parser.add_argument("--widen-all", action="store_true",
-                        help="widen at every node, not just loop heads")
     parser.add_argument("--max-iters", type=int, default=20, metavar="N",
                         help="iteration bound (default 20)")
     parser.add_argument("--minint", type=int, help="override lower bound")
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_iters < 1:
         parser.error("--max-iters must be at least 1")
-    if args.mode == "concrete" and (args.widening or args.widen_all):
+    if args.mode == "concrete" and args.widening:
         parser.error("widening applies to abstract mode only")
 
     try:
@@ -97,13 +95,12 @@ def main(argv=None) -> int:
         return 1
 
     widening = None
-    if args.widening or args.widen_all:
+    if args.widening:
         widening = collect_thresholds(cfg, spec.minint, spec.maxint)
     system = build_equations(cfg)
     try:
         result = solve(system, spec, domain=args.mode, widening=widening,
-                       max_iters=args.max_iters, widen_all=args.widen_all,
-                       keep_trace=args.trace)
+                       max_iters=args.max_iters, keep_trace=args.trace)
     except OracleBlowup as exc:
         print(f"probrange: {exc}", file=sys.stderr)
         return 1
@@ -137,7 +134,7 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         "program": name,
         "mode": mode,
         "widening": widening,
-        "schedule": result.schedule,
+        "schedule": "round-robin",
         "spec": {
             "minint": spec.minint,
             "maxint": spec.maxint,

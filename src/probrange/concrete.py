@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
@@ -80,8 +80,7 @@ class ValueSet(Record):
 
 
 
-State = Optional[tuple[ValueSet, ...]]
-Transfer = Callable[[tuple[ValueSet, ...]], State]  # a compiled edge
+State = tuple[ValueSet, ...] | None
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
            "ge": operator.ge, "eq": operator.eq, "ne": operator.ne}
@@ -191,7 +190,7 @@ def _operand_tuples(state: tuple[ValueSet, ...], reads: tuple[int, ...],
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
                    spec: HardwareSpec, warnings: list[str],
-                   cap: int = DEFAULT_TUPLE_CAP) -> Transfer:
+                   cap: int = DEFAULT_TUPLE_CAP) -> Callable[[tuple], State]:
     """Strongest postcondition of `target =. expr`, for one edge.
 
     The result set is the image of expr over every tuple of operand values;
@@ -237,7 +236,7 @@ def sp_assign(state, edge):
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                   warnings: list[str],
-                  cap: int = DEFAULT_TUPLE_CAP) -> Transfer:
+                  cap: int = DEFAULT_TUPLE_CAP) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
     Each guard variable keeps only the values that occur in some satisfying

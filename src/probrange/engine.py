@@ -29,16 +29,11 @@ SolveResult and trace snapshots hold {variable: element} dicts.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
 from . import abstract, concrete
 from .cfg import CFG, AssignAction, Edge, loop_heads
 from .hardware import HardwareSpec
 from .record import MutableRecord, Record
 from .syntax import Const, LiteralRangeError, walk_exprs
-
-SCHEDULES = ("round-robin", "worklist")
 
 
 class EquationSystem(Record):
@@ -76,37 +71,34 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
 
 class SolveResult(MutableRecord):
     # states and each trace snapshot: node -> {variable: element}
-    __slots__ = ("states", "iterations", "converged", "schedule", "warnings",
-                 "trace")
+    __slots__ = ("states", "iterations", "converged", "warnings", "trace")
     _defaults = {"trace": None}
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
-          widening: Optional[tuple[int, ...]] = None, max_iters: int = 20,
-          schedule: str = "round-robin", widen_all: bool = False,
+          widening: tuple[int, ...] | None = None, max_iters: int = 20,
           cap: int = concrete.DEFAULT_TUPLE_CAP,
           keep_trace: bool = False) -> SolveResult:
     """Iterate the equation system to a practical fixpoint.
 
     domain is "concrete" or "abstract". widening, when given, is the sorted
-    threshold tuple (abstract domain only); it applies at loop-head nodes, or
-    at every node when widen_all is set. max_iters bounds committing passes
-    and running into it clears the converged flag. schedule "round-robin"
-    visits nodes in id order each pass and recomputes those with a source
-    that committed since their last recomputation; iterations counts the
-    committing passes. "worklist" recomputes only nodes whose predecessors
-    changed, and then the iteration count is individual node commits rather
-    than passes. cap bounds the concrete domain's operand tuple enumeration.
-    Literals outside the spec's machine range raise LiteralRangeError.
+    threshold tuple (abstract domain only), spanning exactly the spec's
+    machine range; it applies at loop-head nodes. max_iters bounds committing
+    passes and running into it clears the converged flag; iterations counts
+    the committing passes. cap bounds the concrete domain's operand tuple
+    enumeration. Literals outside the spec's machine range raise
+    LiteralRangeError.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if widening is not None and domain == "concrete":
         raise ValueError("widening applies to the abstract domain only")
+    if widening is not None and (min(widening, default=None) != spec.minint
+                                 or max(widening, default=None) != spec.maxint):
+        raise ValueError(f"widening thresholds must contain {spec.minint} "
+                         f"and {spec.maxint} and nothing outside them")
     _check_literals(system.cfg, spec.minint, spec.maxint)
 
     dom = abstract if domain == "abstract" else concrete
@@ -127,13 +119,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     # without variables there is one state, and every node holds it
     states: list = [None if variables else ()] * cfg.node_count
     states[cfg.entry] = dom.entry_state(variables, spec)
-    if widening is None:
-        widen_nodes: frozenset[int] = frozenset()
-    elif widen_all:
-        widen_nodes = frozenset(range(cfg.node_count)) - {cfg.entry}
-    else:
-        widen_nodes = frozenset(loop_heads(cfg))
-    trace: Optional[list[dict[int, dict]]] = [] if keep_trace else None
+    widen_nodes = loop_heads(cfg) if widening is not None else set()
+    trace: list[dict[int, dict]] | None = [] if keep_trace else None
 
     def snapshot() -> dict[int, dict]:
         return {n: dom.elements(s, variables) for n, s in enumerate(states)}
@@ -163,54 +150,29 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
 
     targets = [n for n in range(cfg.node_count) if n != cfg.entry]
     succs = cfg.succs()
-    if schedule == "round-robin":
-        iterations = 0
-        converged = False
-        dirty = [True] * cfg.node_count
-        for _ in range(max_iters):
-            changed = False
-            for node in targets:
-                if not dirty[node]:
-                    continue
-                dirty[node] = False
-                if try_commit(node):
-                    changed = True
-                    for dst in succs[node]:
-                        dirty[dst] = True
-                    # widening is not known to be idempotent on floats
-                    if node in widen_nodes:
-                        dirty[node] = True
-            if not changed:
-                converged = True
-                break
-            iterations += 1
-            if trace is not None:
-                trace.append(snapshot())
-        return SolveResult(snapshot(), iterations, converged, schedule,
-                           warnings, trace)
-
-    budget = max_iters * max(1, len(targets))
-    pending = deque(targets)
-    queued = set(targets)
-    commits = 0
-    converged = True
-    while pending:
-        node = pending.popleft()
-        queued.discard(node)
-        if not try_commit(node):
-            continue
-        commits += 1
+    iterations = 0
+    converged = False
+    dirty = [True] * cfg.node_count
+    for _ in range(max_iters):
+        changed = False
+        for node in targets:
+            if not dirty[node]:
+                continue
+            dirty[node] = False
+            if try_commit(node):
+                changed = True
+                for dst in succs[node]:
+                    dirty[dst] = True
+                # widening is not known to be idempotent on floats
+                if node in widen_nodes:
+                    dirty[node] = True
+        if not changed:
+            converged = True
+            break
+        iterations += 1
         if trace is not None:
             trace.append(snapshot())
-        if commits >= budget:
-            converged = False
-            break
-        for dst in succs[node]:
-            if dst != cfg.entry and dst not in queued:
-                pending.append(dst)
-                queued.add(dst)
-    return SolveResult(snapshot(), commits, converged and not pending,
-                       schedule, warnings, trace)
+    return SolveResult(snapshot(), iterations, converged, warnings, trace)
 
 
 def check_soundness(concrete_result: SolveResult,

@@ -7,13 +7,11 @@ to mark it as running on unreliable hardware. Programs are either a single
 Expressions follow standard C precedence, every binary operator
 left-associative:
 
-    expr       := and { '||.' and }
-    and        := equality { '&&.' equality }
-    equality   := relational { ('==.'|'!=.') relational }
+    expr       := relational { ('==.'|'!=.') relational }
     relational := additive { ('<.'|'<=.'|'>.'|'>=.') additive }
     additive   := term { ('+.'|'-.') term }
     term       := unary { ('*.'|'/.'|'%.') unary }
-    unary      := '!.' unary | '-' unary | '+' unary | atom
+    unary      := '-' unary | '+' unary | atom
     atom       := INT | IDENT | '(' expr ')'
 
 Statements and the program shell:
@@ -30,8 +28,9 @@ Plain `-` and `+` exist only to write signed literals and are folded away at
 parse time; they are not unreliable ops and charge no reliability factor.
 Statement-level validation keeps the analyzable shape: an assignment is not
 chained and has an arithmetic right side, and a while/if condition must be a
-comparison of arithmetic operands or a logical combination of such
-comparisons. `//` starts a line comment.
+single comparison of arithmetic operands. The logical operators `&&.`, `||.`
+and `!.` are tokens only, so a compound guard is a parse error that names the
+line and the operator. `//` starts a line comment.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ class LiteralRangeError(FrontendError):
 
 KEYWORDS = {"void", "int", "while", "if", "else"}
 
-# longest first so `==.` wins over `=.` and `<=.` over `<.`
+# longest first so `==.` wins over `=.` and `<=.` over `<.`; `&&.`, `||.` and
+# `!.` appear in no grammar rule, so a compound guard fails to parse at them
 OPERATORS = ("==.", "!=.", "<=.", ">=.", "&&.", "||.",
              "=.", "<.", ">.", "+.", "-.", "*.", "/.", "%.", "!.")
 
@@ -184,17 +184,6 @@ class Cmp(_Node):
         set_field(self, "line", line)
 
 
-class LogicalOp(_Node):
-    __slots__ = ("op", "lhs", "rhs", "line")  # op: and, or
-
-
-class Not(_Node):
-    __slots__ = ("arg", "line")
-
-
-Cond = Cmp | LogicalOp | Not
-
-
 class Assign(_Node):
     __slots__ = ("target", "value", "line")
 
@@ -238,23 +227,16 @@ def is_arith(e) -> bool:
 
 
 def is_condition(c) -> bool:
-    """Comparison of arithmetic operands, or a logical combination of such."""
-    if isinstance(c, Cmp):
-        return is_arith(c.lhs) and is_arith(c.rhs)
-    if isinstance(c, LogicalOp):
-        return is_condition(c.lhs) and is_condition(c.rhs)
-    if isinstance(c, Not):
-        return is_condition(c.arg)
-    return False
+    """Comparison of arithmetic operands."""
+    return isinstance(c, Cmp) and is_arith(c.lhs) and is_arith(c.rhs)
 
 
 # --- parser ---
 
 # binary operators by binding level, loosest first, each left-associative
-_LEVELS = (("||.",), ("&&.",), ("==.", "!=."), ("<.", "<=.", ">.", ">=."),
-           ("+.", "-."), ("*.", "/.", "%."))
-_MAKE = {"||.": (LogicalOp, "or"), "&&.": (LogicalOp, "and"),
-         **{t: (Cmp, op) for t, op in CMP_TOKENS.items()},
+_LEVELS = (("==.", "!=."), ("<.", "<=.", ">.", ">=."), ("+.", "-."),
+           ("*.", "/.", "%."))
+_MAKE = {**{t: (Cmp, op) for t, op in CMP_TOKENS.items()},
          **{t: (BinOp, op) for t, op in ARITH_TOKENS.items()}}
 
 class _Parser:
@@ -355,7 +337,7 @@ class _Parser:
                 f"line {tok.line}: assignment right side must be an arithmetic expression")
         return Assign(tok.text, value, tok.line)
 
-    def condition(self) -> Cond:
+    def condition(self) -> Cmp:
         tok = self.peek()
         c = self.expr()
         if self.peek().kind == "=.":
@@ -378,9 +360,6 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
-        if tok.kind == "!.":
-            self.next()
-            return Not(self.unary(), tok.line)
         if tok.kind in ("-", "+"):
             # signed literals only; there is no unreliable unary arithmetic
             self.next()
@@ -429,11 +408,9 @@ def walk_exprs(node) -> list:
 
     def visit(x) -> None:
         out.append(x)
-        if isinstance(x, (BinOp, Cmp, LogicalOp)):
+        if isinstance(x, (BinOp, Cmp)):
             visit(x.lhs)
             visit(x.rhs)
-        elif isinstance(x, Not):
-            visit(x.arg)
 
     if isinstance(node, (Program, Block)):
         for s in _statements(node.body if isinstance(node, Program) else node):
@@ -483,19 +460,8 @@ def expr_source(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     return text
 
 
-def cond_source(c: Cond, parent: int = 0) -> str:
-    # binding levels: or=1, and=2; comparisons bind tighter than both
-    if isinstance(c, Cmp):
-        lhs = cond_source(c.lhs, 3) if isinstance(c.lhs, (Cmp, LogicalOp, Not)) else expr_source(c.lhs)
-        rhs = cond_source(c.rhs, 3) if isinstance(c.rhs, (Cmp, LogicalOp, Not)) else expr_source(c.rhs)
-        return f"{lhs} {_CMP_TEXT[c.op]} {rhs}"
-    if isinstance(c, Not):
-        inner = cond_source(c.arg, 3)
-        return f"!. {inner}" if isinstance(c.arg, Not) else f"!. ({inner})"
-    level = 1 if c.op == "or" else 2
-    text = (f"{cond_source(c.lhs, level)} {'||.' if c.op == 'or' else '&&.'} "
-            f"{cond_source(c.rhs, level + 1)}")
-    return f"({text})" if level < parent else text
+def cond_source(c: Cmp) -> str:
+    return f"{expr_source(c.lhs)} {_CMP_TEXT[c.op]} {expr_source(c.rhs)}"
 
 
 def to_source(program: Program) -> str:

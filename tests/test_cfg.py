@@ -1,8 +1,6 @@
-import pytest
-
-from probrange.cfg import (CFG, AssignAction, GuardAction, UnsupportedGuard,
-                           build_cfg, canonicalize_guard, collect_thresholds,
-                           loop_heads, negate_guard)
+from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
+                           canonicalize_guard, collect_thresholds, loop_heads,
+                           negate_guard)
 from probrange.syntax import BinOp, Cmp, Const, Var, parse_program
 
 from helpers import corpus_source
@@ -74,15 +72,6 @@ def test_negate_guard_covers_all_ops():
              "eq": "ne", "ne": "eq"}
     for op, negated in pairs.items():
         assert negate_guard(Cmp(op, Var("x"), Const(0))).op == negated
-
-
-def test_logical_guard_rejected_at_cfg():
-    prog = parse_program("if (x <. 1 &&. x >. 0) { x =. 0; }")
-    with pytest.raises(UnsupportedGuard):
-        build_cfg(prog)
-    prog = parse_program("while (!. (x ==. 0)) { x =. 0; }")
-    with pytest.raises(UnsupportedGuard):
-        build_cfg(prog)
 
 
 def test_loop_heads():

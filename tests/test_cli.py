@@ -139,6 +139,23 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert "probrange:" in err
 
 
+@pytest.mark.parametrize("guard, message", [
+    ("x >. 0 &&. x <. 5", "expected ')', got '&&.'"),
+    ("!. (x ==. 0)", "expected an expression, got '!.'"),
+], ids=["and", "not"])
+def test_compound_guard_exits_one(tmp_path, guard, message):
+    # the logical operators lex but parse nowhere: the error names the line
+    # and the operator, and no traceback reaches the user
+    program = tmp_path / "compound.up"
+    program.write_text(f"x =. 0;\nwhile ({guard}) {{\n  x =. x +. 1;\n}}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrange", str(program), "--spec", SPEC4],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"probrange: line 2: {message}\n"
+
+
 def test_bad_spec_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("add 2.0\n")
@@ -217,10 +234,12 @@ def test_gcd_reports_modulus_warning(capsys):
     assert "contains zero" in out
 
 
-def test_widen_all_runs(capsys):
-    code, out, _ = run(capsys, COLLATZ, "--spec", SPEC7, "--widen-all")
-    assert code == 0
-    assert "converged: yes" in out
+def test_widen_all_rejected(capsys):
+    # widening applies at loop heads only, so there is no flag to pick nodes
+    with pytest.raises(SystemExit) as exc:
+        main([COLLATZ, "--spec", SPEC7, "--widen-all"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --widen-all" in capsys.readouterr().err
 
 
 def test_format_rows_header_only():
@@ -242,11 +261,12 @@ def test_console_script_runs(tmp_path, capsys):
 
 def test_import_leaves_out_start_up_heavy_modules(tmp_path):
     # start-up is most of a CLI run on a small program: dataclasses pulls in
-    # inspect, ast and dis, and only machine reports need json
+    # inspect, ast and dis, only machine reports need json, and annotations
+    # need no typing; -S keeps site's own imports out of the picture
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import probrange.cli; "
-         "print(*[m for m in ('dataclasses', 'inspect', 'json') "
+         "print(*[m for m in ('dataclasses', 'inspect', 'json', 'typing') "
          "if m in sys.modules and m not in before])"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -70,7 +70,6 @@ def test_single_assignment_both_domains():
     cfg, conc = analyze("x =. 1;\n", TINY, domain="concrete")
     assert cfg.node_count == 2
     assert conc.converged and conc.iterations == 1
-    assert conc.schedule == "round-robin"
     assert conc.states[1]["x"] == ValueSet(frozenset({1}), TINY.rel("write"))
     _, abst = analyze("x =. 1;\n", TINY, domain="abstract")
     assert abst.states[1]["x"] == ValueRange(1, 1, TINY.rel("write"))
@@ -138,8 +137,7 @@ def test_program_without_variables_reaches_every_guard(spec4):
     source = "while (1 >. 2) {\n}\nif (1 /. 0 <=. 2) {\n}\n"
     cfg = build_cfg(parse_program(source))
     for kwargs in ({"domain": "concrete"}, {"domain": "abstract"},
-                   {"domain": "abstract", "widening": (-32768, 32767),
-                    "widen_all": True}):
+                   {"domain": "abstract", "widening": (-32768, 32767)}):
         result = solve(build_equations(cfg), spec4, **kwargs)
         assert result.converged and result.iterations == 0
         assert all(state == {} for state in result.states.values())
@@ -156,6 +154,11 @@ def test_converged_run_is_a_value_fixpoint(spec4, spec7):
         (corpus_source("collatz.up"), spec7, "concrete", concrete),
         (corpus_source("collatz.up"), spec7, "abstract", abstract),
     ]
+    rng = random.Random(1009)
+    for _ in range(12):
+        source = random_program(rng)
+        runs += [(source, TINY, "concrete", concrete),
+                 (source, TINY, "abstract", abstract)]
     for source, spec, name, mod in runs:
         cfg, result = analyze(source, spec, domain=name)
         assert result.converged
@@ -165,7 +168,7 @@ def test_converged_run_is_a_value_fixpoint(spec4, spec7):
                 continue
             redo = recompute(system, result.states, node, mod, spec)
             assert mod.value_part(redo) == mod.value_part(result.states[node]), \
-                (name, node)
+                (name, node, source)
 
 
 def test_committed_states_climb(spec4, spec7):
@@ -200,20 +203,6 @@ def test_widening_accelerates_collatz(spec7):
             assert e.is_bottom or (w.lo <= e.lo and e.hi <= w.hi)
 
 
-def test_widen_all_covers_loop_head_widening(spec7):
-    cfg = build_cfg(parse_program(corpus_source("collatz.up")))
-    system = build_equations(cfg)
-    thresholds = collect_thresholds(cfg, spec7.minint, spec7.maxint)
-    heads_only = solve(system, spec7, domain="abstract", widening=thresholds)
-    everywhere = solve(system, spec7, domain="abstract", widening=thresholds,
-                       widen_all=True)
-    assert everywhere.converged
-    for node in range(cfg.node_count):
-        for v, e in heads_only.states[node].items():
-            w = everywhere.states[node][v]
-            assert e.is_bottom or (w.lo <= e.lo and e.hi <= w.hi)
-
-
 def test_unwidened_counter_does_not_converge(spec4):
     _, result = analyze(corpus_source("counter.up"), spec4, domain="abstract")
     assert not result.converged
@@ -228,39 +217,14 @@ def test_widened_counter_converges(spec4):
     assert result.converged
 
 
-# --- schedules ---
+# --- traces ---
 
-def test_schedules_agree_on_loop_free_programs():
-    rng = random.Random(1009)
-    for _ in range(12):
-        source = random_program(rng)
-        cfg = build_cfg(parse_program(source))
-        system = build_equations(cfg)
-        for domain in ("concrete", "abstract"):
-            rr = solve(system, TINY, domain=domain)
-            wl = solve(system, TINY, domain=domain, schedule="worklist")
-            assert rr.converged and wl.converged, source
-            assert rr.states == wl.states, (domain, source)
-
-
-def test_schedules_agree_on_collatz_values(spec7):
-    cfg = build_cfg(parse_program(corpus_source("collatz.up")))
-    system = build_equations(cfg)
-    thresholds = collect_thresholds(cfg, spec7.minint, spec7.maxint)
-    rr = solve(system, spec7, domain="abstract", widening=thresholds)
-    wl = solve(system, spec7, domain="abstract", widening=thresholds,
-               schedule="worklist")
-    assert wl.converged and wl.schedule == "worklist"
-    for node in range(cfg.node_count):
-        assert abstract.value_part(rr.states[node]) == \
-            abstract.value_part(wl.states[node])
-
-
-def test_worklist_trace_counts_commits(spec4):
-    _, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract",
-                        schedule="worklist", keep_trace=True)
-    assert result.converged
-    assert len(result.trace) == result.iterations
+def test_trace_has_one_snapshot_per_committing_pass(spec4):
+    # also when the budget runs out: the last snapshot is the reported state
+    _, result = analyze(corpus_source("fig1.up"), spec4, domain="concrete",
+                        max_iters=2, keep_trace=True)
+    assert not result.converged
+    assert len(result.trace) == result.iterations == 2
     assert result.trace[-1] == result.states
 
 
@@ -324,11 +288,15 @@ def test_argument_validation(spec4):
     with pytest.raises(ValueError):
         solve(system, spec4, domain="fuzzy")
     with pytest.raises(ValueError):
-        solve(system, spec4, schedule="random")
-    with pytest.raises(ValueError):
         solve(system, spec4, max_iters=0)
     with pytest.raises(ValueError):
         solve(system, spec4, domain="concrete", widening=(0, 1))
+    # thresholds that do not bracket the machine range leave widening at a
+    # loop head with no threshold to land on
+    fig1 = build_equations(build_cfg(parse_program(corpus_source("fig1.up"))))
+    for thresholds in ((0, 5), ()):
+        with pytest.raises(ValueError, match="must contain -32768 and 32767"):
+            solve(fig1, spec4, widening=thresholds)
 
 
 def test_literal_outside_machine_range_rejected():

@@ -1,9 +1,9 @@
 import pytest
 
 from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
-                              LiteralRangeError, LogicalOp, Not, ParseError,
-                              Program, Token, Var, While, expr_vars,
-                              parse_program, program_vars, to_source, tokenize,
+                              LiteralRangeError, ParseError, Program, Token,
+                              Var, While, expr_vars, parse_program,
+                              program_vars, to_source, tokenize,
                               validate_literals, walk_exprs)
 
 from helpers import corpus_source
@@ -144,16 +144,16 @@ def test_chained_comparison_rejected():
         parse_program("if (1 <. x <. 5) { x =. 0; }")
 
 
-def test_logical_condition_parses():
-    prog = parse_program("if (x <. 1 &&. y >. 0) { x =. 0; }")
-    cond = prog.body.stmts[0].cond
-    assert isinstance(cond, LogicalOp) and cond.op == "and"
-
-
-def test_not_condition_parses():
-    prog = parse_program("if (!. (x ==. 0)) { x =. 1; }")
-    cond = prog.body.stmts[0].cond
-    assert isinstance(cond, Not) and isinstance(cond.arg, Cmp)
+@pytest.mark.parametrize("keyword", ["while", "if"])
+@pytest.mark.parametrize("guard, message", [
+    ("x <. 1 &&. x >. 0", r"^line 2: expected '\)', got '&&\.'$"),
+    ("x <. 1 ||. x >. 0", r"^line 2: expected '\)', got '\|\|\.'$"),
+    ("!. (x ==. 0)", r"^line 2: expected an expression, got '!\.'$"),
+], ids=["and", "or", "not"])
+def test_compound_guard_is_a_parse_error(keyword, guard, message):
+    # a guard is one comparison; the logical operators are tokens only
+    with pytest.raises(ParseError, match=message):
+        parse_program(f"x =. 0;\n{keyword} ({guard}) {{\n  x =. 1;\n}}\n")
 
 
 def test_parenthesized_condition():
@@ -259,9 +259,6 @@ X, TWO = Var("x"), Const(2)
     (Var("x", 1), Var("x", 2)),
     (BinOp("add", Var("x", 1), Const(1, 1), 1), BinOp("add", X, Const(1), 5)),
     (Cmp("lt", X, TWO, line=2), Cmp("lt", X, TWO, line=7)),
-    (LogicalOp("or", Cmp("lt", X, TWO), Cmp("gt", X, TWO), 4),
-     LogicalOp("or", Cmp("lt", X, TWO), Cmp("gt", X, TWO))),
-    (Not(Cmp("eq", X, TWO), 3), Not(Cmp("eq", X, TWO), 8)),
     (Assign("x", TWO, 1), Assign("x", TWO, line=6)),
     (Block((Assign("x", TWO),), 4), Block((Assign("x", TWO),), end_line=11)),
     (While(Cmp("lt", X, TWO), Block(()), 2), While(Cmp("lt", X, TWO), Block(()))),
@@ -274,7 +271,6 @@ def test_records_leave_lines_out_of_eq_and_hash(a, b):
 
 @pytest.mark.parametrize("a, b", [
     (Cmp("lt", X, TWO), BinOp("lt", X, TWO)),
-    (LogicalOp("and", X, TWO), BinOp("and", X, TWO)),
     (Const("x"), Var("x")),
     (Token("int", "2", 1, 1), Token("int", "2", 2, 1)),
     (Const(1), 1),
