@@ -31,7 +31,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="probrange",
+        prog="probrange", allow_abbrev=False,
         description="Range and reliability analysis for integer programs "
                     "on unreliable hardware.")
     parser.add_argument("program", help="program file to analyze")
@@ -131,6 +131,7 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         for var in cfg.variables:
             rows.append(_row(node, cfg.lines[node], var, state[var]))
     report = {
+        "schema": 2,
         "program": name,
         "mode": mode,
         "widening": widening,
@@ -235,7 +236,8 @@ def render_text(report: dict) -> str:
 
 def render_machine(report: dict) -> str:
     import json  # imported here: text reports do not need it at start-up
-    return json.dumps(report, indent=2) + "\n"
+    # compact: an indent, or json.dump, takes json's pure-Python encoder
+    return json.dumps(report, separators=(",", ":")) + "\n"
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ here are committing passes; the final confirming pass is free.
 With widening enabled, loop-head nodes (targets of back edges) instead keep
 their state when the recomputation is below it and otherwise widen toward the
 threshold set; widened nodes commit on any change, value or probability.
+Widening is idempotent (widening the result by the same recomputation gives
+it back), so a loop head, too, is recomputed only when a source commits.
 
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
@@ -163,9 +165,6 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
                 changed = True
                 for dst in succs[node]:
                     dirty[dst] = True
-                # widening is not known to be idempotent on floats
-                if node in widen_nodes:
-                    dirty[node] = True
         if not changed:
             converged = True
             break

@@ -3,15 +3,17 @@
 A hardware description assigns every unreliable operation a probability of
 computing the correct result. When an operation misfires, its result is assumed
 uniformly distributed over the operation's result space: the machine integer
-range for arithmetic and memory ops, {true, false} for comparisons and logical
-ops. The *reliability* of an op is therefore the chance that its output is
-correct regardless of whether the op itself worked:
+range for arithmetic and memory ops, {true, false} for comparisons. The
+*reliability* of an op is therefore the chance that its output is correct
+regardless of whether the op itself worked:
 
     Rel(op) = Pr(op) + (1 - Pr(op)) / |result space|
 
 Spec files are line oriented, one `key = value` per line, `#` starts a comment.
 Keys are the op names below plus `minint` and `maxint`. Ops missing from the
 file default to probability 1.0 and the parser records a warning for each.
+The logical ops `and`, `or` and `not` are still accepted as keys, and their
+values ignored: no guard can use them, since compound guards do not parse.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from .record import Record
 
 ARITH_OPS = ("add", "sub", "mul", "div", "mod", "read", "write")
-BOOL_OPS = ("lt", "le", "gt", "ge", "eq", "ne", "and", "or", "not")
+BOOL_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 ALL_OPS = ARITH_OPS + BOOL_OPS
+UNCHARGED_OPS = ("and", "or", "not")
 
 DEFAULT_MININT = -32768
 DEFAULT_MAXINT = 32767
@@ -106,7 +109,7 @@ def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
                 if key in probs:
                     raise SpecError(f"line {lineno}: duplicate op {key!r}")
                 probs[key] = float(value)
-            else:
+            elif key not in UNCHARGED_OPS:
                 raise SpecError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
             raise SpecError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probrange import abstract
 from probrange.abstract import BottomArgument, ValueRange, alpha, gamma
 from probrange.concrete import ValueSet
 from probrange.hardware import HardwareSpec, c_div, c_mod
@@ -560,6 +561,21 @@ def test_widen_chains_stabilize(chain):
     # each endpoint can cross every threshold once, plus slack for the
     # one-off probability settling step after an interval move
     assert changes <= 3 * len(thresholds) + 3
+
+
+flat_state = st.one_of(
+    st.none(), st.lists(ranges(max_width=17), min_size=3, max_size=3).map(
+        lambda elems: tuple(e.triple for e in elems)))
+
+
+@settings(max_examples=300)
+@given(flat_state, flat_state, st.frozensets(st.integers(-8, 8), max_size=5))
+def test_widen_states_idempotent(cur, new, mids):
+    # the solver does not revisit a widened loop head: recomputing it from
+    # unchanged sources yields `new` again, which must commit nothing
+    thresholds = tuple(sorted({-32768, 32767} | mids))
+    w = abstract.widen_states(cur, new, thresholds)
+    assert abstract.widen_states(w, new, thresholds) == w
 
 
 # --- state helpers ---

@@ -9,6 +9,7 @@ import pytest
 
 import probrange
 from probrange.cli import _format_rows, main
+from probrange.hardware import ALL_OPS
 
 from helpers import CORPUS
 
@@ -79,6 +80,7 @@ def test_machine_format(capsys):
     code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--format", "machine")
     assert code == 0
     report = json.loads(out)
+    assert report["schema"] == 2
     assert report["program"] == "fig1"
     assert report["mode"] == "abstract"
     assert report["widening"] is False
@@ -87,11 +89,19 @@ def test_machine_format(capsys):
     assert report["iterations"] == 5
     assert report["spec"]["minint"] == -32768
     assert report["spec"]["probabilities"]["add"] == 0.9999
+    assert list(report["spec"]["probabilities"]) == list(ALL_OPS)
     rows = {r["line"]: r for r in report["results"]}
     assert rows[3]["interval"] == [0, 9]
     assert rows[3]["probability"] == 0.999850006526
     assert rows[4]["interval"] == [10, 12]
     assert rows[4]["probability"] == 0.230734616891
+
+
+def test_machine_report_is_one_compact_line(capsys):
+    _, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--trace",
+                    "--format", "machine")
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
 
 
 def test_text_and_machine_probabilities_agree(capsys):
@@ -175,6 +185,19 @@ def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([FIG1, "--spec", SPEC4, "--bogus"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--widen",), ("--max-it", "5"), ("--form", "machine"),
+], ids=["widening", "max-iters", "format"])
+def test_long_flag_prefix_rejected(capsys, flags):
+    # a prefix of a long flag is no flag: it would silently change meaning
+    # once a second flag shares the prefix
+    with pytest.raises(SystemExit) as exc:
+        main([FIG1, "--spec", SPEC4, *flags])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_max_iters_zero_rejected(capsys):

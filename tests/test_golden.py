@@ -6,6 +6,11 @@ the engine or the domains must leave every one of them unchanged: values,
 probabilities to the last printed digit, warnings and their order, trace
 snapshots and the machine format.
 
+A cross-check ties the two formats together: each machine golden, and a
+fresh machine report of the loops2 concrete case, must render through
+`render_text` to the matching text golden byte for byte, so a machine
+report carries exactly the content of its text twin.
+
 After an intended change to the reports, rewrite the expected files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,12 +18,13 @@ After an intended change to the reports, rewrite the expected files with
 and review the diff before committing it.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from probrange.cli import main
+from probrange.cli import main, render_text
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -72,6 +78,23 @@ def test_report_matches_golden(case, tmp_path):
     code, got = _report(case, tmp_path / "report")
     assert code == CASES[case][2]
     assert got == (GOLDEN / f"{case}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["collatz", "collatz-trace", "fig1",
+                                  "fig1-trace"])
+def test_machine_golden_renders_to_text_golden(text):
+    report = json.loads((GOLDEN / f"{text}-machine.txt").read_bytes())
+    assert render_text(report).encode() == (GOLDEN / f"{text}.txt").read_bytes()
+
+
+def test_fresh_machine_report_renders_to_text_golden(tmp_path):
+    # the bench's loops-concrete shape, which has no machine golden of its own
+    program, flags, code = CASES["loops2-concrete"]
+    out = tmp_path / "report"
+    assert main([str(program), *flags, *MACHINE, "--out", str(out)]) == code
+    report = json.loads(out.read_bytes())
+    expected = (GOLDEN / "loops2-concrete.txt").read_bytes()
+    assert render_text(report).encode() == expected
 
 
 def test_every_golden_report_has_a_case():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probrange.hardware import (ALL_OPS, ARITH_OPS, BOOL_OPS, HardwareSpec,
-                                SpecError, c_div, c_mod, parse_spec)
+from probrange.hardware import (ALL_OPS, ARITH_OPS, BOOL_OPS, UNCHARGED_OPS,
+                                HardwareSpec, SpecError, c_div, c_mod,
+                                parse_spec)
 
 
 def test_cdiv_truncates_toward_zero():
@@ -37,7 +38,7 @@ def test_rel_arithmetic_uses_range_size():
 def test_rel_boolean_uses_two_outcomes():
     spec = HardwareSpec.uniform(0.9999)
     assert spec.rel("lt") == 0.9999 + 0.0001 / 2
-    assert spec.rel("not") == 0.99995
+    assert spec.rel("ne") == 0.99995
 
 
 def test_rel_positive_even_at_zero_success_probability():
@@ -129,6 +130,13 @@ def test_parse_spec_missing_ops_warn_and_default():
     assert any("sub" in w for w in warnings)
 
 
+def test_parse_spec_accepts_and_ignores_logical_ops():
+    # older spec files list and/or/not; no guard can use them
+    spec, warnings = parse_spec("and = 0.1\nor = zero\nnot = 0.3\nnot = 2")
+    assert spec.probs == {}
+    assert [w.split("'")[1] for w in warnings] == list(ALL_OPS)
+
+
 def test_parse_spec_duplicate_key():
     with pytest.raises(SpecError):
         parse_spec("add = 0.5\nadd = 0.6")
@@ -158,4 +166,5 @@ def test_rel_bounds(p, op):
 
 def test_op_partition():
     assert set(ARITH_OPS) & set(BOOL_OPS) == set()
-    assert len(ALL_OPS) == 16
+    assert set(ALL_OPS) & set(UNCHARGED_OPS) == set()
+    assert len(ALL_OPS) == 13
