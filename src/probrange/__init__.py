@@ -16,8 +16,7 @@ from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
 from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
 from .concrete import EvalError, OracleBlowup, ValueSet
 from .abstract import BottomArgument, ValueRange, alpha, gamma
-from .engine import (EquationSystem, SolveResult, build_equations,
-                     check_soundness, solve)
+from .engine import EquationSystem, SolveResult, build_equations, solve
 from .cli import main
 
 __version__ = "0.1.0"
@@ -30,8 +29,7 @@ __all__ = [
     "CFG", "build_cfg", "collect_thresholds", "loop_heads",
     "EvalError", "OracleBlowup", "ValueSet",
     "BottomArgument", "ValueRange", "alpha", "gamma",
-    "EquationSystem", "SolveResult", "build_equations", "check_soundness",
-    "solve",
+    "EquationSystem", "SolveResult", "build_equations", "solve",
     "main",
     "__version__",
 ]

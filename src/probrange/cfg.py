@@ -9,7 +9,8 @@ reached through the negated guard.
 Guards are single comparisons, the only condition the parser admits. `x <. c`
 with a constant right side is rewritten to `x <=. c-1` on the edge, which also
 swaps the charged reliability from the `lt` op to the `le` op; the false edge
-carries the negation of the original guard.
+carries the negation of the original guard. Each guard edge also keeps the
+guard as written, so that a literal check names the source literal c.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ class AssignAction(Record):
 
 
 class GuardAction(Record):
-    __slots__ = ("cond",)  # a Cmp
+    # cond: the canonical Cmp; source: the guard as written, for literal checks
+    __slots__ = ("cond", "source")
+    _defaults = {"source": None}
+    _loose = ("source",)
 
     def __str__(self) -> str:
         return cond_source(self.cond)
@@ -87,7 +91,7 @@ def canonicalize_guard(cond: Cmp) -> Cmp:
 
 
 def _edge_guard(cond: Cmp) -> GuardAction:
-    return GuardAction(canonicalize_guard(cond))
+    return GuardAction(canonicalize_guard(cond), cond)
 
 
 class _Builder:

@@ -16,7 +16,19 @@ The solver's state is None when no environment is reachable, and otherwise a
 tuple of elements indexed by variable position. The strongest-postcondition
 transfers run over edges compiled once per solve and enumerate tuples of
 operand values, so they are exact but only viable on small sets; `cap` bounds
-the tuple product and OracleBlowup reports programs that exceed it.
+the full tuple product on every call and OracleBlowup reports programs that
+exceed it.
+
+A compiled edge is incremental (semi-naive evaluation, as in Bancilhon and
+Ramakrishnan 1986). It keeps the operand sets it last enumerated and what it
+built from their tuples: an assignment's image and whether a tuple divided by
+zero, a guard's kept values per variable and whether a tuple satisfied it. A
+solve only grows the sets, so the next call enumerates just the tuples with
+some component outside the kept sets, in the order of the full product; with
+_warn's de-duplication the warnings come out as if every tuple were visited.
+When some operand set lost a value, the edge drops what it kept and
+enumerates the whole product again. Probabilities come from the current state
+on every call.
 
 This module also holds what both domains share: the per-edge reliability
 charges, the comparison table and the warning helper.
@@ -27,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
@@ -181,11 +193,50 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
     return evaluate
 
 
-def _operand_tuples(state: tuple[ValueSet, ...], reads: tuple[int, ...],
-                    names: tuple[str, ...], cap: int):
-    if math.prod(len(state[i].values) for i in reads) > cap:
+def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
+    """The tuples of product(*sets) with some component outside seen.
+
+    sets[k] is a sorted list and seen[k] a subset of it; the tuples come in
+    the lexicographic order of the full product. A component that is new
+    completes with every tail; an old one only with the tails that are new
+    themselves.
+    """
+    first, old, rest = sets[0], seen[0], sets[1:]
+    if not rest:
+        return [(v,) for v in first if v not in old]
+    tails = None
+    parts = []
+    for v in first:
+        if v not in old:
+            parts.append(itertools.product((v,), *rest))
+            continue
+        if tails is None:
+            tails = list(_fresh_tuples(rest, seen[1:]))
+        parts.append(map((v,).__add__, tails))
+    return itertools.chain.from_iterable(parts)
+
+
+def _operand_sets(state: tuple[ValueSet, ...], reads: tuple[int, ...],
+                  names: tuple[str, ...], cap: int) -> list[frozenset[int]]:
+    sets = [state[i].values for i in reads]
+    if math.prod(map(len, sets)) > cap:
         raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
-    return itertools.product(*(sorted(state[i].values) for i in reads))
+    return sets
+
+
+def _shrunk(seen: list | None, sets: list[frozenset[int]]) -> bool:
+    """Whether some operand set lost a value since the edge enumerated seen."""
+    return seen is not None and not all(map(operator.le, seen, sets))
+
+
+def _unseen(sets: list[frozenset[int]], seen: list | None):
+    """The operand tuples not enumerated yet, given seen[k] <= sets[k]: all
+    of them before the first call, then those that _fresh_tuples yields."""
+    if seen is None:
+        return itertools.product(*map(sorted, sets))
+    if list(map(len, seen)) == list(map(len, sets)):
+        return ()
+    return _fresh_tuples(list(map(sorted, sets)), seen)
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
@@ -204,17 +255,26 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     reads = tuple(index[v] for v in names)
     charge = assign_charge(expr, spec)
     evaluate = _evaluator(expr, names, spec, warnings)
+    seen = None  # the operand sets enumerated so far, None before the first
+    image = frozenset()  # what their tuples evaluate to
+    had_eval_error = False
 
     def transfer(state: tuple[ValueSet, ...]) -> State:
+        nonlocal seen, image, had_eval_error
+        sets = _operand_sets(state, reads, names, cap)
+        if _shrunk(seen, sets):
+            seen, image, had_eval_error = None, frozenset(), False
         values = set()
-        had_eval_error = False
-        for operands in _operand_tuples(state, reads, names, cap):
+        for operands in _unseen(sets, seen):
             try:
                 values.add(evaluate(operands))
             except EvalError as exc:
                 had_eval_error = True
                 _warn(warnings, f"{exc} (offending operand tuple excluded)")
-        if not values:
+        seen = sets
+        if not values <= image:
+            image |= values
+        if not image:
             if had_eval_error:
                 _warn(warnings, f"every operand tuple of `{target} =. ...` "
                                 f"divides by zero; state is unreachable")
@@ -223,7 +283,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
         for i in reads:
             prob *= state[i].prob
         out = list(state)
-        out[position] = ValueSet(frozenset(values), min(1.0, prob))
+        out[position] = ValueSet(image, min(1.0, prob))
         return tuple(out)
 
     return transfer
@@ -251,27 +311,33 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     lhs = _evaluator(guard.lhs, names, spec, warnings)
     rhs = _evaluator(guard.rhs, names, spec, warnings)
     compare = COMPARE[guard.op]
+    seen = None  # the operand sets enumerated so far, None before the first
+    kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
+    satisfiable = False
 
     def transfer(state: tuple[ValueSet, ...]) -> State:
-        keep: list[set[int]] = [set() for _ in reads]
-        satisfiable = False
-        for operands in _operand_tuples(state, reads, names, cap):
+        nonlocal seen, kept, satisfiable
+        sets = _operand_sets(state, reads, names, cap)
+        if _shrunk(seen, sets):
+            seen, kept, satisfiable = None, [frozenset()] * len(reads), False
+        hits = []
+        for operands in _unseen(sets, seen):
             try:
-                if not compare(lhs(operands), rhs(operands)):
-                    continue
+                if compare(lhs(operands), rhs(operands)):
+                    hits.append(operands)
             except EvalError as exc:
                 _warn(warnings, f"{exc} (offending operand tuple excluded)")
                 if not reads:  # the one empty tuple: nothing gets past
                     _warn(warnings, f"{exc} (constant guard unreachable)")
-                continue
+        seen = sets
+        if hits:
             satisfiable = True
-            for kept, value in zip(keep, operands):
-                kept.add(value)
+            kept = [old.union(new) for old, new in zip(kept, zip(*hits))]
         if not satisfiable:
             return None
         out = [ValueSet(e.values, min(1.0, e.prob * factor)) for e in state]
-        for i, kept in zip(reads, keep):
-            out[i] = ValueSet(frozenset(kept), out[i].prob)
+        for i, values in zip(reads, kept):
+            out[i] = ValueSet(values, out[i].prob)
         return tuple(out)
 
     return transfer

@@ -54,19 +54,15 @@ def build_equations(cfg: CFG) -> EquationSystem:
 def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
     """Raise LiteralRangeError for an edge constant outside [minint,maxint].
 
-    Guards are checked in canonical form, where `x <. c` became `x <=. c-1`,
-    so the right-hand constant of a `<=.` guard may also be minint-1.
+    Guards are checked as written, before `x <. c` became `x <=. c-1`, so
+    the message names the source literal.
     """
     for edge in cfg.edges:
         action = edge.action
-        if isinstance(action, AssignAction):
-            root, shifted = action.value, None
-        else:
-            root = action.cond
-            shifted = root.rhs if root.op == "le" else None
+        root = (action.value if isinstance(action, AssignAction)
+                else action.source or action.cond)
         for node in walk_exprs(root):
-            low = minint - 1 if node is shifted else minint
-            if isinstance(node, Const) and not low <= node.value <= maxint:
+            if isinstance(node, Const) and not minint <= node.value <= maxint:
                 raise LiteralRangeError(f"line {node.line}: literal "
                                         f"{node.value} outside [{minint},{maxint}]")
 
@@ -173,24 +169,3 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
             trace.append(snapshot())
     return SolveResult(snapshot(), iterations, converged, warnings, trace)
 
-
-def check_soundness(concrete_result: SolveResult,
-                    abstract_result: SolveResult) -> list[str]:
-    """Variable-wise comparison of the two fixpoints through abstraction.
-
-    For every node and variable, the abstraction of the concrete value must
-    sit below the abstract value. Returns one message per violation; an empty
-    list means the abstract run soundly covers the concrete one.
-    """
-    violations = []
-    for node, cstate in concrete_result.states.items():
-        astate = abstract_result.states[node]
-        for var, celem in cstate.items():
-            lifted = abstract.alpha(celem)
-            aelem = astate[var]
-            if not lifted.leq(aelem):
-                violations.append(
-                    f"node {node}, variable {var}: alpha(concrete) = "
-                    f"<[{lifted.lo},{lifted.hi}], {lifted.prob}> is not below "
-                    f"abstract <[{aelem.lo},{aelem.hi}], {aelem.prob}>")
-    return violations

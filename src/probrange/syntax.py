@@ -70,6 +70,13 @@ CMP_TOKENS = {"<.": "lt", "<=.": "le", ">.": "gt", ">=.": "ge", "==.": "eq", "!=
 
 _MAX_LITERAL = 2**63 - 1
 
+# operators by first character, each group longest first; identifiers and
+# literals are ASCII only, so `²` or `٣` is an unexpected character
+_OPERATORS_AT = {c: tuple(op for op in OPERATORS if op[0] == c)
+                 for c in {op[0] for op in OPERATORS}}
+_WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+                  "0123456789")
+
 
 class Token(Record):
     # kind: "ident", "int", "eof", a keyword, an operator, or punctuation
@@ -96,41 +103,43 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if source.startswith("//", i):
+        if ch == "/" and source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(op, op, line, col))
-                i += len(op)
-                col += len(op)
+        op = None
+        for candidate in _OPERATORS_AT.get(ch, ()):
+            if source.startswith(candidate, i):
+                op = candidate
                 break
+        if op is not None:
+            tokens.append(Token(op, op, line, col))
+            i += len(op)
+            col += len(op)
+        elif "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            text = source[i:j]
+            if int(text) > _MAX_LITERAL:
+                raise LexError(f"line {line}: literal {text} does not fit in 64 bits")
+            tokens.append(Token("int", text, line, col))
+            col += j - i
+            i = j
+        elif ch in _WORD:
+            j = i
+            while j < n and source[j] in _WORD:
+                j += 1
+            word = source[i:j]
+            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+        elif ch in PUNCT:
+            tokens.append(Token(ch, ch, line, col))
+            i += 1
+            col += 1
         else:
-            if ch.isdigit():
-                j = i
-                while j < n and source[j].isdigit():
-                    j += 1
-                text = source[i:j]
-                if int(text) > _MAX_LITERAL:
-                    raise LexError(f"line {line}: literal {text} does not fit in 64 bits")
-                tokens.append(Token("int", text, line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-                word = source[i:j]
-                tokens.append(Token(word if word in KEYWORDS else "ident", word, line, col))
-                col += j - i
-                i = j
-            elif ch in PUNCT:
-                tokens.append(Token(ch, ch, line, col))
-                i += 1
-                col += 1
-            else:
-                raise LexError(f"line {line}, col {col}: unexpected character {ch!r}")
+            raise LexError(f"line {line}, col {col}: unexpected character {ch!r}")
     tokens.append(Token("eof", "", line, col))
     return tokens
 

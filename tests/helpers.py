@@ -155,6 +155,27 @@ def _guard(rng: random.Random, names) -> str:
     return f"{lhs} {cmp_op} {rhs}"
 
 
+def check_soundness(concrete_result, abstract_result) -> list[str]:
+    """Variable-wise comparison of the two fixpoints through abstraction.
+
+    For every node and variable, the abstraction of the concrete value must
+    sit below the abstract value. Returns one message per violation; an empty
+    list means the abstract run soundly covers the concrete one.
+    """
+    violations = []
+    for node, cstate in concrete_result.states.items():
+        astate = abstract_result.states[node]
+        for var, celem in cstate.items():
+            lifted = abstract.alpha(celem)
+            aelem = astate[var]
+            if not lifted.leq(aelem):
+                violations.append(
+                    f"node {node}, variable {var}: alpha(concrete) = "
+                    f"<[{lifted.lo},{lifted.hi}], {lifted.prob}> is not below "
+                    f"abstract <[{aelem.lo},{aelem.hi}], {aelem.prob}>")
+    return violations
+
+
 def product_sets(cfg, minint: int, maxint: int) -> dict[int, dict[str, set]]:
     """Per-variable value sets under fault-free product semantics.
 

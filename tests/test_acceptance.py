@@ -13,11 +13,12 @@ from probrange import abstract, concrete
 from probrange.abstract import ValueRange, alpha, gamma
 from probrange.cfg import build_cfg, collect_thresholds
 from probrange.concrete import ValueSet
-from probrange.engine import build_equations, check_soundness, solve
+from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
-from helpers import analyze, corpus_source, line_map, random_program
+from helpers import (analyze, check_soundness, corpus_source, line_map,
+                     random_program)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

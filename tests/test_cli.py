@@ -166,6 +166,20 @@ def test_compound_guard_exits_one(tmp_path, guard, message):
     assert proc.stderr == f"probrange: line 2: {message}\n"
 
 
+def test_non_ascii_digit_exits_one(tmp_path):
+    # `²`.isdigit() is true; it once reached int() and left a traceback
+    program = tmp_path / "square.up"
+    program.write_text("x =. \u00b2;\n", encoding="utf-8")
+    env = {**child_env(), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrange", str(program), "--spec", SPEC4],
+        capture_output=True, text=True, encoding="utf-8", cwd=tmp_path,
+        env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "probrange: line 1, col 6: unexpected character '\u00b2'\n"
+
+
 def test_bad_spec_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("add 2.0\n")

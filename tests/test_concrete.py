@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import CONCRETE, analyze, product_sets, random_program
 
+from probrange import concrete
 from probrange.concrete import EvalError, OracleBlowup, ValueSet
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
@@ -372,6 +374,109 @@ def test_sp_guard_monotone(a, b, y, src):
     out_lo = sp_guard(lo, guard_of(src), TINY, [])
     out_hi = sp_guard(hi, guard_of(src), TINY, [])
     assert leq_states(out_lo, out_hi)
+
+
+
+# --- incremental edges ---
+
+# a compiled edge enumerates only the operand tuples it has not seen; each
+# action below reads 0-3 of x, y, z. Overflows on two lines make two
+# warnings, whose order follows the order the new tuples are visited in
+INDEX = {"x": 0, "y": 1, "z": 2}
+EDGE_ACTIONS = [
+    "x =. 3;", "x =. 5 /. 0;", "x =. x +. 1;", "x =. y /. x;",
+    "x =. y *. 4 -.\n  (x *. 4);",
+    "y =. x %. y;", "x =. x *. y -. z;", "z =. (x +. y) /. (z -. 1);",
+    "while (1 <=. 2) { x =. 0; }", "while (1 >. 2) { x =. 0; }",
+    "while (1 /. 0 ==. 0) { x =. 0; }", "while (x <=. 0) { x =. 0; }",
+    "while (x %. y ==. 0) { x =. 0; }", "while (x +. y <. z) { x =. 0; }",
+    "while (x /. (y -. z) >=. 1) { x =. 0; }",
+]
+
+
+def compile_action(source: str, warnings: list, cap=concrete.DEFAULT_TUPLE_CAP):
+    stmt = parse_program(source).body.stmts[0]
+    if hasattr(stmt, "target"):
+        edge = concrete.compile_assign(stmt.target, stmt.value, INDEX, TINY,
+                                       warnings, cap)
+        return lambda state: concrete.sp_assign(state, edge)
+    edge = concrete.compile_guard(stmt.cond, INDEX, TINY, warnings, cap)
+    return lambda state: concrete.sp_guard(state, edge)
+
+
+flat_states = st.tuples(*[st.builds(
+    ValueSet, st.frozensets(st.integers(-6, 6), min_size=1, max_size=5),
+    st.floats(0.1, 1, allow_nan=False))] * 3)
+state_steps = st.lists(st.tuples(st.sampled_from(("grow", "grow", "fresh",
+                                                  "bottom")), flat_states),
+                       min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EDGE_ACTIONS), state_steps)
+def test_compiled_edge_matches_fresh_edge(source, steps):
+    # growing states extend the enumeration; a shrunk one starts it over. A
+    # fresh edge per call, sharing one warnings list, is the reference
+    warnings, fresh_warnings = [], []
+    transfer = compile_action(source, warnings)
+    state = None
+    for kind, drawn in steps:
+        if kind == "bottom":
+            state = None
+        elif kind == "fresh" or state is None:
+            state = drawn
+        else:
+            state = concrete.join_states(state, drawn)
+        fresh = compile_action(source, fresh_warnings)(state)
+        assert transfer(state) == fresh
+        assert warnings == fresh_warnings
+
+
+def test_compiled_edge_visits_new_tuples_in_product_order():
+    # (0, 3) overflows on line 1 and (3, 0) on line 2: the new tuples come
+    # in the full product's order, so line 1 warns first, as a fresh edge does
+    source = "x =. y *. 4 -.\n  (x *. 4);"
+    warnings, fresh_warnings = [], []
+    transfer = compile_action(source, warnings)
+    for xs, ys in (((0,), (0,)), ((0, 3), (0, 3))):
+        state = (elem(*xs), elem(*ys), elem(0))
+        assert transfer(state) == compile_action(source, fresh_warnings)(state)
+    assert warnings == fresh_warnings == [
+        "line 1: arithmetic overflow clamped to [-8,8]",
+        "line 2: arithmetic overflow clamped to [-8,8]"]
+
+
+def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
+    # every operand tuple that reaches an edge is evaluated once per solve:
+    # 8,059 ops against 24,217 when each recomputation enumerated the whole
+    # product
+    calls = [0]
+
+    def counted(op):
+        def call(a, b):
+            calls[0] += 1
+            return op(a, b)
+        return call
+
+    for table in (concrete.ARITH, concrete.COMPARE):
+        for name, op in list(table.items()):
+            monkeypatch.setitem(table, name, counted(op))
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    _, result = analyze(source, spec, domain="concrete", max_iters=2000)
+    assert result.converged and result.iterations == 43
+    assert calls[0] == 8059
+
+
+def test_compiled_edge_blowup_on_grown_input():
+    # the cap bounds the full product on every call, not only the new tuples
+    warnings = []
+    transfer = compile_action("x =. x +. y;", warnings, cap=10)
+    small = (elem(1, 2, 3), elem(0, 1, 2), elem(0))
+    out = transfer(small)
+    with pytest.raises(OracleBlowup):
+        transfer((elem(1, 2, 3, 4), elem(0, 1, 2), elem(0)))
+    assert transfer(small) == out
 
 
 # --- state helpers ---

@@ -9,13 +9,13 @@ from probrange.abstract import ValueRange
 from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            collect_thresholds)
 from probrange.concrete import OracleBlowup, ValueSet
-from probrange.engine import build_equations, check_soundness, solve
+from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import (Cmp, Const, LiteralRangeError, Token, Var,
                               parse_program)
 
-from helpers import (ABSTRACT, CONCRETE, analyze, corpus_source, line_map,
-                     random_program)
+from helpers import (ABSTRACT, CONCRETE, analyze, check_soundness,
+                     corpus_source, line_map, random_program)
 
 # the domains over dict states, which is how SolveResult reports them
 abstract, concrete = ABSTRACT, CONCRETE
@@ -341,11 +341,24 @@ def test_argument_validation(spec4):
 
 
 def test_literal_outside_machine_range_rejected():
-    cfg = build_cfg(parse_program("y =. 1;\nx =. 100;\n"))
-    for domain in ("concrete", "abstract"):
-        with pytest.raises(LiteralRangeError,
-                           match=r"^line 2: literal 100 outside \[-8,8\]$"):
-            solve(build_equations(cfg), TINY, domain=domain)
+    # the guard reaches its edge as `x <=. 99`; the message names the source
+    # literal, as the CLI's does
+    for source in ("y =. 1;\nx =. 100;\n",
+                   "y =. 1;\nwhile (x <. 100) {\n  x =. x +. 1;\n}\n"):
+        cfg = build_cfg(parse_program(source))
+        for domain in ("concrete", "abstract"):
+            with pytest.raises(LiteralRangeError,
+                               match=r"^line 2: literal 100 outside \[-8,8\]$"):
+                solve(build_equations(cfg), TINY, domain=domain)
+
+
+def test_less_equal_below_minint_guard_rejected():
+    # only a rewritten `<.` may put minint-1 on an edge; `x <=. -9` as
+    # written is out of range
+    cfg = build_cfg(parse_program("x =. 0;\nwhile (x <=. -9) {\n  x =. x +. 1;\n}\n"))
+    with pytest.raises(LiteralRangeError,
+                       match=r"^line 2: literal -9 outside \[-8,8\]$"):
+        solve(build_equations(cfg), TINY, domain="abstract")
 
 
 def test_less_than_minint_guard_solves():

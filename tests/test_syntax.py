@@ -30,6 +30,14 @@ def test_lex_error_on_unknown_character():
         tokenize("x =. $;")
 
 
+@pytest.mark.parametrize("ch", ["\u00b2", "\u0663", "\u00e9"],
+                         ids=["superscript-two", "arabic-indic-three", "e-acute"])
+def test_lex_error_on_non_ascii_digit_or_letter(ch):
+    # literals and identifiers are ASCII: `²` is not the digit 2, nor `٣` 3
+    with pytest.raises(LexError, match=f"^line 1, col 6: unexpected character '{ch}'$"):
+        tokenize(f"x =. {ch};")
+
+
 def test_lex_error_on_undotted_operator():
     with pytest.raises(LexError):
         parse_program("x = 3;")
