@@ -229,7 +229,8 @@ def _shrunk(seen: list | None, sets: list[frozenset[int]]) -> bool:
     return seen is not None and not all(map(operator.le, seen, sets))
 
 
-def _unseen(sets: list[frozenset[int]], seen: list | None):
+def _unseen(sets: list[frozenset[int]],
+            seen: list | None) -> Iterable[tuple[int, ...]]:
     """The operand tuples not enumerated yet, given seen[k] <= sets[k]: all
     of them before the first call, then those that _fresh_tuples yields."""
     if seen is None:

@@ -11,7 +11,7 @@ from helpers import CONCRETE, analyze, product_sets, random_program
 from probrange import concrete
 from probrange.concrete import EvalError, OracleBlowup, ValueSet
 from probrange.hardware import HardwareSpec
-from probrange.syntax import parse_program
+from probrange.syntax import Assign, parse_program
 
 SPEC = HardwareSpec.uniform(0.9999)
 TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
@@ -376,7 +376,6 @@ def test_sp_guard_monotone(a, b, y, src):
     assert leq_states(out_lo, out_hi)
 
 
-
 # --- incremental edges ---
 
 # a compiled edge enumerates only the operand tuples it has not seen; each
@@ -396,7 +395,7 @@ EDGE_ACTIONS = [
 
 def compile_action(source: str, warnings: list, cap=concrete.DEFAULT_TUPLE_CAP):
     stmt = parse_program(source).body.stmts[0]
-    if hasattr(stmt, "target"):
+    if isinstance(stmt, Assign):
         edge = concrete.compile_assign(stmt.target, stmt.value, INDEX, TINY,
                                        warnings, cap)
         return lambda state: concrete.sp_assign(state, edge)
