@@ -1,9 +1,9 @@
 """Command-line driver: analyze one program file against one hardware spec.
 
 Exit codes: 0 on success, 1 on input problems (unreadable files, spec or
-parse errors, a concrete run exceeding its enumeration cap), 2 when the
-solver hit the iteration bound without converging (the report is still
-emitted, flagged as not converged).
+parse errors, literals outside the machine range, a concrete run exceeding
+its enumeration cap), 2 when the solver hit the iteration bound without
+converging (the report is still emitted, flagged as not converged).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .cfg import build_cfg, collect_thresholds
 from .concrete import OracleBlowup, ValueSet
 from .engine import build_equations, solve
 from .hardware import ALL_OPS, HardwareSpec, SpecError, parse_spec
-from .syntax import FrontendError, parse_program, validate_literals
+from .syntax import FrontendError, LiteralRangeError, parse_program
 
 SET_DISPLAY_LIMIT = 12
 
@@ -88,7 +88,6 @@ def main(argv=None) -> int:
 
     try:
         program = parse_program(source)
-        validate_literals(program, spec.minint, spec.maxint)
         cfg = build_cfg(program)
     except FrontendError as exc:
         print(f"probrange: {exc}", file=sys.stderr)
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
     try:
         result = solve(system, spec, domain=args.mode, widening=widening,
                        max_iters=args.max_iters, keep_trace=args.trace)
-    except OracleBlowup as exc:
+    except (OracleBlowup, LiteralRangeError) as exc:
         print(f"probrange: {exc}", file=sys.stderr)
         return 1
 
@@ -124,12 +123,17 @@ def main(argv=None) -> int:
 
 def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
                  cfg, result, warnings: list[str]) -> dict:
-    """Assemble the report as one plain dict; both renderers feed on it."""
-    rows = []
-    for node in sorted(result.states):
-        state = result.states[node]
-        for var in cfg.variables:
-            rows.append(_row(node, cfg.lines[node], var, state[var]))
+    """Assemble the report as one plain dict; both renderers feed on it.
+
+    Each distinct value set is sorted once, and every row that holds it,
+    trace rows included, shares that list.
+    """
+    sorted_sets: dict[frozenset[int], list[int]] = {}
+
+    def rows(states: dict) -> list[dict]:
+        return [_row(node, cfg.lines[node], var, states[node][var], sorted_sets)
+                for node in sorted(states) for var in cfg.variables]
+
     report = {
         "schema": 2,
         "program": name,
@@ -144,24 +148,24 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         "iterations": result.iterations,
         "converged": result.converged,
         "warnings": list(warnings),
-        "results": rows,
+        "results": rows(result.states),
     }
     if result.trace is not None:
-        report["trace"] = [
-            {"iteration": i + 1,
-             "rows": [_row(node, cfg.lines[node], var, snapshot[node][var])
-                      for node in sorted(snapshot)
-                      for var in cfg.variables]}
-            for i, snapshot in enumerate(result.trace)]
+        report["trace"] = [{"iteration": i + 1, "rows": rows(snapshot)}
+                           for i, snapshot in enumerate(result.trace)]
     return report
 
 
-def _row(node: int, line: int, var: str, element) -> dict:
+def _row(node: int, line: int, var: str, element,
+         sorted_sets: dict[frozenset[int], list[int]]) -> dict:
     row = {"node": node, "line": line, "variable": var}
     if isinstance(element, ValueRange):
         row["interval"] = None if element.is_bottom else [element.lo, element.hi]
     else:
-        row["values"] = sorted(element.values)
+        values = sorted_sets.get(element.values)
+        if values is None:
+            values = sorted_sets[element.values] = sorted(element.values)
+        row["values"] = values
     row["probability"] = float(f"{element.prob:.12g}")
     return row
 
@@ -235,9 +239,49 @@ def render_text(report: dict) -> str:
 
 
 def render_machine(report: dict) -> str:
+    """The report as one line of compact JSON, byte for byte
+    json.dumps(report, separators=(",", ":")) + "\n".
+
+    Result and trace rows are written from one template, with the JSON text
+    of each value list (rows share them) and of each variable name computed
+    once; ints and floats print as json prints them, by repr.
+    """
     import json  # imported here: text reports do not need it at start-up
     # compact: an indent, or json.dump, takes json's pure-Python encoder
-    return json.dumps(report, separators=(",", ":")) + "\n"
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    names: dict[str, str] = {}
+    lists: dict[int, str] = {}  # id of a value list -> its JSON text
+
+    def rows_text(rows: list[dict]) -> str:
+        parts = []
+        for row in rows:
+            name = row["variable"]
+            var = names.get(name) or names.setdefault(name, dumps(name))
+            if "values" in row:
+                kind, values = "values", row["values"]
+                shown = (lists.get(id(values))
+                         or lists.setdefault(id(values), dumps(values)))
+            else:
+                kind, interval = "interval", row["interval"]
+                shown = ("null" if interval is None
+                         else f"[{interval[0]!r},{interval[1]!r}]")
+            parts.append(f'{{"node":{row["node"]!r},"line":{row["line"]!r},'
+                         f'"variable":{var},"{kind}":{shown},'
+                         f'"probability":{row["probability"]!r}}}')
+        return "[" + ",".join(parts) + "]"
+
+    parts = []
+    for key, value in report.items():
+        if key == "results":
+            text = rows_text(value)
+        elif key == "trace":
+            text = "[" + ",".join(
+                f'{{"iteration":{entry["iteration"]!r},'
+                f'"rows":{rows_text(entry["rows"])}}}' for entry in value) + "]"
+        else:
+            text = dumps(value)
+        parts.append(f"{dumps(key)}:{text}")
+    return "{" + ",".join(parts) + "}\n"
 
 
 if __name__ == "__main__":

@@ -13,11 +13,16 @@ bound intersects and keeps the larger one (an empty intersection keeps
 max(p1, p2), which is exactly the greatest lower bound under the order above).
 
 The solver's state is None when no environment is reachable, and otherwise a
-tuple of elements indexed by variable position. The strongest-postcondition
-transfers run over edges compiled once per solve and enumerate tuples of
-operand values, so they are exact but only viable on small sets; `cap` bounds
-the full tuple product on every call and OracleBlowup reports programs that
-exceed it.
+tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
+variable position; no pair inside a state has an empty set. ValueSet wraps
+the same pair and validates it. It is built only at reporting, for the
+solve's result and trace snapshots (`elements`). Join and leq are each
+written once, over pairs, and its methods call them.
+
+The strongest-postcondition transfers run over edges compiled once per solve
+and enumerate tuples of operand values, so they are exact but only viable on
+small sets; `cap` bounds the full tuple product on every call and
+OracleBlowup reports programs that exceed it.
 
 A compiled edge is incremental (semi-naive evaluation, as in Bancilhon and
 Ramakrishnan 1986). It keeps the operand sets it last enumerated and what it
@@ -82,17 +87,28 @@ class ValueSet(Record):
         return not self.values and self.prob == 1.0
 
     def leq(self, other: ValueSet) -> bool:
-        return self.values <= other.values and self.prob >= other.prob - 1e-12
+        return _leq(self.pair, other.pair)
 
     def join(self, other: ValueSet) -> ValueSet:
-        return ValueSet(self.values | other.values, min(self.prob, other.prob))
+        return ValueSet(*_join(self.pair, other.pair))
 
     def meet(self, other: ValueSet) -> ValueSet:
         return ValueSet(self.values & other.values, max(self.prob, other.prob))
 
+    pair = property(operator.attrgetter("values", "prob"))
 
 
-State = tuple[ValueSet, ...] | None
+Pair = tuple[frozenset[int], float]
+State = tuple[Pair, ...] | None
+
+
+def _leq(a: Pair, b: Pair) -> bool:
+    return a[0] <= b[0] and a[1] >= b[1] - 1e-12
+
+
+def _join(a: Pair, b: Pair) -> Pair:
+    return a[0] | b[0], min(a[1], b[1])
+
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
            "ge": operator.ge, "eq": operator.eq, "ne": operator.ne}
@@ -128,15 +144,15 @@ def guard_factor(guard: Cmp, spec: HardwareSpec) -> float:
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
-    full = ValueSet(frozenset(range(spec.minint, spec.maxint + 1)), 1.0)
-    return (full,) * len(variables)
+    full = frozenset(range(spec.minint, spec.maxint + 1))
+    return ((full, 1.0),) * len(variables)
 
 
 def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueSet]:
-    """The reported form of a state: variable -> element."""
+    """The reported form of a state: variable -> validated element."""
     if state is None:
         return {v: ValueSet.bottom() for v in variables}
-    return dict(zip(variables, state))
+    return {v: ValueSet(*e) for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:
@@ -144,7 +160,7 @@ def join_states(a: State, b: State) -> State:
         return b
     if b is None:
         return a
-    return tuple(map(ValueSet.join, a, b))
+    return tuple(map(_join, a, b))
 
 
 def leq_states(a: State, b: State) -> bool:
@@ -152,14 +168,14 @@ def leq_states(a: State, b: State) -> bool:
         return True
     if b is None:
         return False
-    return all(map(ValueSet.leq, a, b))
+    return all(map(_leq, a, b))
 
 
 def value_part(state: State) -> tuple:
     """The probability-free projection used to detect value changes."""
     if state is None:
         return ()
-    return tuple([e.values for e in state])
+    return tuple([e[0] for e in state])
 
 
 def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
@@ -170,8 +186,8 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
         return lambda operands: value
     if isinstance(e, Var):
         return operator.itemgetter(names.index(e.name))
-    lhs = _evaluator(e.lhs, names, spec, warnings)
-    rhs = _evaluator(e.rhs, names, spec, warnings)
+    lvar, lconst, lhs = _operand(e.lhs, names, spec, warnings)
+    rvar, rconst, rhs = _operand(e.rhs, names, spec, warnings)
     apply = ARITH[e.op]
     minint, maxint = spec.minint, spec.maxint
     overflow = (f"line {e.line}: arithmetic overflow clamped to "
@@ -180,8 +196,8 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
             f"by zero" if e.op in ("div", "mod") else None)
 
     def evaluate(operands: tuple[int, ...]) -> int:
-        a = lhs(operands)
-        b = rhs(operands)
+        a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
+        b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
         if zero is not None and b == 0:
             raise EvalError(zero)
         raw = apply(a, b)
@@ -191,6 +207,17 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
         return minint if raw < minint else maxint
 
     return evaluate
+
+
+def _operand(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
+             warnings: list[str]) -> tuple[bool, bool, object]:
+    """How a BinOp reads e on one tuple, so that a leaf costs no call:
+    (is_var, is_const, x) with x the operand index, the value or a closure."""
+    if isinstance(e, Var):
+        return True, False, names.index(e.name)
+    if isinstance(e, Const):
+        return False, True, e.value
+    return False, False, _evaluator(e, names, spec, warnings)
 
 
 def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
@@ -216,9 +243,9 @@ def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
     return itertools.chain.from_iterable(parts)
 
 
-def _operand_sets(state: tuple[ValueSet, ...], reads: tuple[int, ...],
+def _operand_sets(state: tuple[Pair, ...], reads: tuple[int, ...],
                   names: tuple[str, ...], cap: int) -> list[frozenset[int]]:
-    sets = [state[i].values for i in reads]
+    sets = [state[i][0] for i in reads]
     if math.prod(map(len, sets)) > cap:
         raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
     return sets
@@ -260,7 +287,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     image = frozenset()  # what their tuples evaluate to
     had_eval_error = False
 
-    def transfer(state: tuple[ValueSet, ...]) -> State:
+    def transfer(state: tuple[Pair, ...]) -> State:
         nonlocal seen, image, had_eval_error
         sets = _operand_sets(state, reads, names, cap)
         if _shrunk(seen, sets):
@@ -282,9 +309,9 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
             return None
         prob = charge
         for i in reads:
-            prob *= state[i].prob
+            prob *= state[i][1]
         out = list(state)
-        out[position] = ValueSet(image, min(1.0, prob))
+        out[position] = (image, min(1.0, prob))
         return tuple(out)
 
     return transfer
@@ -316,7 +343,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
     satisfiable = False
 
-    def transfer(state: tuple[ValueSet, ...]) -> State:
+    def transfer(state: tuple[Pair, ...]) -> State:
         nonlocal seen, kept, satisfiable
         sets = _operand_sets(state, reads, names, cap)
         if _shrunk(seen, sets):
@@ -336,9 +363,9 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
             kept = [old.union(new) for old, new in zip(kept, zip(*hits))]
         if not satisfiable:
             return None
-        out = [ValueSet(e.values, min(1.0, e.prob * factor)) for e in state]
+        out = [(values, min(1.0, prob * factor)) for values, prob in state]
         for i, values in zip(reads, kept):
-            out[i] = ValueSet(values, out[i].prob)
+            out[i] = (values, out[i][1])
         return tuple(out)
 
     return transfer

@@ -55,7 +55,9 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
     """Raise LiteralRangeError for an edge constant outside [minint,maxint].
 
     Guards are checked as written, before `x <. c` became `x <=. c-1`, so
-    the message names the source literal.
+    the message names the source literal; edges come in source order, so it
+    is the program's first literal out of range. This is the only literal
+    check: the CLI prints its message.
     """
     for edge in cfg.edges:
         action = edge.action

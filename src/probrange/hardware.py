@@ -40,8 +40,10 @@ def c_div(a: int, b: int) -> int:
 
 
 def c_mod(a: int, b: int) -> int:
-    """Remainder matching c_div: a == c_div(a, b) * b + c_mod(a, b)."""
-    return a - c_div(a, b) * b
+    """Remainder matching c_div: a == c_div(a, b) * b + c_mod(a, b), so it
+    has the magnitude of abs(a) % abs(b) and the dividend's sign."""
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
 
 
 class HardwareSpec(Record):

@@ -434,13 +434,6 @@ def expr_vars(node) -> tuple[str, ...]:
     return tuple(sorted({x.name for x in walk_exprs(node) if isinstance(x, Var)}))
 
 
-def validate_literals(program: Program, minint: int, maxint: int) -> None:
-    for node in walk_exprs(program):
-        if isinstance(node, Const) and not minint <= node.value <= maxint:
-            raise LiteralRangeError(
-                f"line {node.line}: literal {node.value} outside [{minint},{maxint}]")
-
-
 def program_vars(program: Program) -> tuple[str, ...]:
     """Every variable the program mentions, parameters included, sorted."""
     names = set(program.params)

@@ -42,7 +42,9 @@ class DictDomain:
             if any(e.is_bottom for e in elems):
                 return None
             return tuple(e.triple for e in elems)
-        return None if any(not e.values for e in elems) else elems
+        if any(not e.values for e in elems):
+            return None
+        return tuple(e.pair for e in elems)
 
     def _index(self, state: dict) -> dict[str, int]:
         return {v: i for i, v in enumerate(state)}
@@ -128,6 +130,31 @@ def random_program(rng: random.Random, max_vars: int = 3,
         else:
             lines.append(_assign(rng, names))
             budget -= 1
+    return "\n".join(lines) + "\n"
+
+
+def loop_program(rng: random.Random, trips=(2, 4)) -> str:
+    """A program of the benchmark's loop family over a, ..., h.
+
+    Per trip count: `h =. 0;` and a loop `while (h <. trip)` of six
+    `if (v %. k ==. 0) { t =. v OP c; } else { t =. t +. 1; }` statements
+    and h's increment. The target t is never h, and c lies in [-9, 9],
+    nonzero under /. and %.
+    """
+    lines = []
+    for trip in trips:
+        lines += ["h =. 0;", f"while (h <. {trip}) {{"]
+        for _ in range(6):
+            tested, target = rng.choice("abcdefgh"), rng.choice("abcdefg")
+            op = rng.choice(("+.", "-.", "*.", "/.", "%."))
+            operand = rng.choice([c for c in range(-9, 10)
+                                  if c or op not in ("/.", "%.")])
+            lines += [f"  if ({tested} %. {rng.randint(2, 9)} ==. 0) {{",
+                      f"    {target} =. {tested} {op} {operand};",
+                      "  } else {",
+                      f"    {target} =. {target} +. 1;",
+                      "  }"]
+        lines += ["  h =. h +. 1;", "}"]
     return "\n".join(lines) + "\n"
 
 

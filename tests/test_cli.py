@@ -252,6 +252,28 @@ def test_literal_outside_overridden_range_rejected(capsys):
     assert "line 2: literal 10 outside [-8,8]" in err
 
 
+# several literals outside [-8,8]: the first in source order is named, in a
+# guard or in an else branch, in every mode
+MULTI_LITERAL = [
+    ("x =. 0;\nwhile (x <. 20) {\n  x =. x +. 30;\n}\n",
+     "line 2: literal 20 outside [-8,8]"),
+    ("y =. 3;\nif (y ==. 2) {\n  y =. 1;\n} else {\n  y =. -40;\n}\n"
+     "while (y <. 100) {\n  y =. y +. 9;\n}\n",
+     "line 5: literal -40 outside [-8,8]"),
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("--widening",), ("--mode", "concrete")])
+@pytest.mark.parametrize("source, message", MULTI_LITERAL)
+def test_first_out_of_range_literal_named(tmp_path, capsys, source, message,
+                                          flags):
+    program = tmp_path / "literals.up"
+    program.write_text(source)
+    result = run(capsys, str(program), "--spec", SPEC4, "--minint", "-8",
+                 "--maxint", "8", *flags)
+    assert result == (1, "", f"probrange: {message}\n")
+
+
 def test_trace_sections(capsys):
     code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--trace")
     assert code == 0

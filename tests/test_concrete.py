@@ -27,6 +27,11 @@ def elem(*values, prob=1.0):
     return ValueSet(frozenset(values), prob)
 
 
+def pair(*values, prob=1.0):
+    """The solver's flat form of elem(*values, prob=prob)."""
+    return frozenset(values), prob
+
+
 def rhs_of(source: str):
     return parse_program(source).body.stmts[0].value
 
@@ -403,8 +408,8 @@ def compile_action(source: str, warnings: list, cap=concrete.DEFAULT_TUPLE_CAP):
     return lambda state: concrete.sp_guard(state, edge)
 
 
-flat_states = st.tuples(*[st.builds(
-    ValueSet, st.frozensets(st.integers(-6, 6), min_size=1, max_size=5),
+flat_states = st.tuples(*[st.tuples(
+    st.frozensets(st.integers(-6, 6), min_size=1, max_size=5),
     st.floats(0.1, 1, allow_nan=False))] * 3)
 state_steps = st.lists(st.tuples(st.sampled_from(("grow", "grow", "fresh",
                                                   "bottom")), flat_states),
@@ -438,7 +443,7 @@ def test_compiled_edge_visits_new_tuples_in_product_order():
     warnings, fresh_warnings = [], []
     transfer = compile_action(source, warnings)
     for xs, ys in (((0,), (0,)), ((0, 3), (0, 3))):
-        state = (elem(*xs), elem(*ys), elem(0))
+        state = (pair(*xs), pair(*ys), pair(0))
         assert transfer(state) == compile_action(source, fresh_warnings)(state)
     assert warnings == fresh_warnings == [
         "line 1: arithmetic overflow clamped to [-8,8]",
@@ -467,14 +472,32 @@ def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
     assert calls[0] == 8059
 
 
+def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
+    # inside solve a state is flat (set, prob) pairs; an element is built,
+    # and validated, once per node and variable of the result
+    built = [0]
+    init = ValueSet.__init__
+
+    def counted(self, values, prob):
+        built[0] += 1
+        init(self, values, prob)
+
+    monkeypatch.setattr(ValueSet, "__init__", counted)
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    cfg, result = analyze(source, spec, domain="concrete", max_iters=2000)
+    assert result.converged
+    assert built[0] == cfg.node_count * len(cfg.variables) == 344
+
+
 def test_compiled_edge_blowup_on_grown_input():
     # the cap bounds the full product on every call, not only the new tuples
     warnings = []
     transfer = compile_action("x =. x +. y;", warnings, cap=10)
-    small = (elem(1, 2, 3), elem(0, 1, 2), elem(0))
+    small = (pair(1, 2, 3), pair(0, 1, 2), pair(0))
     out = transfer(small)
     with pytest.raises(OracleBlowup):
-        transfer((elem(1, 2, 3, 4), elem(0, 1, 2), elem(0)))
+        transfer((pair(1, 2, 3, 4), pair(0, 1, 2), pair(0)))
     assert transfer(small) == out
 
 

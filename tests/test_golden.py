@@ -9,7 +9,10 @@ snapshots and the machine format.
 A cross-check ties the two formats together: each machine golden, and a
 fresh machine report of the loops2 concrete case, must render through
 `render_text` to the matching text golden byte for byte, so a machine
-report carries exactly the content of its text twin.
+report carries exactly the content of its text twin. `render_machine`
+writes its rows from templates, so it is also held to
+`json.dumps(report, separators=(",", ":"))`, its reference, on the machine
+goldens, concrete traces and generated loop programs.
 
 After an intended change to the reports, rewrite the expected files with
 
@@ -19,12 +22,17 @@ and review the diff before committing it.
 """
 
 import json
+import os
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from probrange.cli import main, render_text
+from probrange import cli
+from probrange.cli import main, render_machine, render_text
+
+from helpers import loop_program
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -95,6 +103,45 @@ def test_fresh_machine_report_renders_to_text_golden(tmp_path):
     report = json.loads(out.read_bytes())
     expected = (GOLDEN / "loops2-concrete.txt").read_bytes()
     assert render_text(report).encode() == expected
+
+
+# program, flags: reports the machine renderer must write as json.dumps does
+RENDER_CASES = {name: CASES[name][:2] for name in (
+    "fig1-machine", "collatz-machine", "fig1-trace-machine",
+    "collatz-trace-machine", "fig1-concrete-trace", "loops2-concrete")}
+RENDER_CASES["loops2-concrete-trace"] = (
+    GOLDEN / "loops2.up", CASES["loops2-concrete"][1] + ("--trace",))
+
+
+def _check_machine_rendering(program, flags, tmp_path, monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "render_machine",
+                        lambda report: reports.append(report) or "")
+    main([str(program), *flags, *MACHINE, "--out", str(tmp_path / "report")])
+    (report,) = reports
+    rendered = render_machine(report)
+    expected = json.dumps(report, separators=(",", ":")) + "\n"
+    # compared into a bool: pytest's diff of two megabyte strings would crawl
+    same = rendered == expected
+    at = len(os.path.commonprefix([rendered, expected]))
+    assert same, f"differs at {at}: {rendered[at - 40:at + 40]!r}"
+    round_trips = json.loads(rendered) == report
+    assert round_trips
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_machine_rendering_matches_json_dumps(case, tmp_path, monkeypatch):
+    _check_machine_rendering(*RENDER_CASES[case], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generated_machine_rendering_matches_json_dumps(seed, tmp_path,
+                                                        monkeypatch):
+    # the bench's loops-concrete shape: 2 loops, concrete on [-64,63]
+    program = tmp_path / "loops.up"
+    program.write_text(loop_program(random.Random(seed)))
+    _check_machine_rendering(program, CASES["loops2-concrete"][1], tmp_path,
+                             monkeypatch)
 
 
 def test_every_golden_report_has_a_case():

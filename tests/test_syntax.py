@@ -1,10 +1,9 @@
 import pytest
 
 from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
-                              LiteralRangeError, ParseError, Program, Token,
-                              Var, While, expr_vars, parse_program,
-                              program_vars, to_source, tokenize,
-                              validate_literals, walk_exprs)
+                              ParseError, Program, Token, Var, While,
+                              expr_vars, parse_program, program_vars,
+                              to_source, tokenize, walk_exprs)
 
 from helpers import corpus_source
 
@@ -225,13 +224,6 @@ def test_walk_exprs_sees_every_node():
     assert kinds.count("BinOp") == 1
     assert kinds.count("Var") == 1
     assert kinds.count("Const") == 1
-
-
-def test_validate_literals():
-    prog = parse_program("x =. 100;")
-    validate_literals(prog, -32768, 32767)
-    with pytest.raises(LiteralRangeError):
-        validate_literals(prog, -8, 8)
 
 
 @pytest.mark.parametrize("name", ["fig1.up", "collatz.up", "counter.up",
