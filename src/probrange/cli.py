@@ -8,7 +8,6 @@ converging (the report is still emitted, flagged as not converged).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -22,64 +21,158 @@ from .syntax import FrontendError, LiteralRangeError, parse_program
 SET_DISPLAY_LIMIT = 12
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # reserve exit code 2 for non-convergence; flag mistakes are input errors
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# Each long flag: None for a switch, else int, str, or the tuple of its
+# choices. A switch defaults to False and any other flag to None, except:
+_FLAGS = {
+    "--spec": str, "--mode": ("concrete", "abstract"), "--widening": None,
+    "--max-iters": int, "--minint": int, "--maxint": int,
+    "--format": ("text", "machine"), "--trace": None, "--out": str,
+}
+_DEFAULTS = {"--mode": "abstract", "--max-iters": 20, "--format": "text"}
+_HELP_FLAGS = ("-h", "--help")
+
+_USAGE = """\
+usage: probrange [-h] --spec SPEC [--mode {concrete,abstract}] [--widening]
+                 [--max-iters N] [--minint MININT] [--maxint MAXINT]
+                 [--format {text,machine}] [--trace] [--out PATH]
+                 program
+"""
+_HELP = _USAGE + """
+Range and reliability analysis for integer programs on unreliable hardware.
+
+  program              program file to analyze
+  --spec SPEC          hardware reliability spec file (required)
+  --mode MODE          analysis domain: concrete or abstract (default abstract)
+  --widening           widen loop heads toward program constants
+  --max-iters N        iteration bound (default 20)
+  --minint MININT      override lower bound
+  --maxint MAXINT      override upper bound
+  --format FORMAT      report format: text or machine (default text)
+  --trace              include per-iteration states in the report
+  --out PATH           write the report to PATH instead of stdout
+  -h, --help           show this help message and exit
+
+A flag takes its value as `--flag value` or `--flag=value`; after `--`,
+every argument is positional.
+"""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="probrange", allow_abbrev=False,
-        description="Range and reliability analysis for integer programs "
-                    "on unreliable hardware.")
-    parser.add_argument("program", help="program file to analyze")
-    parser.add_argument("--spec", required=True,
-                        help="hardware reliability spec file")
-    parser.add_argument("--mode", choices=("concrete", "abstract"),
-                        default="abstract", help="analysis domain")
-    parser.add_argument("--widening", action="store_true",
-                        help="widen loop heads toward program constants")
-    parser.add_argument("--max-iters", type=int, default=20, metavar="N",
-                        help="iteration bound (default 20)")
-    parser.add_argument("--minint", type=int, help="override lower bound")
-    parser.add_argument("--maxint", type=int, help="override upper bound")
-    parser.add_argument("--format", choices=("text", "machine"),
-                        default="text", help="report format")
-    parser.add_argument("--trace", action="store_true",
-                        help="include per-iteration states in the report")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the report to PATH instead of stdout")
-    return parser
+def _usage_error(message: str):
+    # exit code 2 is reserved for non-convergence: flag mistakes are input
+    # errors; the wording is argparse's
+    sys.stderr.write(f"{_USAGE}probrange: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _is_negative_number(item: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final
+    # newline
+    whole, dot, frac = item[1:].removesuffix("\n").partition(".")
+    return (frac.isdecimal() if dot else whole.isdecimal()) and (
+        not whole or whole.isdecimal())
+
+
+def _split(item: str):
+    """(flag, explicit value or None) for an item naming a flag, (None, None)
+    for an unknown option, None for a positional item."""
+    if item[:1] != "-" or len(item) == 1:
+        return None
+    flag, eq, value = item.partition("=")
+    if flag in _FLAGS or flag in _HELP_FLAGS:
+        return flag, value if eq else None
+    if item[1] == "h":  # -hVALUE, as argparse reads short options
+        return "-h", item[2:]
+    if _is_negative_number(item) or " " in item:
+        return None
+    return None, None
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The flags' values by flag name, and the program path by "program".
+
+    Usage errors exit 1 and -h/--help exits 0, where argparse would.
+    """
+    args = {flag: False if kind is None else None
+            for flag, kind in _FLAGS.items()}
+    args.update(_DEFAULTS, program=None)
+    extras = []  # unrecognized items, in argv order
+    items = iter(argv)
+    dashed = False
+    for item in items:
+        split = None if dashed else _split(item)
+        if item == "--" and not dashed:
+            dashed = True
+        elif split is None and args["program"] is None:
+            args["program"] = item
+        elif split is None or split[0] is None:
+            extras.append(item)
+        else:
+            _take(args, *split, items)
+    missing = [name for name in ("program", "--spec") if args[name] is None]
+    if missing:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(missing))
+    if extras:
+        _usage_error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def _take(args: dict, flag: str, value, items) -> None:
+    """Store one flag's value, taking it from items if it was not given
+    as --flag=value."""
+    kind = _FLAGS.get(flag)
+    if kind is None:  # a switch, or -h/--help
+        if value and flag == "-h":  # -hh is -h twice
+            value = value.lstrip("h") or None
+        name = "-h/--help" if flag in _HELP_FLAGS else flag
+        if value is not None:
+            _usage_error(f"argument {name}: ignored explicit argument "
+                         f"{value!r}")
+        if flag in _HELP_FLAGS:
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        args[flag] = True
+        return
+    if value is None:
+        value = next(items, None)
+        if value is None or _split(value) is not None:
+            _usage_error(f"argument {flag}: expected one argument")
+    if kind is int:
+        try:
+            value = int(value)
+        except ValueError:
+            _usage_error(f"argument {flag}: invalid int value: {value!r}")
+    elif kind is not str and value not in kind:
+        _usage_error(f"argument {flag}: invalid choice: {value!r} (choose "
+                     f"from {', '.join(map(repr, kind))})")
+    args[flag] = value
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.max_iters < 1:
-        parser.error("--max-iters must be at least 1")
-    if args.mode == "concrete" and args.widening:
-        parser.error("widening applies to abstract mode only")
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if args["--max-iters"] < 1:
+        _usage_error("--max-iters must be at least 1")
+    if args["--mode"] == "concrete" and args["--widening"]:
+        _usage_error("widening applies to abstract mode only")
 
     try:
-        source = Path(args.program).read_text()
-    except OSError as exc:
+        source = Path(args["program"]).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"probrange: cannot read program: {exc}", file=sys.stderr)
         return 1
     try:
-        spec_text = Path(args.spec).read_text()
-    except OSError as exc:
+        spec_text = Path(args["--spec"]).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"probrange: cannot read spec: {exc}", file=sys.stderr)
         return 1
 
     try:
         spec, warnings = parse_spec(spec_text)
         overrides = {}
-        if args.minint is not None:
-            overrides["minint"] = args.minint
-        if args.maxint is not None:
-            overrides["maxint"] = args.maxint
+        if args["--minint"] is not None:
+            overrides["minint"] = args["--minint"]
+        if args["--maxint"] is not None:
+            overrides["maxint"] = args["--maxint"]
         if overrides:
             spec = spec.replace(**overrides)
     except SpecError as exc:
@@ -94,25 +187,26 @@ def main(argv=None) -> int:
         return 1
 
     widening = None
-    if args.widening:
+    if args["--widening"]:
         widening = collect_thresholds(cfg, spec.minint, spec.maxint)
     system = build_equations(cfg)
     try:
-        result = solve(system, spec, domain=args.mode, widening=widening,
-                       max_iters=args.max_iters, keep_trace=args.trace)
+        result = solve(system, spec, domain=args["--mode"],
+                       widening=widening, max_iters=args["--max-iters"],
+                       keep_trace=args["--trace"])
     except (OracleBlowup, LiteralRangeError) as exc:
         print(f"probrange: {exc}", file=sys.stderr)
         return 1
 
     warnings.extend(result.warnings)
-    name = program.name or Path(args.program).stem
-    report = build_report(name, args.mode, widening is not None, spec,
+    name = program.name or Path(args["program"]).stem
+    report = build_report(name, args["--mode"], widening is not None, spec,
                           cfg, result, warnings)
-    rendered = (render_machine(report) if args.format == "machine"
+    rendered = (render_machine(report) if args["--format"] == "machine"
                 else render_text(report))
-    if args.out:
+    if args["--out"]:
         try:
-            Path(args.out).write_text(rendered)
+            Path(args["--out"]).write_text(rendered)
         except OSError as exc:
             print(f"probrange: cannot write report: {exc}", file=sys.stderr)
             return 1

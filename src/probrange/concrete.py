@@ -211,8 +211,9 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
 
 def _operand(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
              warnings: list[str]) -> tuple[bool, bool, object]:
-    """How a BinOp reads e on one tuple, so that a leaf costs no call:
-    (is_var, is_const, x) with x the operand index, the value or a closure."""
+    """How a BinOp or a guard side reads e on one tuple, so that a leaf costs
+    no call: (is_var, is_const, x) with x the operand index, the value or a
+    closure."""
     if isinstance(e, Var):
         return True, False, names.index(e.name)
     if isinstance(e, Const):
@@ -336,8 +337,8 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     names = expr_vars(guard)
     reads = tuple(index[v] for v in names)
     factor = guard_factor(guard, spec)
-    lhs = _evaluator(guard.lhs, names, spec, warnings)
-    rhs = _evaluator(guard.rhs, names, spec, warnings)
+    lvar, lconst, lhs = _operand(guard.lhs, names, spec, warnings)
+    rvar, rconst, rhs = _operand(guard.rhs, names, spec, warnings)
     compare = COMPARE[guard.op]
     seen = None  # the operand sets enumerated so far, None before the first
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
@@ -351,7 +352,9 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
         hits = []
         for operands in _unseen(sets, seen):
             try:
-                if compare(lhs(operands), rhs(operands)):
+                a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
+                b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
+                if compare(a, b):
                     hits.append(operands)
             except EvalError as exc:
                 _warn(warnings, f"{exc} (offending operand tuple excluded)")

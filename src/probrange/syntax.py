@@ -392,7 +392,11 @@ class _Parser:
 
 
 def parse_program(source: str) -> Program:
-    return _Parser(tokenize(source)).program()
+    try:
+        return _Parser(tokenize(source)).program()
+    except RecursionError:
+        # the parser and its checks recurse once per nesting level
+        raise ParseError("program is nested too deeply") from None
 
 
 # --- validation and queries ---

@@ -1,9 +1,12 @@
-"""Shared test utilities: corpus access, one-call analysis, random programs."""
+"""Shared test utilities: corpus access, one-call analysis, random programs,
+and the argparse reference for the CLI's flag parser."""
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
+import sys
 from pathlib import Path
 
 from probrange import (abstract, build_cfg, build_equations, concrete,
@@ -12,6 +15,40 @@ from probrange.concrete import DEFAULT_TUPLE_CAP
 from probrange.hardware import c_div, c_mod
 
 CORPUS = Path(__file__).parent / "corpus"
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # reserve exit code 2 for non-convergence; flag mistakes are input errors
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once used, kept to judge probrange.cli's
+    own flag parser against."""
+    parser = _ArgumentParser(
+        prog="probrange", allow_abbrev=False,
+        description="Range and reliability analysis for integer programs "
+                    "on unreliable hardware.")
+    parser.add_argument("program", help="program file to analyze")
+    parser.add_argument("--spec", required=True,
+                        help="hardware reliability spec file")
+    parser.add_argument("--mode", choices=("concrete", "abstract"),
+                        default="abstract", help="analysis domain")
+    parser.add_argument("--widening", action="store_true",
+                        help="widen loop heads toward program constants")
+    parser.add_argument("--max-iters", type=int, default=20, metavar="N",
+                        help="iteration bound (default 20)")
+    parser.add_argument("--minint", type=int, help="override lower bound")
+    parser.add_argument("--maxint", type=int, help="override upper bound")
+    parser.add_argument("--format", choices=("text", "machine"),
+                        default="text", help="report format")
+    parser.add_argument("--trace", action="store_true",
+                        help="include per-iteration states in the report")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the report to PATH instead of stdout")
+    return parser
 
 
 def corpus_source(name: str) -> str:
@@ -131,6 +168,18 @@ def random_program(rng: random.Random, max_vars: int = 3,
             lines.append(_assign(rng, names))
             budget -= 1
     return "\n".join(lines) + "\n"
+
+
+def nested_program(shape: str, depth: int) -> str:
+    """A program nested depth levels deep: "parens" around one literal, a
+    "chain" of +. operators, or "ifs" one inside the other."""
+    if shape == "parens":
+        return "x =. " + "(" * depth + "1" + ")" * depth + ";\n"
+    if shape == "chain":
+        return "x =. 0;\ny =. x" + " +. 1" * depth + ";\n"
+    assert shape == "ifs"
+    return ("x =. 0;\n" + "if (x ==. 0) {\n" * depth + "x =. 1;\n"
+            + "}\n" * depth)
 
 
 def loop_program(rng: random.Random, trips=(2, 4)) -> str:

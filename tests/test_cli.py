@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import probrange
-from probrange.cli import _format_rows, main
+from probrange.cli import _FLAGS, _format_rows, _parse_args, main
 from probrange.hardware import ALL_OPS
 
-from helpers import CORPUS
+from helpers import CORPUS, nested_program, reference_parser
 
 FIG1 = str(CORPUS / "fig1.up")
 COLLATZ = str(CORPUS / "collatz.up")
@@ -180,6 +183,40 @@ def test_non_ascii_digit_exits_one(tmp_path):
     assert proc.stderr == "probrange: line 1, col 6: unexpected character '\u00b2'\n"
 
 
+@pytest.mark.parametrize("which", ["program", "spec"])
+def test_non_utf8_file_exits_one(tmp_path, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"x =. 0;\n\xff\n")
+    argv = ([str(bad), "--spec", SPEC4] if which == "program"
+            else [FIG1, "--spec", str(bad)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrange", *argv], capture_output=True,
+        text=True, cwd=tmp_path, env={**child_env(), "PYTHONUTF8": "1"})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"probrange: cannot read {which}: 'utf-8' "
+                                  f"codec can't decode byte 0xff")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("shape, depth, code", [
+    ("parens", 100, 0), ("parens", 200, 1), ("chain", 800, 0),
+    ("chain", 1000, 1), ("ifs", 300, 0), ("ifs", 600, 1),
+])
+def test_deep_nesting_exits_cleanly(tmp_path, shape, depth, code):
+    # in a child process, so that the stack starts as deep as the CLI's
+    program = tmp_path / "deep.up"
+    program.write_text(nested_program(shape, depth))
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrange", str(program), "--spec", SPEC4],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == "probrange: program is nested too deeply\n"
+    else:
+        assert proc.stderr == ""
+        assert "converged: yes" in proc.stdout
+
+
 def test_bad_spec_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("add 2.0\n")
@@ -218,12 +255,16 @@ def test_max_iters_zero_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main([FIG1, "--spec", SPEC4, "--max-iters", "0"])
     assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "\nprobrange: error: --max-iters must be at least 1\n")
 
 
 def test_concrete_with_widening_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main([FIG1, "--spec", SPEC4, "--mode", "concrete", "--widening"])
     assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "\nprobrange: error: widening applies to abstract mode only\n")
 
 
 def test_unwritable_out_exits_one(capsys):
@@ -301,6 +342,137 @@ def test_widen_all_rejected(capsys):
     assert "unrecognized arguments: --widen-all" in capsys.readouterr().err
 
 
+# Pieces of argv, valid and not, for the differential against argparse. None
+# is `--`: there argparse 3.11 has quirks of its own. It reads `--spec -- x`
+# as the spec x, and reports a trailing `--` after the program as
+# unrecognized; test_double_dash_* pin what `--` does here instead.
+ARGV_PIECES = [
+    ("p.up",), ("q.up",), ("",), ("-",), ("-5",), ("a b",), ("-x y",),
+    ("--spec", "s.spec"), ("--spec=t.spec",), ("--spec=",), ("--spec",),
+    ("--spec", "-s"), ("--spec", "-1.5"),
+    ("--mode", "concrete"), ("--mode=abstract",), ("--mode", "abs"),
+    ("--mode=",), ("--mode",),
+    ("--widening",), ("--widening=x",), ("--widening=",), ("--widen",),
+    ("--max-iters", "5"), ("--max-iters=-3",), ("--max-iters", "-3"),
+    ("--max-iters", "x"), ("--max-iters", " 7 "), ("--max-iters", "1_0"),
+    ("--max-iters", "2.5"), ("--max-iters", "-x"), ("--max-it", "5"),
+    ("--minint", "-64"), ("--minint=-64",), ("--minint", "-0x10"),
+    ("--minint", "-\u0663"), ("--minint", "-\u00b2"),
+    ("--maxint", "63"), ("--maxint", "-.5"), ("--maxint", "-5\n"),
+    ("--maxint", "-5."), ("--maxint", "-\u00b2.5"),
+    ("--format", "machine"), ("--format=text",), ("--format", "json"),
+    ("--form", "machine"), ("--trace",), ("--trace=1",),
+    ("--out", "r.txt"), ("--out=-",), ("--out", "-"), ("--out", "-o"),
+    ("--bogus",), ("--bogus=1",), ("--bogus=a b",), ("-x",), ("--widen-all",),
+]
+HELP_PIECES = [("-h",), ("--help",), ("-hh",), ("-hx",), ("-h=x",), ("-h=",),
+               ("-h=h",), ("--help=x",), ("-h x",)]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    pieces = rng.sample(ARGV_PIECES, rng.randint(0, 5))
+    pieces += [piece for piece, chance in ((("p.up",), 0.8),
+                                           (("--spec", "s.spec"), 0.8),
+                                           (rng.choice(HELP_PIECES), 0.08))
+               if rng.random() < chance]
+    rng.shuffle(pieces)
+    return [item for piece in pieces for item in piece]
+
+
+def parse_outcome(parse, argv: list[str]):
+    """(parsed values or None, exit code or None, last line of stderr)"""
+    out, err = io.StringIO(), io.StringIO()
+    values, code = None, None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    lines = err.getvalue().splitlines()
+    return values, code, lines[-1] if lines else ""
+
+
+# argparse's own behaviour changed after 3.12.1: 3.13 words an invalid choice
+# without quotes and reads "-h x" as -h. The differential runs where the
+# reference behaves as the argparse the parser was written to match.
+ARGPARSE_AS_WRITTEN = all(
+    parse_outcome(reference_parser().parse_args, argv)[2].endswith(tail)
+    for argv, tail in (
+        (["p", "--spec", "s", "--mode", "x"],
+         "(choose from 'concrete', 'abstract')"),
+        (["p", "--spec", "s", "-h x"], "ignored explicit argument ' x'")))
+
+
+@pytest.mark.skipif(not ARGPARSE_AS_WRITTEN,
+                    reason="this Python's argparse words some errors anew")
+def test_flag_parser_matches_argparse():
+    reference = reference_parser()
+
+    def reference_parse(argv):
+        parsed = vars(reference.parse_args(argv))
+        return {name if name == "program" else "--" + name.replace("_", "-"):
+                value for name, value in parsed.items()}
+
+    rng = random.Random(1201)
+    mismatches, errors, outcomes = [], set(), set()
+    for _ in range(10_000):
+        argv = random_argv(rng)
+        ours = parse_outcome(_parse_args, argv)
+        if ours != parse_outcome(reference_parse, argv):
+            mismatches.append(argv)
+        outcomes.add(ours[1])
+        errors.add(ours[2].partition(": error: ")[2].partition(":")[0])
+    assert mismatches[:5] == []
+    # the pieces reach every outcome and every kind of usage error
+    assert outcomes == {None, 0, 1}
+    assert errors >= {"", "unrecognized arguments",
+                      "the following arguments are required",
+                      "argument --mode", "argument --max-iters",
+                      "argument --spec", "argument --widening",
+                      "argument -h/--help"}
+
+
+def test_double_dash_program_starting_with_dash(tmp_path, capsys,
+                                                monkeypatch):
+    (tmp_path / "-fig1.up").write_text((CORPUS / "fig1.up").read_text())
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "--spec", SPEC4, "--", "-fig1.up")
+    assert code == 0
+    expected = run(capsys, FIG1, "--spec", SPEC4)[1]
+    assert out == expected.replace("program: fig1", "program: -fig1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([FIG1, "--spec", SPEC4, "--", "extra", "--trace"],
+     "unrecognized arguments: extra --trace"),
+    (["--spec", SPEC4, "--", "--", "--trace"],
+     "unrecognized arguments: --trace"),
+    (["--", FIG1, "--spec", SPEC4],
+     "the following arguments are required: --spec"),
+], ids=["after-program", "second-dashes-is-program", "flags-after-dashes"])
+def test_double_dash_makes_the_rest_positional(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"\nprobrange: error: {message}\n")
+
+
+def test_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([FIG1, "--bogus", "--help"])  # unrecognized is reported last
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for flag in (*_FLAGS, "-h", "--help", "program"):
+        assert flag in out
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["probrange", FIG1, "--spec", SPEC4])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, FIG1, "--spec", SPEC4)[1]
+
+
 def test_format_rows_header_only():
     lines = _format_rows([])
     assert len(lines) == 2
@@ -321,11 +493,13 @@ def test_console_script_runs(tmp_path, capsys):
 def test_import_leaves_out_start_up_heavy_modules(tmp_path):
     # start-up is most of a CLI run on a small program: dataclasses pulls in
     # inspect, ast and dis, only machine reports need json, and annotations
-    # need no typing; -S keeps site's own imports out of the picture
+    # need no typing, and flags need no argparse (nor its gettext); -S keeps
+    # site's own imports out of the picture
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import probrange.cli; "
-         "print(*[m for m in ('dataclasses', 'inspect', 'json', 'typing') "
+         "print(*[m for m in ('argparse', 'dataclasses', 'gettext', "
+         "'inspect', 'json', 'typing') "
          "if m in sys.modules and m not in before])"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
                               expr_vars, parse_program, program_vars,
                               to_source, tokenize, walk_exprs)
 
-from helpers import corpus_source
+from helpers import corpus_source, nested_program
 
 
 def test_tokenize_longest_match():
@@ -180,6 +180,16 @@ def test_empty_program_rejected():
         parse_program("")
     with pytest.raises(ParseError):
         parse_program("// nothing here\n")
+
+
+@pytest.mark.parametrize("shape, depth", [
+    ("parens", 200), ("chain", 1000), ("ifs", 600),
+])
+def test_deep_nesting_is_a_parse_error(shape, depth):
+    # the parser recurses once per level; running out of stack is reported
+    # like any other malformed program
+    with pytest.raises(ParseError, match="^program is nested too deeply$"):
+        parse_program(nested_program(shape, depth))
 
 
 def test_missing_semicolon():
