@@ -42,7 +42,7 @@ from operator import attrgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
-from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars
+from .syntax import BinOp, Cmp, Const, Expr, Var
 # sp_assign and sp_guard apply a compiled edge the same way in both domains;
 # the solver looks them up here when it runs in this domain
 from .concrete import (ARITH, COMPARE, ValueSet, _warn, assign_charge,
@@ -300,8 +300,8 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     cap bounds the concrete domain's enumeration; intervals need none.
     """
     position = index[target]
-    reads = tuple(index[v] for v in expr_vars(expr))
-    charge = assign_charge(expr, spec)
+    names, charge = assign_charge(expr, spec)
+    reads = tuple(index[v] for v in names)
     evaluate = interval_evaluator(expr, index, spec, warnings)
 
     def transfer(state: tuple) -> State:
@@ -351,7 +351,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     factors. Anything else leaves all intervals unchanged. An unsatisfiable
     guard bottoms the whole state. cap bounds the concrete domain only.
     """
-    factor = guard_factor(guard, spec)
+    factor = guard_factor(guard, spec)[1]
     op, lhs, rhs = guard.op, guard.lhs, guard.rhs
     lhs_const = _fold_const(lhs)
     rhs_const = _fold_const(rhs)

@@ -163,26 +163,70 @@ def build_cfg(program: Program) -> CFG:
     return CFG(b.lines, b.edges, program_vars(program), entry)
 
 
-def loop_heads(cfg: CFG) -> set[int]:
-    """Back-edge targets, found by DFS from the entry node."""
+def weak_topological_order(cfg: CFG) -> tuple[list[int], set[int]]:
+    """The nodes in a weak topological order (WTO), and its component heads.
+
+    Bourdoncle's algorithm ("Efficient chaotic iteration strategies with
+    widenings", 1993) from the entry node, its nested components flattened:
+    a component lists its head, then its body in a WTO of its own. Every
+    cycle passes through a head, so the heads are the widening points.
+    Nodes the entry does not reach follow in id order.
+
+    The paper's recursive visit and component procedures run over a stack
+    of frames [node, successor iterator, head, loop], loop None marking a
+    component's frame, so a deep CFG takes no Python recursion. Partitions
+    grow by prepending, so the order is built back to front.
+    """
     succs = cfg.succs()
-    color = [0] * cfg.node_count  # 0 unvisited, 1 on stack, 2 done
+    placed = float("inf")  # above every depth-first number
+    dfn: list = [0] * cfg.node_count  # 0 before a visit, placed once ordered
+    pending: list[int] = []  # visited nodes not yet ordered
+    backwards: list[int] = []
     heads: set[int] = set()
-    stack: list[tuple[int, int]] = [(cfg.entry, 0)]
-    color[cfg.entry] = 1
-    while stack:
-        node, idx = stack.pop()
-        if idx < len(succs[node]):
-            stack.append((node, idx + 1))
-            nxt = succs[node][idx]
-            if color[nxt] == 1:
-                heads.add(nxt)
-            elif color[nxt] == 0:
-                color[nxt] = 1
-                stack.append((nxt, 0))
-        else:
-            color[node] = 2
-    return heads
+    frames: list[list] = []
+    num = 0
+
+    def enter(node: int) -> None:
+        nonlocal num
+        num += 1
+        dfn[node] = num
+        pending.append(node)
+        frames.append([node, iter(succs[node]), num, False])
+
+    enter(cfg.entry)
+    while frames:
+        frame = frames[-1]
+        node, successors, head, loop = frame
+        nxt = next(successors, None)
+        if nxt is not None:
+            if dfn[nxt] == 0:
+                enter(nxt)
+            elif loop is not None and dfn[nxt] <= head:
+                frame[2], frame[3] = dfn[nxt], True
+            continue
+        frames.pop()
+        if loop is None:
+            backwards.append(node)
+        elif head == dfn[node]:
+            dfn[node] = placed
+            member = pending.pop()
+            if loop:
+                while member != node:
+                    dfn[member] = 0
+                    member = pending.pop()
+                heads.add(node)
+                frames.append([node, iter(succs[node]), head, None])
+                continue
+            backwards.append(node)
+        if frames and frames[-1][3] is not None and head <= frames[-1][2]:
+            frames[-1][2], frames[-1][3] = head, True
+    backwards.reverse()
+    return backwards + [n for n in range(cfg.node_count) if not dfn[n]], heads
+
+
+def loop_heads(cfg: CFG) -> set[int]:
+    """The widening points: the heads of the weak topological order."""
+    return weak_topological_order(cfg)[1]
 
 
 def collect_thresholds(cfg: CFG, minint: int, maxint: int) -> tuple[int, ...]:

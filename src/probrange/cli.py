@@ -8,15 +8,15 @@ converging (the report is still emitted, flagged as not converged).
 
 from __future__ import annotations
 
+import os
 import sys
-from pathlib import Path
 
 from .abstract import ValueRange
 from .cfg import build_cfg, collect_thresholds
 from .concrete import OracleBlowup, ValueSet
 from .engine import build_equations, solve
 from .hardware import ALL_OPS, HardwareSpec, SpecError, parse_spec
-from .syntax import FrontendError, LiteralRangeError, parse_program
+from .syntax import FrontendError, parse_program
 
 SET_DISPLAY_LIMIT = 12
 
@@ -156,12 +156,12 @@ def main(argv=None) -> int:
         _usage_error("widening applies to abstract mode only")
 
     try:
-        source = Path(args["program"]).read_text()
+        source = _read(args["program"])
     except (OSError, UnicodeDecodeError) as exc:
         print(f"probrange: cannot read program: {exc}", file=sys.stderr)
         return 1
     try:
-        spec_text = Path(args["--spec"]).read_text()
+        spec_text = _read(args["--spec"])
     except (OSError, UnicodeDecodeError) as exc:
         print(f"probrange: cannot read spec: {exc}", file=sys.stderr)
         return 1
@@ -194,25 +194,38 @@ def main(argv=None) -> int:
         result = solve(system, spec, domain=args["--mode"],
                        widening=widening, max_iters=args["--max-iters"],
                        keep_trace=args["--trace"])
-    except (OracleBlowup, LiteralRangeError) as exc:
+    except (OracleBlowup, FrontendError) as exc:
         print(f"probrange: {exc}", file=sys.stderr)
         return 1
 
     warnings.extend(result.warnings)
-    name = program.name or Path(args["program"]).stem
+    name = program.name or _stem(args["program"])
     report = build_report(name, args["--mode"], widening is not None, spec,
                           cfg, result, warnings)
     rendered = (render_machine(report) if args["--format"] == "machine"
                 else render_text(report))
     if args["--out"]:
         try:
-            Path(args["--out"]).write_text(rendered)
+            with open(args["--out"], "w") as out:
+                out.write(rendered)
         except OSError as exc:
             print(f"probrange: cannot write report: {exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(rendered)
     return 0 if result.converged else 2
+
+
+def _read(path: str) -> str:
+    with open(path) as file:
+        return file.read()
+
+
+def _stem(path: str) -> str:
+    """pathlib.PurePath(path).stem for the path of a file."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
@@ -332,6 +345,38 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return _ESCAPES.get(char) or f"\\u{code:04x}"
+
+
+def _json(value) -> str:
+    """value as json.dumps(value, separators=(",", ":")) writes it, for the
+    types a report holds: str, int, float, bool, None, list, and dict with
+    str keys. Strings are escaped as json's default ensure_ascii does."""
+    if isinstance(value, str):
+        if (value.isascii() and value.isprintable() and '"' not in value
+                and "\\" not in value):
+            return f'"{value}"'
+        return '"' + "".join(c if " " <= c <= "~" and c not in '"\\'
+                             else _escape(c) for c in value) + '"'
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, list):
+        return "[" + ",".join(map(_json, value)) + "]"
+    return "{" + ",".join(f"{_json(k)}:{_json(v)}"
+                          for k, v in value.items()) + "}"
+
+
 def render_machine(report: dict) -> str:
     """The report as one line of compact JSON, byte for byte
     json.dumps(report, separators=(",", ":")) + "\n".
@@ -340,9 +385,6 @@ def render_machine(report: dict) -> str:
     of each value list (rows share them) and of each variable name computed
     once; ints and floats print as json prints them, by repr.
     """
-    import json  # imported here: text reports do not need it at start-up
-    # compact: an indent, or json.dump, takes json's pure-Python encoder
-    dumps = json.JSONEncoder(separators=(",", ":")).encode
     names: dict[str, str] = {}
     lists: dict[int, str] = {}  # id of a value list -> its JSON text
 
@@ -350,11 +392,11 @@ def render_machine(report: dict) -> str:
         parts = []
         for row in rows:
             name = row["variable"]
-            var = names.get(name) or names.setdefault(name, dumps(name))
+            var = names.get(name) or names.setdefault(name, _json(name))
             if "values" in row:
                 kind, values = "values", row["values"]
-                shown = (lists.get(id(values))
-                         or lists.setdefault(id(values), dumps(values)))
+                shown = lists.get(id(values)) or lists.setdefault(
+                    id(values), "[" + ",".join(map(repr, values)) + "]")
             else:
                 kind, interval = "interval", row["interval"]
                 shown = ("null" if interval is None
@@ -373,8 +415,8 @@ def render_machine(report: dict) -> str:
                 f'{{"iteration":{entry["iteration"]!r},'
                 f'"rows":{rows_text(entry["rows"])}}}' for entry in value) + "]"
         else:
-            text = dumps(value)
-        parts.append(f"{dumps(key)}:{text}")
+            text = _json(value)
+        parts.append(f"{_json(key)}:{text}")
     return "{" + ",".join(parts) + "}\n"
 
 

@@ -48,7 +48,7 @@ from collections.abc import Callable, Iterable
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
-from .syntax import BinOp, Cmp, Const, Expr, Var, expr_vars, walk_exprs
+from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 
 DEFAULT_TUPLE_CAP = 10**6
 
@@ -121,26 +121,39 @@ def _warn(warnings: list[str], message: str) -> None:
         warnings.append(message)
 
 
-def _op_rels(root, spec: HardwareSpec) -> float:
+def _walk(e: Expr, spec: HardwareSpec) -> tuple[set[str], float]:
+    """e's variables and the product of its arithmetic ops' reliabilities,
+    taken in preorder, from one walk."""
+    names = set()
     rel = 1.0
-    for node in walk_exprs(root):
+    for node in walk_exprs(e):
         if isinstance(node, BinOp):
             rel *= spec.rel(node.op)
-    return rel
+        elif isinstance(node, Var):
+            names.add(node.name)
+    return names, rel
 
 
-def assign_charge(expr: Expr, spec: HardwareSpec) -> float:
-    """Reliability of `x =. expr`: one write, one read per distinct
-    variable and one factor per arithmetic op."""
-    return (spec.rel("write") * spec.rel("read") ** len(expr_vars(expr))
-            * _op_rels(expr, spec))
+def assign_charge(expr: Expr,
+                  spec: HardwareSpec) -> tuple[tuple[str, ...], float]:
+    """The distinct variables of `x =. expr`, sorted by name, and its
+    reliability: one write, one read per distinct variable and one factor
+    per arithmetic op."""
+    names, ops = _walk(expr, spec)
+    return (tuple(sorted(names)),
+            spec.rel("write") * spec.rel("read") ** len(names) * ops)
 
 
-def guard_factor(guard: Cmp, spec: HardwareSpec) -> float:
-    """Reliability of evaluating a guard: one read per distinct variable,
-    the comparison, and one factor per arithmetic op on either side."""
-    return (spec.rel("read") ** len(expr_vars(guard)) * spec.rel(guard.op)
-            * _op_rels(guard.lhs, spec) * _op_rels(guard.rhs, spec))
+def guard_factor(guard: Cmp,
+                 spec: HardwareSpec) -> tuple[tuple[str, ...], float]:
+    """The distinct variables of a guard, sorted by name, and the
+    reliability of evaluating it: one read per distinct variable, the
+    comparison, and one factor per arithmetic op on either side."""
+    lhs_names, lhs_ops = _walk(guard.lhs, spec)
+    rhs_names, rhs_ops = _walk(guard.rhs, spec)
+    names = tuple(sorted(lhs_names | rhs_names))
+    return names, (spec.rel("read") ** len(names) * spec.rel(guard.op)
+                   * lhs_ops * rhs_ops)
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
@@ -280,9 +293,8 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     state has no reachable environment and becomes bottom.
     """
     position = index[target]
-    names = expr_vars(expr)
+    names, charge = assign_charge(expr, spec)
     reads = tuple(index[v] for v in names)
-    charge = assign_charge(expr, spec)
     evaluate = _evaluator(expr, names, spec, warnings)
     seen = None  # the operand sets enumerated so far, None before the first
     image = frozenset()  # what their tuples evaluate to
@@ -334,9 +346,8 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     per arithmetic op inside the guard. An unsatisfiable guard bottoms the
     whole state; a guard over constants alone is decided outright.
     """
-    names = expr_vars(guard)
+    names, factor = guard_factor(guard, spec)
     reads = tuple(index[v] for v in names)
-    factor = guard_factor(guard, spec)
     lvar, lconst, lhs = _operand(guard.lhs, names, spec, warnings)
     rvar, rconst, rhs = _operand(guard.rhs, names, spec, warnings)
     compare = COMPARE[guard.op]

@@ -4,11 +4,14 @@ Each non-entry node i owes its state to the join over incoming edges of the
 edge action's transfer applied to the source node's state; the entry node is
 the constant state giving every variable the full machine range at
 probability 1. The solver iterates from all-bottom until a full pass commits
-nothing. A pass visits nodes in id order but recomputes only those with a
-source that committed since their last recomputation (Kildall 1973): the
-transfers are pure and warnings de-duplicate, so a skipped recomputation
-would have committed nothing, and every commit happens as in a pass that
-recomputes every node.
+nothing. A pass visits nodes in a weak topological order of the CFG
+(cfg.weak_topological_order; Bourdoncle 1993), so a change flows down a loop
+body, through its ifs and their join nodes, within one pass. Iterating that
+whole order until nothing commits is Bourdoncle's iterative strategy. A pass
+recomputes only the nodes with a source that committed since their last
+recomputation (Kildall 1973): the transfers are pure and warnings
+de-duplicate, so a skipped recomputation would have committed nothing, and
+every commit happens as in a pass that recomputes every node.
 
 Commit rule: a node's stored state is replaced only when the recomputed
 state's value part (sets or intervals) differs. Probabilities shrink on every
@@ -17,8 +20,9 @@ therefore stops when the value parts stabilize and each node keeps the
 probability from its last value-changing update. Iteration counts reported
 here are committing passes; the final confirming pass is free.
 
-With widening enabled, loop-head nodes (targets of back edges) instead keep
-their state when the recomputation is below it and otherwise widen toward the
+With widening enabled, the order's component heads, through which every
+cycle of the CFG passes, are the widening points. They instead keep their
+state when the recomputation is below it and otherwise widen toward the
 threshold set; widened nodes commit on any change, value or probability.
 Widening is idempotent (widening the result by the same recomputation gives
 it back), so a loop head, too, is recomputed only when a source commits.
@@ -32,10 +36,10 @@ SolveResult and trace snapshots hold {variable: element} dicts.
 from __future__ import annotations
 
 from . import abstract, concrete
-from .cfg import CFG, AssignAction, Edge, loop_heads
+from .cfg import CFG, AssignAction, Edge, weak_topological_order
 from .hardware import HardwareSpec
 from .record import MutableRecord, Record
-from .syntax import Const, LiteralRangeError, walk_exprs
+from .syntax import Const, LiteralRangeError, ParseError, walk_exprs
 
 
 class EquationSystem(Record):
@@ -87,7 +91,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     passes and running into it clears the converged flag; iterations counts
     the committing passes. cap bounds the concrete domain's operand tuple
     enumeration. Literals outside the spec's machine range raise
-    LiteralRangeError.
+    LiteralRangeError, and an expression too deep to compile or evaluate
+    raises ParseError, as the parser does for deep nesting.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
@@ -100,8 +105,18 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         raise ValueError(f"widening thresholds must contain {spec.minint} "
                          f"and {spec.maxint} and nothing outside them")
     _check_literals(system.cfg, spec.minint, spec.maxint)
-
     dom = abstract if domain == "abstract" else concrete
+    try:
+        return _iterate(system, spec, dom, widening, max_iters, cap,
+                        keep_trace)
+    except RecursionError:
+        # compiling and applying an edge recurse per operator
+        raise ParseError("program is nested too deeply") from None
+
+
+def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
+             widening: tuple[int, ...] | None, max_iters: int, cap: int,
+             keep_trace: bool) -> SolveResult:
     cfg = system.cfg
     variables = system.variables
     index = {v: i for i, v in enumerate(variables)}
@@ -119,7 +134,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     # without variables there is one state, and every node holds it
     states: list = [None if variables else ()] * cfg.node_count
     states[cfg.entry] = dom.entry_state(variables, spec)
-    widen_nodes = loop_heads(cfg) if widening is not None else set()
+    order, heads = weak_topological_order(cfg)
+    widen_nodes = heads if widening is not None else set()
     trace: list[dict[int, dict]] | None = [] if keep_trace else None
 
     def snapshot() -> dict[int, dict]:
@@ -148,7 +164,7 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         states[node] = new
         return True
 
-    targets = [n for n in range(cfg.node_count) if n != cfg.entry]
+    targets = [n for n in order if n != cfg.entry]
     succs = cfg.succs()
     iterations = 0
     converged = False

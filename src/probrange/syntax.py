@@ -417,25 +417,20 @@ def _statements(block: Block) -> list:
 
 def walk_exprs(node) -> list:
     """All expression and condition nodes under an AST node, preorder."""
+    if isinstance(node, (Program, Block)):
+        block = node.body if isinstance(node, Program) else node
+        stack = [s.value if isinstance(s, Assign) else s.cond
+                 for s in reversed(_statements(block))]
+    else:
+        stack = [node]
     out: list = []
-
-    def visit(x) -> None:
+    while stack:
+        x = stack.pop()
         out.append(x)
         if isinstance(x, (BinOp, Cmp)):
-            visit(x.lhs)
-            visit(x.rhs)
-
-    if isinstance(node, (Program, Block)):
-        for s in _statements(node.body if isinstance(node, Program) else node):
-            visit(s.value if isinstance(s, Assign) else s.cond)
-    else:
-        visit(node)
+            stack.append(x.rhs)
+            stack.append(x.lhs)
     return out
-
-
-def expr_vars(node) -> tuple[str, ...]:
-    """Distinct variables in an expression or condition, sorted by name."""
-    return tuple(sorted({x.name for x in walk_exprs(node) if isinstance(x, Var)}))
 
 
 def program_vars(program: Program) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
 from probrange.concrete import DEFAULT_TUPLE_CAP
 from probrange.hardware import c_div, c_mod
+from probrange.syntax import Var, walk_exprs
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -135,6 +136,12 @@ ABSTRACT = DictDomain(abstract)
 CONCRETE = DictDomain(concrete)
 
 
+def expr_vars(node) -> tuple[str, ...]:
+    """Distinct variables in an expression or condition, sorted by name."""
+    return tuple(sorted({x.name for x in walk_exprs(node)
+                         if isinstance(x, Var)}))
+
+
 def line_map(cfg) -> dict[int, int]:
     """Source line -> node id (corpus programs have unique node lines)."""
     return {cfg.lines[n]: n for n in range(cfg.node_count)}
@@ -172,14 +179,43 @@ def random_program(rng: random.Random, max_vars: int = 3,
 
 def nested_program(shape: str, depth: int) -> str:
     """A program nested depth levels deep: "parens" around one literal, a
-    "chain" of +. operators, or "ifs" one inside the other."""
+    "chain" of +. operators, "ifs" or "whiles" one inside the other; or
+    "straight", depth assignments in a row."""
     if shape == "parens":
         return "x =. " + "(" * depth + "1" + ")" * depth + ";\n"
     if shape == "chain":
         return "x =. 0;\ny =. x" + " +. 1" * depth + ";\n"
+    if shape == "whiles":
+        return ("x =. 0;\n" + "while (x <. 9) {\n" * depth + "x =. x +. 1;\n"
+                + "}\n" * depth)
+    if shape == "straight":  # depth statements, none nested
+        return "".join(f"x{i % 5} =. {i % 7};\n" for i in range(depth))
     assert shape == "ifs"
     return ("x =. 0;\n" + "if (x ==. 0) {\n" * depth + "x =. 1;\n"
             + "}\n" * depth)
+
+
+def loop_heads_dfs(cfg) -> set[int]:
+    """Back-edge targets of a DFS from the entry node: the loop heads that
+    the solver widened at before it followed a weak topological order."""
+    succs = cfg.succs()
+    color = [0] * cfg.node_count  # 0 unvisited, 1 on stack, 2 done
+    heads: set[int] = set()
+    stack: list[tuple[int, int]] = [(cfg.entry, 0)]
+    color[cfg.entry] = 1
+    while stack:
+        node, idx = stack.pop()
+        if idx < len(succs[node]):
+            stack.append((node, idx + 1))
+            nxt = succs[node][idx]
+            if color[nxt] == 1:
+                heads.add(nxt)
+            elif color[nxt] == 0:
+                color[nxt] = 1
+                stack.append((nxt, 0))
+        else:
+            color[node] = 2
+    return heads
 
 
 def loop_program(rng: random.Random, trips=(2, 4)) -> str:
@@ -288,7 +324,6 @@ def product_sets(cfg, minint: int, maxint: int) -> dict[int, dict[str, set]]:
 
     def transfer(state, action):
         from probrange.cfg import AssignAction
-        from probrange.syntax import expr_vars
         if any(not s for s in state.values()):
             return {v: set() for v in variables}
         if isinstance(action, AssignAction):

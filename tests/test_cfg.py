@@ -1,9 +1,15 @@
-from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
+import random
+from pathlib import Path
+
+from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            canonicalize_guard, collect_thresholds, loop_heads,
-                           negate_guard)
+                           negate_guard, weak_topological_order)
 from probrange.syntax import BinOp, Cmp, Const, Var, parse_program
 
-from helpers import corpus_source
+from helpers import (CORPUS, corpus_source, loop_heads_dfs, loop_program,
+                     nested_program)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _cfg(name_or_source: str):
@@ -94,6 +100,53 @@ def test_empty_loop_body_self_loop():
     cfg = _cfg("while (x >. 0) {\n}\n")
     assert any(e.src == e.dst for e in cfg.edges)
     assert loop_heads(cfg)
+
+
+def test_wto_puts_an_if_join_after_both_branches():
+    # build_cfg numbers the join (3) before the branches (4 and 5); the loop
+    # is one component headed by 1, the exit (6) follows it
+    cfg = _cfg("x =. 0;\n"
+               "while (x <. 9) {\n"
+               "  if (x >. 4) {\n"
+               "    x =. x +. 2;\n"
+               "  } else {\n"
+               "    x =. x +. 1;\n"
+               "  }\n"
+               "  y =. x;\n"
+               "}\n")
+    assert weak_topological_order(cfg) == ([0, 1, 2, 5, 4, 3, 6], {1})
+
+
+def test_wto_lists_unreached_nodes_last_in_id_order():
+    cfg = CFG([1, 1, 1, 1], [Edge(0, 2, AssignAction("x", Const(0))),
+                             Edge(3, 1, AssignAction("x", Const(1)))], ("x",))
+    assert weak_topological_order(cfg) == ([0, 2, 1, 3], set())
+
+
+def _wto_programs():
+    sources = [(CORPUS / f"{name}.up").read_text() for name in
+               ("collatz", "counter", "factorial", "fig1", "gcd", "reverse")]
+    sources += [(GOLDEN / f"{name}.up").read_text()
+                for name in ("emptyloop", "loops2", "loops4")]
+    # the bench's loop family, with its two sets of trip counts
+    sources += [loop_program(random.Random(seed),
+                             (2, 4) if seed % 2 else (2, 3, 4, 5))
+                for seed in range(50)]
+    sources.append(nested_program("whiles", 300))
+    return sources
+
+
+def test_wto_heads_are_the_dfs_back_edge_targets():
+    # and every edge that runs backwards in the order enters a head, so a
+    # pass in that order widens on every cycle
+    for source in _wto_programs():
+        cfg = build_cfg(parse_program(source))
+        order, heads = weak_topological_order(cfg)
+        assert heads == loop_heads_dfs(cfg) == loop_heads(cfg)
+        assert sorted(order) == list(range(cfg.node_count))
+        position = {node: i for i, node in enumerate(order)}
+        for e in cfg.edges:
+            assert position[e.src] < position[e.dst] or e.dst in heads
 
 
 def test_thresholds_fig1():

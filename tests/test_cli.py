@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import pathlib
 import random
 import shutil
 import subprocess
@@ -9,9 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import probrange
-from probrange.cli import _FLAGS, _format_rows, _parse_args, main
+from probrange.cli import (_FLAGS, _format_rows, _json, _parse_args, _stem,
+                           main)
 from probrange.hardware import ALL_OPS
 
 from helpers import CORPUS, nested_program, reference_parser
@@ -215,6 +220,36 @@ def test_deep_nesting_exits_cleanly(tmp_path, shape, depth, code):
     else:
         assert proc.stderr == ""
         assert "converged: yes" in proc.stdout
+
+
+CONCRETE8 = ("--mode", "concrete", "--minint", "-8", "--maxint", "8")
+
+
+@pytest.mark.parametrize("shape, depth, flags, code", [
+    ("straight", 3000, (), 0), ("whiles", 300, ("--widening",), 2),
+    ("chain", 980, (), 0), ("chain", 990, (), 1),
+    ("chain", 480, CONCRETE8, 0), ("chain", 500, CONCRETE8, 1),
+    ("chain", 800, CONCRETE8, 1),
+], ids=["straight-3000", "whiles-300", "chain-980", "chain-990",
+        "concrete-chain-480", "concrete-chain-500", "concrete-chain-800"])
+def test_deep_programs_solve_or_exit_cleanly(tmp_path, shape, depth, flags,
+                                             code):
+    # the parser admits these; the weak topological order takes no Python
+    # recursion, and an expression too deep for the domains' compiled
+    # closures gets the parser's message (a chain of 988 `+.` is too deep
+    # under Python 3.10 and 3.11 but not under 3.12 and 3.13)
+    program = tmp_path / "deep.up"
+    program.write_text(nested_program(shape, depth))
+    proc = subprocess.run(
+        [sys.executable, "-m", "probrange", str(program), "--spec", SPEC4,
+         *flags], capture_output=True, text=True, cwd=tmp_path,
+        env=child_env())
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert proc.stderr == "probrange: program is nested too deeply\n"
+    else:
+        assert proc.stderr == ""
+        assert f"converged: {'yes' if code == 0 else 'NO'}" in proc.stdout
 
 
 def test_bad_spec_exits_one(tmp_path, capsys):
@@ -492,18 +527,89 @@ def test_console_script_runs(tmp_path, capsys):
 
 def test_import_leaves_out_start_up_heavy_modules(tmp_path):
     # start-up is most of a CLI run on a small program: dataclasses pulls in
-    # inspect, ast and dis, only machine reports need json, and annotations
-    # need no typing, and flags need no argparse (nor its gettext); -S keeps
-    # site's own imports out of the picture
+    # inspect, ast and dis, annotations need no typing, flags need no
+    # argparse (nor its gettext), and files need no pathlib; -S keeps site's
+    # own imports out of the picture
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import probrange.cli; "
          "print(*[m for m in ('argparse', 'dataclasses', 'gettext', "
-         "'inspect', 'json', 'typing') "
+         "'inspect', 'json', 'pathlib', 'typing') "
          "if m in sys.modules and m not in before])"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_machine_report_needs_no_json(tmp_path):
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from probrange.cli import main; "
+         f"main([{FIG1!r}, '--spec', {SPEC4!r}, '--format', 'machine', "
+         f"'--trace', '--out', {str(out)!r}]); print('json' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.stdout == "False\n", proc.stderr
+    assert json.loads(out.read_text())["program"] == "fig1"
+
+
+@pytest.mark.parametrize("path", ["a.b.up", ".hidden", "dir/x.up", "x",
+                                  "dir.d/x", "a..up"])
+def test_stem_is_pathlibs(path):
+    assert _stem(path) == pathlib.PurePath(path).stem
+
+
+# text with every kind of character json escapes, and plain ones
+_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # surrogates included
+    st.sampled_from('"\\\x00\x08\x0c\n\r\t\x1f\x7f\x80\xe9\u2028\ud800\udcff'
+                    "\U0001f600 ~a")))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(0, 1),
+              _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(_JSON_VALUES)
+def test_json_encoder_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, separators=(",", ":"))
+
+
+def test_machine_report_escapes_the_program_name_as_json_does(tmp_path):
+    # a bare statement list takes its name from the file's stem; the
+    # undecodable byte reaches it as a lone surrogate
+    stem = os.fsdecode(b'q"\\\x01\t\x7f\xc3\xa9\xf0\x9f\x98\x80\xff')
+    program = tmp_path / (stem + ".up")
+    program.write_text("x =. 1;\n")
+    out = tmp_path / "report"
+    assert main([str(program), "--spec", SPEC4, "--format", "machine",
+                 "--out", str(out)]) == 0
+    rendered = out.read_text()
+    report = json.loads(rendered)
+    assert report["program"] == stem
+    assert rendered == json.dumps(report, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("program, flags", [
+    ("loops4.up", ("--widening", "--max-iters", "1000")),
+    ("loops2.up", ("--mode", "concrete", "--minint", "-64", "--maxint", "63",
+                   "--max-iters", "2000", "--format", "machine")),
+], ids=["loops4-abstract", "loops2-concrete"])
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, program, flags):
+    # nothing a run builds refers to itself, so reference counting frees it
+    # all and the cyclic collector finds nothing
+    argv = [str(Path(__file__).parent / "golden" / program), "--spec", SPEC4,
+            *flags, "--out", str(tmp_path / "report")]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("program, spec, expected", [

@@ -468,7 +468,7 @@ def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
     source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
     spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
     _, result = analyze(source, spec, domain="concrete", max_iters=2000)
-    assert result.converged and result.iterations == 43
+    assert result.converged and result.iterations == 7
     assert calls[0] == 8059
 
 

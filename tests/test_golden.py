@@ -67,7 +67,11 @@ CASES["loops2-concrete"] = (GOLDEN / "loops2.up",
                                      "--maxint", "63", "--max-iters", "2000"),
                             0)
 WIDEN4 = SPEC4 + ("--widening",)
-CASES["loops4-budget"] = (GOLDEN / "loops4.up", WIDEN4, 2)
+# the default budget of 20 passes is enough since the solver follows a weak
+# topological order; 10 passes are not
+CASES["loops4-budget"] = (GOLDEN / "loops4.up", WIDEN4, 0)
+CASES["loops4-exhausted"] = (GOLDEN / "loops4.up",
+                             WIDEN4 + ("--max-iters", "10"), 2)
 CASES["loops4-trace"] = (GOLDEN / "loops4.up",
                          WIDEN4 + ("--trace", "--max-iters", "5"), 2)
 # an empty loop body: the loop head is its own source through a self-loop edge
@@ -142,6 +146,12 @@ def test_generated_machine_rendering_matches_json_dumps(seed, tmp_path,
     program.write_text(loop_program(random.Random(seed)))
     _check_machine_rendering(program, CASES["loops2-concrete"][1], tmp_path,
                              monkeypatch)
+
+
+def test_loops4_converges_within_the_default_budget():
+    # the same report as with a budget of 1000
+    assert ((GOLDEN / "loops4-budget.txt").read_bytes()
+            == (GOLDEN / "loops4-widening.txt").read_bytes())
 
 
 def test_every_golden_report_has_a_case():

@@ -2,10 +2,10 @@ import pytest
 
 from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
                               ParseError, Program, Token, Var, While,
-                              expr_vars, parse_program, program_vars,
-                              to_source, tokenize, walk_exprs)
+                              parse_program, program_vars, to_source,
+                              tokenize, walk_exprs)
 
-from helpers import corpus_source, nested_program
+from helpers import corpus_source, expr_vars, nested_program
 
 
 def test_tokenize_longest_match():
@@ -234,6 +234,28 @@ def test_walk_exprs_sees_every_node():
     assert kinds.count("BinOp") == 1
     assert kinds.count("Var") == 1
     assert kinds.count("Const") == 1
+
+
+def _preorder(node) -> list:
+    out = [node]
+    if isinstance(node, (BinOp, Cmp)):
+        out += _preorder(node.lhs) + _preorder(node.rhs)
+    return out
+
+
+def test_walk_exprs_is_preorder_without_recursion():
+    prog = parse_program("x =. (a +. 1) *. (b -. c);\n"
+                         "while (x %. 3 <. y) {\n"
+                         "  y =. y +. 1;\n"
+                         "}\n")
+    assign, loop = prog.body.stmts
+    roots = (assign.value, loop.cond, loop.body.stmts[0].value)
+    expected = [n for root in roots for n in _preorder(root)]
+    assert list(map(id, walk_exprs(prog))) == list(map(id, expected))
+    deep = Var("x")
+    for _ in range(5000):  # far deeper than the parser admits
+        deep = BinOp("add", deep, Const(1))
+    assert len(walk_exprs(deep)) == 10001
 
 
 @pytest.mark.parametrize("name", ["fig1.up", "collatz.up", "counter.up",
