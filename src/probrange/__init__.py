@@ -12,10 +12,10 @@ interval domain with threshold widening for everything else.
 from .hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
                        SpecError, c_div, c_mod, parse_spec)
 from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
-                     Program, parse_program, to_source)
+                     Program, parse_program)
 from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
 from .concrete import EvalError, OracleBlowup, ValueSet
-from .abstract import BottomArgument, ValueRange, alpha, gamma
+from .abstract import BottomArgument, ValueRange
 from .engine import EquationSystem, SolveResult, build_equations, solve
 from .cli import main
 
@@ -25,10 +25,10 @@ __all__ = [
     "DEFAULT_MAXINT", "DEFAULT_MININT", "HardwareSpec", "SpecError",
     "c_div", "c_mod", "parse_spec",
     "FrontendError", "LexError", "LiteralRangeError", "ParseError",
-    "Program", "parse_program", "to_source",
+    "Program", "parse_program",
     "CFG", "build_cfg", "collect_thresholds", "loop_heads",
     "EvalError", "OracleBlowup", "ValueSet",
-    "BottomArgument", "ValueRange", "alpha", "gamma",
+    "BottomArgument", "ValueRange",
     "EquationSystem", "SolveResult", "build_equations", "solve",
     "main",
     "__version__",

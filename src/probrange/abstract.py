@@ -12,40 +12,42 @@ of equal densities stay reflexive). The least element is the empty interval
 with probability 1; the greatest is the full machine range with probability 0.
 
 Joins take the hull and the smaller density, capped at the uniform density of
-the hull; meets intersect and take the larger density, capped at total mass 1.
-The cap in the meet cannot fire for elements whose mass is at most 1, so when
-it does fire the event is reported through `warnings.warn`.
+the hull. The meet and the Galois maps to the concrete domain (abstraction
+takes <S, p> to the hull of S at mass min(1, p * hull width), concretization
+takes <[a,b], p> to every value in it at density p / (b-a+1)) take no part in
+an analysis; the tests define them and check the lattice and Galois laws
+against this module.
 
-The connection to the concrete domain: abstraction maps <S, p> to the hull of
-S carrying mass min(1, p * hull width); concretization maps <[a,b], p> back to
-the full value set at density p / (b-a+1). Abstraction after concretization is
-the identity.
-
-Transfers mirror the concrete ones on interval endpoints. Division or modulo
-by an interval containing zero widens the target to the full machine range
-and reports it rather than failing; comparison guards refine the tested
-variable's interval when one side is a lone variable (or `var %. k` against a
-constant) and the other side folds to a constant.
+Transfers mirror the concrete ones on interval endpoints, each operator's
+endpoint rule chosen once per edge. Division or modulo by an interval
+containing zero widens the target to the full machine range and reports it
+rather than failing. Comparison guards refine the tested variable's interval
+when one side is a lone variable (or `var %. k` against a constant) and the
+other side folds to a constant. The congruence guards narrow in closed form:
+the values passing `x %. k ==. c` are the residue class of c mod k on c's side
+of zero, so x's new endpoints are the class's first and last members in its
+interval; the values failing `x %. k !=. c` are such a class, whose members
+lie k apart, so for k >= 2 each endpoint moves inward by one at most (for
+k = 1 the class is every value or none).
 
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of (lo, hi, prob) triples, never empty, indexed by variable position.
 ValueRange wraps the same triple for reporting and validates it; join, leq and
-widen are each written once, over triples, and its methods call them.
+widen are written over triples.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from collections.abc import Callable
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var
 # sp_assign and sp_guard apply a compiled edge the same way in both domains;
 # the solver looks them up here when it runs in this domain
-from .concrete import (ARITH, COMPARE, ValueSet, _warn, assign_charge,
+from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
                        guard_factor, sp_assign, sp_guard)
 
 PMF_TOLERANCE = 1e-12
@@ -71,10 +73,6 @@ class ValueRange(Record):
     def bottom(cls) -> ValueRange:
         return cls(0, -1, 1.0)
 
-    @classmethod
-    def top(cls, minint: int, maxint: int) -> ValueRange:
-        return cls(minint, maxint, 0.0)
-
     @property
     def is_bottom(self) -> bool:
         return self.lo > self.hi
@@ -87,50 +85,6 @@ class ValueRange(Record):
         if self.is_bottom:
             raise BottomArgument("empty interval has no density")
         return self.prob / self.width
-
-    def leq(self, other: ValueRange) -> bool:
-        if self.is_bottom:
-            return True
-        if other.is_bottom:
-            return False
-        return _leq(self.triple, other.triple)
-
-    def join(self, other: ValueRange) -> ValueRange:
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        return ValueRange(*_join(self.triple, other.triple))
-
-    def meet(self, other: ValueRange) -> ValueRange:
-        if self.is_bottom or other.is_bottom:
-            return ValueRange.bottom()
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return ValueRange.bottom()
-        w = hi - lo + 1
-        p = w * max(self.pmf(), other.pmf())
-        if p > 1.0:
-            _warnings.warn(
-                f"meet of <[{self.lo},{self.hi}],{self.prob}> and "
-                f"<[{other.lo},{other.hi}],{other.prob}> capped at mass 1",
-                RuntimeWarning, stacklevel=2)
-            p = 1.0
-        return ValueRange(lo, hi, p)
-
-    def widen(self, other: ValueRange, thresholds: tuple[int, ...]) -> ValueRange:
-        """Jump both endpoints outward to thresholds bracketing the hull.
-
-        Identity on a bottom side; returns self unchanged when other leq self.
-        The result's mass is the hull width times the larger of the two
-        densities, capped at 1.
-        """
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        return ValueRange(*_widen(self.triple, other.triple, thresholds))
 
     triple = property(attrgetter("lo", "hi", "prob"))
 
@@ -146,13 +100,21 @@ def _leq(a: Triple, b: Triple) -> bool:
 
 
 def _join(a: Triple, b: Triple) -> Triple:
+    # min and max written out: on the hot path a builtin call per bound costs
+    # more than the comparison itself
     alo, ahi, ap = a
     blo, bhi, bp = b
-    lo = min(alo, blo)
-    hi = max(ahi, bhi)
+    lo = alo if alo < blo else blo
+    hi = ahi if ahi > bhi else bhi
     w = hi - lo + 1
-    p = w * min(ap / (ahi - alo + 1), bp / (bhi - blo + 1), 1.0 / w)
-    return lo, hi, min(1.0, p)
+    p = ap / (ahi - alo + 1)
+    q = bp / (bhi - blo + 1)
+    if q < p:
+        p = q
+    if 1.0 / w < p:
+        p = 1.0 / w
+    p *= w
+    return lo, hi, p if p < 1.0 else 1.0
 
 
 def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
@@ -169,19 +131,6 @@ def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
     return wlo, whi, min(1.0, p)
 
 
-def alpha(c: ValueSet) -> ValueRange:
-    if not c.values:
-        return ValueRange.bottom()
-    lo, hi = min(c.values), max(c.values)
-    return ValueRange(lo, hi, min(1.0, c.prob * (hi - lo + 1)))
-
-
-def gamma(m: ValueRange) -> ValueSet:
-    if m.is_bottom:
-        return ValueSet.bottom()
-    return ValueSet(frozenset(range(m.lo, m.hi + 1)), m.pmf())
-
-
 State = tuple[Triple, ...] | None
 
 
@@ -189,11 +138,14 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueRange]:
-    """The reported form of a state: variable -> validated element."""
+def elements(state: State, variables: tuple[str, ...],
+             made: dict) -> dict[str, ValueRange]:
+    """The reported form of a state: variable -> validated element; made
+    keeps the element built for each triple, and equal triples share it."""
     if state is None:
         return {v: ValueRange.bottom() for v in variables}
-    return {v: ValueRange(*e) for v, e in zip(variables, state)}
+    return {v: made.get(e) or made.setdefault(e, ValueRange(*e))
+            for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:
@@ -220,59 +172,74 @@ def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
     return tuple([_widen(x, y, thresholds) for x, y in zip(a, b)])
 
 
+_ENDS = itemgetter(0, 1)
+
+
 def value_part(state: State) -> tuple:
     if state is None:
         return ()
-    return tuple([e[:2] for e in state])
+    return tuple(map(_ENDS, state))
 
 
 def interval_evaluator(e: Expr, index: dict[str, int], spec: HardwareSpec,
                        warnings: list[str]) -> Callable[[tuple], tuple[int, int]]:
     """Closure giving e's endpoints on a state, variables at index positions."""
-    if isinstance(e, Const):
-        pair = (e.value, e.value)
-        return lambda state: pair
-    if isinstance(e, Var):
-        i = index[e.name]
-        return lambda state: state[i][:2]
-    lhs = interval_evaluator(e.lhs, index, spec, warnings)
-    rhs = interval_evaluator(e.rhs, index, spec, warnings)
+    is_var, is_const, x = compile_operand(e, index.__getitem__,
+                                          lambda value: (value, value),
+                                          partial(_interval_op, spec, warnings))
+    if is_var:
+        return lambda state: state[x][:2]
+    if is_const:
+        return lambda state: x
+    return x
+
+
+def _interval_op(spec: HardwareSpec, warnings: list[str], e: BinOp,
+                 left: tuple, right: tuple) -> Callable[[tuple], tuple[int, int]]:
+    """The closure for one operator, given how it reads its operands.
+
+    The endpoint rule and the zero-divisor test are chosen here, once per
+    edge; a variable operand is its triple in the state and a constant its
+    (value, value) pair, both read in place.
+    """
+    lvar, lconst, lhs = left
+    rvar, rconst, rhs = right
     op, line = e.op, e.line
+    endpoints = _ENDPOINTS[op]
+    divides = op in ("div", "mod")
     minint, maxint = spec.minint, spec.maxint
     overflow = (f"line {line}: interval arithmetic overflow clamped to "
                 f"[{minint},{maxint}]")
 
     def evaluate(state: tuple) -> tuple[int, int]:
-        a, b = lhs(state)
-        c, d = rhs(state)
-        if op in ("div", "mod") and c <= 0 <= d:
+        x = state[lhs] if lvar else lhs if lconst else lhs(state)
+        y = state[rhs] if rvar else rhs if rconst else rhs(state)
+        c, d = y[0], y[1]
+        if divides and c <= 0 <= d:
             _warn(warnings, f"line {line}: "
                             f"{'divisor' if op == 'div' else 'modulus'} "
                             f"interval [{c},{d}] contains zero; result "
                             f"widened to full range")
             return minint, maxint
-        if op == "add":
-            lo, hi = a + c, b + d
-        elif op == "sub":
-            lo, hi = a - d, b - c
-        elif op == "mul":
-            corners = (a * c, a * d, b * c, b * d)
-            lo, hi = min(corners), max(corners)
-        elif op == "div":
-            corners = (c_div(a, c), c_div(a, d), c_div(b, c), c_div(b, d))
-            lo, hi = min(corners), max(corners)
-        else:
-            lo, hi = _mod_interval(a, b, c, d)
+        lo, hi = endpoints(x[0], x[1], c, d)
+        if minint <= lo and hi <= maxint:
+            return lo, hi
         # clamp each endpoint into the range: saturation maps every value of
         # an interval lying wholly outside onto the nearer bound, never to
         # nothing
-        clo = min(max(lo, minint), maxint)
-        chi = min(max(hi, minint), maxint)
-        if (clo, chi) != (lo, hi):
-            _warn(warnings, overflow)
-        return clo, chi
+        _warn(warnings, overflow)
+        return min(max(lo, minint), maxint), min(max(hi, minint), maxint)
 
     return evaluate
+
+
+def _corners(f: Callable[[int, int], int]) -> Callable:
+    """The endpoint rule of x op y for an op whose extremes over [a,b] and
+    [c,d] lie at the corners: multiplication, and division without zero."""
+    def endpoints(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+        corners = (f(a, c), f(a, d), f(b, c), f(b, d))
+        return min(corners), max(corners)
+    return endpoints
 
 
 def _mod_interval(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -287,6 +254,12 @@ def _mod_interval(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     lo = 0 if a >= 0 else max(a, -(k - 1))
     hi = 0 if b <= 0 else min(b, k - 1)
     return lo, hi
+
+
+_ENDPOINTS = {"add": lambda a, b, c, d: (a + c, b + d),
+              "sub": lambda a, b, c, d: (a - d, b - c),
+              "mul": _corners(ARITH["mul"]), "div": _corners(c_div),
+              "mod": _mod_interval}
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
@@ -389,15 +362,18 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     return partial(_scale_all, factor)
 
 
+# A guard only scales probabilities down: a probability and the factor (a
+# product of reliabilities) lie in [0,1], so their rounded product does too.
+
 def _scale_all(factor: float, state: tuple) -> State:
-    return tuple([(lo, hi, min(1.0, p * factor)) for lo, hi, p in state])
+    return tuple([(lo, hi, p * factor) for lo, hi, p in state])
 
 
 def _narrowed(factor: float, state: tuple, i: int, lo: int, hi: int) -> State:
     elo, ehi, p = state[i]
-    out = list(_scale_all(factor, state))
+    out = [(a, b, q * factor) for a, b, q in state]
     ratio = (hi - lo + 1) / (ehi - elo + 1)
-    out[i] = (lo, hi, min(1.0, p * ratio * factor))
+    out[i] = (lo, hi, p * ratio * factor)
     return tuple(out)
 
 
@@ -429,21 +405,22 @@ def _refine_compare(factor: float, i: int, op: str, c: int,
 def _refine_congruence(factor: float, i: int, k: int, c: int,
                        keep_equal: bool, state: tuple) -> State:
     elo, ehi, _ = state[i]
-
-    def first(start: int, stop: int, step: int) -> int | None:
-        for v in range(start, stop, step):
-            if (c_mod(v, k) == c) == keep_equal:
-                return v
+    if keep_equal:
+        # c_mod(v, k) == c holds on v's residue class c mod k, restricted to
+        # the sign c_mod gives c: v > 0 for c > 0 and v < 0 for c < 0
+        if not -k < c < k:
+            return None
+        lo = max(elo, 1) if c > 0 else elo
+        hi = min(ehi, -1) if c < 0 else ehi
+        lo += (c - lo) % k
+        hi -= (hi - c) % k
+    elif k == 1 and c == 0:  # every value has residue 0
         return None
-
-    # Residues of truncating % repeat with period k only within one sign; a
-    # single bounded scan from an endpoint can miss the other sign's values,
-    # so scan from each sign segment's boundary.
-    ups = [first(s, min(s + k, ehi + 1), 1)
-           for s in [elo] + ([0] if elo < 0 <= ehi else [])]
-    if ups == [None] * len(ups):
+    else:
+        # the values failing the guard form one residue class, whose members
+        # lie k >= 2 apart, so each endpoint moves inward by one at most
+        lo = elo + (c_mod(elo, k) == c)
+        hi = ehi - (c_mod(ehi, k) == c)
+    if lo > hi:
         return None
-    downs = [first(s, max(s - k, elo - 1), -1)
-             for s in [ehi] + ([-1] if elo <= -1 < ehi else [])]
-    return _narrowed(factor, state, i, min(v for v in ups if v is not None),
-                     max(v for v in downs if v is not None))
+    return _narrowed(factor, state, i, lo, hi)

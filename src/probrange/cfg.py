@@ -15,17 +15,13 @@ guard as written, so that a literal check names the source literal c.
 
 from __future__ import annotations
 
-from .syntax import (Assign, Cmp, Const, If, Program, Stmt, While,
-                     cond_source, end_line, expr_source, program_vars,
-                     walk_exprs)
+from .syntax import (Assign, Cmp, Const, If, Program, Stmt, While, end_line,
+                     program_vars, walk_exprs)
 from .record import MutableRecord, Record, set_field
 
 
 class AssignAction(Record):
     __slots__ = ("target", "value")  # value: Expr
-
-    def __str__(self) -> str:
-        return f"{self.target} =. {expr_source(self.value)}"
 
 
 class GuardAction(Record):
@@ -33,9 +29,6 @@ class GuardAction(Record):
     __slots__ = ("cond", "source")
     _defaults = {"source": None}
     _loose = ("source",)
-
-    def __str__(self) -> str:
-        return cond_source(self.cond)
 
 
 Action = AssignAction | GuardAction

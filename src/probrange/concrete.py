@@ -16,8 +16,8 @@ The solver's state is None when no environment is reachable, and otherwise a
 tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
 variable position; no pair inside a state has an empty set. ValueSet wraps
 the same pair and validates it. It is built only at reporting, for the
-solve's result and trace snapshots (`elements`). Join and leq are each
-written once, over pairs, and its methods call them.
+solve's result and trace snapshots (`elements`); join and leq are written
+over pairs.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
@@ -45,6 +45,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable
+from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
@@ -74,26 +75,9 @@ class ValueSet(Record):
     def bottom(cls) -> ValueSet:
         return cls(frozenset(), 1.0)
 
-    @classmethod
-    def top(cls, minint: int, maxint: int) -> ValueSet:
-        return cls(frozenset(range(minint, maxint + 1)), 0.0)
-
-    @classmethod
-    def of(cls, *values: int, prob: float = 1.0) -> ValueSet:
-        return cls(frozenset(values), prob)
-
     @property
     def is_bottom(self) -> bool:
         return not self.values and self.prob == 1.0
-
-    def leq(self, other: ValueSet) -> bool:
-        return _leq(self.pair, other.pair)
-
-    def join(self, other: ValueSet) -> ValueSet:
-        return ValueSet(*_join(self.pair, other.pair))
-
-    def meet(self, other: ValueSet) -> ValueSet:
-        return ValueSet(self.values & other.values, max(self.prob, other.prob))
 
     pair = property(operator.attrgetter("values", "prob"))
 
@@ -161,11 +145,14 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((full, 1.0),) * len(variables)
 
 
-def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueSet]:
-    """The reported form of a state: variable -> validated element."""
+def elements(state: State, variables: tuple[str, ...],
+             made: dict) -> dict[str, ValueSet]:
+    """The reported form of a state: variable -> validated element; made
+    keeps the element built for each pair, and equal pairs share it."""
     if state is None:
         return {v: ValueSet.bottom() for v in variables}
-    return {v: ValueSet(*e) for v, e in zip(variables, state)}
+    return {v: made.get(e) or made.setdefault(e, ValueSet(*e))
+            for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:
@@ -191,16 +178,37 @@ def value_part(state: State) -> tuple:
     return tuple([e[0] for e in state])
 
 
-def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
-               warnings: list[str]) -> Callable[[tuple[int, ...]], int]:
-    """Closure evaluating e on one operand tuple ordered like names."""
-    if isinstance(e, Const):
-        value = e.value
-        return lambda operands: value
+def compile_operand(e: Expr, position: Callable[[str], object],
+                    constant: Callable[[int], object],
+                    operation: Callable) -> tuple[bool, bool, object]:
+    """How a domain's compiled closure reads e, so that a leaf costs no call:
+    (is_var, is_const, x), with x = position(name) for a variable,
+    constant(value) for a literal, or else operation(e, left, right), the
+    closure for e's operator given its operands compiled the same way.
+
+    Both domains compile through it, at one frame per operator.
+    """
     if isinstance(e, Var):
-        return operator.itemgetter(names.index(e.name))
-    lvar, lconst, lhs = _operand(e.lhs, names, spec, warnings)
-    rvar, rconst, rhs = _operand(e.rhs, names, spec, warnings)
+        return True, False, position(e.name)
+    if isinstance(e, Const):
+        return False, True, constant(e.value)
+    return False, False, operation(
+        e, compile_operand(e.lhs, position, constant, operation),
+        compile_operand(e.rhs, position, constant, operation))
+
+
+def _operand(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
+             warnings: list[str]) -> tuple[bool, bool, object]:
+    """How a closure reads e on one operand tuple ordered like names."""
+    # int maps a literal to itself
+    return compile_operand(e, names.index, int,
+                           partial(_operation, spec, warnings))
+
+
+def _operation(spec: HardwareSpec, warnings: list[str], e: BinOp,
+               left: tuple, right: tuple) -> Callable[[tuple[int, ...]], int]:
+    lvar, lconst, lhs = left
+    rvar, rconst, rhs = right
     apply = ARITH[e.op]
     minint, maxint = spec.minint, spec.maxint
     overflow = (f"line {e.line}: arithmetic overflow clamped to "
@@ -220,18 +228,6 @@ def _evaluator(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
         return minint if raw < minint else maxint
 
     return evaluate
-
-
-def _operand(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
-             warnings: list[str]) -> tuple[bool, bool, object]:
-    """How a BinOp or a guard side reads e on one tuple, so that a leaf costs
-    no call: (is_var, is_const, x) with x the operand index, the value or a
-    closure."""
-    if isinstance(e, Var):
-        return True, False, names.index(e.name)
-    if isinstance(e, Const):
-        return False, True, e.value
-    return False, False, _evaluator(e, names, spec, warnings)
 
 
 def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
@@ -295,7 +291,9 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     position = index[target]
     names, charge = assign_charge(expr, spec)
     reads = tuple(index[v] for v in names)
-    evaluate = _evaluator(expr, names, spec, warnings)
+    is_var, is_const, x = _operand(expr, names, spec, warnings)
+    evaluate = (operator.itemgetter(x) if is_var
+                else (lambda operands: x) if is_const else x)
     seen = None  # the operand sets enumerated so far, None before the first
     image = frozenset()  # what their tuples evaluate to
     had_eval_error = False

@@ -35,6 +35,8 @@ line and the operator. `//` starts a line comment.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .record import Record, set_field
 
 
@@ -78,70 +80,114 @@ _WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
                   "0123456789")
 
 
-class Token(Record):
-    # kind: "ident", "int", "eof", a keyword, an operator, or punctuation
-    __slots__ = ("kind", "text", "line", "col")
+class Token(tuple):
+    """One token: its kind ("ident", "int", "eof", a keyword, an operator or
+    punctuation), its text, and the line and column where it starts.
 
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
+    A tuple, so that tokenize builds one without a Python call. Like a
+    record, it equals only another Token with the same fields, prints its
+    fields by name, and its fields cannot change.
+    """
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    line = property(itemgetter(2))
+    col = property(itemgetter(3))
+
+    def __new__(cls, kind: str, text: str, line: int, col: int) -> Token:
+        return tuple.__new__(cls, (kind, text, line, col))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Token and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return "Token(kind=%r, text=%r, line=%r, col=%r)" % self
+
+
+# text -> kind of a whitespace-delimited chunk that is one token
+_WHOLE = {t: t for t in (*OPERATORS, *PUNCT, *KEYWORDS)}
+# punctuation that is never part of a longer token
+_DELIMITERS = "(){};,"
 
 
 def tokenize(source: str) -> list[Token]:
+    """source's tokens, in order, then an "eof" token.
+
+    Lines end at "\\n" alone, and columns count characters. Each line drops
+    its `//` comment and splits at whitespace, after a space is put around
+    each delimiter; a chunk that is one token (an operator, punctuation, a
+    keyword, an ASCII identifier or literal) is taken whole, and the rest
+    are cut character by character. Each chunk's column is found in the
+    unpadded line, whose tokens come in the same order with only
+    whitespace between them.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        op = None
-        for candidate in _OPERATORS_AT.get(ch, ()):
-            if source.startswith(candidate, i):
-                op = candidate
-                break
-        if op is not None:
-            tokens.append(Token(op, op, line, col))
-            i += len(op)
-            col += len(op)
-        elif "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            text = source[i:j]
-            if int(text) > _MAX_LITERAL:
-                raise LexError(f"line {line}: literal {text} does not fit in 64 bits")
-            tokens.append(Token("int", text, line, col))
-            col += j - i
-            i = j
-        elif ch in _WORD:
-            j = i
-            while j < n and source[j] in _WORD:
-                j += 1
-            word = source[i:j]
-            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-        elif ch in PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise LexError(f"line {line}, col {col}: unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+    append, new = tokens.append, tuple.__new__
+    padded = source
+    for ch in _DELIMITERS:
+        padded = padded.replace(ch, f" {ch} ")
+    # split gives at least one line, so line and text are always bound
+    for line, (text, cut) in enumerate(zip(source.split("\n"),
+                                           padded.split("\n")), 1):
+        end = text.find("//")
+        if end >= 0:
+            text, cut = text[:end], cut[:cut.find("//")]
+        find = text.find
+        col = 0
+        for chunk in cut.split():
+            col = find(chunk, col) + 1
+            kind = _WHOLE.get(chunk)
+            if kind is None and chunk.isascii():
+                if chunk.isidentifier():
+                    kind = "ident"
+                elif chunk.isdigit() and int(chunk) <= _MAX_LITERAL:
+                    kind = "int"
+            if kind is None:
+                _cut(chunk, line, col, append)
+            else:
+                append(new(Token, (kind, chunk, line, col)))
+            col += len(chunk) - 1
+    append(Token("eof", "", line, len(text) + 1))
     return tokens
+
+
+def _cut(chunk: str, line: int, col: int, append) -> None:
+    """Append the tokens of chunk, which starts at col and holds no
+    whitespace, taking the longest operator first."""
+    i, n = 0, len(chunk)
+    while i < n:
+        ch = chunk[i]
+        for op in _OPERATORS_AT.get(ch, ()):
+            if chunk.startswith(op, i):
+                kind = text = op
+                break
+        else:
+            j = i + 1
+            if "0" <= ch <= "9":
+                while j < n and "0" <= chunk[j] <= "9":
+                    j += 1
+                kind, text = "int", chunk[i:j]
+                if int(text) > _MAX_LITERAL:
+                    raise LexError(f"line {line}: literal {text} does not "
+                                   f"fit in 64 bits")
+            elif ch in _WORD:
+                while j < n and chunk[j] in _WORD:
+                    j += 1
+                text = chunk[i:j]
+                kind = text if text in KEYWORDS else "ident"
+            elif ch in PUNCT:
+                kind = text = ch
+            else:
+                raise LexError(f"line {line}, col {col + i}: unexpected "
+                               f"character {ch!r}")
+        append(Token(kind, text, line, col + i))
+        i += len(text)
 
 
 # --- AST ---
@@ -251,6 +297,7 @@ _MAKE = {**{t: (Cmp, op) for t, op in CMP_TOKENS.items()},
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.kinds = [t[0] for t in tokens]  # read on the hot paths
         self.pos = 0
 
     def peek(self) -> Token:
@@ -262,10 +309,11 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        tok = self.tokens[self.pos]
+        if self.kinds[self.pos] != kind:
             raise ParseError(f"line {tok.line}: expected {kind!r}, got {tok.text or 'end of input'!r}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     # statements
 
@@ -302,8 +350,8 @@ class _Parser:
     def block(self) -> Block:
         self.expect("{")
         stmts = []
-        while self.peek().kind != "}":
-            if self.peek().kind == "eof":
+        while self.kinds[self.pos] != "}":
+            if self.kinds[self.pos] == "eof":
                 raise ParseError(f"line {self.peek().line}: unclosed block")
             stmts.append(self.stmt())
         close = self.next()
@@ -361,30 +409,30 @@ class _Parser:
         if level == len(_LEVELS):
             return self.unary()
         node = self.expr(level + 1)
-        while self.peek().kind in _LEVELS[level]:
-            tok = self.next()
-            make, op = _MAKE[tok.kind]
-            node = make(op, node, self.expr(level + 1), tok.line)
+        kinds = self.kinds
+        while kinds[self.pos] in _LEVELS[level]:
+            kind, _, line, _ = self.next()
+            make, op = _MAKE[kind]
+            node = make(op, node, self.expr(level + 1), line)
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind in ("-", "+"):
-            # signed literals only; there is no unreliable unary arithmetic
-            self.next()
-            operand = self.unary()
-            if not isinstance(operand, Const):
-                raise ParseError(f"line {tok.line}: {tok.kind!r} applies to integer literals only")
-            return Const(-operand.value if tok.kind == "-" else operand.value, tok.line)
-        return self.atom()
+        if self.kinds[self.pos] not in ("-", "+"):
+            return self.atom()
+        # signed literals only; there is no unreliable unary arithmetic
+        tok = self.next()
+        operand = self.unary()
+        if not isinstance(operand, Const):
+            raise ParseError(f"line {tok.line}: {tok.kind!r} applies to integer literals only")
+        return Const(-operand.value if tok.kind == "-" else operand.value, tok.line)
 
     def atom(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return Const(int(tok.text), tok.line)
-        if tok.kind == "ident":
-            return Var(tok.text, tok.line)
-        if tok.kind == "(":
+        kind, text, line, _ = tok = self.next()
+        if kind == "int":
+            return Const(int(text), line)
+        if kind == "ident":
+            return Var(text, line)
+        if kind == "(":
             node = self.expr()
             self.expect(")")
             return node
@@ -439,58 +487,3 @@ def program_vars(program: Program) -> tuple[str, ...]:
     names.update(x.name for x in walk_exprs(program) if isinstance(x, Var))
     names.update(s.target for s in _statements(program.body) if isinstance(s, Assign))
     return tuple(sorted(names))
-
-
-# --- printing ---
-
-_ARITH_TEXT = {v: k for k, v in ARITH_TOKENS.items()}
-_CMP_TEXT = {v: k for k, v in CMP_TOKENS.items()}
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "mod": 2}
-
-
-def expr_source(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    prec = _PREC[e.op]
-    text = (f"{expr_source(e.lhs, prec)} {_ARITH_TEXT[e.op]} "
-            f"{expr_source(e.rhs, prec, right=True)}")
-    if prec < parent_prec or (prec == parent_prec and right):
-        return f"({text})"
-    return text
-
-
-def cond_source(c: Cmp) -> str:
-    return f"{expr_source(c.lhs)} {_CMP_TEXT[c.op]} {expr_source(c.rhs)}"
-
-
-def to_source(program: Program) -> str:
-    """Canonical source text; parsing it back gives an equal Program."""
-    lines: list[str] = []
-
-    def emit(block: Block, depth: int) -> None:
-        pad = "  " * depth
-        for s in block.stmts:
-            if isinstance(s, Assign):
-                lines.append(f"{pad}{s.target} =. {expr_source(s.value)};")
-            elif isinstance(s, While):
-                lines.append(f"{pad}while ({cond_source(s.cond)}) {{")
-                emit(s.body, depth + 1)
-                lines.append(f"{pad}}}")
-            else:
-                lines.append(f"{pad}if ({cond_source(s.cond)}) {{")
-                emit(s.then, depth + 1)
-                if s.orelse is not None:
-                    lines.append(f"{pad}}} else {{")
-                    emit(s.orelse, depth + 1)
-                lines.append(f"{pad}}}")
-
-    if program.name is None:
-        emit(program.body, 0)
-    else:
-        params = ", ".join(f"int {p}" for p in program.params)
-        lines.append(f"void {program.name}({params}) {{")
-        emit(program.body, 1)
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,8 @@
 """Shared test utilities: corpus access, one-call analysis, random programs,
-and the argparse reference for the CLI's flag parser."""
+source printing, the element operations that no analysis uses (order,
+join, widening, meet, top elements and the Galois maps), and the references that faster code in src/ is judged
+against: the argparse flag parser, the character-loop tokenizer and the
+scanning congruence refinement."""
 
 from __future__ import annotations
 
@@ -7,13 +10,19 @@ import argparse
 import itertools
 import random
 import sys
+import warnings
 from pathlib import Path
 
 from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
-from probrange.concrete import DEFAULT_TUPLE_CAP
+from probrange.abstract import ValueRange
+from probrange.cfg import AssignAction
+from probrange.concrete import DEFAULT_TUPLE_CAP, ValueSet
 from probrange.hardware import c_div, c_mod
-from probrange.syntax import Var, walk_exprs
+from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
+                              ARITH_TOKENS, CMP_TOKENS, KEYWORDS, PUNCT,
+                              Assign, Block, Cmp, Const, Expr, LexError,
+                              Program, Token, Var, While, walk_exprs)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -84,14 +93,17 @@ class DictDomain:
             return None
         return tuple(e.pair for e in elems)
 
+    def elements(self, state, variables) -> dict:
+        return self.mod.elements(state, variables, {})
+
     def _index(self, state: dict) -> dict[str, int]:
         return {v: i for i, v in enumerate(state)}
 
     def bottom_state(self, variables) -> dict:
-        return self.mod.elements(None, tuple(variables))
+        return self.elements(None, tuple(variables))
 
     def entry_state(self, variables, spec) -> dict:
-        return self.mod.elements(self.mod.entry_state(variables, spec),
+        return self.elements(self.mod.entry_state(variables, spec),
                                  tuple(variables))
 
     def state_is_bottom(self, state: dict) -> bool:
@@ -101,14 +113,14 @@ class DictDomain:
                   cap=DEFAULT_TUPLE_CAP) -> dict:
         edge = self.mod.compile_assign(target, expr, self._index(state), spec,
                                        warnings, cap)
-        return self.mod.elements(self.mod.sp_assign(self.flat(state), edge),
+        return self.elements(self.mod.sp_assign(self.flat(state), edge),
                                  tuple(state))
 
     def sp_guard(self, state, guard, spec, warnings,
                  cap=DEFAULT_TUPLE_CAP) -> dict:
         edge = self.mod.compile_guard(guard, self._index(state), spec,
                                       warnings, cap)
-        return self.mod.elements(self.mod.sp_guard(self.flat(state), edge),
+        return self.elements(self.mod.sp_guard(self.flat(state), edge),
                                  tuple(state))
 
     def eval_interval(self, expr, state, spec, warnings) -> tuple[int, int]:
@@ -117,14 +129,14 @@ class DictDomain:
         return evaluate(self.flat(state))
 
     def join_states(self, a, b) -> dict:
-        return self.mod.elements(
+        return self.elements(
             self.mod.join_states(self.flat(a), self.flat(b)), tuple(a))
 
     def leq_states(self, a, b) -> bool:
         return self.mod.leq_states(self.flat(a), self.flat(b))
 
     def widen_states(self, a, b, thresholds) -> dict:
-        return self.mod.elements(
+        return self.elements(
             self.mod.widen_states(self.flat(a), self.flat(b), thresholds),
             tuple(a))
 
@@ -278,9 +290,9 @@ def check_soundness(concrete_result, abstract_result) -> list[str]:
     for node, cstate in concrete_result.states.items():
         astate = abstract_result.states[node]
         for var, celem in cstate.items():
-            lifted = abstract.alpha(celem)
+            lifted = alpha(celem)
             aelem = astate[var]
-            if not lifted.leq(aelem):
+            if not leq(lifted, aelem):
                 violations.append(
                     f"node {node}, variable {var}: alpha(concrete) = "
                     f"<[{lifted.lo},{lifted.hi}], {lifted.prob}> is not below "
@@ -377,3 +389,241 @@ def product_sets(cfg, minint: int, maxint: int) -> dict[int, dict[str, set]]:
         if not changed:
             break
     return states
+
+
+# --- source printing ---
+
+_ARITH_TEXT = {v: k for k, v in ARITH_TOKENS.items()}
+_CMP_TEXT = {v: k for k, v in CMP_TOKENS.items()}
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "mod": 2}
+
+
+def expr_source(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Var):
+        return e.name
+    prec = _PREC[e.op]
+    text = (f"{expr_source(e.lhs, prec)} {_ARITH_TEXT[e.op]} "
+            f"{expr_source(e.rhs, prec, right=True)}")
+    if prec < parent_prec or (prec == parent_prec and right):
+        return f"({text})"
+    return text
+
+
+def cond_source(c: Cmp) -> str:
+    return f"{expr_source(c.lhs)} {_CMP_TEXT[c.op]} {expr_source(c.rhs)}"
+
+
+def action_source(action) -> str:
+    """A CFG edge's action as source text: `x =. e` or the guard."""
+    if isinstance(action, AssignAction):
+        return f"{action.target} =. {expr_source(action.value)}"
+    return cond_source(action.cond)
+
+
+def to_source(program: Program) -> str:
+    """Canonical source text; parsing it back gives an equal Program."""
+    lines: list[str] = []
+
+    def emit(block: Block, depth: int) -> None:
+        pad = "  " * depth
+        for s in block.stmts:
+            if isinstance(s, Assign):
+                lines.append(f"{pad}{s.target} =. {expr_source(s.value)};")
+            elif isinstance(s, While):
+                lines.append(f"{pad}while ({cond_source(s.cond)}) {{")
+                emit(s.body, depth + 1)
+                lines.append(f"{pad}}}")
+            else:
+                lines.append(f"{pad}if ({cond_source(s.cond)}) {{")
+                emit(s.then, depth + 1)
+                if s.orelse is not None:
+                    lines.append(f"{pad}}} else {{")
+                    emit(s.orelse, depth + 1)
+                lines.append(f"{pad}}}")
+
+    if program.name is None:
+        emit(program.body, 0)
+    else:
+        params = ", ".join(f"int {p}" for p in program.params)
+        lines.append(f"void {program.name}({params}) {{")
+        emit(program.body, 1)
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# --- element operations, meet and the Galois maps ---
+
+def leq(a, b) -> bool:
+    """a below b in the order of their domain, ValueSets or ValueRanges."""
+    if isinstance(a, ValueSet):
+        return concrete._leq(a.pair, b.pair)
+    if a.is_bottom:
+        return True
+    if b.is_bottom:
+        return False
+    return abstract._leq(a.triple, b.triple)
+
+
+def join(a, b):
+    """Least upper bound of two ValueSets or two ValueRanges."""
+    if isinstance(a, ValueSet):
+        return ValueSet(*concrete._join(a.pair, b.pair))
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return ValueRange(*abstract._join(a.triple, b.triple))
+
+
+def widen(a: ValueRange, b: ValueRange, thresholds) -> ValueRange:
+    """Jump both endpoints outward to thresholds bracketing the hull.
+
+    Identity on a bottom side; returns a unchanged when b leq a. The
+    result's mass is the hull width times the larger of the two densities,
+    capped at 1.
+    """
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return ValueRange(*abstract._widen(a.triple, b.triple, thresholds))
+
+
+def range_top(minint: int, maxint: int) -> ValueRange:
+    return ValueRange(minint, maxint, 0.0)
+
+
+def set_top(minint: int, maxint: int) -> ValueSet:
+    return ValueSet(frozenset(range(minint, maxint + 1)), 0.0)
+
+
+def set_of(*values: int, prob: float = 1.0) -> ValueSet:
+    return ValueSet(frozenset(values), prob)
+
+
+def meet(a, b):
+    """Greatest lower bound of two ValueSets or two ValueRanges.
+
+    Sets intersect and keep the larger probability. Intervals intersect and
+    take the larger density, capped at mass 1; the cap cannot fire for
+    elements whose mass is at most 1, so when it does, a RuntimeWarning
+    says so.
+    """
+    if isinstance(a, ValueSet):
+        return ValueSet(a.values & b.values, max(a.prob, b.prob))
+    if a.is_bottom or b.is_bottom:
+        return ValueRange.bottom()
+    lo = max(a.lo, b.lo)
+    hi = min(a.hi, b.hi)
+    if lo > hi:
+        return ValueRange.bottom()
+    p = (hi - lo + 1) * max(a.pmf(), b.pmf())
+    if p > 1.0:
+        warnings.warn(f"meet of <[{a.lo},{a.hi}],{a.prob}> and "
+                      f"<[{b.lo},{b.hi}],{b.prob}> capped at mass 1",
+                      RuntimeWarning, stacklevel=2)
+        p = 1.0
+    return ValueRange(lo, hi, p)
+
+
+def alpha(c: ValueSet) -> ValueRange:
+    """Abstraction: the hull of the set, at mass min(1, p * hull width)."""
+    if not c.values:
+        return ValueRange.bottom()
+    lo, hi = min(c.values), max(c.values)
+    return ValueRange(lo, hi, min(1.0, c.prob * (hi - lo + 1)))
+
+
+def gamma(m: ValueRange) -> ValueSet:
+    """Concretization: every value of the interval, at its density."""
+    if m.is_bottom:
+        return ValueSet.bottom()
+    return ValueSet(frozenset(range(m.lo, m.hi + 1)), m.pmf())
+
+
+# --- references for faster code in src/ ---
+
+def reference_tokenize(source: str) -> list[Token]:
+    """The tokenizer that walked source one character at a time, kept to
+    judge syntax.tokenize against."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        op = None
+        for candidate in _OPERATORS_AT.get(ch, ()):
+            if source.startswith(candidate, i):
+                op = candidate
+                break
+        if op is not None:
+            tokens.append(Token(op, op, line, col))
+            i += len(op)
+            col += len(op)
+        elif "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            text = source[i:j]
+            if int(text) > _MAX_LITERAL:
+                raise LexError(f"line {line}: literal {text} does not fit in 64 bits")
+            tokens.append(Token("int", text, line, col))
+            col += j - i
+            i = j
+        elif ch in _WORD:
+            j = i
+            while j < n and source[j] in _WORD:
+                j += 1
+            word = source[i:j]
+            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+        elif ch in PUNCT:
+            tokens.append(Token(ch, ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise LexError(f"line {line}, col {col}: unexpected character {ch!r}")
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def reference_refine_congruence(factor: float, i: int, k: int, c: int,
+                                keep_equal: bool, state: tuple):
+    """The congruence refinement that scanned up to 2k values with one c_mod
+    call each, kept to judge abstract._refine_congruence's closed form
+    against."""
+    elo, ehi, _ = state[i]
+
+    def first(start: int, stop: int, step: int) -> int | None:
+        for v in range(start, stop, step):
+            if (c_mod(v, k) == c) == keep_equal:
+                return v
+        return None
+
+    # Residues of truncating % repeat with period k only within one sign; a
+    # single bounded scan from an endpoint can miss the other sign's values,
+    # so scan from each sign segment's boundary.
+    ups = [first(s, min(s + k, ehi + 1), 1)
+           for s in [elo] + ([0] if elo < 0 <= ehi else [])]
+    if ups == [None] * len(ups):
+        return None
+    downs = [first(s, max(s - k, elo - 1), -1)
+             for s in [ehi] + ([-1] if elo <= -1 < ehi else [])]
+    return abstract._narrowed(
+        factor, state, i, min(v for v in ups if v is not None),
+        max(v for v in downs if v is not None))

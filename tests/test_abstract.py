@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probrange import abstract
-from probrange.abstract import BottomArgument, ValueRange, alpha, gamma
+from probrange.abstract import BottomArgument, ValueRange
 from probrange.concrete import ValueSet
 from probrange.hardware import HardwareSpec, c_div, c_mod
 
-from helpers import ABSTRACT, CONCRETE
+from helpers import (ABSTRACT, CONCRETE, alpha, gamma, join, leq, meet,
+                     range_top, reference_refine_congruence, widen)
 
 # dict-state transfers and helpers, compiled per call
 bottom_state, entry_state = ABSTRACT.bottom_state, ABSTRACT.entry_state
@@ -77,44 +78,44 @@ def test_canonical_bottom_enforced():
 
 
 def test_top_and_width():
-    top = ValueRange.top(-8, 8)
+    top = range_top(-8, 8)
     assert (top.lo, top.hi, top.prob) == (-8, 8, 0.0)
     assert top.width == 17
     assert ValueRange(2, 5, 0.5).width == 4
 
 
 def test_order_pinned():
-    assert ValueRange(2, 3, 0.5).leq(ValueRange(0, 12, 1.0))
-    assert not ValueRange(0, 3, 0.2).leq(ValueRange(0, 12, 1.0))
-    assert not ValueRange(0, 13, 1.0).leq(ValueRange(0, 12, 1.0))
-    assert ValueRange.bottom().leq(ValueRange(0, 0, 1.0))
-    assert not ValueRange(0, 0, 1.0).leq(ValueRange.bottom())
+    assert leq(ValueRange(2, 3, 0.5), ValueRange(0, 12, 1.0))
+    assert not leq(ValueRange(0, 3, 0.2), ValueRange(0, 12, 1.0))
+    assert not leq(ValueRange(0, 13, 1.0), ValueRange(0, 12, 1.0))
+    assert leq(ValueRange.bottom(), ValueRange(0, 0, 1.0))
+    assert not leq(ValueRange(0, 0, 1.0), ValueRange.bottom())
 
 
 def test_join_pinned():
-    assert ValueRange(0, 0, 1.0).join(ValueRange(3, 3, 1.0)) == \
+    assert join(ValueRange(0, 0, 1.0), ValueRange(3, 3, 1.0)) == \
         ValueRange(0, 3, 1.0)
-    j = ValueRange(0, 1, 0.2).join(ValueRange(4, 5, 0.4))
+    j = join(ValueRange(0, 1, 0.2), ValueRange(4, 5, 0.4))
     assert (j.lo, j.hi) == (0, 5)
     assert math.isclose(j.prob, 0.6, rel_tol=1e-12)
     e = ValueRange(1, 4, 0.3)
-    assert e.join(ValueRange.bottom()) == e
-    assert ValueRange.bottom().join(e) == e
+    assert join(e, ValueRange.bottom()) == e
+    assert join(ValueRange.bottom(), e) == e
 
 
 def test_join_caps_at_hull_density():
     # two adjacent certain singletons: mass 2 * 1/2 capped by 1/w = 1/2
-    assert ValueRange(0, 0, 1.0).join(ValueRange(1, 1, 1.0)) == \
+    assert join(ValueRange(0, 0, 1.0), ValueRange(1, 1, 1.0)) == \
         ValueRange(0, 1, 1.0)
 
 
 def test_meet_pinned():
-    m = ValueRange(0, 5, 0.6).meet(ValueRange(3, 8, 0.6))
+    m = meet(ValueRange(0, 5, 0.6), ValueRange(3, 8, 0.6))
     assert (m.lo, m.hi) == (3, 5)
     assert math.isclose(m.prob, 0.3, rel_tol=1e-12)
-    assert ValueRange(0, 2, 0.5).meet(ValueRange(4, 6, 0.5)) == \
+    assert meet(ValueRange(0, 2, 0.5), ValueRange(4, 6, 0.5)) == \
         ValueRange.bottom()
-    assert ValueRange.bottom().meet(ValueRange(0, 5, 1.0)) == \
+    assert meet(ValueRange.bottom(), ValueRange(0, 5, 1.0)) == \
         ValueRange.bottom()
 
 
@@ -124,7 +125,7 @@ def test_meet_cap_never_fires_for_well_formed(a, b):
     # rounding is monotone, so not even an ulp can push it over
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = a.meet(b)
+        m = meet(a, b)
     assert m.prob <= 1.0
 
 
@@ -132,37 +133,37 @@ def test_meet_cap_never_fires_for_well_formed(a, b):
 
 @given(maybe_bottom, maybe_bottom)
 def test_join_is_upper_bound(a, b):
-    j = a.join(b)
-    assert a.leq(j) and b.leq(j)
+    j = join(a, b)
+    assert leq(a, j) and leq(b, j)
 
 
 @given(maybe_bottom, maybe_bottom, maybe_bottom)
 def test_join_least_among_upper_bounds(a, b, c):
-    if a.leq(c) and b.leq(c):
-        assert a.join(b).leq(c)
+    if leq(a, c) and leq(b, c):
+        assert leq(join(a, b), c)
 
 
 @given(maybe_bottom, maybe_bottom)
 def test_meet_is_lower_bound(a, b):
-    m = a.meet(b)
-    assert m.leq(a) and m.leq(b)
+    m = meet(a, b)
+    assert leq(m, a) and leq(m, b)
 
 
 @given(maybe_bottom, maybe_bottom, maybe_bottom)
 def test_meet_greatest_among_lower_bounds(a, b, c):
-    if c.leq(a) and c.leq(b):
-        assert c.leq(a.meet(b))
+    if leq(c, a) and leq(c, b):
+        assert leq(c, meet(a, b))
 
 
 @given(maybe_bottom, maybe_bottom)
 def test_join_meet_commute(a, b):
-    assert a.join(b) == b.join(a)
-    assert a.meet(b) == b.meet(a)
+    assert join(a, b) == join(b, a)
+    assert meet(a, b) == meet(b, a)
 
 
 @given(maybe_bottom)
 def test_order_reflexive(a):
-    assert a.leq(a)
+    assert leq(a, a)
 
 
 grid_ranges = st.builds(
@@ -172,8 +173,8 @@ grid_ranges = st.builds(
 
 @given(grid_ranges, grid_ranges, grid_ranges)
 def test_order_transitive(a, b, c):
-    if a.leq(b) and b.leq(c):
-        assert a.leq(c)
+    if leq(a, b) and leq(b, c):
+        assert leq(a, c)
 
 
 # --- Galois connection ---
@@ -204,7 +205,7 @@ def test_alpha_after_gamma_is_identity(m):
 
 @given(value_sets)
 def test_gamma_after_alpha_is_extensive(c):
-    assert c.leq(gamma(alpha(c)))
+    assert leq(c, gamma(alpha(c)))
 
 
 @given(value_sets, st.frozensets(st.integers(-8, 8), max_size=4),
@@ -212,14 +213,14 @@ def test_gamma_after_alpha_is_extensive(c):
 def test_alpha_monotone(c, extra, q):
     lower = ValueSet(c.values, max(c.prob, q))
     upper = ValueSet(c.values | extra, min(c.prob, q))
-    assert lower.leq(upper)
-    assert alpha(lower).leq(alpha(upper))
+    assert leq(lower, upper)
+    assert leq(alpha(lower), alpha(upper))
 
 
 @given(maybe_bottom, maybe_bottom)
 def test_gamma_monotone(a, b):
-    if a.leq(b):
-        assert gamma(a).leq(gamma(b))
+    if leq(a, b):
+        assert leq(gamma(a), gamma(b))
 
 
 # --- interval arithmetic ---
@@ -355,7 +356,7 @@ def test_assign_locally_sound(x, y, source):
     abs_out = sp_assign(m_state, "x", expr, TINY, [])
     conc_out = conc_assign(c_state, "x", expr, TINY, [])
     for v in ("x", "y"):
-        assert alpha(conc_out[v]).leq(abs_out[v]), (v, conc_out[v], abs_out[v])
+        assert leq(alpha(conc_out[v]), abs_out[v]), (v, conc_out[v], abs_out[v])
 
 
 # --- guard transfer ---
@@ -411,6 +412,18 @@ def test_guard_congruence_unsatisfiable():
     out = sp_guard(state, guard_of("while (x %. 2 ==. 7) { x =. 0; }"),
                    SPEC, [])
     assert out == bottom_state(("x", "y"))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 12), st.integers(-13, 13), st.booleans(),
+       st.integers(-40, 20), st.integers(0, 40), st.floats(0, 1))
+def test_congruence_bounds_match_the_scan(k, c, keep_equal, lo, width, p):
+    # the closed-form narrowing of `x %. k ==. c` (keep_equal) or `!=. c`
+    # against the scan of up to 2k values it replaced; about half of the
+    # intervals cross zero, where c_mod's residues change sign
+    state = ((0, 5, 0.5), (lo, lo + width, p), (7, 7, 1.0))
+    assert abstract._refine_congruence(0.99, 1, k, c, keep_equal, state) == \
+        reference_refine_congruence(0.99, 1, k, c, keep_equal, state)
 
 
 def test_guard_zero_modulus_scales_without_refining():
@@ -505,7 +518,7 @@ def test_guard_locally_sound(x, y, source):
     abs_out = sp_guard(m_state, guard, TINY, [])
     conc_out = conc_guard(c_state, guard, TINY, [])
     for v in ("x", "y"):
-        assert alpha(conc_out[v]).leq(abs_out[v]), (v, conc_out[v], abs_out[v])
+        assert leq(alpha(conc_out[v]), abs_out[v]), (v, conc_out[v], abs_out[v])
 
 
 # --- widening ---
@@ -514,19 +527,19 @@ T = (-32768, 0, 3, 9, 10, 32767)
 
 
 def test_widen_jumps_to_thresholds():
-    got = ValueRange(0, 3, 1.0).widen(ValueRange(0, 6, 1.0), T)
+    got = widen(ValueRange(0, 3, 1.0), ValueRange(0, 6, 1.0), T)
     assert got == ValueRange(0, 9, 1.0)
 
 
 def test_widen_identities():
     e = ValueRange(1, 4, 0.5)
-    assert e.widen(ValueRange.bottom(), T) == e
-    assert ValueRange.bottom().widen(e, T) == e
-    assert e.widen(ValueRange(2, 3, 0.9), T) == e  # contained, denser
+    assert widen(e, ValueRange.bottom(), T) == e
+    assert widen(ValueRange.bottom(), e, T) == e
+    assert widen(e, ValueRange(2, 3, 0.9), T) == e  # contained, denser
 
 
 def test_widen_takes_larger_density_capped():
-    got = ValueRange(0, 3, 0.2).widen(ValueRange(0, 6, 0.7), T)
+    got = widen(ValueRange(0, 3, 0.2), ValueRange(0, 6, 0.7), T)
     assert (got.lo, got.hi) == (0, 9)
     assert math.isclose(got.prob, 10 * 0.1, rel_tol=1e-12)
 
@@ -534,16 +547,16 @@ def test_widen_takes_larger_density_capped():
 @given(ranges(), ranges(), st.frozensets(st.integers(-8, 8), max_size=5))
 def test_widen_covers_both_arguments(a, b, mids):
     thresholds = tuple(sorted({-100, 100} | mids))
-    w = a.widen(b, thresholds)
+    w = widen(a, b, thresholds)
     assert w.lo <= min(a.lo, b.lo) and max(a.hi, b.hi) <= w.hi
 
 
 @given(ranges(), ranges(), st.frozensets(st.integers(-8, 8), max_size=5))
 def test_widen_lands_on_thresholds(a, b, mids):
     thresholds = tuple(sorted({-100, 100} | mids))
-    if b.leq(a):
+    if leq(b, a):
         return
-    w = a.widen(b, thresholds)
+    w = widen(a, b, thresholds)
     assert w.lo in thresholds and w.hi in thresholds
 
 
@@ -554,7 +567,7 @@ def test_widen_chains_stabilize(chain):
     cur = ValueRange.bottom()
     changes = 0
     for e in chain:
-        nxt = cur.widen(cur.join(e), thresholds)
+        nxt = widen(cur, join(cur, e), thresholds)
         if nxt != cur:
             cur = nxt
             changes += 1

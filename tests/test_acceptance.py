@@ -10,15 +10,15 @@ import random
 import time
 
 from probrange import abstract, concrete
-from probrange.abstract import ValueRange, alpha, gamma
+from probrange.abstract import ValueRange
 from probrange.cfg import build_cfg, collect_thresholds
 from probrange.concrete import ValueSet
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
-from helpers import (analyze, check_soundness, corpus_source, line_map,
-                     random_program)
+from helpers import (alpha, analyze, check_soundness, corpus_source, gamma,
+                     join, leq, line_map, meet, random_program)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -155,7 +155,7 @@ def test_criterion_5_galois_laws():
     for _ in range(10000):
         c = random_concrete()
         checked += 1
-        if not c.leq(gamma(alpha(c))):
+        if not leq(c, gamma(alpha(c))):
             violations += 1
         m = random_abstract()
         checked += 1
@@ -171,7 +171,7 @@ def test_criterion_5_galois_laws():
         sub = frozenset(v for v in big.values if rng.random() < 0.7)
         small = ValueSet(sub, min(1.0, big.prob + rng.random() * (1 - big.prob)))
         checked += 1
-        if not (small.leq(big) and alpha(small).leq(alpha(big))):
+        if not (leq(small, big) and leq(alpha(small), alpha(big))):
             violations += 1
         # ordered abstract pair: containment with density no larger above
         inner = random_abstract()
@@ -184,7 +184,7 @@ def test_criterion_5_galois_laws():
         prob = rng.random() * min(1.0, mass)
         outer = ValueRange(lo, hi, prob)
         checked += 1
-        if not (inner.leq(outer) and gamma(inner).leq(gamma(outer))):
+        if not (leq(inner, outer) and leq(gamma(inner), gamma(outer))):
             violations += 1
 
     report(5, violations == 0,
@@ -201,16 +201,16 @@ def test_criterion_6_lattice_oracle_equivalence():
     violations = 0
     for a in universe:
         for b in universe:
-            j = a.join(b)
-            if not (a.leq(j) and b.leq(j)):
+            j = join(a, b)
+            if not (leq(a, j) and leq(b, j)):
                 violations += 1
-            m = a.meet(b)
-            if not (m.leq(a) and m.leq(b)):
+            m = meet(a, b)
+            if not (leq(m, a) and leq(m, b)):
                 violations += 1
             for u in universe:
-                if a.leq(u) and b.leq(u) and not j.leq(u):
+                if leq(a, u) and leq(b, u) and not leq(j, u):
                     violations += 1
-                if u.leq(a) and u.leq(b) and not u.leq(m):
+                if leq(u, a) and leq(u, b) and not leq(u, m):
                     violations += 1
     report(6, violations == 0,
            f"{len(universe) ** 2} pairs against brute-force bounds, "

@@ -6,8 +6,8 @@ from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            negate_guard, weak_topological_order)
 from probrange.syntax import BinOp, Cmp, Const, Var, parse_program
 
-from helpers import (CORPUS, corpus_source, loop_heads_dfs, loop_program,
-                     nested_program)
+from helpers import (CORPUS, action_source, corpus_source, loop_heads_dfs,
+                     loop_program, nested_program)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -19,7 +19,7 @@ def _cfg(name_or_source: str):
 
 
 def _edge_set(cfg):
-    return {(e.src, e.dst, str(e.action)) for e in cfg.edges}
+    return {(e.src, e.dst, action_source(e.action)) for e in cfg.edges}
 
 
 def test_fig1_shape():

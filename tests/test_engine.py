@@ -15,7 +15,7 @@ from probrange.syntax import (Cmp, Const, LiteralRangeError, Token, Var,
                               parse_program)
 
 from helpers import (ABSTRACT, CONCRETE, analyze, check_soundness,
-                     corpus_source, line_map, random_program)
+                     corpus_source, line_map, random_program, set_of)
 
 # the domains over dict states, which is how SolveResult reports them
 abstract, concrete = ABSTRACT, CONCRETE
@@ -410,7 +410,7 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
     (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
     (GuardAction(Cmp("lt", Var("x"), Const(1))), "cond"),
     (ValueRange(0, 1, 0.5), "lo"),
-    (ValueSet.of(1, 2), "prob"),
+    (set_of(1, 2), "prob"),
     (TINY, "minint"),
     (build_equations(FIG1_CFG), "cfg"),
 ])
@@ -440,7 +440,7 @@ def test_mutable_records_are_unhashable(record, field):
 @pytest.mark.parametrize("make, error", [
     (lambda: ValueRange(0, 1, 0.5).replace(lo=3), ValueError),
     (lambda: ValueRange(0, 1, 0.5).replace(prob=1.5), ValueError),
-    (lambda: ValueSet.of(1).replace(prob=-0.5), ValueError),
+    (lambda: set_of(1).replace(prob=-0.5), ValueError),
     (lambda: Const(1).replace(name="x"), TypeError),
     (lambda: AssignAction("x"), TypeError),
     (lambda: Edge(0, 1, None, 2), TypeError),

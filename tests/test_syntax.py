@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If, LexError,
-                              ParseError, Program, Token, Var, While,
-                              parse_program, program_vars, to_source,
-                              tokenize, walk_exprs)
+from probrange.syntax import (OPERATORS, Assign, BinOp, Block, Cmp, Const, If,
+                              LexError, ParseError, Program, Token, Var,
+                              While, parse_program, program_vars, tokenize,
+                              walk_exprs)
 
-from helpers import corpus_source, expr_vars, nested_program
+from helpers import (CORPUS, corpus_source, expr_vars, nested_program,
+                     reference_tokenize, to_source)
 
 
 def test_tokenize_longest_match():
@@ -46,6 +49,43 @@ def test_lex_error_on_literal_beyond_64_bits():
     with pytest.raises(LexError):
         tokenize(f"x =. {2**63};")
     tokenize(f"x =. {2**63 - 1};")  # still lexable
+
+
+# text drawn from operators and their pieces, digits, letters, keywords,
+# every kind of whitespace, `//`, characters outside ASCII and literals on
+# both sides of 2**63 - 1
+FRAGMENTS = (*OPERATORS, *"(){};,-+=!<>&|/*%.", "//", *"0123456789", "x",
+             "_y1", "while", "if", "else", "int", "void", " ", " ", "\t",
+             "\r", "\f", "\v", "\n", "\n", "\x1c", "\u00a0", "\u2028",
+             "\u00b2", "\u00e9", "\u0663", "$", str(2**63 - 1), str(2**63),
+             "9" * 25, "0" * 20 + "7")
+
+
+def _lexed(lex, source: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(source)]
+    except LexError as exc:
+        return f"LexError: {exc}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+def test_tokenize_matches_the_character_loop(source):
+    assert _lexed(tokenize, source) == _lexed(reference_tokenize, source)
+
+
+def test_tokenize_matches_the_character_loop_on_the_corpus():
+    for path in sorted(CORPUS.glob("*.up")):
+        source = path.read_text()
+        assert tokenize(source) == reference_tokenize(source), path.name
+
+
+def test_token_is_a_record_not_a_tuple():
+    token = Token("int", "1", 2, 5)
+    assert token == Token("int", "1", 2, 5)
+    assert hash(token) == hash(Token("int", "1", 2, 5))
+    assert token != ("int", "1", 2, 5) and ("int", "1", 2, 5) != token
+    assert (token.kind, token.text, token.line, token.col) == ("int", "1", 2, 5)
 
 
 def test_parse_simple_assignment():
