@@ -15,7 +15,7 @@ from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
                      Program, parse_program)
 from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
 from .concrete import EvalError, OracleBlowup, ValueSet
-from .abstract import BottomArgument, ValueRange
+from .abstract import ValueRange
 from .engine import EquationSystem, SolveResult, build_equations, solve
 from .cli import main
 
@@ -28,7 +28,7 @@ __all__ = [
     "Program", "parse_program",
     "CFG", "build_cfg", "collect_thresholds", "loop_heads",
     "EvalError", "OracleBlowup", "ValueSet",
-    "BottomArgument", "ValueRange",
+    "ValueRange",
     "EquationSystem", "SolveResult", "build_equations", "solve",
     "main",
     "__version__",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
@@ -51,10 +51,6 @@ from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
                        guard_factor, sp_assign, sp_guard)
 
 PMF_TOLERANCE = 1e-12
-
-
-class BottomArgument(Exception):
-    """The density of the empty interval was requested."""
 
 
 class ValueRange(Record):
@@ -76,17 +72,6 @@ class ValueRange(Record):
     @property
     def is_bottom(self) -> bool:
         return self.lo > self.hi
-
-    @property
-    def width(self) -> int:
-        return 0 if self.is_bottom else self.hi - self.lo + 1
-
-    def pmf(self) -> float:
-        if self.is_bottom:
-            raise BottomArgument("empty interval has no density")
-        return self.prob / self.width
-
-    triple = property(attrgetter("lo", "hi", "prob"))
 
 
 Triple = tuple[int, int, float]
@@ -138,14 +123,11 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-def elements(state: State, variables: tuple[str, ...],
-             made: dict) -> dict[str, ValueRange]:
-    """The reported form of a state: variable -> validated element; made
-    keeps the element built for each triple, and equal triples share it."""
+def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueRange]:
+    """The reported form of a state: variable -> validated element."""
     if state is None:
         return {v: ValueRange.bottom() for v in variables}
-    return {v: made.get(e) or made.setdefault(e, ValueRange(*e))
-            for v, e in zip(variables, state)}
+    return {v: ValueRange(*e) for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:

@@ -245,25 +245,14 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
                  cfg, result, warnings: list[str]) -> dict:
     """Assemble the report as one plain dict; both renderers feed on it.
 
-    Each row is built once. An element's row fields, its value list and its
-    probability rounded to the printed digits, are made once and shared by
-    every row that shows it (solve builds equal elements once), trace rows
-    included; each distinct value set is sorted once.
+    Each distinct value set is sorted once, and every row that holds it,
+    trace rows included, shares that list.
     """
-    fields: dict[int, tuple] = {}  # id of an element -> its row fields
     sorted_sets: dict[frozenset[int], list[int]] = {}
 
     def rows(states: dict) -> list[dict]:
-        out = []
-        for node in sorted(states):
-            state, line = states[node], cfg.lines[node]
-            for var in cfg.variables:
-                element = state[var]
-                key, value, prob = fields.get(id(element)) or fields.setdefault(
-                    id(element), _fields(element, sorted_sets))
-                out.append({"node": node, "line": line, "variable": var,
-                            key: value, "probability": prob})
-        return out
+        return [_row(node, cfg.lines[node], var, states[node][var], sorted_sets)
+                for node in sorted(states) for var in cfg.variables]
 
     report = {
         "schema": 2,
@@ -287,18 +276,18 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
     return report
 
 
-def _fields(element, sorted_sets: dict[frozenset[int], list[int]]) -> tuple:
-    """The key of an element's value in its rows, the value and the
-    probability as the reports print it."""
+def _row(node: int, line: int, var: str, element,
+         sorted_sets: dict[frozenset[int], list[int]]) -> dict:
+    row = {"node": node, "line": line, "variable": var}
     if isinstance(element, ValueRange):
-        key = "interval"
-        value = None if element.is_bottom else [element.lo, element.hi]
+        row["interval"] = None if element.is_bottom else [element.lo, element.hi]
     else:
-        key = "values"
-        value = sorted_sets.get(element.values)
-        if value is None:
-            value = sorted_sets[element.values] = sorted(element.values)
-    return key, value, float(f"{element.prob:.12g}")
+        values = sorted_sets.get(element.values)
+        if values is None:
+            values = sorted_sets[element.values] = sorted(element.values)
+        row["values"] = values
+    row["probability"] = float(f"{element.prob:.12g}")
+    return row
 
 
 def _value_text(row: dict) -> str:
@@ -316,19 +305,10 @@ def _value_text(row: dict) -> str:
     return f"{{{shown},...,{values[-1]}}} ({len(values)} values)"
 
 
-def _cells(rows: list[dict], values: dict[int, str],
-           probs: dict[float, str]) -> list[tuple[str, str, str, str]]:
-    """Each row's line, variable, value and probability as text, each value
-    and probability formatted once into values and probs."""
-    out = []
-    for row in rows:
-        value = row["interval"] if "interval" in row else row["values"]
-        p = row["probability"]
-        out.append((str(row["line"]), row["variable"],
-                    values.get(id(value))
-                    or values.setdefault(id(value), _value_text(row)),
-                    probs.get(p) or probs.setdefault(p, f"{p:.12g}")))
-    return out
+def _cells(rows: list[dict]) -> list[tuple[str, str, str, str]]:
+    """Each row's line, variable, value and probability as text."""
+    return [(str(row["line"]), row["variable"], _value_text(row),
+             f"{row['probability']:.12g}") for row in rows]
 
 
 def _spec_text(spec: dict) -> str:
@@ -364,9 +344,7 @@ def render_text(report: dict) -> str:
         f"{report['schedule']})",
         "",
     ]
-    values: dict[int, str] = {}  # text by id of a row's value, and
-    probs: dict[float, str] = {}  # by probability: rows share them
-    lines.extend(_format_rows(_cells(report["results"], values, probs)))
+    lines.extend(_format_rows(_cells(report["results"])))
     if report["warnings"]:
         lines.append("")
         lines.append("warnings:")
@@ -377,7 +355,7 @@ def render_text(report: dict) -> str:
         for entry in report["trace"]:
             lines.append(f"  iteration {entry['iteration']}:")
             lines.extend(["    line %s: %s = %s p=%s" % c
-                          for c in _cells(entry["rows"], values, probs)])
+                          for c in _cells(entry["rows"])])
     lines.append("")
     return "\n".join(lines)
 
@@ -419,22 +397,25 @@ def render_machine(report: dict) -> str:
     json.dumps(report, separators=(",", ":")) + "\n".
 
     Result and trace rows are written from one template, with the JSON text
-    of each value list or interval (rows share them) and of each variable
-    name computed once; ints and floats print as json prints them, by repr.
+    of each value list (rows share them) and of each variable name computed
+    once; ints and floats print as json prints them, by repr.
     """
     names: dict[str, str] = {}
-    lists: dict[int, str] = {}  # id of a row's value -> its JSON text
+    lists: dict[int, str] = {}  # id of a value list -> its JSON text
 
     def rows_text(rows: list[dict]) -> str:
         parts = []
         for row in rows:
             name = row["variable"]
             var = names.get(name) or names.setdefault(name, _json(name))
-            kind = "interval" if "interval" in row else "values"
-            value = row[kind]
-            shown = lists.get(id(value)) or lists.setdefault(
-                id(value), "null" if value is None
-                else "[" + ",".join(map(repr, value)) + "]")
+            if "values" in row:
+                kind, values = "values", row["values"]
+                shown = lists.get(id(values)) or lists.setdefault(
+                    id(values), "[" + ",".join(map(repr, values)) + "]")
+            else:
+                kind, interval = "interval", row["interval"]
+                shown = ("null" if interval is None
+                         else f"[{interval[0]!r},{interval[1]!r}]")
             parts.append(f'{{"node":{row["node"]!r},"line":{row["line"]!r},'
                          f'"variable":{var},"{kind}":{shown},'
                          f'"probability":{row["probability"]!r}}}')

@@ -79,8 +79,6 @@ class ValueSet(Record):
     def is_bottom(self) -> bool:
         return not self.values and self.prob == 1.0
 
-    pair = property(operator.attrgetter("values", "prob"))
-
 
 Pair = tuple[frozenset[int], float]
 State = tuple[Pair, ...] | None
@@ -145,14 +143,11 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((full, 1.0),) * len(variables)
 
 
-def elements(state: State, variables: tuple[str, ...],
-             made: dict) -> dict[str, ValueSet]:
-    """The reported form of a state: variable -> validated element; made
-    keeps the element built for each pair, and equal pairs share it."""
+def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueSet]:
+    """The reported form of a state: variable -> validated element."""
     if state is None:
         return {v: ValueSet.bottom() for v in variables}
-    return {v: made.get(e) or made.setdefault(e, ValueSet(*e))
-            for v, e in zip(variables, state)}
+    return {v: ValueSet(*e) for v, e in zip(variables, state)}
 
 
 def join_states(a: State, b: State) -> State:

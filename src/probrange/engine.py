@@ -138,11 +138,8 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
     widen_nodes = heads if widening is not None else set()
     trace: list[dict[int, dict]] | None = [] if keep_trace else None
 
-    made: dict = {}  # equal elements are built once, and shared
-
     def snapshot() -> dict[int, dict]:
-        return {n: dom.elements(s, variables, made)
-                for n, s in enumerate(states)}
+        return {n: dom.elements(s, variables) for n, s in enumerate(states)}
 
     def recompute(node: int):
         out = None

@@ -110,8 +110,6 @@ class Token(tuple):
         return "Token(kind=%r, text=%r, line=%r, col=%r)" % self
 
 
-# text -> kind of a whitespace-delimited chunk that is one token
-_WHOLE = {t: t for t in (*OPERATORS, *PUNCT, *KEYWORDS)}
 # punctuation that is never part of a longer token
 _DELIMITERS = "(){};,"
 
@@ -121,14 +119,13 @@ def tokenize(source: str) -> list[Token]:
 
     Lines end at "\\n" alone, and columns count characters. Each line drops
     its `//` comment and splits at whitespace, after a space is put around
-    each delimiter; a chunk that is one token (an operator, punctuation, a
-    keyword, an ASCII identifier or literal) is taken whole, and the rest
-    are cut character by character. Each chunk's column is found in the
-    unpadded line, whose tokens come in the same order with only
-    whitespace between them.
+    each delimiter. Each distinct chunk is cut into tokens once; a chunk's
+    column is found in the unpadded line, whose tokens come in the same
+    order with only whitespace between them.
     """
     tokens: list[Token] = []
     append, new = tokens.append, tuple.__new__
+    cuts: dict[str, tuple] = {}  # chunk -> its tokens' kinds, texts, offsets
     padded = source
     for ch in _DELIMITERS:
         padded = padded.replace(ch, f" {ch} ")
@@ -142,24 +139,20 @@ def tokenize(source: str) -> list[Token]:
         col = 0
         for chunk in cut.split():
             col = find(chunk, col) + 1
-            kind = _WHOLE.get(chunk)
-            if kind is None and chunk.isascii():
-                if chunk.isidentifier():
-                    kind = "ident"
-                elif chunk.isdigit() and int(chunk) <= _MAX_LITERAL:
-                    kind = "int"
-            if kind is None:
-                _cut(chunk, line, col, append)
-            else:
-                append(new(Token, (kind, chunk, line, col)))
+            pieces = cuts.get(chunk)
+            if pieces is None:
+                pieces = cuts[chunk] = _cut(chunk, line, col)
+            for kind, piece, offset in pieces:
+                append(new(Token, (kind, piece, line, col + offset)))
             col += len(chunk) - 1
     append(Token("eof", "", line, len(text) + 1))
     return tokens
 
 
-def _cut(chunk: str, line: int, col: int, append) -> None:
-    """Append the tokens of chunk, which starts at col and holds no
-    whitespace, taking the longest operator first."""
+def _cut(chunk: str, line: int, col: int) -> tuple:
+    """The kind, text and offset of each token of chunk, which starts at col
+    and holds no whitespace, taking the longest operator first."""
+    out = []
     i, n = 0, len(chunk)
     while i < n:
         ch = chunk[i]
@@ -186,8 +179,9 @@ def _cut(chunk: str, line: int, col: int, append) -> None:
             else:
                 raise LexError(f"line {line}, col {col + i}: unexpected "
                                f"character {ch!r}")
-        append(Token(kind, text, line, col + i))
+        out.append((kind, text, i))
         i += len(text)
+    return tuple(out)
 
 
 # --- AST ---

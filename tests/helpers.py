@@ -1,8 +1,9 @@
 """Shared test utilities: corpus access, one-call analysis, random programs,
-source printing, the element operations that no analysis uses (order,
-join, widening, meet, top elements and the Galois maps), and the references that faster code in src/ is judged
-against: the argparse flag parser, the character-loop tokenizer and the
-scanning congruence refinement."""
+source printing, the element operations that no analysis uses (the flat
+triple and pair views, width and density, order, join, widening, meet, top
+elements and the Galois maps), and the references that faster code in src/
+is judged against: the argparse flag parser, the character-loop tokenizer
+and the scanning congruence refinement."""
 
 from __future__ import annotations
 
@@ -88,13 +89,13 @@ class DictDomain:
         if self.mod is abstract:
             if any(e.is_bottom for e in elems):
                 return None
-            return tuple(e.triple for e in elems)
+            return tuple(map(triple, elems))
         if any(not e.values for e in elems):
             return None
-        return tuple(e.pair for e in elems)
+        return tuple(map(pair, elems))
 
     def elements(self, state, variables) -> dict:
-        return self.mod.elements(state, variables, {})
+        return self.mod.elements(state, variables)
 
     def _index(self, state: dict) -> dict[str, int]:
         return {v: i for i, v in enumerate(state)}
@@ -455,26 +456,51 @@ def to_source(program: Program) -> str:
 
 # --- element operations, meet and the Galois maps ---
 
+class BottomArgument(Exception):
+    """The density of the empty interval was requested."""
+
+
+def triple(m: ValueRange) -> tuple[int, int, float]:
+    """m as the solver holds it."""
+    return m.lo, m.hi, m.prob
+
+
+def pair(s: ValueSet) -> tuple[frozenset[int], float]:
+    """s as the solver holds it."""
+    return s.values, s.prob
+
+
+def width(m: ValueRange) -> int:
+    return 0 if m.is_bottom else m.hi - m.lo + 1
+
+
+def pmf(m: ValueRange) -> float:
+    """The density of each value of m: its mass over its width."""
+    if m.is_bottom:
+        raise BottomArgument("empty interval has no density")
+    return m.prob / width(m)
+
+
 def leq(a, b) -> bool:
     """a below b in the order of their domain, ValueSets or ValueRanges."""
     if isinstance(a, ValueSet):
-        return concrete._leq(a.pair, b.pair)
+        return concrete._leq(pair(a), pair(b))
     if a.is_bottom:
         return True
     if b.is_bottom:
         return False
-    return abstract._leq(a.triple, b.triple)
+    return abstract._leq(triple(a), triple(b))
 
 
 def join(a, b):
     """Least upper bound of two ValueSets or two ValueRanges."""
     if isinstance(a, ValueSet):
-        return ValueSet(*concrete._join(a.pair, b.pair))
+        return ValueSet(*concrete._join(pair(a), pair(b)))
     if a.is_bottom:
         return b
     if b.is_bottom:
         return a
-    return ValueRange(*abstract._join(a.triple, b.triple))
+    return ValueRange(*abstract._join(triple(a), triple(b)))
 
 
 def widen(a: ValueRange, b: ValueRange, thresholds) -> ValueRange:
@@ -488,7 +514,7 @@ def widen(a: ValueRange, b: ValueRange, thresholds) -> ValueRange:
         return b
     if b.is_bottom:
         return a
-    return ValueRange(*abstract._widen(a.triple, b.triple, thresholds))
+    return ValueRange(*abstract._widen(triple(a), triple(b), thresholds))
 
 
 def range_top(minint: int, maxint: int) -> ValueRange:
@@ -519,7 +545,7 @@ def meet(a, b):
     hi = min(a.hi, b.hi)
     if lo > hi:
         return ValueRange.bottom()
-    p = (hi - lo + 1) * max(a.pmf(), b.pmf())
+    p = (hi - lo + 1) * max(pmf(a), pmf(b))
     if p > 1.0:
         warnings.warn(f"meet of <[{a.lo},{a.hi}],{a.prob}> and "
                       f"<[{b.lo},{b.hi}],{b.prob}> capped at mass 1",
@@ -540,7 +566,7 @@ def gamma(m: ValueRange) -> ValueSet:
     """Concretization: every value of the interval, at its density."""
     if m.is_bottom:
         return ValueSet.bottom()
-    return ValueSet(frozenset(range(m.lo, m.hi + 1)), m.pmf())
+    return ValueSet(frozenset(range(m.lo, m.hi + 1)), pmf(m))
 
 
 # --- references for faster code in src/ ---

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probrange import abstract
-from probrange.abstract import BottomArgument, ValueRange
+from probrange.abstract import ValueRange
 from probrange.concrete import ValueSet
 from probrange.hardware import HardwareSpec, c_div, c_mod
 
-from helpers import (ABSTRACT, CONCRETE, alpha, gamma, join, leq, meet,
-                     range_top, reference_refine_congruence, widen)
+from helpers import (ABSTRACT, CONCRETE, BottomArgument, alpha, gamma, join,
+                     leq, meet, pmf, range_top, reference_refine_congruence,
+                     triple, widen, width)
 
 # dict-state transfers and helpers, compiled per call
 bottom_state, entry_state = ABSTRACT.bottom_state, ABSTRACT.entry_state
@@ -59,18 +60,18 @@ value_sets = st.one_of(
 # --- element basics ---
 
 def test_density_pinned():
-    assert ValueRange(0, 12, 1.0).pmf() == 1 / 13
-    assert math.isclose(ValueRange(10, 12, 0.23073461689056984).pmf(),
+    assert pmf(ValueRange(0, 12, 1.0)) == 1 / 13
+    assert math.isclose(pmf(ValueRange(10, 12, 0.23073461689056984)),
                         0.07691153896, rel_tol=1e-9)
-    assert ValueRange(5, 5, 0.7).pmf() == 0.7
+    assert pmf(ValueRange(5, 5, 0.7)) == 0.7
     with pytest.raises(BottomArgument):
-        ValueRange.bottom().pmf()
+        pmf(ValueRange.bottom())
 
 
 def test_canonical_bottom_enforced():
     assert ValueRange.bottom() == ValueRange(0, -1, 1.0)
     assert ValueRange.bottom().is_bottom
-    assert ValueRange.bottom().width == 0
+    assert width(ValueRange.bottom()) == 0
     with pytest.raises(ValueError):
         ValueRange(3, 1, 0.5)
     with pytest.raises(ValueError):
@@ -80,8 +81,8 @@ def test_canonical_bottom_enforced():
 def test_top_and_width():
     top = range_top(-8, 8)
     assert (top.lo, top.hi, top.prob) == (-8, 8, 0.0)
-    assert top.width == 17
-    assert ValueRange(2, 5, 0.5).width == 4
+    assert width(top) == 17
+    assert width(ValueRange(2, 5, 0.5)) == 4
 
 
 def test_order_pinned():
@@ -578,7 +579,7 @@ def test_widen_chains_stabilize(chain):
 
 flat_state = st.one_of(
     st.none(), st.lists(ranges(max_width=17), min_size=3, max_size=3).map(
-        lambda elems: tuple(e.triple for e in elems)))
+        lambda elems: tuple(map(triple, elems))))
 
 
 @settings(max_examples=300)

@@ -18,7 +18,7 @@ from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
 from helpers import (alpha, analyze, check_soundness, corpus_source, gamma,
-                     join, leq, line_map, meet, random_program)
+                     join, leq, line_map, meet, pmf, random_program)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -180,7 +180,7 @@ def test_criterion_5_galois_laws():
         lo = inner.lo - rng.randint(0, 3)
         hi = inner.hi + rng.randint(0, 3)
         w = hi - lo + 1
-        mass = inner.pmf() * w
+        mass = pmf(inner) * w
         prob = rng.random() * min(1.0, mass)
         outer = ValueRange(lo, hi, prob)
         checked += 1
