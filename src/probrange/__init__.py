@@ -14,7 +14,7 @@ from .hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
 from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
                      Program, parse_program)
 from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
-from .concrete import EvalError, OracleBlowup, ValueSet
+from .concrete import OracleBlowup, ValueSet
 from .abstract import ValueRange
 from .engine import EquationSystem, SolveResult, build_equations, solve
 from .cli import main
@@ -27,7 +27,7 @@ __all__ = [
     "FrontendError", "LexError", "LiteralRangeError", "ParseError",
     "Program", "parse_program",
     "CFG", "build_cfg", "collect_thresholds", "loop_heads",
-    "EvalError", "OracleBlowup", "ValueSet",
+    "OracleBlowup", "ValueSet",
     "ValueRange",
     "EquationSystem", "SolveResult", "build_equations", "solve",
     "main",

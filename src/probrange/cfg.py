@@ -63,11 +63,6 @@ class CFG(MutableRecord):
             out[e.src].append(e.dst)
         return out
 
-    @property
-    def exits(self) -> tuple[int, ...]:
-        with_out = {e.src for e in self.edges}
-        return tuple(n for n in range(self.node_count) if n not in with_out)
-
 
 _NEGATED = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne": "eq"}
 

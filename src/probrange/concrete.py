@@ -11,6 +11,8 @@ least element is <{}, 1> and the greatest <full range, 0>. The least upper
 bound unions the sets and keeps the smaller probability; the greatest lower
 bound intersects and keeps the larger one (an empty intersection keeps
 max(p1, p2), which is exactly the greatest lower bound under the order above).
+A join of two sides that hold the same set object returns that object, so a
+set that no edge changed reaches later edges as the same object.
 
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
@@ -24,16 +26,25 @@ and enumerate tuples of operand values, so they are exact but only viable on
 small sets; `cap` bounds the full tuple product on every call and
 OracleBlowup reports programs that exceed it.
 
+An edge evaluates a column at a time (as in MonetDB/X100; Boncz, Zukowski
+and Nes 2005): its operand tuples become one list per operand position, and
+each operator maps over its operand columns once and clamps the result with
+one min/max test. A row whose divisor is 0 is dropped from every column at
+that operator, as a tuple-at-a-time loop would stop at it, and is reported.
+Each operator notes its first offending row, and the notes are warned in
+the order of their rows, then of the operators' evaluation order, so the
+warnings come out as from that loop.
+
 A compiled edge is incremental (semi-naive evaluation, as in Bancilhon and
-Ramakrishnan 1986). It keeps the operand sets it last enumerated and what it
+Ramakrishnan 1986). It keeps the operand sets it last evaluated and what it
 built from their tuples: an assignment's image and whether a tuple divided by
 zero, a guard's kept values per variable and whether a tuple satisfied it. A
-solve only grows the sets, so the next call enumerates just the tuples with
+solve only grows the sets, so the next call evaluates just the tuples with
 some component outside the kept sets, in the order of the full product; with
 _warn's de-duplication the warnings come out as if every tuple were visited.
-When some operand set lost a value, the edge drops what it kept and
-enumerates the whole product again. Probabilities come from the current state
-on every call.
+Operand sets that are the very objects of the last call cost no scan. When
+some operand set lost a value, the edge drops what it kept and evaluates the
+whole product again. Probabilities come from the current state on every call.
 
 This module also holds what both domains share: the per-edge reliability
 charges, the comparison table and the warning helper.
@@ -58,10 +69,6 @@ class OracleBlowup(Exception):
     """The tuple product of an sp transfer would exceed the configured cap."""
 
 
-class EvalError(Exception):
-    """Division or modulo by zero while evaluating one operand tuple."""
-
-
 class ValueSet(Record):
     __slots__ = ("values", "prob")  # values: frozenset[int]
 
@@ -75,10 +82,6 @@ class ValueSet(Record):
     def bottom(cls) -> ValueSet:
         return cls(frozenset(), 1.0)
 
-    @property
-    def is_bottom(self) -> bool:
-        return not self.values and self.prob == 1.0
-
 
 Pair = tuple[frozenset[int], float]
 State = tuple[Pair, ...] | None
@@ -89,7 +92,9 @@ def _leq(a: Pair, b: Pair) -> bool:
 
 
 def _join(a: Pair, b: Pair) -> Pair:
-    return a[0] | b[0], min(a[1], b[1])
+    # min(p, q), without the call; a shared set is kept, not unioned
+    return (a[0] if a[0] is b[0] else a[0] | b[0],
+            b[1] if b[1] < a[1] else a[1])
 
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
@@ -192,39 +197,6 @@ def compile_operand(e: Expr, position: Callable[[str], object],
         compile_operand(e.rhs, position, constant, operation))
 
 
-def _operand(e: Expr, names: tuple[str, ...], spec: HardwareSpec,
-             warnings: list[str]) -> tuple[bool, bool, object]:
-    """How a closure reads e on one operand tuple ordered like names."""
-    # int maps a literal to itself
-    return compile_operand(e, names.index, int,
-                           partial(_operation, spec, warnings))
-
-
-def _operation(spec: HardwareSpec, warnings: list[str], e: BinOp,
-               left: tuple, right: tuple) -> Callable[[tuple[int, ...]], int]:
-    lvar, lconst, lhs = left
-    rvar, rconst, rhs = right
-    apply = ARITH[e.op]
-    minint, maxint = spec.minint, spec.maxint
-    overflow = (f"line {e.line}: arithmetic overflow clamped to "
-                f"[{minint},{maxint}]")
-    zero = (f"line {e.line}: {'division' if e.op == 'div' else 'modulo'} "
-            f"by zero" if e.op in ("div", "mod") else None)
-
-    def evaluate(operands: tuple[int, ...]) -> int:
-        a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
-        b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
-        if zero is not None and b == 0:
-            raise EvalError(zero)
-        raw = apply(a, b)
-        if minint <= raw <= maxint:
-            return raw
-        _warn(warnings, overflow)
-        return minint if raw < minint else maxint
-
-    return evaluate
-
-
 def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
     """The tuples of product(*sets) with some component outside seen.
 
@@ -248,28 +220,134 @@ def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
     return itertools.chain.from_iterable(parts)
 
 
-def _operand_sets(state: tuple[Pair, ...], reads: tuple[int, ...],
-                  names: tuple[str, ...], cap: int) -> list[frozenset[int]]:
-    sets = [state[i][0] for i in reads]
-    if math.prod(map(len, sets)) > cap:
-        raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
-    return sets
+def _fresh_columns(sets: list[frozenset[int]],
+                   seen: list | None) -> tuple[bool, list, int]:
+    """The operand tuples over sets that an edge has not evaluated yet,
+    given the sets it evaluated before (seen, None before the first call).
 
-
-def _shrunk(seen: list | None, sets: list[frozenset[int]]) -> bool:
-    """Whether some operand set lost a value since the edge enumerated seen."""
-    return seen is not None and not all(map(operator.le, seen, sets))
-
-
-def _unseen(sets: list[frozenset[int]],
-            seen: list | None) -> Iterable[tuple[int, ...]]:
-    """The operand tuples not enumerated yet, given seen[k] <= sets[k]: all
-    of them before the first call, then those that _fresh_tuples yields."""
+    Returns (restart, columns, n): whether evaluation starts over, because
+    it is the first call or some set lost a value, and the n tuples to
+    evaluate, in the product's order, as one column per operand position.
+    A one-variable edge's column is its sorted new values, and no tuple is
+    built.
+    """
+    if len(sets) == 1:
+        if seen is not None:
+            new = sets[0] - seen[0]
+            # |S - T| == |S| - |T| iff T <= S: one pass finds both
+            if len(new) == len(sets[0]) - len(seen[0]):
+                return False, [sorted(new)], len(new)
+        column = sorted(sets[0])
+        return True, [column], len(column)
+    if seen is not None and not all(map(operator.le, seen, sets)):
+        seen = None
     if seen is None:
-        return itertools.product(*map(sorted, sets))
-    if list(map(len, seen)) == list(map(len, sets)):
-        return ()
-    return _fresh_tuples(list(map(sorted, sets)), seen)
+        rows = list(itertools.product(*map(sorted, sets)))
+    else:
+        rows = list(_fresh_tuples(list(map(sorted, sets)), seen))
+    return seen is None, list(zip(*rows)) or [()] * len(sets), len(rows)
+
+
+def _column_step(spec: HardwareSpec, steps: list, e: BinOp, left: tuple,
+                 right: tuple) -> None:
+    """compile_operand's operation for the column evaluator: append e's
+    step, so that steps come in postorder and a compound operand's column
+    is on the evaluator's stack when its step reads it."""
+    zero = None
+    if e.op in ("div", "mod") and not (right[1] and right[2]):
+        zero = (f"line {e.line}: {'division' if e.op == 'div' else 'modulo'}"
+                f" by zero")
+    steps.append((left, right, ARITH[e.op], zero,
+                  f"line {e.line}: arithmetic overflow clamped to "
+                  f"[{spec.minint},{spec.maxint}]"))
+
+
+def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
+              warnings: list[str], unreachable: bool, columns: list,
+              n: int) -> tuple[list, list, bool]:
+    """Run steps over n operand rows, given as one column per operand
+    position.
+
+    Each step maps its operator over its two operand columns at once and
+    clamps the result with one min/max test. A step whose divisor column
+    holds 0 first drops those rows from every column, as a tuple-at-a-time
+    loop stops a tuple at its first zero divisor. The warnings come as from
+    that loop too: each step notes its first offending row, and the notes
+    are warned in the order of their rows, then of their steps. Returns
+    top's column, the operand columns of the rows that reach it, and
+    whether some row divided by zero.
+    """
+    minint, maxint = spec.minint, spec.maxint
+    stack, rows, events, whole = [], range(n), [], n
+    for i, (left, right, apply, zero, overflow) in enumerate(steps):
+        rvar, rconst, rx = right
+        b = columns[rx] if rvar else [rx] * n if rconst else stack.pop()
+        lvar, lconst, lx = left
+        a = columns[lx] if lvar else [lx] * n if lconst else stack.pop()
+        if zero is not None and 0 in b:
+            keep = list(map(bool, b))
+            events.append((rows[keep.index(False)], i,
+                           f"{zero} (offending operand tuple excluded)"))
+            if unreachable:  # the one empty tuple: nothing gets past,
+                events.append((rows[0], i + 0.5,  # warned right after
+                               f"{zero} (constant guard unreachable)"))
+            rows = list(itertools.compress(rows, keep))
+            n = len(rows)
+            stack = [list(itertools.compress(c, keep)) for c in stack]
+            columns = [list(itertools.compress(c, keep)) for c in columns]
+            a, b = (list(itertools.compress(c, keep)) for c in (a, b))
+        column = list(map(apply, a, b))
+        if overflow is not None and column and (min(column) < minint
+                                                or max(column) > maxint):
+            j = next(j for j, v in enumerate(column)
+                     if v < minint or v > maxint)
+            events.append((rows[j], i, overflow))
+            column = [minint if v < minint else maxint if v > maxint else v
+                      for v in column]
+        stack.append(column)
+    for *_, message in sorted(events):
+        _warn(warnings, message)
+    var, const, x = top
+    return (columns[x] if var else [x] * n if const else stack.pop(),
+            columns, n < whole)
+
+
+def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
+             reads: tuple[int, ...], spec: HardwareSpec, warnings: list[str],
+             cap: int, compare: Callable | None = None) -> Callable:
+    """An edge's column evaluation of its expression, or of its guard's
+    two sides and compare, over the operand tuples it has not evaluated.
+
+    scan(state) is None when no tuple is new; otherwise (restart, column,
+    columns, divided): whether what the edge kept must be dropped first,
+    then _evaluate's result over the new tuples. Every operand set the same
+    object as on the last call means no tuple is new, at no cost.
+    """
+    steps = []
+    tops = [compile_operand(side, names.index, int,
+                            partial(_column_step, spec, steps))
+            for side in sides]
+    if compare is not None:
+        steps.append((*tops, compare, None, None))
+        tops = [(False, False, None)]
+    unreachable = compare is not None and not reads
+    seen = None  # the operand sets evaluated so far, None before the first
+
+    def scan(state: tuple[Pair, ...]) -> tuple | None:
+        nonlocal seen
+        sets = [state[i][0] for i in reads]
+        if seen is not None and all(map(operator.is_, seen, sets)):
+            return None  # the product was checked against cap before
+        if math.prod(map(len, sets)) > cap:
+            raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
+        restart, columns, n = _fresh_columns(sets, seen)
+        seen = sets
+        if not n:
+            return None
+        return (restart, *_evaluate(steps, tops[0], spec, warnings,
+                                    unreachable, columns, n))
+
+    return scan
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
@@ -286,28 +364,20 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     position = index[target]
     names, charge = assign_charge(expr, spec)
     reads = tuple(index[v] for v in names)
-    is_var, is_const, x = _operand(expr, names, spec, warnings)
-    evaluate = (operator.itemgetter(x) if is_var
-                else (lambda operands: x) if is_const else x)
-    seen = None  # the operand sets enumerated so far, None before the first
-    image = frozenset()  # what their tuples evaluate to
+    scan = _scanner((expr,), names, reads, spec, warnings, cap)
+    image = frozenset()  # what the tuples evaluated so far evaluate to
     had_eval_error = False
 
     def transfer(state: tuple[Pair, ...]) -> State:
-        nonlocal seen, image, had_eval_error
-        sets = _operand_sets(state, reads, names, cap)
-        if _shrunk(seen, sets):
-            seen, image, had_eval_error = None, frozenset(), False
-        values = set()
-        for operands in _unseen(sets, seen):
-            try:
-                values.add(evaluate(operands))
-            except EvalError as exc:
-                had_eval_error = True
-                _warn(warnings, f"{exc} (offending operand tuple excluded)")
-        seen = sets
-        if not values <= image:
-            image |= values
+        nonlocal image, had_eval_error
+        scanned = scan(state)
+        if scanned is not None:
+            restart, values, _, divided = scanned
+            if restart:
+                image, had_eval_error = frozenset(), False
+            had_eval_error = had_eval_error or divided
+            if not image.issuperset(values):
+                image = image.union(values)
         if not image:
             if had_eval_error:
                 _warn(warnings, f"every operand tuple of `{target} =. ...` "
@@ -341,33 +411,23 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     """
     names, factor = guard_factor(guard, spec)
     reads = tuple(index[v] for v in names)
-    lvar, lconst, lhs = _operand(guard.lhs, names, spec, warnings)
-    rvar, rconst, rhs = _operand(guard.rhs, names, spec, warnings)
-    compare = COMPARE[guard.op]
-    seen = None  # the operand sets enumerated so far, None before the first
+    scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings, cap,
+                    COMPARE[guard.op])
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
     satisfiable = False
 
     def transfer(state: tuple[Pair, ...]) -> State:
-        nonlocal seen, kept, satisfiable
-        sets = _operand_sets(state, reads, names, cap)
-        if _shrunk(seen, sets):
-            seen, kept, satisfiable = None, [frozenset()] * len(reads), False
-        hits = []
-        for operands in _unseen(sets, seen):
-            try:
-                a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
-                b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
-                if compare(a, b):
-                    hits.append(operands)
-            except EvalError as exc:
-                _warn(warnings, f"{exc} (offending operand tuple excluded)")
-                if not reads:  # the one empty tuple: nothing gets past
-                    _warn(warnings, f"{exc} (constant guard unreachable)")
-        seen = sets
-        if hits:
-            satisfiable = True
-            kept = [old.union(new) for old, new in zip(kept, zip(*hits))]
+        nonlocal kept, satisfiable
+        scanned = scan(state)
+        if scanned is not None:
+            restart, hits, columns, _ = scanned
+            if restart:
+                kept, satisfiable = [frozenset()] * len(reads), False
+            if any(hits):
+                satisfiable = True
+                new = (list(itertools.compress(c, hits)) for c in columns)
+                kept = [old if old.issuperset(v) else old.union(v)
+                        for old, v in zip(kept, new)]
         if not satisfiable:
             return None
         out = [(values, min(1.0, prob * factor)) for values, prob in state]

@@ -76,14 +76,6 @@ class HardwareSpec(Record):
         space = self.width if op in ARITH_OPS else 2
         return p + (1.0 - p) / space
 
-    def clamp(self, v: int) -> int:
-        return min(max(v, self.minint), self.maxint)
-
-    @classmethod
-    def reliable(cls, minint: int = DEFAULT_MININT, maxint: int = DEFAULT_MAXINT) -> HardwareSpec:
-        """Hardware that never fails; the analysis degenerates to plain ranges."""
-        return cls({}, minint, maxint)
-
     @classmethod
     def uniform(cls, p: float, minint: int = DEFAULT_MININT, maxint: int = DEFAULT_MAXINT) -> HardwareSpec:
         """Same success probability for every op."""

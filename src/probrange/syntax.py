@@ -71,6 +71,9 @@ ARITH_TOKENS = {"+.": "add", "-.": "sub", "*.": "mul", "/.": "div", "%.": "mod"}
 CMP_TOKENS = {"<.": "lt", "<=.": "le", ">.": "gt", ">=.": "ge", "==.": "eq", "!=.": "ne"}
 
 _MAX_LITERAL = 2**63 - 1
+# judged by digit count first: int() refuses strings of more than 4,300
+# digits, leading zeros included
+_MAX_DIGITS = len(str(_MAX_LITERAL))
 
 # operators by first character, each group longest first; identifiers and
 # literals are ASCII only, so `²` or `٣` is an unexpected character
@@ -166,7 +169,9 @@ def _cut(chunk: str, line: int, col: int) -> tuple:
                 while j < n and "0" <= chunk[j] <= "9":
                     j += 1
                 kind, text = "int", chunk[i:j]
-                if int(text) > _MAX_LITERAL:
+                digits = text.lstrip("0")
+                if (len(digits) > _MAX_DIGITS
+                        or int(digits or "0") > _MAX_LITERAL):
                     raise LexError(f"line {line}: literal {text} does not "
                                    f"fit in 64 bits")
             elif ch in _WORD:
@@ -423,7 +428,8 @@ class _Parser:
     def atom(self):
         kind, text, line, _ = tok = self.next()
         if kind == "int":
-            return Const(int(text), line)
+            # the tokenizer bounds the digits after any leading zeros
+            return Const(int(text.lstrip("0") or "0"), line)
         if kind == "ident":
             return Var(text, line)
         if kind == "(":

@@ -1,14 +1,18 @@
 """Shared test utilities: corpus access, one-call analysis, random programs,
 source printing, the element operations that no analysis uses (the flat
 triple and pair views, width and density, order, join, widening, meet, top
-elements and the Galois maps), and the references that faster code in src/
-is judged against: the argparse flag parser, the character-loop tokenizer
-and the scanning congruence refinement."""
+elements and the Galois maps), the machine model's `clamp` and `reliable`
+and the CFG's `exits`, and the references that faster code in src/ is
+judged against: the argparse flag parser, the character-loop tokenizer, the
+scanning congruence refinement and the tuple-at-a-time concrete edges."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import math
+import operator
 import random
 import sys
 import warnings
@@ -19,7 +23,8 @@ from probrange import (abstract, build_cfg, build_equations, concrete,
 from probrange.abstract import ValueRange
 from probrange.cfg import AssignAction
 from probrange.concrete import DEFAULT_TUPLE_CAP, ValueSet
-from probrange.hardware import c_div, c_mod
+from probrange.hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
+                                c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
                               ARITH_TOKENS, CMP_TOKENS, KEYWORDS, PUNCT,
                               Assign, Block, Cmp, Const, Expr, LexError,
@@ -653,3 +658,168 @@ def reference_refine_congruence(factor: float, i: int, k: int, c: int,
     return abstract._narrowed(
         factor, state, i, min(v for v in ups if v is not None),
         max(v for v in downs if v is not None))
+
+
+class EvalError(Exception):
+    """Division or modulo by zero while evaluating one operand tuple."""
+
+
+def _reference_operation(spec, warnings: list[str], e, left: tuple,
+                         right: tuple):
+    lvar, lconst, lhs = left
+    rvar, rconst, rhs = right
+    apply = concrete.ARITH[e.op]
+    minint, maxint = spec.minint, spec.maxint
+    overflow = (f"line {e.line}: arithmetic overflow clamped to "
+                f"[{minint},{maxint}]")
+    zero = (f"line {e.line}: {'division' if e.op == 'div' else 'modulo'} "
+            f"by zero" if e.op in ("div", "mod") else None)
+
+    def evaluate(operands: tuple[int, ...]) -> int:
+        a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
+        b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
+        if zero is not None and b == 0:
+            raise EvalError(zero)
+        raw = apply(a, b)
+        if minint <= raw <= maxint:
+            return raw
+        concrete._warn(warnings, overflow)
+        return minint if raw < minint else maxint
+
+    return evaluate
+
+
+def _reference_operand(e, names, spec, warnings) -> tuple:
+    """How a closure reads e on one operand tuple ordered like names."""
+    return concrete.compile_operand(
+        e, names.index, int, functools.partial(_reference_operation, spec,
+                                               warnings))
+
+
+def _reference_unseen(sets: list, seen: list | None):
+    """The operand tuples not enumerated yet, given seen[k] <= sets[k]: all
+    of them before the first call, then those that _fresh_tuples yields."""
+    if seen is None:
+        return itertools.product(*map(sorted, sets))
+    if list(map(len, seen)) == list(map(len, sets)):
+        return ()
+    return concrete._fresh_tuples(list(map(sorted, sets)), seen)
+
+
+def _reference_operand_sets(state, reads, names, cap: int) -> list:
+    sets = [state[i][0] for i in reads]
+    if math.prod(map(len, sets)) > cap:
+        raise concrete.OracleBlowup(
+            f"tuple product over {names} exceeds cap {cap}")
+    return sets
+
+
+def _reference_shrunk(seen: list | None, sets: list) -> bool:
+    return seen is not None and not all(map(operator.le, seen, sets))
+
+
+def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
+                             warnings: list[str], cap: int = DEFAULT_TUPLE_CAP):
+    """The assignment edge that evaluated one operand tuple at a time
+    through per-operator closures, kept to judge concrete.compile_assign's
+    column evaluator against: the same state and the same warnings, in the
+    same order, on every call."""
+    position = index[target]
+    names, charge = concrete.assign_charge(expr, spec)
+    reads = tuple(index[v] for v in names)
+    is_var, is_const, x = _reference_operand(expr, names, spec, warnings)
+    evaluate = (operator.itemgetter(x) if is_var
+                else (lambda operands: x) if is_const else x)
+    seen, image, had_eval_error = None, frozenset(), False
+
+    def transfer(state):
+        nonlocal seen, image, had_eval_error
+        sets = _reference_operand_sets(state, reads, names, cap)
+        if _reference_shrunk(seen, sets):
+            seen, image, had_eval_error = None, frozenset(), False
+        values = set()
+        for operands in _reference_unseen(sets, seen):
+            try:
+                values.add(evaluate(operands))
+            except EvalError as exc:
+                had_eval_error = True
+                concrete._warn(warnings,
+                               f"{exc} (offending operand tuple excluded)")
+        seen = sets
+        if not values <= image:
+            image |= values
+        if not image:
+            if had_eval_error:
+                concrete._warn(warnings, f"every operand tuple of `{target} "
+                               f"=. ...` divides by zero; state is unreachable")
+            return None
+        prob = charge
+        for i in reads:
+            prob *= state[i][1]
+        out = list(state)
+        out[position] = (image, min(1.0, prob))
+        return tuple(out)
+
+    return transfer
+
+
+def reference_compile_guard(guard, index: dict[str, int], spec,
+                            warnings: list[str], cap: int = DEFAULT_TUPLE_CAP):
+    """The guard edge that evaluated one operand tuple at a time, kept to
+    judge concrete.compile_guard against."""
+    names, factor = concrete.guard_factor(guard, spec)
+    reads = tuple(index[v] for v in names)
+    lvar, lconst, lhs = _reference_operand(guard.lhs, names, spec, warnings)
+    rvar, rconst, rhs = _reference_operand(guard.rhs, names, spec, warnings)
+    compare = concrete.COMPARE[guard.op]
+    seen, kept, satisfiable = None, [frozenset()] * len(reads), False
+
+    def transfer(state):
+        nonlocal seen, kept, satisfiable
+        sets = _reference_operand_sets(state, reads, names, cap)
+        if _reference_shrunk(seen, sets):
+            seen, kept, satisfiable = None, [frozenset()] * len(reads), False
+        hits = []
+        for operands in _reference_unseen(sets, seen):
+            try:
+                a = operands[lhs] if lvar else lhs if lconst else lhs(operands)
+                b = operands[rhs] if rvar else rhs if rconst else rhs(operands)
+                if compare(a, b):
+                    hits.append(operands)
+            except EvalError as exc:
+                concrete._warn(warnings,
+                               f"{exc} (offending operand tuple excluded)")
+                if not reads:  # the one empty tuple: nothing gets past
+                    concrete._warn(warnings,
+                                   f"{exc} (constant guard unreachable)")
+        seen = sets
+        if hits:
+            satisfiable = True
+            kept = [old.union(new) for old, new in zip(kept, zip(*hits))]
+        if not satisfiable:
+            return None
+        out = [(values, min(1.0, prob * factor)) for values, prob in state]
+        for i, values in zip(reads, kept):
+            out[i] = (values, out[i][1])
+        return tuple(out)
+
+    return transfer
+
+
+# --- what only the tests use of the machine model and the CFG ---
+
+def clamp(spec, v: int) -> int:
+    """v saturated to spec's machine range."""
+    return min(max(v, spec.minint), spec.maxint)
+
+
+def reliable(minint: int = DEFAULT_MININT,
+             maxint: int = DEFAULT_MAXINT) -> HardwareSpec:
+    """Hardware that never fails; the analysis degenerates to plain ranges."""
+    return HardwareSpec({}, minint, maxint)
+
+
+def exits(cfg) -> tuple[int, ...]:
+    """The nodes without an outgoing edge."""
+    with_out = {e.src for e in cfg.edges}
+    return tuple(n for n in range(cfg.node_count) if n not in with_out)

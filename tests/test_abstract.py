@@ -10,9 +10,9 @@ from probrange.abstract import ValueRange
 from probrange.concrete import ValueSet
 from probrange.hardware import HardwareSpec, c_div, c_mod
 
-from helpers import (ABSTRACT, CONCRETE, BottomArgument, alpha, gamma, join,
-                     leq, meet, pmf, range_top, reference_refine_congruence,
-                     triple, widen, width)
+from helpers import (ABSTRACT, CONCRETE, BottomArgument, alpha, clamp, gamma,
+                     join, leq, meet, pmf, range_top,
+                     reference_refine_congruence, triple, widen, width)
 
 # dict-state transfers and helpers, compiled per call
 bottom_state, entry_state = ABSTRACT.bottom_state, ABSTRACT.entry_state
@@ -249,7 +249,7 @@ def test_interval_ops_contain_every_outcome(op, x, y):
                 v = c_div(a, b)
             else:
                 v = c_mod(a, b)
-            v = TINY.clamp(v)
+            v = clamp(TINY, v)
             assert lo <= v <= hi, (op, x, y, a, b, v, lo, hi)
 
 

@@ -258,10 +258,10 @@ CONCRETE8 = ("--mode", "concrete", "--minint", "-8", "--maxint", "8")
 def test_deep_programs_solve_or_exit_cleanly(tmp_path, shape, depth, flags,
                                              code):
     # the parser admits these; the weak topological order takes no Python
-    # recursion, and an expression too deep for the domains' compiled
-    # closures gets the parser's message. Both domains compile and evaluate
-    # at one frame per operator: a chain of 987 `+.` is too deep under
-    # Python 3.10 and 3.11 but not under 3.12 and 3.13, in either mode
+    # recursion, and an expression too deep to compile gets the parser's
+    # message. Both domains compile at one frame per operator (the abstract
+    # one evaluates so too): a chain of 987 `+.` is too deep under Python
+    # 3.10 and 3.11 but not under 3.12 and 3.13, in either mode
     program = tmp_path / "deep.up"
     program.write_text(nested_program(shape, depth))
     proc = subprocess.run(
@@ -372,6 +372,23 @@ def test_first_out_of_range_literal_named(tmp_path, capsys, source, message,
     result = run(capsys, str(program), "--spec", SPEC4, "--minint", "-8",
                  "--maxint", "8", *flags)
     assert result == (1, "", f"probrange: {message}\n")
+
+
+def test_literal_of_5000_digits_exits_one(tmp_path, capsys):
+    # more digits than int() converts by default: judged by its digit count
+    program = tmp_path / "long.up"
+    program.write_text("x =. " + "1" * 5000 + ";\n")
+    code, out, err = run(capsys, str(program), "--spec", SPEC4)
+    assert (code, out) == (1, "")
+    assert err == f"probrange: line 1: literal {'1' * 5000} does not fit in 64 bits\n"
+
+
+def test_literal_with_5000_leading_zeros_is_its_value(tmp_path, capsys):
+    program = tmp_path / "zeros.up"
+    program.write_text("x =. " + "0" * 5000 + "1;\n")
+    code, out, err = run(capsys, str(program), "--spec", SPEC4)
+    assert (code, err) == (0, "")
+    assert "[1,1]" in out
 
 
 def test_trace_sections(capsys):

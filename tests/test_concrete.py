@@ -3,14 +3,15 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (CONCRETE, analyze, join, leq, meet, product_sets,
-                     random_program, set_top)
+                     random_program, reference_compile_assign,
+                     reference_compile_guard, reliable, set_top)
 
 from probrange import concrete
-from probrange.concrete import EvalError, OracleBlowup, ValueSet
+from probrange.concrete import OracleBlowup, ValueSet
 from probrange.hardware import HardwareSpec
 from probrange.syntax import Assign, parse_program
 
@@ -322,7 +323,7 @@ def test_fault_free_analysis_matches_product_oracle():
     # with every op at Pr=1 the probabilities degenerate to 1 and the value
     # sets must coincide with plain product semantics, computed independently
     rng = random.Random(4242)
-    spec = HardwareSpec.reliable(minint=-8, maxint=8)
+    spec = reliable(minint=-8, maxint=8)
     for _ in range(25):
         source = random_program(rng)
         cfg, result = analyze(source, spec, domain="concrete")
@@ -337,7 +338,7 @@ def test_fault_free_analysis_matches_product_oracle():
 
 
 def test_reliable_hardware_keeps_probability_one():
-    spec = HardwareSpec.reliable(minint=-8, maxint=8)
+    spec = reliable(minint=-8, maxint=8)
     state = entry_state(("x", "y"), spec)
     out = sp_assign(state, "x", rhs_of("x =. y +. 1;"), spec, [])
     out = sp_guard(out, guard_of("while (x >. 0) { x =. 0; }"), spec, [])
@@ -449,6 +450,105 @@ def test_compiled_edge_visits_new_tuples_in_product_order():
     assert warnings == fresh_warnings == [
         "line 1: arithmetic overflow clamped to [-8,8]",
         "line 2: arithmetic overflow clamped to [-8,8]"]
+
+
+ARITH_TEXT = ("+.", "-.", "*.", "/.", "%.")
+
+
+@st.composite
+def expression_source(draw, ops: int) -> str:
+    """An expression over x, y and literals in [-8,8] with ops operators,
+    each operand on the operator's line or the next one."""
+    if ops == 0:
+        return draw(st.sampled_from(("x", "y")) | st.integers(-8, 8).map(str))
+    left = draw(st.integers(0, ops - 1))
+    return "({} {}{}{})".format(
+        draw(expression_source(left)), draw(st.sampled_from(ARITH_TEXT)),
+        draw(st.sampled_from((" ", "\n  "))),
+        draw(expression_source(ops - 1 - left)))
+
+
+@st.composite
+def column_cases(draw):
+    """An edge reading one or two of x, y with up to three operators, and
+    the states it is applied to: operand sets that grow over several calls,
+    each state given twice, and then shrink once."""
+    ops = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        read = draw(expression_source(ops))
+        source = f"{draw(st.sampled_from(('x', 'y')))} =. {read};"
+    else:
+        left = draw(st.integers(0, ops))
+        lhs = draw(expression_source(left))
+        rhs = draw(expression_source(ops - left))
+        compare = draw(st.sampled_from(("<.", "<=.", ">.", ">=.", "==.",
+                                        "!=.")))
+        source = f"while ({lhs} {compare} {rhs}) {{ x =. 0; }}"
+        read = lhs + rhs
+    assume("x" in read or "y" in read)
+    sets = st.frozensets(st.integers(-8, 8), min_size=1, max_size=6)
+    probs = st.floats(0.1, 1, allow_nan=False)
+    state = draw(st.tuples(st.tuples(sets, probs), st.tuples(sets, probs)))
+    states = [state]
+    for grown in draw(st.lists(st.tuples(st.tuples(sets, probs),
+                                         st.tuples(sets, probs)),
+                               min_size=1, max_size=4)):
+        state = concrete.join_states(state, grown)
+        states.append(state)
+    shrunk = tuple((frozenset(draw(st.lists(st.sampled_from(sorted(values)),
+                                            min_size=1, max_size=3))), p)
+                   for values, p in state)
+    return source, [s for s in states + [shrunk] for _ in range(2)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_cases())
+def test_column_edge_matches_tuple_at_a_time_reference(case):
+    # on [-8,8] overflow is common and divisors can be 0: every call returns
+    # the reference's state, and the warnings come in the reference's order
+    source, states = case
+    stmt = parse_program(source).body.stmts[0]
+    index = {"x": 0, "y": 1}
+    warnings, reference_warnings = [], []
+    if isinstance(stmt, Assign):
+        edge = concrete.compile_assign(stmt.target, stmt.value, index, TINY,
+                                       warnings)
+        reference = reference_compile_assign(stmt.target, stmt.value, index,
+                                             TINY, reference_warnings)
+    else:
+        edge = concrete.compile_guard(stmt.cond, index, TINY, warnings)
+        reference = reference_compile_guard(stmt.cond, index, TINY,
+                                            reference_warnings)
+    for state in states:
+        assert edge(state) == reference(state)
+        assert warnings == reference_warnings
+
+
+def test_column_warnings_follow_the_original_rows():
+    # x /. x drops the row x = 0 before either x +. 5 overflows at x = 4:
+    # line 1 overflows in an earlier step than line 4, at the same row
+    guard = guard_of("while ((x +. 5) ==.\n (x /.\n x) *.\n (x +. 5)) "
+                     "{ x =. 0; }")
+    state = (pair(*range(-8, 9)), pair(0))
+    warnings, reference_warnings = [], []
+    edge = concrete.compile_guard(guard, {"x": 0, "y": 1}, TINY, warnings)
+    reference = reference_compile_guard(guard, {"x": 0, "y": 1}, TINY,
+                                        reference_warnings)
+    assert edge(state) == reference(state)
+    assert warnings == reference_warnings == [
+        "line 2: division by zero (offending operand tuple excluded)",
+        "line 1: arithmetic overflow clamped to [-8,8]",
+        "line 4: arithmetic overflow clamped to [-8,8]"]
+
+
+def test_join_keeps_a_shared_set():
+    # a set both sides hold is returned as is, not unioned into a copy
+    shared = frozenset({1, 2})
+    a = ((shared, 0.9), (frozenset({0}), 0.5))
+    b = ((shared, 0.8), (frozenset({3}), 0.7))
+    joined = concrete.join_states(a, b)
+    assert joined[0][0] is shared and joined[0][1] == 0.8
+    assert joined[1] == (frozenset({0, 3}), 0.5)
 
 
 def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):

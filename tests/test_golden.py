@@ -74,6 +74,13 @@ CASES["loops4-exhausted"] = (GOLDEN / "loops4.up",
                              WIDEN4 + ("--max-iters", "10"), 2)
 CASES["loops4-trace"] = (GOLDEN / "loops4.up",
                          WIDEN4 + ("--trace", "--max-iters", "5"), 2)
+# warnings in the order of the first operand tuple that raises each: a
+# variable divisor that can be 0, and two overflowing operators of one
+# expression whose first offending tuples come in the reverse of their order
+CONCRETE8 = SPEC4 + ("--mode", "concrete", "--minint", "-8", "--maxint", "8")
+CASES["warnorder-concrete"] = (GOLDEN / "warnorder.up", CONCRETE8, 0)
+CASES["warnorder-concrete-machine"] = (GOLDEN / "warnorder.up",
+                                       CONCRETE8 + MACHINE, 0)
 # an empty loop body: the loop head is its own source through a self-loop edge
 CASES["emptyloop"] = (GOLDEN / "emptyloop.up", SPEC4, 0)
 CASES["emptyloop-widening"] = (GOLDEN / "emptyloop.up", WIDEN4, 0)

@@ -8,6 +8,8 @@ from probrange.hardware import (ALL_OPS, ARITH_OPS, BOOL_OPS, UNCHARGED_OPS,
                                 HardwareSpec, SpecError, c_div, c_mod,
                                 parse_spec)
 
+from helpers import clamp, reliable
+
 
 def test_cdiv_truncates_toward_zero():
     assert c_div(7, 2) == 3
@@ -58,20 +60,20 @@ def test_rel_positive_even_at_zero_success_probability():
 
 
 def test_reliable_spec_is_exactly_one():
-    spec = HardwareSpec.reliable()
+    spec = reliable()
     assert all(spec.rel(op) == 1.0 for op in ALL_OPS)
 
 
 def test_clamp():
-    spec = HardwareSpec.reliable(minint=-8, maxint=8)
-    assert spec.clamp(9) == 8
-    assert spec.clamp(-9) == -8
-    assert spec.clamp(5) == 5
+    spec = reliable(minint=-8, maxint=8)
+    assert clamp(spec, 9) == 8
+    assert clamp(spec, -9) == -8
+    assert clamp(spec, 5) == 5
 
 
 def test_width():
-    assert HardwareSpec.reliable().width == 65536
-    assert HardwareSpec.reliable(minint=-8, maxint=8).width == 17
+    assert reliable().width == 65536
+    assert reliable(minint=-8, maxint=8).width == 17
 
 
 def test_validation_rejects_bad_probability():

@@ -9,9 +9,10 @@ go to stdout, so `--out` is never used.
 
 The cases are every program in tests/corpus and tests/golden, in abstract
 mode without and with --widening and in concrete mode (at the default range
-for the corpus, whose goldens use it, and at [-64,63] for every program), in
-text and machine format, each once plain and once with --trace --max-iters 3;
-and seeded programs of the benchmark's loop family: two of four loops under
+for the corpus, whose goldens use it, and at [-64,63] and [-8,8] for every
+program; arithmetic overflows often on [-8,8], so warning order is compared
+there), in text and machine format, each once plain and once with --trace
+--max-iters 3; and seeded programs of the benchmark's loop family: two of four loops under
 --widening and two of two loops in concrete mode on [-64,63].
 
 The last line is the summary, `differential: N cases, D differ (base REV)`;
@@ -34,6 +35,7 @@ CORPUS = ROOT / "tests" / "corpus"
 GOLDEN = ROOT / "tests" / "golden"
 SPEC = ("--spec", str(CORPUS / "uniform-1e4.spec"))
 SMALL = ("--minint", "-64", "--maxint", "63")
+TINY = ("--minint", "-8", "--maxint", "8")
 TRACE = ("--trace", "--max-iters", "3")
 FORMATS = ((), ("--format", "machine"))
 LOOP_SEEDS = (11, 12)  # progen seeds of the generated programs
@@ -51,7 +53,8 @@ def cases(work: Path) -> list[Case]:
     out: list[Case] = []
     corpus = sorted(CORPUS.glob("*.up"))
     for program in corpus + sorted(GOLDEN.glob("*.up")):
-        modes = [(), ("--widening",), ("--mode", "concrete") + SMALL]
+        modes = [(), ("--widening",), ("--mode", "concrete") + SMALL,
+                 ("--mode", "concrete") + TINY]
         if program in corpus:
             modes.append(("--mode", "concrete"))
         for mode in modes:
