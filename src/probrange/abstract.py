@@ -23,17 +23,19 @@ endpoint rule chosen once per edge. Division or modulo by an interval
 containing zero widens the target to the full machine range and reports it
 rather than failing. Comparison guards refine the tested variable's interval
 when one side is a lone variable (or `var %. k` against a constant) and the
-other side folds to a constant. The congruence guards narrow in closed form:
-the values passing `x %. k ==. c` are the residue class of c mod k on c's side
-of zero, so x's new endpoints are the class's first and last members in its
-interval; the values failing `x %. k !=. c` are such a class, whose members
-lie k apart, so for k >= 2 each endpoint moves inward by one at most (for
-k = 1 the class is every value or none).
+other side folds, as the machine computes it, to one value (`5 +. 5` folds
+to 7 on [-8,7], with an overflow warning). The congruence guards narrow in
+closed form: the values passing `x %. k ==. c` are the residue class of c mod
+k on c's side of zero, so x's new endpoints are the class's first and last
+members in its interval; the values failing `x %. k !=. c` are such a class,
+whose members lie k apart, so for k >= 2 each endpoint moves inward by one at
+most (for k = 1 the class is every value or none).
 
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of (lo, hi, prob) triples, never empty, indexed by variable position.
 ValueRange wraps the same triple for reporting and validates it; join, leq and
-widen are written over triples.
+widen are written over triples, and the state operations are built from them
+as in the concrete domain.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from operator import itemgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
-from .syntax import BinOp, Cmp, Const, Expr, Var
-# sp_assign and sp_guard apply a compiled edge the same way in both domains;
-# the solver looks them up here when it runs in this domain
+from .syntax import BinOp, Cmp, Expr, Var, walk_exprs
+# the edge call and the state operations are shared by both domains; the
+# solver looks them up here when it runs in this domain
 from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
-                       guard_factor, sp_assign, sp_guard)
+                       guard_factor, sp_assign, sp_guard, state_operations)
 
 PMF_TOLERANCE = 1e-12
 
@@ -123,27 +125,8 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueRange]:
-    """The reported form of a state: variable -> validated element."""
-    if state is None:
-        return {v: ValueRange.bottom() for v in variables}
-    return {v: ValueRange(*e) for v, e in zip(variables, state)}
-
-
-def join_states(a: State, b: State) -> State:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple(map(_join, a, b))
-
-
-def leq_states(a: State, b: State) -> bool:
-    if a is None:
-        return True
-    if b is None:
-        return False
-    return all(map(_leq, a, b))
+join_states, leq_states, elements, value_part = state_operations(
+    _join, _leq, ValueRange, itemgetter(0, 1))
 
 
 def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
@@ -152,15 +135,6 @@ def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
     if b is None:
         return a
     return tuple([_widen(x, y, thresholds) for x, y in zip(a, b)])
-
-
-_ENDS = itemgetter(0, 1)
-
-
-def value_part(state: State) -> tuple:
-    if state is None:
-        return ()
-    return tuple(map(_ENDS, state))
 
 
 def interval_evaluator(e: Expr, index: dict[str, int], spec: HardwareSpec,
@@ -245,14 +219,13 @@ _ENDPOINTS = {"add": lambda a, b, c, d: (a + c, b + d),
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec, warnings: list[str],
-                   cap: int | None = None) -> Callable[[tuple], State]:
+                   spec: HardwareSpec,
+                   warnings: list[str]) -> Callable[[tuple], State]:
     """Interval counterpart of the assignment transfer, for one edge.
 
     The result interval comes from endpoint evaluation; its mass charges one
     write, one read per distinct variable, each operand's density, a factor
     per arithmetic op, and the result width (density times width is mass).
-    cap bounds the concrete domain's enumeration; intervals need none.
     """
     position = index[target]
     names, charge = assign_charge(expr, spec)
@@ -273,21 +246,18 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     return transfer
 
 
-def _fold_const(e: Expr) -> int | None:
-    """Evaluate a variable-free expression, or None if variables occur.
-
-    Division by a zero constant yields None so the caller falls back to the
-    non-refining transfer.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+def _fold(e: Expr, spec: HardwareSpec, notes: list[str]) -> int | None:
+    """e's value as the machine computes it, saturating each operator into
+    the range, or None if e reads a variable or divides by zero. The
+    overflow warnings of a fold that succeeds go to notes."""
+    if any(isinstance(node, Var) for node in walk_exprs(e)):
         return None
-    lhs = _fold_const(e.lhs)
-    rhs = _fold_const(e.rhs)
-    if lhs is None or rhs is None or (rhs == 0 and e.op in ("div", "mod")):
+    warned: list[str] = []
+    value, _ = interval_evaluator(e, {}, spec, warned)(())
+    if any("contains zero" in message for message in warned):
         return None
-    return ARITH[e.op](lhs, rhs)
+    notes += warned
+    return value
 
 
 _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
@@ -295,53 +265,58 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                   warnings: list[str],
-                  cap: int | None = None) -> Callable[[tuple], State]:
+                  source: Cmp | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge.
 
-    Refinable shapes, after constant folding and putting the variable on the
-    left: `x <op> c` truncates x's interval at c, and `x %. k ==. c` (or !=.)
-    shrinks x's endpoints to the nearest values satisfying the congruence. The
-    refined variable's probability scales by the width ratio; every variable's
-    probability then picks up the guard's read, comparison, and arithmetic
-    factors. Anything else leaves all intervals unchanged. An unsatisfiable
-    guard bottoms the whole state. cap bounds the concrete domain only.
+    Refinable shapes, after putting the variable on the left of a side that
+    folds, as the machine computes it, to one value c: `x <op> c` truncates
+    x's interval at c, and `x %. k ==. c` (or !=.) shrinks x's endpoints to
+    the nearest values satisfying the congruence. The refined variable's
+    probability scales by the width ratio; every variable's probability then
+    picks up the guard's read, comparison, and arithmetic factors, the
+    comparison charged being source's (see the concrete guard). Anything
+    else leaves all intervals unchanged. An unsatisfiable guard bottoms the
+    whole state. A fold's overflow warnings are raised whenever the edge is
+    applied, as the concrete guard raises them.
     """
-    factor = guard_factor(guard, spec)[1]
+    factor = guard_factor(source or guard, spec)[1]
     op, lhs, rhs = guard.op, guard.lhs, guard.rhs
-    lhs_const = _fold_const(lhs)
-    rhs_const = _fold_const(rhs)
-
-    if lhs_const is not None and rhs_const is not None:
-        if COMPARE[op](lhs_const, rhs_const):
-            return partial(_scale_all, factor)
-        return lambda state: None
-
+    notes: list[str] = []
+    lhs_const, rhs_const = _fold(lhs, spec, notes), _fold(rhs, spec, notes)
     if lhs_const is not None and rhs_const is None:
-        lhs, rhs = rhs, lhs
-        lhs_const, rhs_const = rhs_const, lhs_const
-        op = _FLIP[op]
+        lhs, rhs, op = rhs, lhs, _FLIP[op]
+        lhs_const, rhs_const = None, lhs_const
+    k = (_fold(lhs.rhs, spec, notes)
+         if rhs_const is not None and op in ("eq", "ne")
+         and isinstance(lhs, BinOp) and lhs.op == "mod"
+         and isinstance(lhs.lhs, Var) else None)
 
-    if rhs_const is not None and isinstance(lhs, Var):
-        return partial(_refine_compare, factor, index[lhs.name], op, rhs_const)
-
-    if (rhs_const is not None and op in ("eq", "ne")
-            and isinstance(lhs, BinOp) and lhs.op == "mod"
-            and isinstance(lhs.lhs, Var)):
-        k = _fold_const(lhs.rhs)
-        if k is not None and k != 0:
-            return partial(_refine_congruence, factor, index[lhs.lhs.name],
+    if lhs_const is not None:  # both sides fold
+        holds = COMPARE[op](lhs_const, rhs_const)
+        transfer = partial(_scale_all, factor) if holds else lambda state: None
+    elif rhs_const is not None and isinstance(lhs, Var):
+        c, low, high = rhs_const, spec.minint, spec.maxint
+        cut = {"lt": (low, c - 1), "le": (low, c), "gt": (c + 1, high),
+               "ge": (c, high), "eq": (c, c), "ne": (low, high)}[op]
+        transfer = partial(_refine_compare, factor, index[lhs.name], *cut,
+                           c if op == "ne" else None)
+    elif k:
+        transfer = partial(_refine_congruence, factor, index[lhs.lhs.name],
                            abs(k), rhs_const, op == "eq")
+    else:
         if k == 0:
-            message = (f"line {guard.line}: congruence guard has zero "
-                       f"modulus; no refinement applied")
+            notes.append(f"line {guard.line}: congruence guard has zero "
+                         f"modulus; no refinement applied")
+        transfer = partial(_scale_all, factor)
+    if not notes:
+        return transfer
 
-            def warned(state: tuple) -> State:
-                _warn(warnings, message)
-                return _scale_all(factor, state)
+    def warned(state: tuple) -> State:
+        for message in notes:
+            _warn(warnings, message)
+        return transfer(state)
 
-            return warned
-
-    return partial(_scale_all, factor)
+    return warned
 
 
 # A guard only scales probabilities down: a probability and the factor (a
@@ -359,26 +334,14 @@ def _narrowed(factor: float, state: tuple, i: int, lo: int, hi: int) -> State:
     return tuple(out)
 
 
-def _refine_compare(factor: float, i: int, op: str, c: int,
-                    state: tuple) -> State:
+def _refine_compare(factor: float, i: int, low: int, high: int,
+                    skip: int | None, state: tuple) -> State:
+    # x within [low, high] and x != skip: an endpoint at skip moves inward
     lo, hi, _ = state[i]
-    if op == "lt":
-        hi = min(hi, c - 1)
-    elif op == "le":
-        hi = min(hi, c)
-    elif op == "gt":
-        lo = max(lo, c + 1)
-    elif op == "ge":
-        lo = max(lo, c)
-    elif op == "eq":
-        lo, hi = max(lo, c), min(hi, c)
-    else:
-        if lo == hi == c:
-            return None
-        if lo == c:
-            lo += 1
-        if hi == c:
-            hi -= 1
+    lo = max(lo, low)
+    hi = min(hi, high)
+    lo += lo == skip
+    hi -= hi == skip
     if lo > hi:
         return None
     return _narrowed(factor, state, i, lo, hi)

@@ -7,10 +7,10 @@ at, the loop body flows back into the head, and the point after the loop is
 reached through the negated guard.
 
 Guards are single comparisons, the only condition the parser admits. `x <. c`
-with a constant right side is rewritten to `x <=. c-1` on the edge, which also
-swaps the charged reliability from the `lt` op to the `le` op; the false edge
-carries the negation of the original guard. Each guard edge also keeps the
-guard as written, so that a literal check names the source literal c.
+with a constant right side is rewritten to `x <=. c-1` on the edge; the false
+edge carries the negation of the original guard. Each guard edge also keeps the
+guard as written, the comparison the program executes, so that the domains
+charge its operator and a literal check names the source literal c.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class AssignAction(Record):
 
 
 class GuardAction(Record):
-    # cond: the canonical Cmp; source: the guard as written, for literal checks
+    # cond: the canonical Cmp; source: the guard as written, un-negated
     __slots__ = ("cond", "source")
     _defaults = {"source": None}
     _loose = ("source",)
@@ -78,8 +78,10 @@ def canonicalize_guard(cond: Cmp) -> Cmp:
     return cond
 
 
-def _edge_guard(cond: Cmp) -> GuardAction:
-    return GuardAction(canonicalize_guard(cond), cond)
+def _edge_guards(cond: Cmp) -> tuple[GuardAction, GuardAction]:
+    """The actions of the edges taken when cond holds and when it fails."""
+    return (GuardAction(canonicalize_guard(cond), cond),
+            GuardAction(canonicalize_guard(negate_guard(cond)), cond))
 
 
 class _Builder:
@@ -108,17 +110,16 @@ class _Builder:
         if isinstance(stmt, Assign):
             self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
         elif isinstance(stmt, While):
-            true_guard = _edge_guard(stmt.cond)
+            true_guard, false_guard = _edge_guards(stmt.cond)
             if stmt.body.stmts:
                 body = self.node(stmt.body.stmts[0].line)
                 self.edge(point, body, true_guard)
                 self.thread(stmt.body.stmts, body, lambda: point)
             else:
                 self.edge(point, point, true_guard)
-            self.edge(point, get_cont(), _edge_guard(negate_guard(stmt.cond)))
+            self.edge(point, get_cont(), false_guard)
         elif isinstance(stmt, If):
-            true_guard = _edge_guard(stmt.cond)
-            false_guard = _edge_guard(negate_guard(stmt.cond))
+            true_guard, false_guard = _edge_guards(stmt.cond)
             if stmt.then.stmts:
                 then = self.node(stmt.then.stmts[0].line)
                 self.edge(point, then, true_guard)

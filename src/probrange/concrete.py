@@ -23,7 +23,7 @@ over pairs.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
-small sets; `cap` bounds the full tuple product on every call and
+small sets; TUPLE_CAP bounds the full tuple product on every call and
 OracleBlowup reports programs that exceed it.
 
 An edge evaluates a column at a time (as in MonetDB/X100; Boncz, Zukowski
@@ -47,7 +47,9 @@ some operand set lost a value, the edge drops what it kept and evaluates the
 whole product again. Probabilities come from the current state on every call.
 
 This module also holds what both domains share: the per-edge reliability
-charges, the comparison table and the warning helper.
+charges, the comparison table, the warning helper, the state operations
+built from a domain's per-element join and order, and the one call that
+applies a compiled edge.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 
-DEFAULT_TUPLE_CAP = 10**6
+TUPLE_CAP = 10**6  # read on every call, so a test can lower it
 
 
 class OracleBlowup(Exception):
-    """The tuple product of an sp transfer would exceed the configured cap."""
+    """The tuple product of an sp transfer would exceed TUPLE_CAP."""
 
 
 class ValueSet(Record):
@@ -95,6 +97,35 @@ def _join(a: Pair, b: Pair) -> Pair:
     # min(p, q), without the call; a shared set is kept, not unioned
     return (a[0] if a[0] is b[0] else a[0] | b[0],
             b[1] if b[1] < a[1] else a[1])
+
+
+def state_operations(join: Callable, leq: Callable, element: type,
+                     values: Callable) -> tuple[Callable, ...]:
+    """A domain's join_states, leq_states, elements (the reported form,
+    variable -> validated element) and value_part (the probability-free
+    projection that detects value changes), from its per-element join and
+    order, its element class and the value part of one element."""
+    def join_states(a, b):
+        if a is None or b is None:
+            return a if b is None else b
+        return tuple(map(join, a, b))
+
+    def leq_states(a, b) -> bool:
+        return a is None or b is not None and all(map(leq, a, b))
+
+    def elements(state, variables: tuple[str, ...]) -> dict:
+        if state is None:
+            return {v: element.bottom() for v in variables}
+        return {v: element(*e) for v, e in zip(variables, state)}
+
+    def value_part(state) -> tuple:
+        return () if state is None else tuple(map(values, state))
+
+    return join_states, leq_states, elements, value_part
+
+
+join_states, leq_states, elements, value_part = state_operations(
+    _join, _leq, ValueSet, operator.itemgetter(0))
 
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
@@ -146,36 +177,6 @@ def guard_factor(guard: Cmp,
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     full = frozenset(range(spec.minint, spec.maxint + 1))
     return ((full, 1.0),) * len(variables)
-
-
-def elements(state: State, variables: tuple[str, ...]) -> dict[str, ValueSet]:
-    """The reported form of a state: variable -> validated element."""
-    if state is None:
-        return {v: ValueSet.bottom() for v in variables}
-    return {v: ValueSet(*e) for v, e in zip(variables, state)}
-
-
-def join_states(a: State, b: State) -> State:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple(map(_join, a, b))
-
-
-def leq_states(a: State, b: State) -> bool:
-    if a is None:
-        return True
-    if b is None:
-        return False
-    return all(map(_leq, a, b))
-
-
-def value_part(state: State) -> tuple:
-    """The probability-free projection used to detect value changes."""
-    if state is None:
-        return ()
-    return tuple([e[0] for e in state])
 
 
 def compile_operand(e: Expr, position: Callable[[str], object],
@@ -314,7 +315,7 @@ def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
 
 def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
              reads: tuple[int, ...], spec: HardwareSpec, warnings: list[str],
-             cap: int, compare: Callable | None = None) -> Callable:
+             compare: Callable | None = None) -> Callable:
     """An edge's column evaluation of its expression, or of its guard's
     two sides and compare, over the operand tuples it has not evaluated.
 
@@ -337,9 +338,10 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
         nonlocal seen
         sets = [state[i][0] for i in reads]
         if seen is not None and all(map(operator.is_, seen, sets)):
-            return None  # the product was checked against cap before
-        if math.prod(map(len, sets)) > cap:
-            raise OracleBlowup(f"tuple product over {names} exceeds cap {cap}")
+            return None  # the product was checked against the cap before
+        if math.prod(map(len, sets)) > TUPLE_CAP:
+            raise OracleBlowup(f"tuple product over {names} exceeds cap "
+                               f"{TUPLE_CAP}")
         restart, columns, n = _fresh_columns(sets, seen)
         seen = sets
         if not n:
@@ -351,8 +353,8 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec, warnings: list[str],
-                   cap: int = DEFAULT_TUPLE_CAP) -> Callable[[tuple], State]:
+                   spec: HardwareSpec,
+                   warnings: list[str]) -> Callable[[tuple], State]:
     """Strongest postcondition of `target =. expr`, for one edge.
 
     The result set is the image of expr over every tuple of operand values;
@@ -364,7 +366,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     position = index[target]
     names, charge = assign_charge(expr, spec)
     reads = tuple(index[v] for v in names)
-    scan = _scanner((expr,), names, reads, spec, warnings, cap)
+    scan = _scanner((expr,), names, reads, spec, warnings)
     image = frozenset()  # what the tuples evaluated so far evaluate to
     had_eval_error = False
 
@@ -387,31 +389,28 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
         for i in reads:
             prob *= state[i][1]
         out = list(state)
-        out[position] = (image, min(1.0, prob))
+        out[position] = (image, prob)
         return tuple(out)
 
     return transfer
 
 
-def sp_assign(state, edge):
-    """Apply a compiled assignment edge of either domain; bottom stays bottom."""
-    return None if state is None else edge(state)
-
-
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                   warnings: list[str],
-                  cap: int = DEFAULT_TUPLE_CAP) -> Callable[[tuple], State]:
+                  source: Cmp | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
     Each guard variable keeps only the values that occur in some satisfying
     tuple; every variable's probability (guard-related or not) picks up one
     read per distinct guard variable, the comparison's factor, and a factor
-    per arithmetic op inside the guard. An unsatisfiable guard bottoms the
+    per arithmetic op inside the guard. The comparison charged is the one
+    the program executes: source's, the guard as written before rewriting
+    or negation (guard's own when None). An unsatisfiable guard bottoms the
     whole state; a guard over constants alone is decided outright.
     """
-    names, factor = guard_factor(guard, spec)
+    names, factor = guard_factor(source or guard, spec)
     reads = tuple(index[v] for v in names)
-    scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings, cap,
+    scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
                     COMPARE[guard.op])
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
     satisfiable = False
@@ -430,7 +429,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                         for old, v in zip(kept, new)]
         if not satisfiable:
             return None
-        out = [(values, min(1.0, prob * factor)) for values, prob in state]
+        out = [(values, prob * factor) for values, prob in state]
         for i, values in zip(reads, kept):
             out[i] = (values, out[i][1])
         return tuple(out)
@@ -438,6 +437,11 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     return transfer
 
 
-def sp_guard(state, edge):
-    """Apply a compiled guard edge of either domain; bottom stays bottom."""
+def sp_assign(state, edge):
+    """Apply a compiled edge of either domain; bottom stays bottom."""
     return None if state is None else edge(state)
+
+
+# the solver applies every edge through sp_assign; this alias stays only
+# because the benchmark's tracer wraps both names
+sp_guard = sp_assign

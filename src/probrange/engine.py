@@ -81,7 +81,6 @@ class SolveResult(MutableRecord):
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
           widening: tuple[int, ...] | None = None, max_iters: int = 20,
-          cap: int = concrete.DEFAULT_TUPLE_CAP,
           keep_trace: bool = False) -> SolveResult:
     """Iterate the equation system to a practical fixpoint.
 
@@ -89,10 +88,11 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     threshold tuple (abstract domain only), spanning exactly the spec's
     machine range; it applies at loop-head nodes. max_iters bounds committing
     passes and running into it clears the converged flag; iterations counts
-    the committing passes. cap bounds the concrete domain's operand tuple
-    enumeration. Literals outside the spec's machine range raise
-    LiteralRangeError, and an expression too deep to compile or evaluate
-    raises ParseError, as the parser does for deep nesting.
+    the committing passes. The concrete domain raises OracleBlowup when an
+    edge's operand tuples outnumber concrete.TUPLE_CAP. Literals outside the
+    spec's machine range raise LiteralRangeError, and an expression too deep
+    to compile or evaluate raises ParseError, as the parser does for deep
+    nesting.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
@@ -107,15 +107,14 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     _check_literals(system.cfg, spec.minint, spec.maxint)
     dom = abstract if domain == "abstract" else concrete
     try:
-        return _iterate(system, spec, dom, widening, max_iters, cap,
-                        keep_trace)
+        return _iterate(system, spec, dom, widening, max_iters, keep_trace)
     except RecursionError:
         # compiling and applying an edge recurse per operator
         raise ParseError("program is nested too deeply") from None
 
 
 def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
-             widening: tuple[int, ...] | None, max_iters: int, cap: int,
+             widening: tuple[int, ...] | None, max_iters: int,
              keep_trace: bool) -> SolveResult:
     cfg = system.cfg
     variables = system.variables
@@ -125,10 +124,10 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
     def compiled(edge: Edge) -> tuple:
         action = edge.action
         if isinstance(action, AssignAction):
-            return edge.src, True, dom.compile_assign(
-                action.target, action.value, index, spec, warnings, cap)
-        return edge.src, False, dom.compile_guard(action.cond, index, spec,
-                                                  warnings, cap)
+            return edge.src, dom.compile_assign(action.target, action.value,
+                                                index, spec, warnings)
+        return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
+                                           action.source)
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it
@@ -143,17 +142,14 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
 
     def recompute(node: int):
         out = None
-        for src, is_assign, edge in incoming[node]:
-            transfer = dom.sp_assign if is_assign else dom.sp_guard
-            out = dom.join_states(out, transfer(states[src], edge))
+        for src, edge in incoming[node]:
+            out = dom.join_states(out, dom.sp_assign(states[src], edge))
         return out
 
     def try_commit(node: int) -> bool:
         new = recompute(node)
         if node in widen_nodes:
             cur = states[node]
-            if dom.leq_states(new, cur):
-                return False
             widened = abstract.widen_states(cur, new, widening)
             if widened == cur:
                 return False

@@ -22,7 +22,7 @@ from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
 from probrange.abstract import ValueRange
 from probrange.cfg import AssignAction
-from probrange.concrete import DEFAULT_TUPLE_CAP, ValueSet
+from probrange.concrete import ValueSet
 from probrange.hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
                                 c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
@@ -115,17 +115,15 @@ class DictDomain:
     def state_is_bottom(self, state: dict) -> bool:
         return self.flat(state) is None
 
-    def sp_assign(self, state, target, expr, spec, warnings,
-                  cap=DEFAULT_TUPLE_CAP) -> dict:
+    def sp_assign(self, state, target, expr, spec, warnings) -> dict:
         edge = self.mod.compile_assign(target, expr, self._index(state), spec,
-                                       warnings, cap)
+                                       warnings)
         return self.elements(self.mod.sp_assign(self.flat(state), edge),
                                  tuple(state))
 
-    def sp_guard(self, state, guard, spec, warnings,
-                 cap=DEFAULT_TUPLE_CAP) -> dict:
+    def sp_guard(self, state, guard, spec, warnings) -> dict:
         edge = self.mod.compile_guard(guard, self._index(state), spec,
-                                      warnings, cap)
+                                      warnings)
         return self.elements(self.mod.sp_guard(self.flat(state), edge),
                                  tuple(state))
 
@@ -706,11 +704,11 @@ def _reference_unseen(sets: list, seen: list | None):
     return concrete._fresh_tuples(list(map(sorted, sets)), seen)
 
 
-def _reference_operand_sets(state, reads, names, cap: int) -> list:
+def _reference_operand_sets(state, reads, names) -> list:
     sets = [state[i][0] for i in reads]
-    if math.prod(map(len, sets)) > cap:
+    if math.prod(map(len, sets)) > concrete.TUPLE_CAP:
         raise concrete.OracleBlowup(
-            f"tuple product over {names} exceeds cap {cap}")
+            f"tuple product over {names} exceeds cap {concrete.TUPLE_CAP}")
     return sets
 
 
@@ -719,7 +717,7 @@ def _reference_shrunk(seen: list | None, sets: list) -> bool:
 
 
 def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
-                             warnings: list[str], cap: int = DEFAULT_TUPLE_CAP):
+                             warnings: list[str]):
     """The assignment edge that evaluated one operand tuple at a time
     through per-operator closures, kept to judge concrete.compile_assign's
     column evaluator against: the same state and the same warnings, in the
@@ -734,7 +732,7 @@ def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
 
     def transfer(state):
         nonlocal seen, image, had_eval_error
-        sets = _reference_operand_sets(state, reads, names, cap)
+        sets = _reference_operand_sets(state, reads, names)
         if _reference_shrunk(seen, sets):
             seen, image, had_eval_error = None, frozenset(), False
         values = set()
@@ -764,7 +762,7 @@ def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
 
 
 def reference_compile_guard(guard, index: dict[str, int], spec,
-                            warnings: list[str], cap: int = DEFAULT_TUPLE_CAP):
+                            warnings: list[str]):
     """The guard edge that evaluated one operand tuple at a time, kept to
     judge concrete.compile_guard against."""
     names, factor = concrete.guard_factor(guard, spec)
@@ -776,7 +774,7 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
 
     def transfer(state):
         nonlocal seen, kept, satisfiable
-        sets = _reference_operand_sets(state, reads, names, cap)
+        sets = _reference_operand_sets(state, reads, names)
         if _reference_shrunk(seen, sets):
             seen, kept, satisfiable = None, [frozenset()] * len(reads), False
         hits = []

@@ -220,10 +220,11 @@ def test_assign_overflow_clamps_and_warns():
     assert any("overflow" in w for w in warnings)
 
 
-def test_assign_blowup_raises():
+def test_assign_blowup_raises(monkeypatch):
+    monkeypatch.setattr(concrete, "TUPLE_CAP", 100)
     state = {v: elem(*range(-8, 9), prob=1.0) for v in ("x", "y", "z")}
     with pytest.raises(OracleBlowup):
-        sp_assign(state, "x", rhs_of("x =. x +. y *. z;"), TINY, [], cap=100)
+        sp_assign(state, "x", rhs_of("x =. x +. y *. z;"), TINY, [])
 
 
 def test_assign_nested_ops_each_charged():
@@ -400,13 +401,13 @@ EDGE_ACTIONS = [
 ]
 
 
-def compile_action(source: str, warnings: list, cap=concrete.DEFAULT_TUPLE_CAP):
+def compile_action(source: str, warnings: list):
     stmt = parse_program(source).body.stmts[0]
     if isinstance(stmt, Assign):
         edge = concrete.compile_assign(stmt.target, stmt.value, INDEX, TINY,
-                                       warnings, cap)
+                                       warnings)
         return lambda state: concrete.sp_assign(state, edge)
-    edge = concrete.compile_guard(stmt.cond, INDEX, TINY, warnings, cap)
+    edge = concrete.compile_guard(stmt.cond, INDEX, TINY, warnings)
     return lambda state: concrete.sp_guard(state, edge)
 
 
@@ -591,10 +592,11 @@ def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
     assert built[0] == cfg.node_count * len(cfg.variables) == 344
 
 
-def test_compiled_edge_blowup_on_grown_input():
+def test_compiled_edge_blowup_on_grown_input(monkeypatch):
     # the cap bounds the full product on every call, not only the new tuples
+    monkeypatch.setattr(concrete, "TUPLE_CAP", 10)
     warnings = []
-    transfer = compile_action("x =. x +. y;", warnings, cap=10)
+    transfer = compile_action("x =. x +. y;", warnings)
     small = (pair(1, 2, 3), pair(0, 1, 2), pair(0))
     out = transfer(small)
     with pytest.raises(OracleBlowup):

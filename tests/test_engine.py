@@ -374,10 +374,11 @@ def test_less_than_minint_guard_solves():
     assert (exit_elem.lo, exit_elem.hi) == (0, 0)
 
 
-def test_tuple_cap_propagates():
+def test_tuple_cap_propagates(monkeypatch):
+    monkeypatch.setattr(probrange.concrete, "TUPLE_CAP", 10)
     cfg = build_cfg(parse_program("x =. x +. y;\n"))
     with pytest.raises(OracleBlowup):
-        solve(build_equations(cfg), TINY, domain="concrete", cap=10)
+        solve(build_equations(cfg), TINY, domain="concrete")
 
 
 # --- cross-domain soundness ---
@@ -386,6 +387,36 @@ def test_check_soundness_accepts_corpus(spec4):
     _, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     _, abst = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     assert check_soundness(conc, abst) == []
+
+
+FOLD_THEN = "x =. 7;\ny =. 0;\nif (x >=. 5 +. 5) {\n  y =. 1;\n}\n"
+FOLD_ELSE = "y =. 0;\nif (5 +. 5 >. 7) {\n  y =. 1;\n} else {\n  y =. 2;\n}\n"
+
+
+@pytest.mark.parametrize("source, line", [(FOLD_THEN, 3), (FOLD_ELSE, 2)],
+                         ids=["then-branch", "else-branch"])
+def test_constant_guard_side_folds_as_the_machine_computes(source, line):
+    # 5 +. 5 saturates to 7 on [-8,7]: x >=. 7 holds and 7 >. 7 fails, so
+    # the abstract run must reach the branch the concrete run takes
+    spec = HardwareSpec.uniform(0.9999, minint=-8, maxint=7)
+    _, conc = analyze(source, spec, domain="concrete")
+    _, abst = analyze(source, spec, domain="abstract")
+    assert check_soundness(conc, abst) == []
+    assert abst.warnings == [
+        f"line {line}: interval arithmetic overflow clamped to [-8,7]"]
+
+
+@pytest.mark.parametrize("domain", ["abstract", "concrete"])
+@pytest.mark.parametrize("source, op, taken", [
+    ("x =. 0;\nif (x >. 3) {\n  y =. 1;\n} else {\n  y =. 2;\n}\n", "gt", 5),
+    ("x =. 0;\nif (x <. 3) {\n  y =. 1;\n}\n", "lt", 3),
+], ids=["false-edge-of-gt", "true-edge-of-lt"])
+def test_guard_edge_charges_the_written_comparison(domain, source, op, taken):
+    # only the written comparison is unreliable, a misfire being a fair coin:
+    # the edge taken is charged 0.5 + 0.5 / 2, whichever way it was rewritten
+    spec = HardwareSpec({op: 0.5}, -8, 7)
+    cfg, result = analyze(source, spec, domain=domain)
+    assert result.states[line_map(cfg)[taken]]["x"].prob == 0.75
 
 
 def test_check_soundness_flags_tampering(spec4):
