@@ -33,9 +33,9 @@ most (for k = 1 the class is every value or none).
 
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of (lo, hi, prob) triples, never empty, indexed by variable position.
-ValueRange wraps the same triple for reporting and validates it; join, leq and
-widen are written over triples, and the state operations are built from them
-as in the concrete domain.
+ValueRange wraps the same triple for a SolveResult's element views and
+validates it; join, leq and widen are written over triples, and the state
+operations are built from them as in the concrete domain.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ from operator import itemgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
-from .syntax import BinOp, Cmp, Expr, Var, walk_exprs
+from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
 from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
-                       guard_factor, sp_assign, sp_guard, state_operations)
+                       guard_factor, once, sp_assign, sp_guard,
+                       state_operations)
 
 PMF_TOLERANCE = 1e-12
 
@@ -246,26 +247,34 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     return transfer
 
 
-def _fold(e: Expr, spec: HardwareSpec, notes: list[str]) -> int | None:
+def _fold(e: Expr, spec: HardwareSpec, notes: list[str],
+          shared: dict | None) -> int | None:
     """e's value as the machine computes it, saturating each operator into
     the range, or None if e reads a variable or divides by zero. The
     overflow warnings of a fold that succeeds go to notes."""
-    if any(isinstance(node, Var) for node in walk_exprs(e)):
-        return None
-    warned: list[str] = []
-    value, _ = interval_evaluator(e, {}, spec, warned)(())
-    if any("contains zero" in message for message in warned):
-        return None
+    if isinstance(e, Const):
+        return e.value
+    value, warned = once(shared, e, lambda: _fold_operators(e, spec))
     notes += warned
     return value
+
+
+def _fold_operators(e: Expr, spec: HardwareSpec) -> tuple[int | None, list]:
+    warned: list[str] = []
+    if any(isinstance(node, Var) for node in walk_exprs(e)):
+        return None, warned
+    value, _ = interval_evaluator(e, {}, spec, warned)(())
+    if any("contains zero" in message for message in warned):
+        return None, []
+    return value, warned
 
 
 _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str],
-                  source: Cmp | None = None) -> Callable[[tuple], State]:
+                  warnings: list[str], source: Cmp | None = None,
+                  shared: dict | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge.
 
     Refinable shapes, after putting the variable on the left of a side that
@@ -277,16 +286,19 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     comparison charged being source's (see the concrete guard). Anything
     else leaves all intervals unchanged. An unsatisfiable guard bottoms the
     whole state. A fold's overflow warnings are raised whenever the edge is
-    applied, as the concrete guard raises them.
+    applied, as the concrete guard raises them. With shared, both edges of
+    a guard share its factor and the folds of the sides they have in common.
     """
-    factor = guard_factor(source or guard, spec)[1]
+    source = source or guard
+    factor = once(shared, source, lambda: guard_factor(source, spec))[1]
     op, lhs, rhs = guard.op, guard.lhs, guard.rhs
     notes: list[str] = []
-    lhs_const, rhs_const = _fold(lhs, spec, notes), _fold(rhs, spec, notes)
+    lhs_const = _fold(lhs, spec, notes, shared)
+    rhs_const = _fold(rhs, spec, notes, shared)
     if lhs_const is not None and rhs_const is None:
         lhs, rhs, op = rhs, lhs, _FLIP[op]
         lhs_const, rhs_const = None, lhs_const
-    k = (_fold(lhs.rhs, spec, notes)
+    k = (_fold(lhs.rhs, spec, notes, shared)
          if rhs_const is not None and op in ("eq", "ne")
          and isinstance(lhs, BinOp) and lhs.op == "mod"
          and isinstance(lhs.lhs, Var) else None)

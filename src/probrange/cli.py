@@ -11,11 +11,11 @@ from __future__ import annotations
 import os
 import sys
 
-from .abstract import ValueRange
 from .cfg import build_cfg, collect_thresholds
-from .concrete import OracleBlowup, ValueSet
+from .concrete import OracleBlowup
 from .engine import build_equations, solve
 from .hardware import ALL_OPS, HardwareSpec, SpecError, parse_spec
+from .record import Record
 from .syntax import FrontendError, parse_program
 
 SET_DISPLAY_LIMIT = 12
@@ -241,18 +241,23 @@ def _stem(path: str) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
+class Rows(Record):
+    """A report's rows, one per node and variable in that order, held as the
+    solve's flat states: per node, None when unreachable, else the domain's
+    (lo, hi, prob) triples or (values, prob) pairs in variable order."""
+    __slots__ = ("lines", "variables", "states", "intervals")
+
+
 def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
                  cfg, result, warnings: list[str]) -> dict:
     """Assemble the report as one plain dict; both renderers feed on it.
 
-    Each distinct value set is sorted once, and every row that holds it,
-    trace rows included, shares that list.
+    Its results, and each trace entry's rows, are Rows over the solve's flat
+    states. The renderers also take a machine report read back, whose rows
+    are dicts.
     """
-    sorted_sets: dict[frozenset[int], list[int]] = {}
-
-    def rows(states: dict) -> list[dict]:
-        return [_row(node, cfg.lines[node], var, states[node][var], sorted_sets)
-                for node in sorted(states) for var in cfg.variables]
+    def rows(states: list) -> Rows:
+        return Rows(cfg.lines, cfg.variables, states, mode == "abstract")
 
     report = {
         "schema": 2,
@@ -268,47 +273,59 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         "iterations": result.iterations,
         "converged": result.converged,
         "warnings": list(warnings),
-        "results": rows(result.states),
+        "results": rows(result.flat_states),
     }
-    if result.trace is not None:
-        report["trace"] = [{"iteration": i + 1, "rows": rows(snapshot)}
-                           for i, snapshot in enumerate(result.trace)]
+    if result.flat_trace is not None:
+        report["trace"] = [{"iteration": i + 1, "rows": rows(states)}
+                           for i, states in enumerate(result.flat_trace)]
     return report
 
 
-def _row(node: int, line: int, var: str, element,
-         sorted_sets: dict[frozenset[int], list[int]]) -> dict:
-    row = {"node": node, "line": line, "variable": var}
-    if isinstance(element, ValueRange):
-        row["interval"] = None if element.is_bottom else [element.lo, element.hi]
-    else:
-        values = sorted_sets.get(element.values)
-        if values is None:
-            values = sorted_sets[element.values] = sorted(element.values)
-        row["values"] = values
-    row["probability"] = float(f"{element.prob:.12g}")
-    return row
+def _sorted_set(memo: dict, values: frozenset[int], form) -> str:
+    """form(sorted values), kept in memo under the set."""
+    text = memo.get(values)
+    if text is None:
+        text = memo[values] = form(sorted(values))
+    return text
 
 
-def _value_text(row: dict) -> str:
-    if "interval" in row:
-        if row["interval"] is None:
-            return "[]"
-        lo, hi = row["interval"]
-        return f"[{lo},{hi}]"
-    values = row["values"]
+def _set_text(values: list[int]) -> str:
     if not values:
         return "{}"
     if len(values) <= SET_DISPLAY_LIMIT:
-        return "{" + ",".join(str(v) for v in values) + "}"
-    shown = ",".join(str(v) for v in values[:3])
+        return "{" + ",".join(map(str, values)) + "}"
+    shown = ",".join(map(str, values[:3]))
     return f"{{{shown},...,{values[-1]}}} ({len(values)} values)"
 
 
-def _cells(rows: list[dict]) -> list[tuple[str, str, str, str]]:
-    """Each row's line, variable, value and probability as text."""
-    return [(str(row["line"]), row["variable"], _value_text(row),
-             f"{row['probability']:.12g}") for row in rows]
+def _text_cell(memo: dict, element: tuple) -> tuple[str, str]:
+    """A triple's or pair's value and probability text."""
+    value = (f"[{element[0]},{element[1]}]" if len(element) == 3
+             else _sorted_set(memo, element[0], _set_text))
+    return value, f"{element[-1]:.12g}"
+
+
+def _cells(rows, memo: dict) -> list[tuple[str, str, str, str]]:
+    """Each row's line, variable, value and probability as text, from the
+    row dicts of a machine report read back or from Rows, whose distinct
+    elements memo keeps the text of, and bottom's under None."""
+    if isinstance(rows, list):  # row dicts
+        return [(str(row["line"]), row["variable"],
+                 _set_text(row["values"]) if "values" in row
+                 else "[%d,%d]" % tuple(row["interval"]) if row["interval"]
+                 else "[]",
+                 f"{row['probability']:.12g}") for row in rows]
+    memo.setdefault(None, ("[]" if rows.intervals else "{}", "1"))
+    bottom = (None,) * len(rows.variables)  # an unreachable node's elements
+    cells = []
+    for line, state in zip(rows.lines, rows.states):
+        line = str(line)
+        for var, element in zip(rows.variables, state or bottom):
+            cell = memo.get(element)
+            if cell is None:
+                cell = memo[element] = _text_cell(memo, element)
+            cells.append((line, var) + cell)
+    return cells
 
 
 def _spec_text(spec: dict) -> str:
@@ -344,7 +361,8 @@ def render_text(report: dict) -> str:
         f"{report['schedule']})",
         "",
     ]
-    lines.extend(_format_rows(_cells(report["results"])))
+    memo = {}  # element or value set -> its text, across all rows
+    lines.extend(_format_rows(_cells(report["results"], memo)))
     if report["warnings"]:
         lines.append("")
         lines.append("warnings:")
@@ -355,7 +373,7 @@ def render_text(report: dict) -> str:
         for entry in report["trace"]:
             lines.append(f"  iteration {entry['iteration']}:")
             lines.extend(["    line %s: %s = %s p=%s" % c
-                          for c in _cells(entry["rows"])])
+                          for c in _cells(entry["rows"], memo)])
     lines.append("")
     return "\n".join(lines)
 
@@ -372,10 +390,37 @@ def _escape(char: str) -> str:
     return _ESCAPES.get(char) or f"\\u{code:04x}"
 
 
-def _json(value) -> str:
+def _json_tail(memo: dict, element: tuple) -> str:
+    """A triple's or pair's row JSON after the variable."""
+    value = (f'"interval":[{element[0]},{element[1]}]' if len(element) == 3
+             else '"values":' + _sorted_set(
+                 memo, element[0], lambda v: "[" + ",".join(map(str, v)) + "]"))
+    return f'{value},"probability":{float(f"{element[-1]:.12g}")!r}}}'
+
+
+def _rows_json(rows: Rows, memo: dict) -> str:
+    """Rows as _json writes a list of row dicts; see _cells for memo."""
+    memo.setdefault(None, ('"interval":null' if rows.intervals
+                           else '"values":[]') + ',"probability":1.0}')
+    names = list(map(_json, rows.variables))
+    bottom = (None,) * len(names)
+    parts = []
+    for node, (line, state) in enumerate(zip(rows.lines, rows.states)):
+        head = f'{{"node":{node},"line":{line},"variable":'
+        for name, element in zip(names, state or bottom):
+            tail = memo.get(element)
+            if tail is None:
+                tail = memo[element] = _json_tail(memo, element)
+            parts.append(f"{head}{name},{tail}")
+    return "[" + ",".join(parts) + "]"
+
+
+def _json(value, memo: dict | None = None) -> str:
     """value as json.dumps(value, separators=(",", ":")) writes it, for the
-    types a report holds: str, int, float, bool, None, list, and dict with
-    str keys. Strings are escaped as json's default ensure_ascii does."""
+    types a report holds: str, int, float, bool, None, list, dict with str
+    keys, and Rows, written as its list of row dicts with memo keeping the
+    text of each distinct element. Strings are escaped as json's default
+    ensure_ascii does."""
     if isinstance(value, str):
         if (value.isascii() and value.isprintable() and '"' not in value
                 and "\\" not in value):
@@ -386,53 +431,18 @@ def _json(value) -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
+    if isinstance(value, Rows):
+        return _rows_json(value, {} if memo is None else memo)
     if isinstance(value, list):
-        return "[" + ",".join(map(_json, value)) + "]"
-    return "{" + ",".join(f"{_json(k)}:{_json(v)}"
-                          for k, v in value.items()) + "}"
+        return "[" + ",".join([_json(v, memo) for v in value]) + "]"
+    return "{" + ",".join([f"{_json(k)}:{_json(v, memo)}"
+                           for k, v in value.items()]) + "}"
 
 
 def render_machine(report: dict) -> str:
-    """The report as one line of compact JSON, byte for byte
-    json.dumps(report, separators=(",", ":")) + "\n".
-
-    Result and trace rows are written from one template, with the JSON text
-    of each value list (rows share them) and of each variable name computed
-    once; ints and floats print as json prints them, by repr.
-    """
-    names: dict[str, str] = {}
-    lists: dict[int, str] = {}  # id of a value list -> its JSON text
-
-    def rows_text(rows: list[dict]) -> str:
-        parts = []
-        for row in rows:
-            name = row["variable"]
-            var = names.get(name) or names.setdefault(name, _json(name))
-            if "values" in row:
-                kind, values = "values", row["values"]
-                shown = lists.get(id(values)) or lists.setdefault(
-                    id(values), "[" + ",".join(map(repr, values)) + "]")
-            else:
-                kind, interval = "interval", row["interval"]
-                shown = ("null" if interval is None
-                         else f"[{interval[0]!r},{interval[1]!r}]")
-            parts.append(f'{{"node":{row["node"]!r},"line":{row["line"]!r},'
-                         f'"variable":{var},"{kind}":{shown},'
-                         f'"probability":{row["probability"]!r}}}')
-        return "[" + ",".join(parts) + "]"
-
-    parts = []
-    for key, value in report.items():
-        if key == "results":
-            text = rows_text(value)
-        elif key == "trace":
-            text = "[" + ",".join(
-                f'{{"iteration":{entry["iteration"]!r},'
-                f'"rows":{rows_text(entry["rows"])}}}' for entry in value) + "]"
-        else:
-            text = _json(value)
-        parts.append(f"{_json(key)}:{text}")
-    return "{" + ",".join(parts) + "}\n"
+    """The report as one line of compact JSON, byte for byte json.dumps of
+    its row-dict form with separators=(",", ":"), and a newline."""
+    return _json(report, {}) + "\n"
 
 
 if __name__ == "__main__":

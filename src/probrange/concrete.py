@@ -17,9 +17,8 @@ set that no edge changed reaches later edges as the same object.
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
 variable position; no pair inside a state has an empty set. ValueSet wraps
-the same pair and validates it. It is built only at reporting, for the
-solve's result and trace snapshots (`elements`); join and leq are written
-over pairs.
+the same pair and validates it. It is built only for a SolveResult's element
+views (`elements`), never by the CLI; join and leq are written over pairs.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
@@ -172,6 +171,15 @@ def guard_factor(guard: Cmp,
     names = tuple(sorted(lhs_names | rhs_names))
     return names, (spec.rel("read") ** len(names) * spec.rel(guard.op)
                    * lhs_ops * rhs_ops)
+
+
+def once(shared: dict | None, key, compute: Callable):
+    """compute(), or with shared what it gave for this key object before."""
+    if shared is None:
+        return compute()
+    if id(key) not in shared:
+        shared[id(key)] = compute()
+    return shared[id(key)]
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
@@ -396,8 +404,8 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str],
-                  source: Cmp | None = None) -> Callable[[tuple], State]:
+                  warnings: list[str], source: Cmp | None = None,
+                  shared: dict | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
     Each guard variable keeps only the values that occur in some satisfying
@@ -406,9 +414,11 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     per arithmetic op inside the guard. The comparison charged is the one
     the program executes: source's, the guard as written before rewriting
     or negation (guard's own when None). An unsatisfiable guard bottoms the
-    whole state; a guard over constants alone is decided outright.
+    whole state; a guard over constants alone is decided outright. With
+    shared, a dict kept for one solve, both edges of a guard share its factor.
     """
-    names, factor = guard_factor(source or guard, spec)
+    source = source or guard
+    names, factor = once(shared, source, lambda: guard_factor(source, spec))
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
                     COMPARE[guard.op])

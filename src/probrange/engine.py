@@ -30,7 +30,7 @@ it back), so a loop head, too, is recomputed only when a source commits.
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
 iterates over flat states, None or a tuple indexed by variable position;
-SolveResult and trace snapshots hold {variable: element} dicts.
+SolveResult keeps them, and builds {variable: element} views only if read.
 """
 
 from __future__ import annotations
@@ -74,9 +74,34 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
 
 
 class SolveResult(MutableRecord):
-    # states and each trace snapshot: node -> {variable: element}
-    __slots__ = ("states", "iterations", "converged", "warnings", "trace")
-    _defaults = {"trace": None}
+    """flat_states and each flat_trace snapshot (one per committing pass;
+    None without keep_trace) list the flat state of each node; states and
+    trace view them as {node: {variable: element}} dicts, built when first
+    read and kept, so that a change made to a view stays."""
+    __slots__ = ("flat_states", "iterations", "converged", "warnings",
+                 "flat_trace", "variables", "domain", "_views")
+    _defaults = {"_views": None}
+    _loose = ("_views",)
+
+    def __post_init__(self) -> None:
+        self._views = {}  # a copy made by replace builds its own
+
+    def _elements(self, flat: list) -> dict[int, dict]:
+        elements = (abstract if self.domain == "abstract"
+                    else concrete).elements
+        return {n: elements(s, self.variables) for n, s in enumerate(flat)}
+
+    @property
+    def states(self) -> dict[int, dict]:
+        if "states" not in self._views:
+            self._views["states"] = self._elements(self.flat_states)
+        return self._views["states"]
+
+    @property
+    def trace(self) -> list[dict[int, dict]] | None:
+        if "trace" not in self._views and self.flat_trace is not None:
+            self._views["trace"] = list(map(self._elements, self.flat_trace))
+        return self._views.get("trace")
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
@@ -105,21 +130,22 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         raise ValueError(f"widening thresholds must contain {spec.minint} "
                          f"and {spec.maxint} and nothing outside them")
     _check_literals(system.cfg, spec.minint, spec.maxint)
-    dom = abstract if domain == "abstract" else concrete
     try:
-        return _iterate(system, spec, dom, widening, max_iters, keep_trace)
+        return _iterate(system, spec, domain, widening, max_iters, keep_trace)
     except RecursionError:
         # compiling and applying an edge recurse per operator
         raise ParseError("program is nested too deeply") from None
 
 
-def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
+def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
              widening: tuple[int, ...] | None, max_iters: int,
              keep_trace: bool) -> SolveResult:
+    dom = abstract if domain == "abstract" else concrete
     cfg = system.cfg
     variables = system.variables
     index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
+    shared: dict = {}  # what the two edges of one guard compile in common
 
     def compiled(edge: Edge) -> tuple:
         action = edge.action
@@ -127,7 +153,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
             return edge.src, dom.compile_assign(action.target, action.value,
                                                 index, spec, warnings)
         return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
-                                           action.source)
+                                           action.source, shared)
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it
@@ -135,10 +161,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
     states[cfg.entry] = dom.entry_state(variables, spec)
     order, heads = weak_topological_order(cfg)
     widen_nodes = heads if widening is not None else set()
-    trace: list[dict[int, dict]] | None = [] if keep_trace else None
-
-    def snapshot() -> dict[int, dict]:
-        return {n: dom.elements(s, variables) for n, s in enumerate(states)}
+    trace: list[list] | None = [] if keep_trace else None
 
     def recompute(node: int):
         out = None
@@ -180,6 +203,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, dom,
             break
         iterations += 1
         if trace is not None:
-            trace.append(snapshot())
-    return SolveResult(snapshot(), iterations, converged, warnings, trace)
+            trace.append(list(states))
+    return SolveResult(states, iterations, converged, warnings, trace,
+                       variables, domain)
 

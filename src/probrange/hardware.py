@@ -59,7 +59,7 @@ class HardwareSpec(Record):
             if not 0.0 <= p <= 1.0:
                 raise SpecError(f"probability for {op!r} out of [0,1]: {p}")
         if self.minint >= self.maxint:
-            raise SpecError(f"empty integer range [{self.minint},{self.maxint}]")
+            raise SpecError(f"integer range [{self.minint},{self.maxint}] must hold at least two values")
         if not self.minint <= 0 <= self.maxint:
             raise SpecError("integer range must contain 0")
 

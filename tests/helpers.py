@@ -4,7 +4,9 @@ triple and pair views, width and density, order, join, widening, meet, top
 elements and the Galois maps), the machine model's `clamp` and `reliable`
 and the CFG's `exits`, and the references that faster code in src/ is
 judged against: the argparse flag parser, the character-loop tokenizer, the
-scanning congruence refinement and the tuple-at-a-time concrete edges."""
+scanning congruence refinement, the tuple-at-a-time concrete edges and the
+report builder and text renderer that went through an element and a dict
+per row."""
 
 from __future__ import annotations
 
@@ -21,10 +23,11 @@ from pathlib import Path
 from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
 from probrange.abstract import ValueRange
+from probrange.cli import SET_DISPLAY_LIMIT
 from probrange.cfg import AssignAction
 from probrange.concrete import ValueSet
-from probrange.hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
-                                c_div, c_mod)
+from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
+                                HardwareSpec, c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
                               ARITH_TOKENS, CMP_TOKENS, KEYWORDS, PUNCT,
                               Assign, Block, Cmp, Const, Expr, LexError,
@@ -805,6 +808,94 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
 
 
 # --- what only the tests use of the machine model and the CFG ---
+
+def reference_report(name: str, mode: str, widening: bool, spec, cfg, result,
+                     warnings: list[str]) -> dict:
+    """The report as probrange.cli.build_report once assembled it, and as a
+    machine report reads back: from the result's element views, one dict
+    per row. json.dumps(report, separators=(",", ":")) + "\n" is then the
+    machine report and reference_text(report) the text report."""
+    def rows(states: dict) -> list[dict]:
+        return [_reference_row(node, cfg.lines[node], var, states[node][var])
+                for node in sorted(states) for var in cfg.variables]
+
+    report = {
+        "schema": 2, "program": name, "mode": mode, "widening": widening,
+        "schedule": "round-robin",
+        "spec": {"minint": spec.minint, "maxint": spec.maxint,
+                 "probabilities": {op: spec.prob(op) for op in ALL_OPS}},
+        "iterations": result.iterations, "converged": result.converged,
+        "warnings": list(warnings), "results": rows(result.states),
+    }
+    if result.trace is not None:
+        report["trace"] = [{"iteration": i + 1, "rows": rows(snapshot)}
+                           for i, snapshot in enumerate(result.trace)]
+    return report
+
+
+def _reference_row(node: int, line: int, var: str, element) -> dict:
+    row = {"node": node, "line": line, "variable": var}
+    if isinstance(element, ValueRange):
+        row["interval"] = None if element.is_bottom else [element.lo, element.hi]
+    else:
+        row["values"] = sorted(element.values)
+    row["probability"] = float(f"{element.prob:.12g}")
+    return row
+
+
+def _reference_value_text(row: dict) -> str:
+    if "interval" in row:
+        if row["interval"] is None:
+            return "[]"
+        lo, hi = row["interval"]
+        return f"[{lo},{hi}]"
+    values = row["values"]
+    if not values:
+        return "{}"
+    if len(values) <= SET_DISPLAY_LIMIT:
+        return "{" + ",".join(str(v) for v in values) + "}"
+    shown = ",".join(str(v) for v in values[:3])
+    return f"{{{shown},...,{values[-1]}}} ({len(values)} values)"
+
+
+def reference_text(report: dict) -> str:
+    """The text report of a row-dict report, as probrange.cli once rendered
+    it."""
+    def cells(rows):
+        return [(str(row["line"]), row["variable"], _reference_value_text(row),
+                 f"{row['probability']:.12g}") for row in rows]
+
+    probs = set(report["spec"]["probabilities"].values())
+    ops = (f"all ops Pr={probs.pop():.12g}" if len(probs) == 1
+           else f"op Pr in [{min(probs):.12g}, {max(probs):.12g}]")
+    mode = report["mode"] + (" with widening" if report["widening"] else "")
+    lines = [
+        f"program: {report['program']}",
+        f"mode: {mode}",
+        f"spec: {ops}, bounds [{report['spec']['minint']},"
+        f"{report['spec']['maxint']}]",
+        f"converged: {'yes' if report['converged'] else 'NO'} "
+        f"({report['iterations']} iterations, {report['schedule']})",
+        "",
+    ]
+    header = ("line", "variable", "value", "probability")
+    table = [header] + cells(report["results"])
+    widths = [max(len(c[i]) for c in table) for i in range(4)]
+    # every column but the last padded to its width
+    padded = [" | ".join([*(c.ljust(w) for c, w in zip(row, widths[:3])),
+                          row[3]]) for row in table]
+    lines += [padded[0], "-+-".join("-" * w for w in widths), *padded[1:]]
+    if report["warnings"]:
+        lines += ["", "warnings:"] + [f"  - {w}" for w in report["warnings"]]
+    if "trace" in report:
+        lines += ["", "trace:"]
+        for entry in report["trace"]:
+            lines.append(f"  iteration {entry['iteration']}:")
+            lines.extend("    line %s: %s = %s p=%s" % c
+                         for c in cells(entry["rows"]))
+    lines.append("")
+    return "\n".join(lines)
+
 
 def clamp(spec, v: int) -> int:
     """v saturated to spec's machine range."""

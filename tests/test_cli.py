@@ -15,11 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import probrange
+from probrange import cli
+from probrange.abstract import ValueRange
 from probrange.cli import (_FLAGS, _format_rows, _json, _parse_args, _stem,
-                           main)
+                           SET_DISPLAY_LIMIT, main)
+from probrange.concrete import ValueSet
 from probrange.hardware import ALL_OPS
 
-from helpers import CORPUS, nested_program, reference_parser
+from helpers import (CORPUS, nested_program, random_program, reference_parser,
+                     reference_report, reference_text)
 
 FIG1 = str(CORPUS / "fig1.up")
 COLLATZ = str(CORPUS / "collatz.up")
@@ -282,6 +286,19 @@ def test_bad_spec_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, FIG1, "--spec", str(bad))
     assert code == 1
     assert "spec error" in err
+
+
+@pytest.mark.parametrize("how", ["flags", "spec"])
+def test_one_value_range_exits_one(tmp_path, capsys, how):
+    # [0,0] is not empty, but a machine range needs two values
+    spec = tmp_path / "one.spec"
+    spec.write_text("minint = 0\nmaxint = 0\n")
+    flags = (("--spec", SPEC4, "--minint", "0", "--maxint", "0")
+             if how == "flags" else ("--spec", str(spec)))
+    code, out, err = run(capsys, str(CORPUS / "fig1.up"), *flags)
+    assert (code, out) == (1, "")
+    assert err == ("probrange: spec error: integer range [0,0] must hold at "
+                   "least two values\n")
 
 
 def test_unconverged_exits_two_with_report(capsys):
@@ -675,3 +692,66 @@ def test_big_value_sets_elided(capsys):
     code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--mode", "concrete")
     assert code == 0
     assert "(65536 values)" in out
+
+
+# --- reports written straight from the solve's flat states ---
+
+UNREACHABLE_THEN = "x =. 0;\nif (x >. 5) {\n  y =. 1;\n}\n"
+REPORT_MODES = {"abstract": (), "widening": ("--widening",),
+                "concrete": ("--mode", "concrete")}
+
+
+@pytest.mark.parametrize("mode", sorted(REPORT_MODES))
+def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
+    # the reference builds an element per row, then a dict per row, as the
+    # CLI once did; on [-8,8], an unreachable branch and seeded loop-free
+    # programs give bottom rows, value sets longer than SET_DISPLAY_LIMIT,
+    # warnings, and the same element at many rows
+    references = []
+    build = cli.build_report
+    monkeypatch.setattr(cli, "build_report", lambda *args: references.append(
+        reference_report(*args)) or build(*args))
+    program, out = tmp_path / "program.up", tmp_path / "report"
+    seen = set()
+    for seed in range(12):
+        program.write_text(UNREACHABLE_THEN if seed == 0 else
+                           random_program(random.Random(seed), max_stmts=8))
+        for fmt in ("text", "machine"):
+            for trace in ((), ("--trace",)):
+                code = main([str(program), "--spec", SPEC4, *REPORT_MODES[mode],
+                             "--minint", "-8", "--maxint", "8", "--format",
+                             fmt, *trace, "--out", str(out)])
+                assert code == 0
+                (report,) = references
+                references.clear()
+                expected = (reference_text(report) if fmt == "text" else
+                            json.dumps(report, separators=(",", ":")) + "\n")
+                assert out.read_text() == expected, (seed, fmt, trace)
+                rows = report["results"]
+                cells = [(repr(row.get("interval", row.get("values"))),
+                          row["probability"]) for row in rows]
+                seen.update(name for name, hit in (
+                    ("warning", report["warnings"]),
+                    ("trace", report.get("trace")),
+                    ("bottom", {("None", 1.0), ("[]", 1.0)} & set(cells)),
+                    ("long set", any(len(row.get("values", ()))
+                                     > SET_DISPLAY_LIMIT for row in rows)),
+                    ("repeated", len(set(cells)) < len(cells))) if hit)
+    assert seen == {"warning", "trace", "bottom", "repeated"} | (
+        {"long set"} if mode == "concrete" else set())
+
+
+def test_a_run_builds_no_elements(tmp_path, monkeypatch):
+    def forbidden(self, *args):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(ValueRange, "__init__", forbidden)
+    monkeypatch.setattr(ValueSet, "__init__", forbidden)
+    program = tmp_path / "program.up"
+    program.write_text(UNREACHABLE_THEN)  # whose rows are bottom
+    for flags in ((), ("--widening", "--format", "machine"),
+                  ("--mode", "concrete", "--minint", "-8", "--maxint", "8"),
+                  ("--mode", "concrete", "--format", "machine")):
+        for trace in ((), ("--trace",)):
+            assert main([str(program), "--spec", SPEC4, *flags, *trace,
+                         "--out", str(tmp_path / "report")]) == 0

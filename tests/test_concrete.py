@@ -576,7 +576,8 @@ def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
 
 def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
     # inside solve a state is flat (set, prob) pairs; an element is built,
-    # and validated, once per node and variable of the result
+    # and validated, once per node and variable of the result, when the
+    # result's states are first read
     built = [0]
     init = ValueSet.__init__
 
@@ -589,6 +590,8 @@ def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
     spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
     cfg, result = analyze(source, spec, domain="concrete", max_iters=2000)
     assert result.converged
+    assert built[0] == 0
+    assert result.states is result.states
     assert built[0] == cfg.node_count * len(cfg.variables) == 344
 
 

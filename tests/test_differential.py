@@ -1,6 +1,7 @@
 """Self-test of tools/differential.py on two cases: a tree against itself is
-identical, and a copy with a mutated text renderer differs in exactly the
-text case."""
+identical, a copy with a mutated text renderer differs in exactly the text
+case, and with --values-only a copy whose probabilities all change differs
+in no case and lists the changed probabilities of both."""
 
 import importlib.util
 import shutil
@@ -43,3 +44,24 @@ def test_mutated_copy_differs(head, tmp_path):
     cli.write_text(text.replace('f"converged: {status}',
                                 'f"converged:  {status}'))
     assert differential.compare(head, mutated, CASES) == ["fig1 text"]
+
+
+def test_values_only_lists_changed_probabilities(head, tmp_path):
+    mutated = tmp_path / "src"
+    shutil.copytree(head, mutated)
+    hardware = mutated / "probrange" / "hardware.py"
+    text = hardware.read_text()
+    assert "return p + (1.0 - p) / space" in text
+    hardware.write_text(text.replace("return p + (1.0 - p) / space",
+                                     "return p * p + (1.0 - p) / space"))
+    assert differential.compare(head, mutated, CASES) == [label for label, _
+                                                          in CASES]
+    differing, changed = differential.compare_values(head, mutated, CASES)
+    assert differing == []
+    # fig1's rows in both formats: as text, and as machine JSON's repr
+    assert ("changed: fig1 text: line 3 x: 0.999850006526 -> 0.999650051522"
+            in changed)
+    assert ("changed: fig1 concrete machine: line 4 x: 0.997952031168 -> "
+            "0.995659289447" in changed)
+    assert {line.split(": ")[1] for line in changed} == {label for label, _
+                                                          in CASES}

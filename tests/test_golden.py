@@ -10,9 +10,10 @@ A cross-check ties the two formats together: each machine golden, and a
 fresh machine report of the loops2 concrete case, must render through
 `render_text` to the matching text golden byte for byte, so a machine
 report carries exactly the content of its text twin. `render_machine`
-writes its rows from templates, so it is also held to
-`json.dumps(report, separators=(",", ":"))`, its reference, on the machine
-goldens, concrete traces and generated loop programs.
+writes its rows straight from the solve's flat states, so it is also held
+to `json.dumps` of the row dicts that `helpers.reference_report` builds from
+the same result, on the machine goldens, concrete traces and generated loop
+programs.
 
 After an intended change to the reports, rewrite the expected files with
 
@@ -30,9 +31,9 @@ from pathlib import Path
 import pytest
 
 from probrange import cli
-from probrange.cli import main, render_machine, render_text
+from probrange.cli import main, render_text
 
-from helpers import loop_program
+from helpers import loop_program, reference_report
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -125,12 +126,16 @@ RENDER_CASES["loops2-concrete-trace"] = (
 
 
 def _check_machine_rendering(program, flags, tmp_path, monkeypatch):
-    reports = []
-    monkeypatch.setattr(cli, "render_machine",
-                        lambda report: reports.append(report) or "")
-    main([str(program), *flags, *MACHINE, "--out", str(tmp_path / "report")])
-    (report,) = reports
-    rendered = render_machine(report)
+    # the report holds the solve's flat states; json.dumps writes the row
+    # dicts the reference builder makes from the same build_report call
+    references = []
+    build = cli.build_report
+    monkeypatch.setattr(cli, "build_report", lambda *args: references.append(
+        reference_report(*args)) or build(*args))
+    out = tmp_path / "report"
+    main([str(program), *flags, *MACHINE, "--out", str(out)])
+    (report,) = references
+    rendered = out.read_text()
     expected = json.dumps(report, separators=(",", ":")) + "\n"
     # compared into a bool: pytest's diff of two megabyte strings would crawl
     same = rendered == expected

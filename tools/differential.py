@@ -1,6 +1,7 @@
 """Byte-for-byte differential of the CLI between a base revision and this tree.
 
     python3 tools/differential.py --base REV
+    python3 tools/differential.py --base REV --values-only
 
 Extracts `src/` at REV with `git archive` into a temporary directory (no
 worktree, nothing fetched), then runs every case through both trees with
@@ -18,11 +19,20 @@ there), in text and machine format, each once plain and once with --trace
 The last line is the summary, `differential: N cases, D differ (base REV)`;
 each differing case is listed above it. The exit code is 0 when no case
 differs and 1 otherwise.
+
+With --values-only, the probability printed in each result and trace row is
+set aside before the outputs are compared, so a case differs only when
+something else does: a value column, a warning, the exit code. Every
+changed probability is listed, `changed: CASE: ROW: BASE -> HEAD`, a row
+being its line and variable (and iteration, in a trace), and the summary
+counts them: `differential: N cases, D differ, P probabilities changed
+(values only, base REV)`. The exit code is 1 only when some case differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -104,20 +114,89 @@ def compare(base: Path, head: Path, todo: list[Case]) -> list[str]:
     return [label for (label, _), bad in zip(todo, verdicts) if bad]
 
 
+def split_probabilities(report: bytes) -> tuple[bytes, list]:
+    """A report with each row's probability blanked, and the probabilities
+    as (row, probability text) in report order. A row is its line and
+    variable, after its iteration in a trace; a report that is neither
+    format, such as an error's empty output, has no rows."""
+    text = report.decode(errors="replace")
+    if text.startswith("{"):
+        data = json.loads(text)
+        sections = [("", data["results"])] + [
+            (f"iteration {entry['iteration']} ", entry["rows"])
+            for entry in data.get("trace", ())]
+        found = [(f"{where}line {row['line']} {row['variable']}",
+                  repr(row.pop("probability")))
+                 for where, rows in sections for row in rows]
+        return json.dumps(data).encode(), found
+    lines, found, where, table = text.split("\n"), [], "", False
+    for i, line in enumerate(lines):
+        if line and not line.strip("-+"):  # the rule under the header
+            table = True
+            continue
+        table = table and bool(line)  # a blank line ends the table
+        if line.startswith("  iteration "):
+            where = line.strip().rstrip(":") + " "
+        if table:
+            head, sep, prob = line.rpartition(" | ")
+            number, var = head.split(" | ")[:2]
+        elif line.startswith("    line ") and " p=" in line:
+            head, sep, prob = line.rpartition(" p=")
+            number, var = head[len("    line "):].split(" = ")[0].split(": ")
+        else:
+            continue
+        found.append((f"{where}line {number.strip()} {var.strip()}", prob))
+        lines[i] = head + sep
+    return "\n".join(lines).encode(), found
+
+
+def compare_values(base: Path, head: Path,
+                   todo: list[Case]) -> tuple[list[str], list[str]]:
+    """The labels of the cases that differ in anything but probabilities,
+    and a line per changed probability of the others."""
+    def verdict(case: Case) -> tuple[bool, list[str]]:
+        (bcode, bout, berr), (hcode, hout, herr) = (run(base, case[1]),
+                                                    run(head, case[1]))
+        bmasked, bprobs = split_probabilities(bout)
+        hmasked, hprobs = split_probabilities(hout)
+        if (bcode, bmasked, berr) != (hcode, hmasked, herr):
+            return True, []
+        return False, [f"changed: {case[0]}: {row}: {b} -> {h}"
+                       for (row, b), (_, h) in zip(bprobs, hprobs) if b != h]
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        verdicts = list(pool.map(verdict, todo))
+    return ([label for (label, _), (bad, _) in zip(todo, verdicts) if bad],
+            [line for _, changed in verdicts for line in changed])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="git revision whose src/ is the reference")
+    parser.add_argument("--values-only", action="store_true",
+                        help="compare all but the rows' probabilities, and "
+                             "list each changed probability")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         work = Path(tmp)
         base = extract(args.base, work)
         todo = cases(work)
-        differing = compare(base, ROOT / "src", todo)
+        if args.values_only:
+            differing, changed = compare_values(base, ROOT / "src", todo)
+        else:
+            differing, changed = compare(base, ROOT / "src", todo), None
     for label in differing:
         print(f"differs: {label}")
-    print(f"differential: {len(todo)} cases, {len(differing)} differ "
-          f"(base {args.base})")
+    if changed is None:
+        print(f"differential: {len(todo)} cases, {len(differing)} differ "
+              f"(base {args.base})")
+    else:
+        for line in changed:
+            print(line)
+        print(f"differential: {len(todo)} cases, {len(differing)} differ, "
+              f"{len(changed)} probabilities changed (values only, base "
+              f"{args.base})")
     return 1 if differing else 0
 
 
