@@ -42,16 +42,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import partial
-from operator import itemgetter
 
 from .hardware import HardwareSpec, c_div, c_mod
 from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
-from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
-                       guard_factor, once, sp_assign, sp_guard,
-                       state_operations)
+from .concrete import (ARITH, COMPARE, Shared, _warn, assign_charge,
+                       compile_operand, guard_factor, once, sp_assign,
+                       sp_guard, state_operations)
 
 PMF_TOLERANCE = 1e-12
 
@@ -87,7 +86,7 @@ def _leq(a: Triple, b: Triple) -> bool:
             and ap / (ahi - alo + 1) >= bp / (bhi - blo + 1) - PMF_TOLERANCE)
 
 
-def _join(a: Triple, b: Triple) -> Triple:
+def _join(a: Triple, b: Triple, shared: Shared | None = None) -> Triple:
     # min and max written out: on the hot path a builtin call per bound costs
     # more than the comparison itself
     alo, ahi, ap = a
@@ -122,12 +121,13 @@ def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
 State = tuple[Triple, ...] | None
 
 
-def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
+def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
+                shared: Shared | None = None) -> State:
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-join_states, leq_states, elements, value_part = state_operations(
-    _join, _leq, ValueRange, itemgetter(0, 1))
+join_states, leq_states, elements, same_values = state_operations(
+    _join, _leq, ValueRange, lambda a, b: a[0] == b[0] and a[1] == b[1])
 
 
 def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
@@ -220,8 +220,8 @@ _ENDPOINTS = {"add": lambda a, b, c, d: (a + c, b + d),
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec,
-                   warnings: list[str]) -> Callable[[tuple], State]:
+                   spec: HardwareSpec, warnings: list[str],
+                   shared: Shared | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the assignment transfer, for one edge.
 
     The result interval comes from endpoint evaluation; its mass charges one
@@ -248,7 +248,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def _fold(e: Expr, spec: HardwareSpec, notes: list[str],
-          shared: dict | None) -> int | None:
+          shared: Shared | None) -> int | None:
     """e's value as the machine computes it, saturating each operator into
     the range, or None if e reads a variable or divides by zero. The
     overflow warnings of a fold that succeeds go to notes."""
@@ -274,7 +274,7 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                   warnings: list[str], source: Cmp | None = None,
-                  shared: dict | None = None) -> Callable[[tuple], State]:
+                  shared: Shared | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge.
 
     Refinable shapes, after putting the variable on the left of a side that

@@ -168,24 +168,15 @@ def main(argv=None) -> int:
 
 def _analyze(args: dict) -> int:
     """Read, analyze and report as args say; main's exit code."""
-    try:
-        source = _read(args["program"])
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"probrange: cannot read program: {exc}", file=sys.stderr)
-        return 1
-    try:
-        spec_text = _read(args["--spec"])
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"probrange: cannot read spec: {exc}", file=sys.stderr)
+    source = _read(args["program"], "program")
+    spec_text = None if source is None else _read(args["--spec"], "spec")
+    if spec_text is None:
         return 1
 
     try:
         spec, warnings = parse_spec(spec_text)
-        overrides = {}
-        if args["--minint"] is not None:
-            overrides["minint"] = args["--minint"]
-        if args["--maxint"] is not None:
-            overrides["maxint"] = args["--maxint"]
+        overrides = {flag[2:]: args[flag] for flag in ("--minint", "--maxint")
+                     if args[flag] is not None}
         if overrides:
             spec = spec.replace(**overrides)
     except SpecError as exc:
@@ -229,9 +220,13 @@ def _analyze(args: dict) -> int:
     return 0 if result.converged else 2
 
 
-def _read(path: str) -> str:
-    with open(path) as file:
-        return file.read()
+def _read(path: str, what: str) -> str | None:
+    """The file's text, or None after printing why it cannot be read."""
+    try:
+        with open(path) as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"probrange: cannot read {what}: {exc}", file=sys.stderr)
 
 
 def _stem(path: str) -> str:
@@ -330,10 +325,8 @@ def _cells(rows, memo: dict) -> list[tuple[str, str, str, str]]:
 
 def _spec_text(spec: dict) -> str:
     probs = set(spec["probabilities"].values())
-    if len(probs) == 1:
-        ops = f"all ops Pr={probs.pop():.12g}"
-    else:
-        ops = (f"op Pr in [{min(probs):.12g}, {max(probs):.12g}]")
+    ops = (f"all ops Pr={probs.pop():.12g}" if len(probs) == 1
+           else f"op Pr in [{min(probs):.12g}, {max(probs):.12g}]")
     return f"{ops}, bounds [{spec['minint']},{spec['maxint']}]"
 
 
@@ -364,12 +357,10 @@ def render_text(report: dict) -> str:
     memo = {}  # element or value set -> its text, across all rows
     lines.extend(_format_rows(_cells(report["results"], memo)))
     if report["warnings"]:
-        lines.append("")
-        lines.append("warnings:")
+        lines += ["", "warnings:"]
         lines.extend(f"  - {w}" for w in report["warnings"])
     if "trace" in report:
-        lines.append("")
-        lines.append("trace:")
+        lines += ["", "trace:"]
         for entry in report["trace"]:
             lines.append(f"  iteration {entry['iteration']}:")
             lines.extend(["    line %s: %s = %s p=%s" % c
@@ -393,56 +384,67 @@ def _escape(char: str) -> str:
 def _json_tail(memo: dict, element: tuple) -> str:
     """A triple's or pair's row JSON after the variable."""
     value = (f'"interval":[{element[0]},{element[1]}]' if len(element) == 3
-             else '"values":' + _sorted_set(
-                 memo, element[0], lambda v: "[" + ",".join(map(str, v)) + "]"))
+             else '"values":' + _sorted_set(  # one string, no str per value
+                 memo, element[0], lambda v: repr(v).replace(" ", "")))
     return f'{value},"probability":{float(f"{element[-1]:.12g}")!r}}}'
 
 
-def _rows_json(rows: Rows, memo: dict) -> str:
-    """Rows as _json writes a list of row dicts; see _cells for memo."""
+def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
+    """Append rows as _json writes a list of row dicts, each as its node's
+    head, its variable and its element's tail; see _cells for memo."""
     memo.setdefault(None, ('"interval":null' if rows.intervals
                            else '"values":[]') + ',"probability":1.0}')
-    names = list(map(_json, rows.variables))
+    names = [f'"{v}",' for v in rows.variables]  # ASCII words: no escapes
     bottom = (None,) * len(names)
-    parts = []
+    sep = "["
     for node, (line, state) in enumerate(zip(rows.lines, rows.states)):
         head = f'{{"node":{node},"line":{line},"variable":'
         for name, element in zip(names, state or bottom):
             tail = memo.get(element)
             if tail is None:
                 tail = memo[element] = _json_tail(memo, element)
-            parts.append(f"{head}{name},{tail}")
-    return "[" + ",".join(parts) + "]"
+            parts += (sep, head, name, tail)
+            sep = ","
+    parts.append("]" if sep == "," else "[]")
 
 
-def _json(value, memo: dict | None = None) -> str:
-    """value as json.dumps(value, separators=(",", ":")) writes it, for the
-    types a report holds: str, int, float, bool, None, list, dict with str
-    keys, and Rows, written as its list of row dicts with memo keeping the
-    text of each distinct element. Strings are escaped as json's default
-    ensure_ascii does."""
+def _json(value, parts: list, memo: dict) -> None:
+    """Append value to parts as json.dumps(value, separators=(",", ":"))
+    writes it, for the types a report holds: str, int, float, bool, None,
+    list, dict with str keys, and Rows, written as its list of row dicts.
+    Strings are escaped as json's default ensure_ascii does."""
     if isinstance(value, str):
-        if (value.isascii() and value.isprintable() and '"' not in value
+        if not (value.isascii() and value.isprintable() and '"' not in value
                 and "\\" not in value):
-            return f'"{value}"'
-        return '"' + "".join(c if " " <= c <= "~" and c not in '"\\'
-                             else _escape(c) for c in value) + '"'
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, Rows):
-        return _rows_json(value, {} if memo is None else memo)
-    if isinstance(value, list):
-        return "[" + ",".join([_json(v, memo) for v in value]) + "]"
-    return "{" + ",".join([f"{_json(k)}:{_json(v, memo)}"
-                           for k, v in value.items()]) + "}"
+            value = "".join(c if " " <= c <= "~" and c not in '"\\'
+                            else _escape(c) for c in value)
+        parts.append(f'"{value}"')
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, float)):
+        parts.append(repr(value))
+    elif isinstance(value, Rows):
+        _rows_json(value, parts, memo)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            parts.append("," if i else "[")
+            _json(item, parts, memo)
+        parts.append("]" if value else "[]")
+    else:
+        for i, (key, item) in enumerate(value.items()):
+            parts.append("," if i else "{")
+            _json(key, parts, memo)
+            parts.append(":")
+            _json(item, parts, memo)
+        parts.append("}" if value else "{}")
 
 
 def render_machine(report: dict) -> str:
     """The report as one line of compact JSON, byte for byte json.dumps of
     its row-dict form with separators=(",", ":"), and a newline."""
-    return _json(report, {}) + "\n"
+    _json(report, parts := [], {})
+    parts.append("\n")
+    return "".join(parts)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ least element is <{}, 1> and the greatest <full range, 0>. The least upper
 bound unions the sets and keeps the smaller probability; the greatest lower
 bound intersects and keeps the larger one (an empty intersection keeps
 max(p1, p2), which is exactly the greatest lower bound under the order above).
-A join of two sides that hold the same set object returns that object, so a
-set that no edge changed reaches later edges as the same object.
+A solve keeps one object per distinct live value set (hash-consing, through
+Shared.sets; Filliatre and Conchon 2006), and a join whose union adds nothing
+to one side returns that side, so edges tell unchanged sets by identity.
 
 The solver's state is None when no environment is reachable, and otherwise a
 tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
@@ -56,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from collections.abc import Callable, Iterable
 from functools import partial
 
@@ -92,22 +94,36 @@ def _leq(a: Pair, b: Pair) -> bool:
     return a[0] <= b[0] and a[1] >= b[1] - 1e-12
 
 
-def _join(a: Pair, b: Pair) -> Pair:
-    # min(p, q), without the call; a shared set is kept, not unioned
-    return (a[0] if a[0] is b[0] else a[0] | b[0],
-            b[1] if b[1] < a[1] else a[1])
+class Shared(Record):
+    """One solve's tables: memo, `once`'s results per key object; sets, the
+    value sets it made, by hash and weakly, so unused ones are freed."""
+    __slots__ = ("memo", "sets")
+    _defaults = {"memo": dict, "sets": weakref.WeakValueDictionary}
+
+
+def _canonical(shared: Shared | None, values: frozenset[int]) -> frozenset:
+    """The live set in shared equal to values, else values, now stored."""
+    kept = (values if shared is None  # a collision keeps values unshared
+            else shared.sets.setdefault(hash(values), values))
+    return kept if kept is values or kept == values else values
+
+
+def _join(a: Pair, b: Pair, shared: Shared | None = None) -> Pair:
+    # min(p, q), without the call; a side that holds the union is returned
+    s, t = a[0], b[0]
+    s = s if s is t or t <= s else t if s <= t else _canonical(shared, s | t)
+    return s, b[1] if b[1] < a[1] else a[1]
 
 
 def state_operations(join: Callable, leq: Callable, element: type,
-                     values: Callable) -> tuple[Callable, ...]:
-    """A domain's join_states, leq_states, elements (the reported form,
-    variable -> validated element) and value_part (the probability-free
-    projection that detects value changes), from its per-element join and
-    order, its element class and the value part of one element."""
-    def join_states(a, b):
+                     same: Callable) -> tuple[Callable, ...]:
+    """A domain's join_states (taking the solve's Shared), leq_states,
+    elements (variable -> validated element) and same_values (values equal,
+    probabilities aside), from its element join, order, class and test."""
+    def join_states(a, b, shared: Shared | None = None):
         if a is None or b is None:
             return a if b is None else b
-        return tuple(map(join, a, b))
+        return tuple(map(join, a, b, itertools.repeat(shared)))
 
     def leq_states(a, b) -> bool:
         return a is None or b is not None and all(map(leq, a, b))
@@ -117,14 +133,14 @@ def state_operations(join: Callable, leq: Callable, element: type,
             return {v: element.bottom() for v in variables}
         return {v: element(*e) for v, e in zip(variables, state)}
 
-    def value_part(state) -> tuple:
-        return () if state is None else tuple(map(values, state))
+    def same_values(a, b) -> bool:  # bottom and () hold no values alike
+        return all(map(same, a, b)) if a and b else not (a or b)
 
-    return join_states, leq_states, elements, value_part
+    return join_states, leq_states, elements, same_values
 
 
-join_states, leq_states, elements, value_part = state_operations(
-    _join, _leq, ValueSet, operator.itemgetter(0))
+join_states, leq_states, elements, same_values = state_operations(
+    _join, _leq, ValueSet, lambda a, b: a[0] is b[0] or a[0] == b[0])
 
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
@@ -173,17 +189,18 @@ def guard_factor(guard: Cmp,
                    * lhs_ops * rhs_ops)
 
 
-def once(shared: dict | None, key, compute: Callable):
+def once(shared: Shared | None, key, compute: Callable):
     """compute(), or with shared what it gave for this key object before."""
     if shared is None:
         return compute()
-    if id(key) not in shared:
-        shared[id(key)] = compute()
-    return shared[id(key)]
+    if id(key) not in shared.memo:
+        shared.memo[id(key)] = compute()
+    return shared.memo[id(key)]
 
 
-def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
-    full = frozenset(range(spec.minint, spec.maxint + 1))
+def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
+                shared: Shared | None = None) -> State:
+    full = _canonical(shared, frozenset(range(spec.minint, spec.maxint + 1)))
     return ((full, 1.0),) * len(variables)
 
 
@@ -361,8 +378,8 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec,
-                   warnings: list[str]) -> Callable[[tuple], State]:
+                   spec: HardwareSpec, warnings: list[str],
+                   shared: Shared | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of `target =. expr`, for one edge.
 
     The result set is the image of expr over every tuple of operand values;
@@ -387,7 +404,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
                 image, had_eval_error = frozenset(), False
             had_eval_error = had_eval_error or divided
             if not image.issuperset(values):
-                image = image.union(values)
+                image = _canonical(shared, image.union(values))
         if not image:
             if had_eval_error:
                 _warn(warnings, f"every operand tuple of `{target} =. ...` "
@@ -405,7 +422,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                   warnings: list[str], source: Cmp | None = None,
-                  shared: dict | None = None) -> Callable[[tuple], State]:
+                  shared: Shared | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
     Each guard variable keeps only the values that occur in some satisfying
@@ -415,7 +432,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     the program executes: source's, the guard as written before rewriting
     or negation (guard's own when None). An unsatisfiable guard bottoms the
     whole state; a guard over constants alone is decided outright. With
-    shared, a dict kept for one solve, both edges of a guard share its factor.
+    shared (one solve's Shared), both edges of a guard share its factor.
     """
     source = source or guard
     names, factor = once(shared, source, lambda: guard_factor(source, spec))
@@ -435,7 +452,8 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
             if any(hits):
                 satisfiable = True
                 new = (list(itertools.compress(c, hits)) for c in columns)
-                kept = [old if old.issuperset(v) else old.union(v)
+                kept = [old if old.issuperset(v)
+                        else _canonical(shared, old.union(v))
                         for old, v in zip(kept, new)]
         if not satisfiable:
             return None

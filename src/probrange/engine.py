@@ -31,6 +31,8 @@ Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
 iterates over flat states, None or a tuple indexed by variable position;
 SolveResult keeps them, and builds {variable: element} views only if read.
+A concrete.Shared, made per solve and dropped when it returns, holds what its
+edges and joins share: guard factors and folds, and live value sets by hash.
 """
 
 from __future__ import annotations
@@ -145,20 +147,20 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
     variables = system.variables
     index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
-    shared: dict = {}  # what the two edges of one guard compile in common
+    shared = concrete.Shared()  # what this solve's edges and joins share
 
     def compiled(edge: Edge) -> tuple:
         action = edge.action
         if isinstance(action, AssignAction):
             return edge.src, dom.compile_assign(action.target, action.value,
-                                                index, spec, warnings)
+                                                index, spec, warnings, shared)
         return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
                                            action.source, shared)
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it
     states: list = [None if variables else ()] * cfg.node_count
-    states[cfg.entry] = dom.entry_state(variables, spec)
+    states[cfg.entry] = dom.entry_state(variables, spec, shared)
     order, heads = weak_topological_order(cfg)
     widen_nodes = heads if widening is not None else set()
     trace: list[list] | None = [] if keep_trace else None
@@ -166,19 +168,17 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
     def recompute(node: int):
         out = None
         for src, edge in incoming[node]:
-            out = dom.join_states(out, dom.sp_assign(states[src], edge))
+            out = dom.join_states(out, dom.sp_assign(states[src], edge),
+                                  shared)
         return out
 
     def try_commit(node: int) -> bool:
-        new = recompute(node)
+        new, cur = recompute(node), states[node]
         if node in widen_nodes:
-            cur = states[node]
-            widened = abstract.widen_states(cur, new, widening)
-            if widened == cur:
+            new = abstract.widen_states(cur, new, widening)
+            if new == cur:
                 return False
-            states[node] = widened
-            return True
-        if dom.value_part(new) == dom.value_part(states[node]):
+        elif dom.same_values(new, cur):
             return False
         states[node] = new
         return True

@@ -35,15 +35,15 @@ class SpecError(Exception):
 
 def c_div(a: int, b: int) -> int:
     """Integer division truncating toward zero, as C evaluates `/`."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+    q = a // b  # the floor, one up when negative and inexact
+    return q + 1 if q < 0 and q * b != a else q
 
 
 def c_mod(a: int, b: int) -> int:
     """Remainder matching c_div: a == c_div(a, b) * b + c_mod(a, b), so it
     has the magnitude of abs(a) % abs(b) and the dividend's sign."""
-    r = abs(a) % abs(b)
-    return r if a >= 0 else -r
+    b = b if b > 0 else -b
+    return a % b if a >= 0 else -(-a % b)
 
 
 class HardwareSpec(Record):

@@ -147,8 +147,14 @@ class DictDomain:
             self.mod.widen_states(self.flat(a), self.flat(b), thresholds),
             tuple(a))
 
+    def same_values(self, a, b) -> bool:
+        return self.mod.same_values(self.flat(a), self.flat(b))
+
     def value_part(self, state) -> tuple:
-        return self.mod.value_part(self.flat(state))
+        """The state's values, probabilities aside: each variable's set,
+        or its interval's endpoints (for comparing states across solves)."""
+        flat = self.flat(state)
+        return () if flat is None else tuple(e[:-1] for e in flat)
 
 
 ABSTRACT = DictDomain(abstract)

@@ -20,7 +20,7 @@ eval_interval = ABSTRACT.eval_interval
 sp_assign, sp_guard = ABSTRACT.sp_assign, ABSTRACT.sp_guard
 join_states, leq_states = ABSTRACT.join_states, ABSTRACT.leq_states
 state_is_bottom, widen_states = ABSTRACT.state_is_bottom, ABSTRACT.widen_states
-value_part = ABSTRACT.value_part
+same_values = ABSTRACT.same_values
 conc_assign, conc_guard = CONCRETE.sp_assign, CONCRETE.sp_guard
 
 SPEC = HardwareSpec.uniform(0.9999)
@@ -602,8 +602,13 @@ def test_state_helpers():
     assert leq_states(a, j) and leq_states(b, j)
     assert leq_states(bottom_state(("x", "y")), a)
     assert not leq_states(a, bottom_state(("x", "y")))
-    assert value_part(a) == ((0, 1), (2, 2))
-    assert value_part(bottom_state(("x", "y"))) == ()
+    assert same_values(a, {"x": ValueRange(0, 1, 0.1),
+                           "y": ValueRange(2, 2, 0.2)})
+    assert not same_values(a, b) and not same_values(a, j)
+    assert not same_values(a, {"x": ValueRange(0, 2, 0.9),
+                               "y": ValueRange(2, 2, 0.8)})
+    assert same_values(bottom_state(("x", "y")), bottom_state(("x", "y")))
+    assert abstract.same_values(None, ()) and abstract.same_values((), None)
     assert state_is_bottom({"x": ValueRange.bottom(), "y": ValueRange(0, 1, 1.0)})
     w = widen_states(a, b, T)
     assert w["x"].lo <= 0 and w["x"].hi >= 4

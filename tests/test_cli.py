@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,13 @@ from hypothesis import strategies as st
 import probrange
 from probrange import cli
 from probrange.abstract import ValueRange
-from probrange.cli import (_FLAGS, _format_rows, _json, _parse_args, _stem,
-                           SET_DISPLAY_LIMIT, main)
+from probrange.cli import (_FLAGS, _format_rows, _parse_args, _stem,
+                           SET_DISPLAY_LIMIT, main, render_machine)
 from probrange.concrete import ValueSet
-from probrange.hardware import ALL_OPS
+from probrange.hardware import ALL_OPS, HardwareSpec
 
-from helpers import (CORPUS, nested_program, random_program, reference_parser,
-                     reference_report, reference_text)
+from helpers import (CORPUS, analyze, nested_program, random_program,
+                     reference_parser, reference_report, reference_text)
 
 FIG1 = str(CORPUS / "fig1.up")
 COLLATZ = str(CORPUS / "collatz.up")
@@ -632,7 +633,25 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 def test_json_encoder_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, separators=(",", ":"))
+    assert render_machine(value) == json.dumps(value,
+                                               separators=(",", ":")) + "\n"
+
+
+def test_machine_rendering_peaks_under_twice_its_output():
+    # the pieces go to one list, joined once: no row or enclosing list is
+    # copied into a string of its own first (3.7 times the output before)
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    cfg, result = analyze(source, spec, domain="concrete", max_iters=2000)
+    report = cli.build_report("loops2", "concrete", False, spec, cfg, result,
+                              result.warnings)
+    tracemalloc.start()
+    try:
+        rendered = render_machine(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(rendered)
 
 
 def test_machine_report_escapes_the_program_name_as_json_does(tmp_path):

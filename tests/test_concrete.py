@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CONCRETE, analyze, join, leq, meet, product_sets,
+from helpers import (CONCRETE, CORPUS, analyze, join, leq, meet, product_sets,
                      random_program, reference_compile_assign,
                      reference_compile_guard, reliable, set_top)
 
@@ -22,7 +23,7 @@ TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
 bottom_state, entry_state = CONCRETE.bottom_state, CONCRETE.entry_state
 sp_assign, sp_guard = CONCRETE.sp_assign, CONCRETE.sp_guard
 join_states, leq_states = CONCRETE.join_states, CONCRETE.leq_states
-state_is_bottom, value_part = CONCRETE.state_is_bottom, CONCRETE.value_part
+state_is_bottom, same_values = CONCRETE.state_is_bottom, CONCRETE.same_values
 
 
 def elem(*values, prob=1.0):
@@ -543,13 +544,37 @@ def test_column_warnings_follow_the_original_rows():
 
 
 def test_join_keeps_a_shared_set():
-    # a set both sides hold is returned as is, not unioned into a copy
+    # a set both sides hold is returned as is, not unioned into a copy, and
+    # so is a side that holds the union; a new union is the object that the
+    # solve's set table holds for its values
     shared = frozenset({1, 2})
     a = ((shared, 0.9), (frozenset({0}), 0.5))
     b = ((shared, 0.8), (frozenset({3}), 0.7))
     joined = concrete.join_states(a, b)
     assert joined[0][0] is shared and joined[0][1] == 0.8
     assert joined[1] == (frozenset({0, 3}), 0.5)
+    wider = frozenset({0, 1, 2})
+    c, d = ((wider, 0.9),), ((shared, 0.8),)
+    assert concrete.join_states(c, d)[0] == (wider, 0.8)
+    assert concrete.join_states(c, d)[0][0] is wider
+    assert concrete.join_states(d, c)[0][0] is wider
+    table = concrete.Shared()  # one solve's: equal unions are one object
+    union = concrete.join_states(a, b, table)[1][0]
+    again = ((shared, 0.8), (frozenset({3}), 0.7))
+    assert concrete.join_states(a, again, table)[1][0] is union
+    assert concrete.join_states(a, again)[1][0] is not union
+
+
+def test_same_values_ignores_probabilities_and_set_identity():
+    s, t = frozenset({1, 2}), frozenset({1, 2, 3}) - {3}
+    assert s == t and s is not t
+    same = concrete.same_values
+    assert same(((s, 0.9), (t, 0.5)), ((t, 0.1), (s, 0.2)))
+    assert not same(((s, 0.9), (s, 0.5)), ((s, 0.9), (frozenset({1}), 0.5)))
+    assert not same(((frozenset({0}), 0.9), (s, 0.5)), ((s, 0.9), (s, 0.5)))
+    # bottom and the state of a program without variables hold no values
+    assert same(None, ()) and same((), None) and same(None, None)
+    assert not same(None, ((s, 1.0),)) and not same(((s, 1.0),), None)
 
 
 def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
@@ -595,6 +620,36 @@ def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
     assert built[0] == cfg.node_count * len(cfg.variables) == 344
 
 
+def test_loops2_concrete_holds_one_object_per_distinct_set():
+    # the entry's range, images, kept sets and unions go through the solve's
+    # set table, so equal sets in the states and trace snapshots are one
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    _, result = analyze(source, spec, domain="concrete", max_iters=2000,
+                        keep_trace=True)
+    assert result.converged and len(result.flat_trace) == 7
+    sets = [values for states in (result.flat_states, *result.flat_trace)
+            for state in states if state is not None for values, _ in state]
+    assert len(sets) == 2032
+    assert len(set(map(id, sets))) == len(set(sets)) == 27
+
+
+def test_untraced_concrete_solve_frees_the_sets_it_replaced():
+    # the set table holds its sets weakly: a 1000-trip count keeps a few
+    # sets of up to 1001 values alive, not one per pass (about 44 MB when
+    # the table held them all, 0.36 MB before there was a table)
+    spec = HardwareSpec.uniform(0.9999, minint=0, maxint=1023)
+    tracemalloc.start()
+    try:
+        _, result = analyze((CORPUS / "counter.up").read_text(), spec,
+                            domain="concrete", max_iters=1100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations == 1001
+    assert peak < 1_000_000
+
+
 def test_compiled_edge_blowup_on_grown_input(monkeypatch):
     # the cap bounds the full product on every call, not only the new tuples
     monkeypatch.setattr(concrete, "TUPLE_CAP", 10)
@@ -615,9 +670,8 @@ def test_state_join_and_value_part():
     j = join_states(a, b)
     assert j["x"] == elem(0, 3, prob=0.7)
     assert j["y"] == elem(1, prob=0.8)
-    assert value_part(a) != value_part(b)
-    assert value_part(j) == value_part(
-        {"x": elem(0, 3, prob=0.1), "y": elem(1, prob=0.2)})
+    assert not same_values(a, b)
+    assert same_values(j, {"x": elem(0, 3, prob=0.1), "y": elem(1, prob=0.2)})
 
 
 def test_bottom_state_is_join_identity():
@@ -625,4 +679,5 @@ def test_bottom_state_is_join_identity():
     assert join_states(bottom_state(("x",)), a) == a
     assert state_is_bottom(bottom_state(("x",)))
     assert not state_is_bottom(a)
-    assert value_part(bottom_state(("x",))) == ()
+    assert same_values(bottom_state(("x",)), bottom_state(("x",)))
+    assert not same_values(bottom_state(("x",)), a)

@@ -41,6 +41,28 @@ def test_cmod_matches_remainder_of_cdiv(a, b):
     assert c_mod(a, b) == a - c_div(a, b) * b
 
 
+def abs_div(a, b):
+    # c_div and c_mod as they were written with abs, kept as the reference
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def abs_mod(a, b):
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
+
+
+wide = st.integers(-2**80, 2**80)
+
+
+@given(wide, st.one_of(st.integers(-9, 9), wide).filter(bool), st.booleans())
+def test_cdiv_cmod_match_the_abs_formulas(a, b, exact):
+    if exact:  # a multiple of b, where the floor needs no correction
+        a -= a % b
+    assert c_div(a, b) == abs_div(a, b)
+    assert c_mod(a, b) == abs_mod(a, b)
+
+
 def test_rel_arithmetic_uses_range_size():
     spec = HardwareSpec.uniform(0.9999)
     assert spec.rel("add") == 0.9999 + 0.0001 / 65536
