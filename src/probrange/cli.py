@@ -381,19 +381,21 @@ def _escape(char: str) -> str:
     return _ESCAPES.get(char) or f"\\u{code:04x}"
 
 
-def _json_tail(memo: dict, element: tuple) -> str:
-    """A triple's or pair's row JSON after the variable."""
-    value = (f'"interval":[{element[0]},{element[1]}]' if len(element) == 3
-             else '"values":' + _sorted_set(  # one string, no str per value
-                 memo, element[0], lambda v: repr(v).replace(" ", "")))
-    return f'{value},"probability":{float(f"{element[-1]:.12g}")!r}}}'
+def _json_tail(memo: dict, element: tuple) -> tuple[str, ...]:
+    """A triple's or pair's row JSON after the variable, in pieces: a set's
+    text is one piece, shared by every row that prints it."""
+    end = f',"probability":{float(f"{element[-1]:.12g}")!r}}}'
+    if len(element) == 3:
+        return (f'"interval":[{element[0]},{element[1]}]{end}',)
+    return '"values":', _sorted_set(  # one string, no str per value
+        memo, element[0], lambda v: repr(v).replace(" ", "")), end
 
 
 def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
     """Append rows as _json writes a list of row dicts, each as its node's
-    head, its variable and its element's tail; see _cells for memo."""
-    memo.setdefault(None, ('"interval":null' if rows.intervals
-                           else '"values":[]') + ',"probability":1.0}')
+    head, its variable and its element's tail pieces; see _cells for memo."""
+    memo.setdefault(None, (('"interval":null' if rows.intervals
+                            else '"values":[]') + ',"probability":1.0}',))
     names = [f'"{v}",' for v in rows.variables]  # ASCII words: no escapes
     bottom = (None,) * len(names)
     sep = "["
@@ -403,7 +405,8 @@ def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
             tail = memo.get(element)
             if tail is None:
                 tail = memo[element] = _json_tail(memo, element)
-            parts += (sep, head, name, tail)
+            parts += (sep, head, name)
+            parts += tail
             sep = ","
     parts.append("]" if sep == "," else "[]")
 

@@ -1,8 +1,8 @@
 """Equation system over a CFG and its fixpoint solver.
 
-Each non-entry node i owes its state to the join over incoming edges of the
-edge action's transfer applied to the source node's state; the entry node is
-the constant state giving every variable the full machine range at
+Each non-entry node i owes its state to its first incoming edge's transfer
+of the source state, joined with each later edge's (bottom without edges);
+the entry node's constant state gives every variable the machine range at
 probability 1. The solver iterates from all-bottom until a full pass commits
 nothing. A pass visits nodes in a weak topological order of the CFG
 (cfg.weak_topological_order; Bourdoncle 1993), so a change flows down a loop
@@ -167,9 +167,9 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
 
     def recompute(node: int):
         out = None
-        for src, edge in incoming[node]:
-            out = dom.join_states(out, dom.sp_assign(states[src], edge),
-                                  shared)
+        for i, (src, edge) in enumerate(incoming[node]):
+            new = dom.sp_assign(states[src], edge)
+            out = dom.join_states(out, new, shared) if i else new
         return out
 
     def try_commit(node: int) -> bool:

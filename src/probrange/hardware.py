@@ -24,6 +24,7 @@ ARITH_OPS = ("add", "sub", "mul", "div", "mod", "read", "write")
 BOOL_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 ALL_OPS = ARITH_OPS + BOOL_OPS
 UNCHARGED_OPS = ("and", "or", "not")
+_READ = ALL_OPS + ("minint", "maxint")  # the spec keys whose value is read
 
 DEFAULT_MININT = -32768
 DEFAULT_MAXINT = 32767
@@ -85,7 +86,7 @@ class HardwareSpec(Record):
 def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
     """Parse a spec file, returning the hardware and default-use warnings."""
     probs: dict[str, float] = {}
-    minint, maxint = DEFAULT_MININT, DEFAULT_MAXINT
+    limits = {"minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,11 +95,11 @@ def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
         if not sep:
             raise SpecError(f"line {lineno}: expected `key = value`, got {raw.strip()!r}")
         key, value = key.strip(), value.strip()
-        try:
-            if key == "minint":
-                minint = int(value)
-            elif key == "maxint":
-                maxint = int(value)
+        try:  # a value read is ASCII without `_`, as a literal is written
+            if key in _READ and (not value.isascii() or "_" in value):
+                raise ValueError(value)
+            if key in limits:
+                limits[key] = int(value)
             elif key in ALL_OPS:
                 if key in probs:
                     raise SpecError(f"line {lineno}: duplicate op {key!r}")
@@ -109,4 +110,4 @@ def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
             raise SpecError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     warnings = [f"op {op!r} missing from spec, assuming probability 1.0"
                 for op in ALL_OPS if op not in probs]
-    return HardwareSpec(probs, minint, maxint), warnings
+    return HardwareSpec(probs, **limits), warnings

@@ -654,6 +654,27 @@ def test_machine_rendering_peaks_under_twice_its_output():
     assert peak < 2 * len(rendered)
 
 
+@pytest.mark.parametrize("trace, bound", [(False, 1.4), (True, 1.28)],
+                         ids=["plain", "trace"])
+def test_machine_rendering_keeps_each_set_text_once(trace, bound):
+    # a set's text is one piece that every row printing the set shares,
+    # not a copy inside each memoised row tail (1.57 and 1.32 times the
+    # output before)
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    cfg, result = analyze(source, spec, domain="concrete", max_iters=2000,
+                          keep_trace=trace)
+    report = cli.build_report("loops2", "concrete", False, spec, cfg, result,
+                              result.warnings)
+    tracemalloc.start()
+    try:
+        rendered = render_machine(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(rendered)
+
+
 def test_machine_report_escapes_the_program_name_as_json_does(tmp_path):
     # a bare statement list takes its name from the file's stem; the
     # undecodable byte reaches it as a lone surrogate

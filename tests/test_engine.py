@@ -279,40 +279,64 @@ def test_round_robin_trace_matches_final_state(spec4):
 
 # --- work done ---
 
-def count_transfers(monkeypatch, mod) -> list[int]:
-    """Count the solver's calls of mod.sp_assign and mod.sp_guard."""
-    calls = [0]
-    for name in ("sp_assign", "sp_guard"):
-        def counted(*args, real=getattr(mod, name)):
-            calls[0] += 1
+def count_calls(monkeypatch, mod, *names) -> dict[str, int]:
+    """Count the solver's calls of each named function of mod."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, real=getattr(mod, name)):
+            calls[name] += 1
             return real(*args)
         monkeypatch.setattr(mod, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("program, domain, bounds, passes, transfers", [
+def solve_golden(spec, program: str, domain: str, bounds):
+    """Solve a golden program to convergence, widened in abstract mode."""
+    if bounds is not None:
+        spec = spec.replace(minint=bounds[0], maxint=bounds[1])
+    cfg = build_cfg(parse_program((GOLDEN / program).read_text()))
+    widening = None
+    if domain == "abstract":
+        widening = collect_thresholds(cfg, spec.minint, spec.maxint)
+    return solve(build_equations(cfg), spec, domain=domain,
+                 widening=widening, max_iters=2000)
+
+
+WORK = pytest.mark.parametrize("program, domain, bounds, passes, transfers", [
     ("loops4.up", "abstract", None, 15, 492),
     ("loops2.up", "concrete", (-64, 63), 7, 204),
 ], ids=["loops4-abstract", "loops2-concrete"])
+
+
+@WORK
 def test_round_robin_recomputes_only_changed_sources(
         monkeypatch, spec4, program, domain, bounds, passes, transfers):
     # passes in a weak topological order carry a change through a whole
     # loop body, where id order took 99 and 43 passes (514 and 226
     # transfers); a pass skips every node none of whose sources committed
     # since its last visit
-    spec = spec4
-    if bounds is not None:
-        spec = spec4.replace(minint=bounds[0], maxint=bounds[1])
-    cfg = build_cfg(parse_program((GOLDEN / program).read_text()))
-    widening = None
-    if domain == "abstract":
-        widening = collect_thresholds(cfg, spec.minint, spec.maxint)
     mod = probrange.abstract if domain == "abstract" else probrange.concrete
-    calls = count_transfers(monkeypatch, mod)
-    result = solve(build_equations(cfg), spec, domain=domain,
-                   widening=widening, max_iters=2000)
+    calls = count_calls(monkeypatch, mod, "sp_assign", "sp_guard")
+    result = solve_golden(spec4, program, domain, bounds)
     assert result.converged and result.iterations == passes
-    assert calls[0] == transfers
+    assert calls["sp_assign"] + calls["sp_guard"] == transfers
+
+
+@WORK
+def test_a_recomputation_joins_only_its_later_edges(
+        monkeypatch, spec4, program, domain, bounds, passes, transfers):
+    # the first incoming edge's transfer starts a node's state, and each
+    # later one is joined into it: a recomputation over k edges makes k - 1
+    # joins. Every recomputation ends in one widening or one value check.
+    mod = probrange.abstract if domain == "abstract" else probrange.concrete
+    calls = count_calls(monkeypatch, mod, "sp_assign", "join_states",
+                        "same_values")
+    widenings = count_calls(monkeypatch, probrange.abstract, "widen_states")
+    result = solve_golden(spec4, program, domain, bounds)
+    assert result.converged and result.iterations == passes
+    recomputes = calls["same_values"] + widenings["widen_states"]
+    assert calls["sp_assign"] == transfers
+    assert calls["join_states"] == transfers - recomputes
 
 
 # --- exhaustion and validation ---

@@ -188,6 +188,14 @@ def test_parse_spec_malformed_lines():
         parse_spec("add = zero point five")
     with pytest.raises(SpecError):
         parse_spec("minint = -8.5")
+    # int and float read more than a program literal: other scripts'
+    # digits and `_` separators
+    with pytest.raises(SpecError, match="bad value for 'minint'"):
+        parse_spec("minint = -\u0663\u0662")
+    with pytest.raises(SpecError, match="bad value for 'maxint'"):
+        parse_spec("maxint = 1_000")
+    with pytest.raises(SpecError, match="bad value for 'add'"):
+        parse_spec("add = 0.9_9")
 
 
 @given(st.floats(0, 1), st.sampled_from(ALL_OPS))
