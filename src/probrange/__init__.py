@@ -14,8 +14,7 @@ from .hardware import (DEFAULT_MAXINT, DEFAULT_MININT, HardwareSpec,
 from .syntax import (FrontendError, LexError, LiteralRangeError, ParseError,
                      Program, parse_program)
 from .cfg import CFG, build_cfg, collect_thresholds, loop_heads
-from .concrete import OracleBlowup, ValueSet
-from .abstract import ValueRange
+from .concrete import OracleBlowup
 from .engine import EquationSystem, SolveResult, build_equations, solve
 from .cli import main
 
@@ -27,8 +26,7 @@ __all__ = [
     "FrontendError", "LexError", "LiteralRangeError", "ParseError",
     "Program", "parse_program",
     "CFG", "build_cfg", "collect_thresholds", "loop_heads",
-    "OracleBlowup", "ValueSet",
-    "ValueRange",
+    "OracleBlowup",
     "EquationSystem", "SolveResult", "build_equations", "solve",
     "main",
     "__version__",

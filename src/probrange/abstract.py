@@ -8,8 +8,8 @@ containment together with density:
     <[a,b], p>  <=  <[c,d], q>   iff  [a,b] within [c,d]  and  pmf >= pmf'
 
 (the density comparison uses a small absolute tolerance so that chained joins
-of equal densities stay reflexive). The least element is the empty interval
-with probability 1; the greatest is the full machine range with probability 0.
+of equal densities stay reflexive). The least element is the empty interval,
+None in a state; the greatest is the full machine range with probability 0.
 
 Joins take the hull and the smaller density, capped at the uniform density of
 the hull. The meet and the Galois maps to the concrete domain (abstraction
@@ -31,10 +31,10 @@ members in its interval; the values failing `x %. k !=. c` are such a class,
 whose members lie k apart, so for k >= 2 each endpoint moves inward by one at
 most (for k = 1 the class is every value or none).
 
-The solver's state is None when no environment is reachable, and otherwise a
-tuple of (lo, hi, prob) triples, never empty, indexed by variable position.
-ValueRange wraps the same triple for a SolveResult's element views and
-validates it; join, leq and widen are written over triples, and the state
+A state is None when no environment is reachable, and otherwise a tuple of
+(lo, hi, prob) triples, never empty (lo <= hi), indexed by variable
+position; the solver, its result and both report formats hold states in this
+form only. join, leq and widen are written over triples, and the state
 operations are built from them as in the concrete domain.
 """
 
@@ -44,7 +44,6 @@ from collections.abc import Callable
 from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .record import Record, set_field
 from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
@@ -53,27 +52,6 @@ from .concrete import (ARITH, COMPARE, Shared, _warn, assign_charge,
                        sp_guard, state_operations)
 
 PMF_TOLERANCE = 1e-12
-
-
-class ValueRange(Record):
-    __slots__ = ("lo", "hi", "prob")
-
-    def __init__(self, lo: int, hi: int, prob: float) -> None:
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability out of [0,1]: {prob}")
-        if lo > hi and (lo, hi, prob) != (0, -1, 1.0):
-            raise ValueError("empty interval must be the canonical bottom <[0,-1], 1>")
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "prob", prob)
-
-    @classmethod
-    def bottom(cls) -> ValueRange:
-        return cls(0, -1, 1.0)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.lo > self.hi
 
 
 Triple = tuple[int, int, float]
@@ -126,8 +104,8 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
-join_states, leq_states, elements, same_values = state_operations(
-    _join, _leq, ValueRange, lambda a, b: a[0] == b[0] and a[1] == b[1])
+join_states, leq_states, same_values = state_operations(
+    _join, _leq, lambda a, b: a[0] == b[0] and a[1] == b[1])
 
 
 def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:

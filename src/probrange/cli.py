@@ -268,11 +268,11 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         "iterations": result.iterations,
         "converged": result.converged,
         "warnings": list(warnings),
-        "results": rows(result.flat_states),
+        "results": rows(result.states),
     }
-    if result.flat_trace is not None:
+    if result.trace is not None:
         report["trace"] = [{"iteration": i + 1, "rows": rows(states)}
-                           for i, states in enumerate(result.flat_trace)]
+                           for i, states in enumerate(result.trace)]
     return report
 
 

@@ -15,11 +15,11 @@ A solve keeps one object per distinct live value set (hash-consing, through
 Shared.sets; Filliatre and Conchon 2006), and a join whose union adds nothing
 to one side returns that side, so edges tell unchanged sets by identity.
 
-The solver's state is None when no environment is reachable, and otherwise a
-tuple of flat (values, prob) pairs, a frozenset and a float, indexed by
-variable position; no pair inside a state has an empty set. ValueSet wraps
-the same pair and validates it. It is built only for a SolveResult's element
-views (`elements`), never by the CLI; join and leq are written over pairs.
+A state is None when no environment is reachable, and otherwise a tuple of
+flat (values, prob) pairs, a frozenset and a float, indexed by variable
+position; no pair inside a state has an empty set. The solver, its result
+and both report formats hold states in this form only; join and leq are
+written over pairs.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
@@ -62,7 +62,7 @@ from collections.abc import Callable, Iterable
 from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .record import Record, set_field
+from .record import Record
 from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 
 TUPLE_CAP = 10**6  # read on every call, so a test can lower it
@@ -70,20 +70,6 @@ TUPLE_CAP = 10**6  # read on every call, so a test can lower it
 
 class OracleBlowup(Exception):
     """The tuple product of an sp transfer would exceed TUPLE_CAP."""
-
-
-class ValueSet(Record):
-    __slots__ = ("values", "prob")  # values: frozenset[int]
-
-    def __init__(self, values: frozenset[int], prob: float) -> None:
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability out of [0,1]: {prob}")
-        set_field(self, "values", values)
-        set_field(self, "prob", prob)
-
-    @classmethod
-    def bottom(cls) -> ValueSet:
-        return cls(frozenset(), 1.0)
 
 
 Pair = tuple[frozenset[int], float]
@@ -115,11 +101,11 @@ def _join(a: Pair, b: Pair, shared: Shared | None = None) -> Pair:
     return s, b[1] if b[1] < a[1] else a[1]
 
 
-def state_operations(join: Callable, leq: Callable, element: type,
+def state_operations(join: Callable, leq: Callable,
                      same: Callable) -> tuple[Callable, ...]:
-    """A domain's join_states (taking the solve's Shared), leq_states,
-    elements (variable -> validated element) and same_values (values equal,
-    probabilities aside), from its element join, order, class and test."""
+    """A domain's join_states (taking the solve's Shared), leq_states and
+    same_values (values equal, probabilities aside), from its element join,
+    order and test."""
     def join_states(a, b, shared: Shared | None = None):
         if a is None or b is None:
             return a if b is None else b
@@ -128,19 +114,14 @@ def state_operations(join: Callable, leq: Callable, element: type,
     def leq_states(a, b) -> bool:
         return a is None or b is not None and all(map(leq, a, b))
 
-    def elements(state, variables: tuple[str, ...]) -> dict:
-        if state is None:
-            return {v: element.bottom() for v in variables}
-        return {v: element(*e) for v, e in zip(variables, state)}
-
     def same_values(a, b) -> bool:  # bottom and () hold no values alike
         return all(map(same, a, b)) if a and b else not (a or b)
 
-    return join_states, leq_states, elements, same_values
+    return join_states, leq_states, same_values
 
 
-join_states, leq_states, elements, same_values = state_operations(
-    _join, _leq, ValueSet, lambda a, b: a[0] is b[0] or a[0] == b[0])
+join_states, leq_states, same_values = state_operations(
+    _join, _leq, lambda a, b: a[0] is b[0] or a[0] == b[0])
 
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,

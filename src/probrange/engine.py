@@ -29,8 +29,8 @@ it back), so a loop head, too, is recomputed only when a source commits.
 
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
-iterates over flat states, None or a tuple indexed by variable position;
-SolveResult keeps them, and builds {variable: element} views only if read.
+iterates over flat states, None or a tuple indexed by variable position,
+and SolveResult keeps them as they are.
 A concrete.Shared, made per solve and dropped when it returns, holds what its
 edges and joins share: guard factors and folds, and live value sets by hash.
 """
@@ -76,34 +76,11 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
 
 
 class SolveResult(MutableRecord):
-    """flat_states and each flat_trace snapshot (one per committing pass;
-    None without keep_trace) list the flat state of each node; states and
-    trace view them as {node: {variable: element}} dicts, built when first
-    read and kept, so that a change made to a view stays."""
-    __slots__ = ("flat_states", "iterations", "converged", "warnings",
-                 "flat_trace", "variables", "domain", "_views")
-    _defaults = {"_views": None}
-    _loose = ("_views",)
-
-    def __post_init__(self) -> None:
-        self._views = {}  # a copy made by replace builds its own
-
-    def _elements(self, flat: list) -> dict[int, dict]:
-        elements = (abstract if self.domain == "abstract"
-                    else concrete).elements
-        return {n: elements(s, self.variables) for n, s in enumerate(flat)}
-
-    @property
-    def states(self) -> dict[int, dict]:
-        if "states" not in self._views:
-            self._views["states"] = self._elements(self.flat_states)
-        return self._views["states"]
-
-    @property
-    def trace(self) -> list[dict[int, dict]] | None:
-        if "trace" not in self._views and self.flat_trace is not None:
-            self._views["trace"] = list(map(self._elements, self.flat_trace))
-        return self._views.get("trace")
+    """states and each trace snapshot (one per committing pass; trace is
+    None without keep_trace) list each node's flat state: None when the node
+    is unreachable, else the domain's (lo, hi, prob) triples or (values,
+    prob) pairs in cfg.variables order."""
+    __slots__ = ("states", "iterations", "converged", "warnings", "trace")
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
@@ -204,6 +181,5 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
         iterations += 1
         if trace is not None:
             trace.append(list(states))
-    return SolveResult(states, iterations, converged, warnings, trace,
-                       variables, domain)
+    return SolveResult(states, iterations, converged, warnings, trace)
 

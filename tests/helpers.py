@@ -1,12 +1,13 @@
 """Shared test utilities: corpus access, one-call analysis, random programs,
-source printing, the element operations that no analysis uses (the flat
-triple and pair views, width and density, order, join, widening, meet, top
-elements and the Galois maps), the machine model's `clamp` and `reliable`
-and the CFG's `exits`, and the references that faster code in src/ is
-judged against: the argparse flag parser, the character-loop tokenizer, the
-scanning congruence refinement, the tuple-at-a-time concrete edges and the
-report builder and text renderer that went through an element and a dict
-per row."""
+source printing, edges compiled and applied to hand-made flat states, the
+element operations that no analysis uses (width and density, order, join,
+widening, meet, top elements and the Galois maps, all over the solver's flat
+(lo, hi, prob) triples and (values, prob) pairs with None as bottom), the
+machine model's `clamp` and `reliable` and the CFG's `exits`, and the
+references that faster code in src/ is judged against: the argparse flag
+parser, the character-loop tokenizer, the scanning congruence refinement,
+the tuple-at-a-time concrete edges and the report builder and text renderer
+that went through a dict per row."""
 
 from __future__ import annotations
 
@@ -22,10 +23,8 @@ from pathlib import Path
 
 from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
-from probrange.abstract import ValueRange
 from probrange.cli import SET_DISPLAY_LIMIT
 from probrange.cfg import AssignAction
-from probrange.concrete import ValueSet
 from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
                                 HardwareSpec, c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
@@ -80,85 +79,31 @@ def analyze(source: str, spec, **kwargs):
     return cfg, solve(build_equations(cfg), spec, **kwargs)
 
 
-class DictDomain:
-    """A domain module over {variable: element} states, one call per transfer.
-
-    The solver keeps flat states (None for bottom, else a tuple indexed by
-    variable position) and compiles every edge once per solve. Tests written
-    against dict states go through this face: each call converts the states,
-    compiles the action on the spot and converts the result back.
-    """
-
-    def __init__(self, module):
-        self.mod = module
-
-    def flat(self, state: dict):
-        elems = tuple(state.values())
-        if self.mod is abstract:
-            if any(e.is_bottom for e in elems):
-                return None
-            return tuple(map(triple, elems))
-        if any(not e.values for e in elems):
-            return None
-        return tuple(map(pair, elems))
-
-    def elements(self, state, variables) -> dict:
-        return self.mod.elements(state, variables)
-
-    def _index(self, state: dict) -> dict[str, int]:
-        return {v: i for i, v in enumerate(state)}
-
-    def bottom_state(self, variables) -> dict:
-        return self.elements(None, tuple(variables))
-
-    def entry_state(self, variables, spec) -> dict:
-        return self.elements(self.mod.entry_state(variables, spec),
-                                 tuple(variables))
-
-    def state_is_bottom(self, state: dict) -> bool:
-        return self.flat(state) is None
-
-    def sp_assign(self, state, target, expr, spec, warnings) -> dict:
-        edge = self.mod.compile_assign(target, expr, self._index(state), spec,
-                                       warnings)
-        return self.elements(self.mod.sp_assign(self.flat(state), edge),
-                                 tuple(state))
-
-    def sp_guard(self, state, guard, spec, warnings) -> dict:
-        edge = self.mod.compile_guard(guard, self._index(state), spec,
-                                      warnings)
-        return self.elements(self.mod.sp_guard(self.flat(state), edge),
-                                 tuple(state))
-
-    def eval_interval(self, expr, state, spec, warnings) -> tuple[int, int]:
-        evaluate = self.mod.interval_evaluator(expr, self._index(state), spec,
-                                               warnings)
-        return evaluate(self.flat(state))
-
-    def join_states(self, a, b) -> dict:
-        return self.elements(
-            self.mod.join_states(self.flat(a), self.flat(b)), tuple(a))
-
-    def leq_states(self, a, b) -> bool:
-        return self.mod.leq_states(self.flat(a), self.flat(b))
-
-    def widen_states(self, a, b, thresholds) -> dict:
-        return self.elements(
-            self.mod.widen_states(self.flat(a), self.flat(b), thresholds),
-            tuple(a))
-
-    def same_values(self, a, b) -> bool:
-        return self.mod.same_values(self.flat(a), self.flat(b))
-
-    def value_part(self, state) -> tuple:
-        """The state's values, probabilities aside: each variable's set,
-        or its interval's endpoints (for comparing states across solves)."""
-        flat = self.flat(state)
-        return () if flat is None else tuple(e[:-1] for e in flat)
+XYZ = {"x": 0, "y": 1, "z": 2}  # positions in the tests' hand-made states
 
 
-ABSTRACT = DictDomain(abstract)
-CONCRETE = DictDomain(concrete)
+def apply_assign(mod, state, source: str, spec, warnings=None):
+    """mod's transfer of the assignment statement source, compiled for this
+    one call, on a flat state over x, y, z (a state may stop before z)."""
+    stmt = parse_program(source).body.stmts[0]
+    edge = mod.compile_assign(stmt.target, stmt.value, XYZ, spec,
+                              [] if warnings is None else warnings)
+    return mod.sp_assign(state, edge)
+
+
+def apply_guard(mod, state, source: str, spec, warnings=None):
+    """mod's transfer of the condition of the `while` or `if` statement
+    source, as apply_assign applies an assignment."""
+    cond = parse_program(source).body.stmts[0].cond
+    edge = mod.compile_guard(cond, XYZ, spec,
+                             [] if warnings is None else warnings)
+    return mod.sp_guard(state, edge)
+
+
+def value_part(state) -> tuple:
+    """A flat state's values, probabilities aside: each variable's set, or
+    its interval's endpoints (for comparing states across solves)."""
+    return () if state is None else tuple(e[:-1] for e in state)
 
 
 def expr_vars(node) -> tuple[str, ...]:
@@ -292,24 +237,26 @@ def _guard(rng: random.Random, names) -> str:
     return f"{lhs} {cmp_op} {rhs}"
 
 
-def check_soundness(concrete_result, abstract_result) -> list[str]:
+def check_soundness(concrete_result, abstract_result, variables) -> list[str]:
     """Variable-wise comparison of the two fixpoints through abstraction.
 
     For every node and variable, the abstraction of the concrete value must
-    sit below the abstract value. Returns one message per violation; an empty
-    list means the abstract run soundly covers the concrete one.
+    sit below the abstract value; an unreachable concrete node is below
+    anything. Returns one message per violation; an empty list means the
+    abstract run soundly covers the concrete one.
     """
     violations = []
-    for node, cstate in concrete_result.states.items():
-        astate = abstract_result.states[node]
-        for var, celem in cstate.items():
+    states = zip(concrete_result.states, abstract_result.states)
+    for node, (cstate, astate) in enumerate(states):
+        if cstate is None:
+            continue
+        for i, (var, celem) in enumerate(zip(variables, cstate)):
             lifted = alpha(celem)
-            aelem = astate[var]
+            aelem = None if astate is None else astate[i]
             if not leq(lifted, aelem):
                 violations.append(
                     f"node {node}, variable {var}: alpha(concrete) = "
-                    f"<[{lifted.lo},{lifted.hi}], {lifted.prob}> is not below "
-                    f"abstract <[{aelem.lo},{aelem.hi}], {aelem.prob}>")
+                    f"{lifted} is not below abstract {aelem}")
     return violations
 
 
@@ -472,113 +419,99 @@ class BottomArgument(Exception):
     """The density of the empty interval was requested."""
 
 
-def triple(m: ValueRange) -> tuple[int, int, float]:
-    """m as the solver holds it."""
-    return m.lo, m.hi, m.prob
+def width(m) -> int:
+    """The number of values of a triple; 0 for None, the empty interval."""
+    return 0 if m is None else m[1] - m[0] + 1
 
 
-def pair(s: ValueSet) -> tuple[frozenset[int], float]:
-    """s as the solver holds it."""
-    return s.values, s.prob
-
-
-def width(m: ValueRange) -> int:
-    return 0 if m.is_bottom else m.hi - m.lo + 1
-
-
-def pmf(m: ValueRange) -> float:
-    """The density of each value of m: its mass over its width."""
-    if m.is_bottom:
+def pmf(m) -> float:
+    """The density of each value of a triple: its mass over its width."""
+    if m is None:
         raise BottomArgument("empty interval has no density")
-    return m.prob / width(m)
+    return m[2] / width(m)
 
 
 def leq(a, b) -> bool:
-    """a below b in the order of their domain, ValueSets or ValueRanges."""
-    if isinstance(a, ValueSet):
-        return concrete._leq(pair(a), pair(b))
-    if a.is_bottom:
+    """a below b in the order of their domain: two triples or two pairs,
+    None (bottom) on either side."""
+    if a is None:
         return True
-    if b.is_bottom:
+    if b is None:
         return False
-    return abstract._leq(triple(a), triple(b))
+    return (abstract if len(a) == 3 else concrete)._leq(a, b)
 
 
 def join(a, b):
-    """Least upper bound of two ValueSets or two ValueRanges."""
-    if isinstance(a, ValueSet):
-        return ValueSet(*concrete._join(pair(a), pair(b)))
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
-        return a
-    return ValueRange(*abstract._join(triple(a), triple(b)))
+    """Least upper bound of two triples or two pairs, None being bottom."""
+    if a is None or b is None:
+        return a if b is None else b
+    return (abstract if len(a) == 3 else concrete)._join(a, b)
 
 
-def widen(a: ValueRange, b: ValueRange, thresholds) -> ValueRange:
-    """Jump both endpoints outward to thresholds bracketing the hull.
+def widen(a, b, thresholds):
+    """Jump both endpoints of two triples outward to thresholds bracketing
+    the hull.
 
     Identity on a bottom side; returns a unchanged when b leq a. The
     result's mass is the hull width times the larger of the two densities,
     capped at 1.
     """
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
-        return a
-    return ValueRange(*abstract._widen(triple(a), triple(b), thresholds))
+    if a is None or b is None:
+        return a if b is None else b
+    return abstract._widen(a, b, thresholds)
 
 
-def range_top(minint: int, maxint: int) -> ValueRange:
-    return ValueRange(minint, maxint, 0.0)
+def range_top(minint: int, maxint: int) -> tuple[int, int, float]:
+    return minint, maxint, 0.0
 
 
-def set_top(minint: int, maxint: int) -> ValueSet:
-    return ValueSet(frozenset(range(minint, maxint + 1)), 0.0)
+def set_top(minint: int, maxint: int) -> tuple[frozenset[int], float]:
+    return frozenset(range(minint, maxint + 1)), 0.0
 
 
-def set_of(*values: int, prob: float = 1.0) -> ValueSet:
-    return ValueSet(frozenset(values), prob)
+def set_of(*values: int, prob: float = 1.0) -> tuple[frozenset[int], float]:
+    return frozenset(values), prob
 
 
 def meet(a, b):
-    """Greatest lower bound of two ValueSets or two ValueRanges.
+    """Greatest lower bound of two triples or two pairs, None being bottom.
 
-    Sets intersect and keep the larger probability. Intervals intersect and
-    take the larger density, capped at mass 1; the cap cannot fire for
-    elements whose mass is at most 1, so when it does, a RuntimeWarning
-    says so.
+    Sets intersect and keep the larger probability, an empty intersection
+    included. Intervals intersect, None when they are disjoint, and take the
+    larger density, capped at mass 1; the cap cannot fire for triples whose
+    mass is at most 1, so when it does, a RuntimeWarning says so.
     """
-    if isinstance(a, ValueSet):
-        return ValueSet(a.values & b.values, max(a.prob, b.prob))
-    if a.is_bottom or b.is_bottom:
-        return ValueRange.bottom()
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
+    if a is None or b is None:
+        return None
+    if len(a) == 2:
+        return a[0] & b[0], max(a[1], b[1])
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
     if lo > hi:
-        return ValueRange.bottom()
+        return None
     p = (hi - lo + 1) * max(pmf(a), pmf(b))
     if p > 1.0:
-        warnings.warn(f"meet of <[{a.lo},{a.hi}],{a.prob}> and "
-                      f"<[{b.lo},{b.hi}],{b.prob}> capped at mass 1",
+        warnings.warn(f"meet of {a} and {b} capped at mass 1",
                       RuntimeWarning, stacklevel=2)
         p = 1.0
-    return ValueRange(lo, hi, p)
+    return lo, hi, p
 
 
-def alpha(c: ValueSet) -> ValueRange:
-    """Abstraction: the hull of the set, at mass min(1, p * hull width)."""
-    if not c.values:
-        return ValueRange.bottom()
-    lo, hi = min(c.values), max(c.values)
-    return ValueRange(lo, hi, min(1.0, c.prob * (hi - lo + 1)))
+def alpha(c):
+    """Abstraction of a pair: the hull of the set, at mass min(1, p * hull
+    width); None for None or an empty set."""
+    if c is None or not c[0]:
+        return None
+    lo, hi = min(c[0]), max(c[0])
+    return lo, hi, min(1.0, c[1] * (hi - lo + 1))
 
 
-def gamma(m: ValueRange) -> ValueSet:
-    """Concretization: every value of the interval, at its density."""
-    if m.is_bottom:
-        return ValueSet.bottom()
-    return ValueSet(frozenset(range(m.lo, m.hi + 1)), pmf(m))
+def gamma(m):
+    """Concretization of a triple: every value of the interval, at its
+    density; None for None."""
+    if m is None:
+        return None
+    return frozenset(range(m[0], m[1] + 1)), pmf(m)
 
 
 # --- references for faster code in src/ ---
@@ -818,12 +751,14 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
 def reference_report(name: str, mode: str, widening: bool, spec, cfg, result,
                      warnings: list[str]) -> dict:
     """The report as probrange.cli.build_report once assembled it, and as a
-    machine report reads back: from the result's element views, one dict
-    per row. json.dumps(report, separators=(",", ":")) + "\n" is then the
+    machine report reads back: from the result's flat states, one dict per
+    row. json.dumps(report, separators=(",", ":")) + "\n" is then the
     machine report and reference_text(report) the text report."""
-    def rows(states: dict) -> list[dict]:
-        return [_reference_row(node, cfg.lines[node], var, states[node][var])
-                for node in sorted(states) for var in cfg.variables]
+    def rows(states: list) -> list[dict]:
+        bottom = (None,) * len(cfg.variables)  # an unreachable node's
+        return [_reference_row(node, cfg.lines[node], var, element, mode)
+                for node, state in enumerate(states)
+                for var, element in zip(cfg.variables, state or bottom)]
 
     report = {
         "schema": 2, "program": name, "mode": mode, "widening": widening,
@@ -839,13 +774,15 @@ def reference_report(name: str, mode: str, widening: bool, spec, cfg, result,
     return report
 
 
-def _reference_row(node: int, line: int, var: str, element) -> dict:
+def _reference_row(node: int, line: int, var: str, element,
+                   mode: str) -> dict:
     row = {"node": node, "line": line, "variable": var}
-    if isinstance(element, ValueRange):
-        row["interval"] = None if element.is_bottom else [element.lo, element.hi]
+    if mode == "abstract":
+        row["interval"] = None if element is None else list(element[:2])
     else:
-        row["values"] = sorted(element.values)
-    row["probability"] = float(f"{element.prob:.12g}")
+        row["values"] = [] if element is None else sorted(element[0])
+    prob = 1.0 if element is None else element[-1]
+    row["probability"] = float(f"{prob:.12g}")
     return row
 
 

@@ -5,14 +5,10 @@ Each test prints a single `criterion N: PASS/FAIL` line (visible under
 and enforces the claims made in the README.
 """
 
-import math
 import random
 import time
 
-from probrange import abstract, concrete
-from probrange.abstract import ValueRange
 from probrange.cfg import build_cfg, collect_thresholds
-from probrange.concrete import ValueSet
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
@@ -40,11 +36,11 @@ def test_criterion_1_concrete_worked_example(spec4):
     }
     errors = []
     for node, (values, prob) in want.items():
-        got = result.states[node]["x"]
-        if got.values != values:
-            errors.append(f"node {node} values {sorted(got.values)}")
-        if rel_err(got.prob, prob) > 1e-9:
-            errors.append(f"node {node} prob off by {rel_err(got.prob, prob):.2e}")
+        (got_values, got_prob), = result.states[node]
+        if got_values != values:
+            errors.append(f"node {node} values {sorted(got_values)}")
+        if rel_err(got_prob, prob) > 1e-9:
+            errors.append(f"node {node} prob off by {rel_err(got_prob, prob):.2e}")
     if not result.converged:
         errors.append("did not converge")
     if elapsed >= 1.0:
@@ -65,11 +61,11 @@ def test_criterion_2_abstract_worked_example(spec4):
     }
     errors = []
     for node, (lo, hi, prob) in want.items():
-        got = result.states[node]["x"]
-        if (got.lo, got.hi) != (lo, hi):
-            errors.append(f"node {node} interval [{got.lo},{got.hi}]")
-        if rel_err(got.prob, prob) > 1e-9:
-            errors.append(f"node {node} prob off by {rel_err(got.prob, prob):.2e}")
+        (got_lo, got_hi, got_prob), = result.states[node]
+        if (got_lo, got_hi) != (lo, hi):
+            errors.append(f"node {node} interval [{got_lo},{got_hi}]")
+        if rel_err(got_prob, prob) > 1e-9:
+            errors.append(f"node {node} prob off by {rel_err(got_prob, prob):.2e}")
     if not result.converged:
         errors.append("did not converge")
     if elapsed >= 1.0:
@@ -92,13 +88,13 @@ def test_criterion_3_collatz_intervals(spec7):
     errors = []
     for run, label in ((plain, "plain"), (widened, "widened")):
         for line, (lo, hi) in want.items():
-            got = run.states[lines[line]]["x"]
-            if (got.lo, got.hi) != (lo, hi):
-                errors.append(f"{label} line {line}: [{got.lo},{got.hi}]")
-            if not 0.0 < got.prob <= 1.0:
-                errors.append(f"{label} line {line}: prob {got.prob}")
-        head = run.states[lines[3]]["x"].prob
-        exit_prob = run.states[lines[8]]["x"].prob
+            (got_lo, got_hi, got_prob), = run.states[lines[line]]
+            if (got_lo, got_hi) != (lo, hi):
+                errors.append(f"{label} line {line}: [{got_lo},{got_hi}]")
+            if not 0.0 < got_prob <= 1.0:
+                errors.append(f"{label} line {line}: prob {got_prob}")
+        (_, _, head), = run.states[lines[3]]
+        (_, _, exit_prob), = run.states[lines[8]]
         if exit_prob > head:
             errors.append(f"{label}: line 8 prob above line 3")
     if not (widened.converged and widened.iterations <= 4):
@@ -117,15 +113,15 @@ def test_criterion_4_collatz_concrete_sets(spec7):
     cfg, result = analyze(corpus_source("collatz.up"), spec7,
                           domain="concrete")
     lines = line_map(cfg)
-    head = result.states[lines[3]]["x"]
-    exit_elem = result.states[lines[8]]["x"]
+    (head, head_prob), = result.states[lines[3]]
+    (exit_values, exit_prob), = result.states[lines[8]]
     errors = []
-    if head.values != frozenset({1, 2, 4, 5, 8, 10, 16}):
-        errors.append(f"line 3 values {sorted(head.values)}")
-    if exit_elem.values != frozenset({1}):
-        errors.append(f"line 8 values {sorted(exit_elem.values)}")
-    for label, got, want in (("line 3", head.prob, 0.999996199976),
-                             ("line 8", exit_elem.prob, 0.999996049977)):
+    if head != frozenset({1, 2, 4, 5, 8, 10, 16}):
+        errors.append(f"line 3 values {sorted(head)}")
+    if exit_values != frozenset({1}):
+        errors.append(f"line 8 values {sorted(exit_values)}")
+    for label, got, want in (("line 3", head_prob, 0.999996199976),
+                             ("line 8", exit_prob, 0.999996049977)):
         if rel_err(got, want) > 1e-6:
             errors.append(f"{label} prob off by {rel_err(got, want):.2e}")
     report(4, not errors, "; ".join(errors) or
@@ -140,17 +136,16 @@ def test_criterion_5_galois_laws():
 
     def random_concrete():
         if rng.random() < 0.02:
-            return ValueSet.bottom()
+            return None
         size = rng.randint(1, 9)
-        return ValueSet(frozenset(rng.sample(range(-8, 9), size)),
-                        rng.random())
+        return frozenset(rng.sample(range(-8, 9), size)), rng.random()
 
     def random_abstract():
         if rng.random() < 0.02:
-            return ValueRange.bottom()
+            return None
         lo = rng.randint(-8, 8)
         hi = rng.randint(lo, 8)
-        return ValueRange(lo, hi, rng.random())
+        return lo, hi, rng.random()
 
     for _ in range(10000):
         c = random_concrete()
@@ -160,29 +155,31 @@ def test_criterion_5_galois_laws():
         m = random_abstract()
         checked += 1
         back = alpha(gamma(m))
-        if (back.lo, back.hi) != (m.lo, m.hi) or abs(back.prob - m.prob) > 1e-12:
+        if (back is None) != (m is None) or m is not None and (
+                back[:2] != m[:2] or abs(back[2] - m[2]) > 1e-12):
             violations += 1
 
     for _ in range(10000):
         # ordered concrete pair: subset with the larger probability below
         big = random_concrete()
-        while not big.values:
+        while big is None:
             big = random_concrete()
-        sub = frozenset(v for v in big.values if rng.random() < 0.7)
-        small = ValueSet(sub, min(1.0, big.prob + rng.random() * (1 - big.prob)))
+        values, p = big
+        sub = frozenset(v for v in values if rng.random() < 0.7)
+        small = sub, min(1.0, p + rng.random() * (1 - p))
         checked += 1
         if not (leq(small, big) and leq(alpha(small), alpha(big))):
             violations += 1
         # ordered abstract pair: containment with density no larger above
         inner = random_abstract()
-        while inner.is_bottom:
+        while inner is None:
             inner = random_abstract()
-        lo = inner.lo - rng.randint(0, 3)
-        hi = inner.hi + rng.randint(0, 3)
+        lo = inner[0] - rng.randint(0, 3)
+        hi = inner[1] + rng.randint(0, 3)
         w = hi - lo + 1
         mass = pmf(inner) * w
         prob = rng.random() * min(1.0, mass)
-        outer = ValueRange(lo, hi, prob)
+        outer = lo, hi, prob
         checked += 1
         if not (leq(inner, outer) and leq(gamma(inner), gamma(outer))):
             violations += 1
@@ -194,8 +191,8 @@ def test_criterion_5_galois_laws():
 
 def test_criterion_6_lattice_oracle_equivalence():
     probs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    universe = [ValueRange.bottom()] + [
-        ValueRange(a, b, p)
+    universe = [None] + [
+        (a, b, p)
         for a in range(0, 5) for b in range(a, 5) for p in probs]
     assert len(universe) == 76
     violations = 0
@@ -229,7 +226,7 @@ def test_criterion_7_end_to_end_soundness():
         system = build_equations(cfg)
         conc = solve(system, spec, domain="concrete")
         abst = solve(system, spec, domain="abstract")
-        bad = check_soundness(conc, abst)
+        bad = check_soundness(conc, abst, cfg.variables)
         if bad:
             failures.append((i, source, bad[0]))
     elapsed = time.perf_counter() - start

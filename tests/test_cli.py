@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 import probrange
 from probrange import cli
-from probrange.abstract import ValueRange
 from probrange.cli import (_FLAGS, _format_rows, _parse_args, _stem,
                            SET_DISPLAY_LIMIT, main, render_machine)
-from probrange.concrete import ValueSet
 from probrange.hardware import ALL_OPS, HardwareSpec
 
 from helpers import (CORPUS, analyze, nested_program, random_program,
@@ -743,8 +741,8 @@ REPORT_MODES = {"abstract": (), "widening": ("--widening",),
 
 @pytest.mark.parametrize("mode", sorted(REPORT_MODES))
 def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
-    # the reference builds an element per row, then a dict per row, as the
-    # CLI once did; on [-8,8], an unreachable branch and seeded loop-free
+    # the reference builds a dict per row from the flat states, as the CLI
+    # once did; on [-8,8], an unreachable branch and seeded loop-free
     # programs give bottom rows, value sets longer than SET_DISPLAY_LIMIT,
     # warnings, and the same element at many rows
     references = []
@@ -779,19 +777,3 @@ def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
                     ("repeated", len(set(cells)) < len(cells))) if hit)
     assert seen == {"warning", "trace", "bottom", "repeated"} | (
         {"long set"} if mode == "concrete" else set())
-
-
-def test_a_run_builds_no_elements(tmp_path, monkeypatch):
-    def forbidden(self, *args):
-        raise AssertionError(f"a {type(self).__name__} was built")
-
-    monkeypatch.setattr(ValueRange, "__init__", forbidden)
-    monkeypatch.setattr(ValueSet, "__init__", forbidden)
-    program = tmp_path / "program.up"
-    program.write_text(UNREACHABLE_THEN)  # whose rows are bottom
-    for flags in ((), ("--widening", "--format", "machine"),
-                  ("--mode", "concrete", "--minint", "-8", "--maxint", "8"),
-                  ("--mode", "concrete", "--format", "machine")):
-        for trace in ((), ("--trace",)):
-            assert main([str(program), "--spec", SPEC4, *flags, *trace,
-                         "--out", str(tmp_path / "report")]) == 0

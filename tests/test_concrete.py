@@ -1,100 +1,87 @@
 import math
 import random
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CONCRETE, CORPUS, analyze, join, leq, meet, product_sets,
-                     random_program, reference_compile_assign,
-                     reference_compile_guard, reliable, set_top)
+from helpers import (CORPUS, XYZ, analyze, apply_assign, apply_guard, join,
+                     leq, meet, product_sets, random_program,
+                     reference_compile_assign, reference_compile_guard,
+                     reliable, set_top)
 
 from probrange import concrete
-from probrange.concrete import OracleBlowup, ValueSet
+from probrange.concrete import OracleBlowup
 from probrange.hardware import HardwareSpec
 from probrange.syntax import Assign, parse_program
 
 SPEC = HardwareSpec.uniform(0.9999)
 TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
 
-# dict-state transfers and helpers, compiled per call
-bottom_state, entry_state = CONCRETE.bottom_state, CONCRETE.entry_state
-sp_assign, sp_guard = CONCRETE.sp_assign, CONCRETE.sp_guard
-join_states, leq_states = CONCRETE.join_states, CONCRETE.leq_states
-state_is_bottom, same_values = CONCRETE.state_is_bottom, CONCRETE.same_values
-
-
-def elem(*values, prob=1.0):
-    return ValueSet(frozenset(values), prob)
+# transfers on flat states over x, y, z, each edge compiled per call
+sp_assign, sp_guard = (partial(apply_assign, concrete),
+                       partial(apply_guard, concrete))
+join_states, leq_states = concrete.join_states, concrete.leq_states
+same_values = concrete.same_values
 
 
 def pair(*values, prob=1.0):
-    """The solver's flat form of elem(*values, prob=prob)."""
+    """A variable's (values, prob) pair, as a flat state holds it."""
     return frozenset(values), prob
-
-
-def rhs_of(source: str):
-    return parse_program(source).body.stmts[0].value
 
 
 def guard_of(source: str):
     return parse_program(source).body.stmts[0].cond
 
 
-elements = st.builds(
-    ValueSet,
+elements = st.one_of(st.none(), st.tuples(
     st.frozensets(st.integers(-8, 8), max_size=6),
-    st.floats(0, 1, allow_nan=False))
+    st.floats(0, 1, allow_nan=False)))
 
 
 # --- lattice ---
 
 def test_order_is_subset_and_higher_prob():
-    assert leq(elem(0, 3, prob=0.9), elem(0, 3, 6, prob=0.8))
-    assert leq(elem(0, 3, prob=0.9), elem(0, 3, prob=0.9))
-    assert not leq(elem(0, 5, prob=0.9), elem(0, 3, 6, prob=0.8))
-    assert not leq(elem(0, prob=0.5), elem(0, prob=0.9))
+    assert leq(pair(0, 3, prob=0.9), pair(0, 3, 6, prob=0.8))
+    assert leq(pair(0, 3, prob=0.9), pair(0, 3, prob=0.9))
+    assert not leq(pair(0, 5, prob=0.9), pair(0, 3, 6, prob=0.8))
+    assert not leq(pair(0, prob=0.5), pair(0, prob=0.9))
 
 
 def test_join_unions_and_takes_min_prob():
-    assert join(elem(0, prob=0.9), elem(3, prob=0.8)) == elem(0, 3, prob=0.8)
-    assert join(elem(1, prob=0.5), elem(1, prob=0.7)) == elem(1, prob=0.5)
+    assert join(pair(0, prob=0.9), pair(3, prob=0.8)) == pair(0, 3, prob=0.8)
+    assert join(pair(1, prob=0.5), pair(1, prob=0.7)) == pair(1, prob=0.5)
 
 
 def test_join_bottom_is_identity():
-    e = elem(2, 4, prob=0.6)
-    assert join(e, ValueSet.bottom()) == e
-    assert join(ValueSet.bottom(), e) == e
+    e = pair(2, 4, prob=0.6)
+    assert join(e, None) == e
+    assert join(None, e) == e
 
 
 def test_meet_intersects_and_takes_max_prob():
-    assert meet(elem(0, 3, prob=0.9), elem(3, 6, prob=0.8)) == elem(3, prob=0.9)
+    assert meet(pair(0, 3, prob=0.9), pair(3, 6, prob=0.8)) == pair(3, prob=0.9)
 
 
 def test_meet_disjoint_keeps_max_prob():
     # the literal greatest-lower-bound formula: empty set, larger probability
-    assert meet(elem(0, 3, prob=0.9), elem(6, prob=0.8)) == \
-        ValueSet(frozenset(), 0.9)
+    assert meet(pair(0, 3, prob=0.9), pair(6, prob=0.8)) == (frozenset(), 0.9)
 
 
 def test_meet_top_is_identity():
     top = set_top(-8, 8)
-    e = elem(1, 2, prob=0.4)
+    e = pair(1, 2, prob=0.4)
     assert meet(e, top) == e
 
 
 def test_extremes():
-    bot, top = ValueSet.bottom(), set_top(-8, 8)
-    for e in (bot, top, elem(0, prob=0.5), elem(-8, 8, prob=1.0)):
-        assert leq(bot, e)
+    top = set_top(-8, 8)
+    for e in (None, top, pair(0, prob=0.5), pair(-8, 8, prob=1.0)):
+        assert leq(None, e)
         assert leq(e, top)
-
-
-def test_probability_validated():
-    with pytest.raises(ValueError):
-        ValueSet(frozenset({1}), 1.5)
 
 
 @given(elements, elements)
@@ -112,8 +99,11 @@ def test_join_least_among_upper_bounds(a, b, c):
 @given(elements, elements)
 def test_meet_is_lower_bound_on_values(a, b):
     m = meet(a, b)
-    assert m.values <= a.values and m.values <= b.values
-    assert m.prob == max(a.prob, b.prob)
+    if a is None or b is None:
+        assert m is None
+    else:
+        assert m[0] <= a[0] and m[0] <= b[0]
+        assert m[1] == max(a[1], b[1])
 
 
 @given(elements, elements, elements)
@@ -140,10 +130,9 @@ def test_order_reflexive(a):
 
 # grid probabilities: the 1e-12 comparison slack must not accumulate across
 # the two hypotheses, which adversarial float triples could otherwise arrange
-grid_elements = st.builds(
-    ValueSet,
+grid_elements = st.one_of(st.none(), st.tuples(
     st.frozensets(st.integers(-8, 8), max_size=6),
-    st.integers(0, 16).map(lambda k: k / 16))
+    st.integers(0, 16).map(lambda k: k / 16)))
 
 
 @given(grid_elements, grid_elements, grid_elements)
@@ -155,167 +144,154 @@ def test_order_transitive(a, b, c):
 # --- assignment transfer ---
 
 def test_assign_constant():
-    state = entry_state(("x",), SPEC)
-    out = sp_assign(state, "x", rhs_of("x =. 0;"), SPEC, [])
-    assert out["x"].values == frozenset({0})
-    assert math.isclose(out["x"].prob, SPEC.rel("write"), rel_tol=1e-12)
-    assert math.isclose(out["x"].prob, 0.99990000152, rel_tol=1e-9)
+    state = concrete.entry_state(("x",), SPEC)
+    (values, p), = sp_assign(state, "x =. 0;", SPEC)
+    assert values == frozenset({0})
+    assert math.isclose(p, SPEC.rel("write"), rel_tol=1e-12)
+    assert math.isclose(p, 0.99990000152, rel_tol=1e-9)
 
 
 def test_assign_increment():
-    state = {"x": elem(0, 3, 6, 9, prob=0.75)}
-    out = sp_assign(state, "x", rhs_of("x =. x +. 3;"), SPEC, [])
-    assert out["x"].values == frozenset({3, 6, 9, 12})
+    (values, p), = sp_assign((pair(0, 3, 6, 9, prob=0.75),), "x =. x +. 3;",
+                             SPEC)
+    assert values == frozenset({3, 6, 9, 12})
     want = 0.75 * SPEC.rel("read") * SPEC.rel("add") * SPEC.rel("write")
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(p, want, rel_tol=1e-12)
 
 
 def test_assign_charges_each_distinct_variable_once():
-    state = {"y": elem(1, 2, prob=0.9), "x": elem(0, prob=1.0)}
-    out = sp_assign(state, "x", rhs_of("x =. y +. y;"), SPEC, [])
+    state = (pair(0, prob=1.0), pair(1, 2, prob=0.9))
+    (values, p), _ = sp_assign(state, "x =. y +. y;", SPEC)
     # one tuple per y value: y + y is evaluated with both reads agreeing
-    assert out["x"].values == frozenset({2, 4})
+    assert values == frozenset({2, 4})
     want = 0.9 * SPEC.rel("write") * SPEC.rel("read") * SPEC.rel("add")
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(p, want, rel_tol=1e-12)
 
 
 def test_assign_two_variables():
-    state = {"x": elem(0, 1, prob=0.8), "y": elem(10, 20, prob=0.5),
-             "z": elem(7, prob=0.3)}
-    out = sp_assign(state, "z", rhs_of("z =. x +. y;"), SPEC, [])
-    assert out["z"].values == frozenset({10, 11, 20, 21})
+    state = (pair(0, 1, prob=0.8), pair(10, 20, prob=0.5), pair(7, prob=0.3))
+    out = sp_assign(state, "z =. x +. y;", SPEC)
+    values, p = out[2]
+    assert values == frozenset({10, 11, 20, 21})
     want = (SPEC.rel("write") * SPEC.rel("read") ** 2 * 0.8 * 0.5
             * SPEC.rel("add"))
-    assert math.isclose(out["z"].prob, want, rel_tol=1e-12)
-    assert out["x"] == state["x"] and out["y"] == state["y"]
+    assert math.isclose(p, want, rel_tol=1e-12)
+    assert out[:2] == state[:2]
 
 
 def test_assign_bottom_state_unchanged():
-    state = bottom_state(("x", "y"))
-    out = sp_assign(state, "x", rhs_of("x =. 1;"), SPEC, [])
-    assert out == state
+    assert sp_assign(None, "x =. 1;", SPEC) is None
 
 
 def test_assign_division_by_zero_tuple_excluded():
-    state = {"x": elem(0, 1, 2, prob=1.0), "y": elem(0, prob=1.0)}
+    state = (pair(0, 1, 2, prob=1.0), pair(0, prob=1.0))
     warnings = []
-    out = sp_assign(state, "y", rhs_of("y =. 10 /. x;"), TINY, warnings)
-    assert out["y"].values == frozenset({8, 5})  # 10/1 clamps to 8, 10/2 = 5
+    out = sp_assign(state, "y =. 10 /. x;", TINY, warnings)
+    assert out[1][0] == frozenset({8, 5})  # 10/1 clamps to 8, 10/2 = 5
     assert any("division by zero" in w for w in warnings)
 
 
 def test_assign_all_tuples_divide_by_zero_bottoms_state():
-    state = {"x": elem(0, prob=1.0), "y": elem(5, prob=0.9)}
+    state = (pair(0, prob=1.0), pair(5, prob=0.9))
     warnings = []
-    out = sp_assign(state, "y", rhs_of("y =. 10 /. x;"), TINY, warnings)
-    assert state_is_bottom(out)
-    assert out == bottom_state(("x", "y"))
+    assert sp_assign(state, "y =. 10 /. x;", TINY, warnings) is None
     assert any("unreachable" in w for w in warnings)
 
 
 def test_assign_overflow_clamps_and_warns():
-    state = {"x": elem(7, prob=1.0)}
     warnings = []
-    out = sp_assign(state, "x", rhs_of("x =. x +. 7;"), TINY, warnings)
-    assert out["x"].values == frozenset({8})
+    out = sp_assign((pair(7, prob=1.0),), "x =. x +. 7;", TINY, warnings)
+    assert out[0][0] == frozenset({8})
     assert any("overflow" in w for w in warnings)
 
 
 def test_assign_blowup_raises(monkeypatch):
     monkeypatch.setattr(concrete, "TUPLE_CAP", 100)
-    state = {v: elem(*range(-8, 9), prob=1.0) for v in ("x", "y", "z")}
+    state = (pair(*range(-8, 9), prob=1.0),) * 3
     with pytest.raises(OracleBlowup):
-        sp_assign(state, "x", rhs_of("x =. x +. y *. z;"), TINY, [])
+        sp_assign(state, "x =. x +. y *. z;", TINY)
 
 
 def test_assign_nested_ops_each_charged():
-    state = {"x": elem(2, prob=1.0)}
-    out = sp_assign(state, "x", rhs_of("x =. x *. x +. 1;"), TINY, [])
-    assert out["x"].values == frozenset({5})
+    (values, p), = sp_assign((pair(2, prob=1.0),), "x =. x *. x +. 1;", TINY)
+    assert values == frozenset({5})
     want = (TINY.rel("write") * TINY.rel("read") * TINY.rel("mul")
             * TINY.rel("add"))
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(p, want, rel_tol=1e-12)
 
 
 # --- guard transfer ---
 
 def test_guard_le_filters_values():
-    state = {"x": elem(0, 3, 6, 9, 12, prob=0.9)}
-    out = sp_guard(state, guard_of("while (x <=. 9) { x =. 0; }"), SPEC, [])
-    assert out["x"].values == frozenset({0, 3, 6, 9})
+    (values, p), = sp_guard((pair(0, 3, 6, 9, 12, prob=0.9),),
+                            "while (x <=. 9) { x =. 0; }", SPEC)
+    assert values == frozenset({0, 3, 6, 9})
     want = 0.9 * SPEC.rel("read") * SPEC.rel("le")
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(p, want, rel_tol=1e-12)
 
 
 def test_guard_ge_keeps_last_value():
-    state = {"x": elem(0, 3, 6, 9, 12, prob=0.9)}
-    out = sp_guard(state, guard_of("while (x >=. 10) { x =. 0; }"), SPEC, [])
-    assert out["x"].values == frozenset({12})
+    out = sp_guard((pair(0, 3, 6, 9, 12, prob=0.9),),
+                   "while (x >=. 10) { x =. 0; }", SPEC)
+    assert out[0][0] == frozenset({12})
 
 
 def test_guard_scales_every_variable():
-    state = {"x": elem(0, 5, prob=1.0), "y": elem(7, prob=1.0)}
-    out = sp_guard(state, guard_of("while (x >. 1) { x =. 0; }"), SPEC, [])
+    state = (pair(0, 5, prob=1.0), pair(7, prob=1.0))
+    _, (values, p) = sp_guard(state, "while (x >. 1) { x =. 0; }", SPEC)
     factor = SPEC.rel("read") * SPEC.rel("gt")
-    assert math.isclose(out["y"].prob, factor, rel_tol=1e-12)
-    assert out["y"].values == frozenset({7})
+    assert math.isclose(p, factor, rel_tol=1e-12)
+    assert values == frozenset({7})
 
 
 def test_guard_unsatisfiable_bottoms_whole_state():
-    state = {"x": elem(0, 1, prob=0.9), "y": elem(5, prob=0.8)}
-    out = sp_guard(state, guard_of("while (x >. 100) { x =. 0; }"), SPEC, [])
-    assert out == bottom_state(("x", "y"))
+    state = (pair(0, 1, prob=0.9), pair(5, prob=0.8))
+    assert sp_guard(state, "while (x >. 100) { x =. 0; }", SPEC) is None
 
 
 def test_guard_relational_two_variables_projects_each():
-    state = {"x": elem(0, 1, 2, prob=1.0), "y": elem(1, prob=1.0)}
-    out = sp_guard(state, guard_of("while (x <. y) { x =. 0; }"), SPEC, [])
-    assert out["x"].values == frozenset({0})
-    assert out["y"].values == frozenset({1})
+    state = (pair(0, 1, 2, prob=1.0), pair(1, prob=1.0))
+    (xs, _), (ys, _) = sp_guard(state, "while (x <. y) { x =. 0; }", SPEC)
+    assert xs == frozenset({0})
+    assert ys == frozenset({1})
 
 
 def test_guard_arith_inside_charged():
-    state = {"x": elem(0, 1, prob=1.0), "y": elem(2, prob=1.0)}
-    out = sp_guard(state, guard_of("while (x +. 1 <=. y) { x =. 0; }"),
-                   SPEC, [])
+    state = (pair(0, 1, prob=1.0), pair(2, prob=1.0))
+    out = sp_guard(state, "while (x +. 1 <=. y) { x =. 0; }", SPEC)
     want = SPEC.rel("read") ** 2 * SPEC.rel("le") * SPEC.rel("add")
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(out[0][1], want, rel_tol=1e-12)
 
 
 def test_guard_congruence():
-    state = {"x": elem(*range(0, 9), prob=1.0)}
-    out = sp_guard(state, guard_of("while (x %. 2 ==. 0) { x =. 0; }"),
-                   TINY, [])
-    assert out["x"].values == frozenset({0, 2, 4, 6, 8})
+    (values, p), = sp_guard((pair(*range(0, 9), prob=1.0),),
+                            "while (x %. 2 ==. 0) { x =. 0; }", TINY)
+    assert values == frozenset({0, 2, 4, 6, 8})
     want = TINY.rel("read") * TINY.rel("eq") * TINY.rel("mod")
-    assert math.isclose(out["x"].prob, want, rel_tol=1e-12)
+    assert math.isclose(p, want, rel_tol=1e-12)
 
 
 def test_guard_constant_true_scales_only():
-    state = {"x": elem(1, 2, prob=0.9)}
-    out = sp_guard(state, guard_of("while (1 <=. 2) { x =. 0; }"), SPEC, [])
-    assert out["x"].values == frozenset({1, 2})
-    assert math.isclose(out["x"].prob, 0.9 * SPEC.rel("le"), rel_tol=1e-12)
+    (values, p), = sp_guard((pair(1, 2, prob=0.9),),
+                            "while (1 <=. 2) { x =. 0; }", SPEC)
+    assert values == frozenset({1, 2})
+    assert math.isclose(p, 0.9 * SPEC.rel("le"), rel_tol=1e-12)
 
 
 def test_guard_constant_false_bottoms_state():
-    state = {"x": elem(1, 2, prob=0.9)}
-    out = sp_guard(state, guard_of("while (1 >. 2) { x =. 0; }"), SPEC, [])
-    assert out == bottom_state(("x",))
+    assert sp_guard((pair(1, 2, prob=0.9),), "while (1 >. 2) { x =. 0; }",
+                    SPEC) is None
 
 
 def test_guard_bottom_state_unchanged():
-    state = bottom_state(("x",))
-    out = sp_guard(state, guard_of("while (x >. 0) { x =. 0; }"), SPEC, [])
-    assert out == state
+    assert sp_guard(None, "while (x >. 0) { x =. 0; }", SPEC) is None
 
 
 def test_guard_division_by_zero_tuples_excluded():
-    state = {"x": elem(0, 1, prob=1.0)}
     warnings = []
-    out = sp_guard(state, guard_of("while (10 /. x >. 0) { x =. 0; }"),
-                   TINY, warnings)
-    assert out["x"].values == frozenset({1})
+    out = sp_guard((pair(0, 1, prob=1.0),),
+                   "while (10 /. x >. 0) { x =. 0; }", TINY, warnings)
+    assert out[0][0] == frozenset({1})
     assert any("division by zero" in w for w in warnings)
 
 
@@ -331,25 +307,28 @@ def test_fault_free_analysis_matches_product_oracle():
         cfg, result = analyze(source, spec, domain="concrete")
         assert result.converged, source
         oracle = product_sets(cfg, -8, 8)
-        for node in range(cfg.node_count):
-            for v in cfg.variables:
-                got = result.states[node][v]
-                assert got.values == frozenset(oracle[node][v]), \
+        for node, state in enumerate(result.states):
+            if state is None:
+                assert not any(oracle[node].values()), \
+                    f"node {node} of:\n{source}"
+                continue
+            for v, (values, prob) in zip(cfg.variables, state):
+                assert values == frozenset(oracle[node][v]), \
                     f"node {node} var {v} of:\n{source}"
-                assert got.prob == 1.0
+                assert prob == 1.0
 
 
 def test_reliable_hardware_keeps_probability_one():
     spec = reliable(minint=-8, maxint=8)
-    state = entry_state(("x", "y"), spec)
-    out = sp_assign(state, "x", rhs_of("x =. y +. 1;"), spec, [])
-    out = sp_guard(out, guard_of("while (x >. 0) { x =. 0; }"), spec, [])
-    assert out["x"].prob == 1.0
-    assert out["y"].prob == 1.0
+    state = concrete.entry_state(("x", "y"), spec)
+    out = sp_assign(state, "x =. y +. 1;", spec)
+    out = sp_guard(out, "while (x >. 0) { x =. 0; }", spec)
+    (_, xp), (_, yp) = out
+    assert xp == 1.0
+    assert yp == 1.0
 
 
-small_elements = st.builds(
-    ValueSet,
+small_elements = st.tuples(
     st.frozensets(st.integers(-3, 3), min_size=1, max_size=4),
     st.floats(0.1, 1, allow_nan=False))
 
@@ -367,21 +346,21 @@ guards = st.sampled_from([
 @settings(max_examples=150, deadline=None)
 @given(small_elements, small_elements, small_elements, statements)
 def test_sp_assign_monotone(a, b, y, stmt):
-    lo = {"x": meet(a, b) if meet(a, b).values else a, "y": y}
-    hi = {"x": join(lo["x"], b), "y": y}
+    x = meet(a, b) if meet(a, b)[0] else a
+    lo, hi = (x, y), (join(x, b), y)
     assert leq_states(lo, hi)
-    out_lo = sp_assign(lo, "x", rhs_of(stmt), TINY, [])
-    out_hi = sp_assign(hi, "x", rhs_of(stmt), TINY, [])
+    out_lo = sp_assign(lo, stmt, TINY)
+    out_hi = sp_assign(hi, stmt, TINY)
     assert leq_states(out_lo, out_hi)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_elements, small_elements, small_elements, guards)
 def test_sp_guard_monotone(a, b, y, src):
-    lo = {"x": meet(a, b) if meet(a, b).values else a, "y": y}
-    hi = {"x": join(lo["x"], b), "y": y}
-    out_lo = sp_guard(lo, guard_of(src), TINY, [])
-    out_hi = sp_guard(hi, guard_of(src), TINY, [])
+    x = meet(a, b) if meet(a, b)[0] else a
+    lo, hi = (x, y), (join(x, b), y)
+    out_lo = sp_guard(lo, src, TINY)
+    out_hi = sp_guard(hi, src, TINY)
     assert leq_states(out_lo, out_hi)
 
 
@@ -390,7 +369,6 @@ def test_sp_guard_monotone(a, b, y, src):
 # a compiled edge enumerates only the operand tuples it has not seen; each
 # action below reads 0-3 of x, y, z. Overflows on two lines make two
 # warnings, whose order follows the order the new tuples are visited in
-INDEX = {"x": 0, "y": 1, "z": 2}
 EDGE_ACTIONS = [
     "x =. 3;", "x =. 5 /. 0;", "x =. x +. 1;", "x =. y /. x;",
     "x =. y *. 4 -.\n  (x *. 4);",
@@ -405,18 +383,18 @@ EDGE_ACTIONS = [
 def compile_action(source: str, warnings: list):
     stmt = parse_program(source).body.stmts[0]
     if isinstance(stmt, Assign):
-        edge = concrete.compile_assign(stmt.target, stmt.value, INDEX, TINY,
+        edge = concrete.compile_assign(stmt.target, stmt.value, XYZ, TINY,
                                        warnings)
         return lambda state: concrete.sp_assign(state, edge)
-    edge = concrete.compile_guard(stmt.cond, INDEX, TINY, warnings)
+    edge = concrete.compile_guard(stmt.cond, XYZ, TINY, warnings)
     return lambda state: concrete.sp_guard(state, edge)
 
 
-flat_states = st.tuples(*[st.tuples(
+xyz_states = st.tuples(*[st.tuples(
     st.frozensets(st.integers(-6, 6), min_size=1, max_size=5),
     st.floats(0.1, 1, allow_nan=False))] * 3)
 state_steps = st.lists(st.tuples(st.sampled_from(("grow", "grow", "fresh",
-                                                  "bottom")), flat_states),
+                                                  "bottom")), xyz_states),
                        min_size=1, max_size=8)
 
 
@@ -599,27 +577,6 @@ def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
     assert calls[0] == 8059
 
 
-def test_loops2_concrete_builds_value_sets_only_for_the_result(monkeypatch):
-    # inside solve a state is flat (set, prob) pairs; an element is built,
-    # and validated, once per node and variable of the result, when the
-    # result's states are first read
-    built = [0]
-    init = ValueSet.__init__
-
-    def counted(self, values, prob):
-        built[0] += 1
-        init(self, values, prob)
-
-    monkeypatch.setattr(ValueSet, "__init__", counted)
-    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
-    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
-    cfg, result = analyze(source, spec, domain="concrete", max_iters=2000)
-    assert result.converged
-    assert built[0] == 0
-    assert result.states is result.states
-    assert built[0] == cfg.node_count * len(cfg.variables) == 344
-
-
 def test_loops2_concrete_holds_one_object_per_distinct_set():
     # the entry's range, images, kept sets and unions go through the solve's
     # set table, so equal sets in the states and trace snapshots are one
@@ -627,8 +584,8 @@ def test_loops2_concrete_holds_one_object_per_distinct_set():
     spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
     _, result = analyze(source, spec, domain="concrete", max_iters=2000,
                         keep_trace=True)
-    assert result.converged and len(result.flat_trace) == 7
-    sets = [values for states in (result.flat_states, *result.flat_trace)
+    assert result.converged and len(result.trace) == 7
+    sets = [values for states in (result.states, *result.trace)
             for state in states if state is not None for values, _ in state]
     assert len(sets) == 2032
     assert len(set(map(id, sets))) == len(set(sets)) == 27
@@ -665,19 +622,17 @@ def test_compiled_edge_blowup_on_grown_input(monkeypatch):
 # --- state helpers ---
 
 def test_state_join_and_value_part():
-    a = {"x": elem(0, prob=0.9), "y": elem(1, prob=0.8)}
-    b = {"x": elem(3, prob=0.7), "y": elem(1, prob=0.95)}
+    a = (pair(0, prob=0.9), pair(1, prob=0.8))
+    b = (pair(3, prob=0.7), pair(1, prob=0.95))
     j = join_states(a, b)
-    assert j["x"] == elem(0, 3, prob=0.7)
-    assert j["y"] == elem(1, prob=0.8)
+    assert j[0] == pair(0, 3, prob=0.7)
+    assert j[1] == pair(1, prob=0.8)
     assert not same_values(a, b)
-    assert same_values(j, {"x": elem(0, 3, prob=0.1), "y": elem(1, prob=0.2)})
+    assert same_values(j, (pair(0, 3, prob=0.1), pair(1, prob=0.2)))
 
 
 def test_bottom_state_is_join_identity():
-    a = {"x": elem(0, prob=0.9)}
-    assert join_states(bottom_state(("x",)), a) == a
-    assert state_is_bottom(bottom_state(("x",)))
-    assert not state_is_bottom(a)
-    assert same_values(bottom_state(("x",)), bottom_state(("x",)))
-    assert not same_values(bottom_state(("x",)), a)
+    a = (pair(0, prob=0.9),)
+    assert join_states(None, a) == a
+    assert same_values(None, None)
+    assert not same_values(None, a)

@@ -3,38 +3,36 @@ from pathlib import Path
 
 import pytest
 
-import probrange.abstract
-import probrange.concrete
-from probrange.abstract import ValueRange
+from probrange import abstract, concrete
 from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            collect_thresholds)
-from probrange.concrete import OracleBlowup, ValueSet
+from probrange.concrete import OracleBlowup, Shared
 from probrange.engine import build_equations, solve
-from probrange.hardware import HardwareSpec
-from probrange.syntax import (Cmp, Const, LiteralRangeError, Token, Var,
-                              parse_program)
+from probrange.hardware import HardwareSpec, SpecError
+from probrange.syntax import (BinOp, Cmp, Const, LiteralRangeError, Token,
+                              Var, parse_program)
 
-from helpers import (ABSTRACT, CONCRETE, analyze, check_soundness,
-                     corpus_source, line_map, random_program, set_of)
-
-# the domains over dict states, which is how SolveResult reports them
-abstract, concrete = ABSTRACT, CONCRETE
+from helpers import (CORPUS, analyze, check_soundness, corpus_source,
+                     line_map, loop_program, random_program, value_part)
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def transfer(mod, state, action, spec):
-    if isinstance(action, AssignAction):
-        return mod.sp_assign(state, action.target, action.value, spec, [])
-    return mod.sp_guard(state, action.cond, spec, [])
-
-
 def recompute(system, states, node, mod, spec):
-    out = mod.bottom_state(system.variables)
+    """node's flat state from its sources' states in states, each incoming
+    edge compiled afresh and joined into bottom."""
+    index = {v: i for i, v in enumerate(system.variables)}
+    out = None
     for edge in system.preds[node]:
-        out = mod.join_states(out, transfer(mod, states[edge.src],
-                                            edge.action, spec))
+        action = edge.action
+        if isinstance(action, AssignAction):
+            compiled = mod.compile_assign(action.target, action.value, index,
+                                          spec, [])
+        else:
+            compiled = mod.compile_guard(action.cond, index, spec, [],
+                                         action.source)
+        out = mod.join_states(out, mod.sp_assign(states[edge.src], compiled))
     return out
 
 
@@ -70,23 +68,23 @@ def test_single_assignment_both_domains():
     cfg, conc = analyze("x =. 1;\n", TINY, domain="concrete")
     assert cfg.node_count == 2
     assert conc.converged and conc.iterations == 1
-    assert conc.states[1]["x"] == ValueSet(frozenset({1}), TINY.rel("write"))
+    assert conc.states[1] == ((frozenset({1}), TINY.rel("write")),)
     _, abst = analyze("x =. 1;\n", TINY, domain="abstract")
-    assert abst.states[1]["x"] == ValueRange(1, 1, TINY.rel("write"))
+    assert abst.states[1] == ((1, 1, TINY.rel("write")),)
 
 
 def test_no_target_nodes():
     cfg = CFG([1], [], ("x",))
     result = solve(build_equations(cfg), TINY, domain="abstract")
     assert result.converged and result.iterations == 0
-    assert result.states[0]["x"] == ValueRange(-8, 8, 1.0)
+    assert result.states[0] == ((-8, 8, 1.0),)
 
 
 def test_entry_state_never_recomputed(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
-    entry = result.states[0]["x"]
-    assert entry.prob == 1.0
-    assert len(entry.values) == spec4.maxint - spec4.minint + 1
+    (values, prob), = result.states[0]
+    assert prob == 1.0
+    assert len(values) == spec4.maxint - spec4.minint + 1
 
 
 # --- pinned fixpoints ---
@@ -94,16 +92,15 @@ def test_entry_state_never_recomputed(spec4):
 def test_fig1_concrete_pinned(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     assert result.converged and result.iterations == 5
-    assert result.states[1]["x"].values == frozenset({0, 3, 6, 9, 12})
-    assert result.states[2]["x"].values == frozenset({0, 3, 6, 9})
-    assert result.states[3]["x"].values == frozenset({12})
+    assert result.states[1][0][0] == frozenset({0, 3, 6, 9, 12})
+    assert result.states[2][0][0] == frozenset({0, 3, 6, 9})
+    assert result.states[3][0][0] == frozenset({12})
 
 
 def test_fig1_abstract_pinned(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     assert result.converged and result.iterations == 5
-    got = {n: (e.lo, e.hi) for n, e in
-           ((n, result.states[n]["x"]) for n in (1, 2, 3))}
+    got = {n: result.states[n][0][:2] for n in (1, 2, 3)}
     assert got == {1: (0, 12), 2: (0, 9), 3: (10, 12)}
 
 
@@ -114,8 +111,7 @@ def test_collatz_widened_pinned(spec7):
                    widening=thresholds)
     assert result.converged and result.iterations == 4
     lines = line_map(cfg)
-    exit_elem = result.states[lines[8]]["x"]
-    assert (exit_elem.lo, exit_elem.hi) == (1, 1)
+    assert result.states[lines[8]][0][:2] == (1, 1)
 
 
 # --- commit rule ---
@@ -123,12 +119,12 @@ def test_collatz_widened_pinned(spec7):
 def test_commit_keeps_probability_of_last_value_change(spec4):
     cfg, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     system = build_equations(cfg)
-    stored = result.states[2]["x"]
-    redo = recompute(system, result.states, 2, abstract, spec4)["x"]
+    (stored,) = result.states[2]
+    (redo,) = recompute(system, result.states, 2, abstract, spec4)
     # the loop body's interval stopped changing one sweep before the head's
     # probability settled, so the stored probability is the earlier, larger one
-    assert (redo.lo, redo.hi) == (stored.lo, stored.hi) == (0, 9)
-    assert redo.prob < stored.prob
+    assert redo[:2] == stored[:2] == (0, 9)
+    assert redo[2] < stored[2]
 
 
 def test_program_without_variables_reaches_every_guard(spec4):
@@ -140,7 +136,7 @@ def test_program_without_variables_reaches_every_guard(spec4):
                    {"domain": "abstract", "widening": (-32768, 32767)}):
         result = solve(build_equations(cfg), spec4, **kwargs)
         assert result.converged and result.iterations == 0
-        assert all(state == {} for state in result.states.values())
+        assert all(state == () for state in result.states)
     concrete_run = solve(build_equations(cfg), spec4, domain="concrete")
     assert concrete_run.warnings == [
         "line 3: division by zero (offending operand tuple excluded)",
@@ -167,7 +163,7 @@ def test_converged_run_is_a_value_fixpoint(spec4, spec7):
             if node == cfg.entry:
                 continue
             redo = recompute(system, result.states, node, mod, spec)
-            assert mod.value_part(redo) == mod.value_part(result.states[node]), \
+            assert value_part(redo) == value_part(result.states[node]), \
                 (name, node, source)
 
 
@@ -208,8 +204,8 @@ def test_schedules_agree_on_loop_free_programs():
                 if node != cfg.entry:
                     states[node] = recompute(system, states, node, mod, TINY)
             for node in range(cfg.node_count):
-                assert mod.value_part(rr.states[node]) == \
-                    mod.value_part(states[node]), (name, node, source)
+                assert value_part(rr.states[node]) == \
+                    value_part(states[node]), (name, node, source)
 
 
 def test_committed_states_climb(spec4, spec7):
@@ -217,13 +213,13 @@ def test_committed_states_climb(spec4, spec7):
                       keep_trace=True)
     assert len(conc.trace) == conc.iterations
     for before, after in zip(conc.trace, conc.trace[1:]):
-        for node in before:
-            assert concrete.leq_states(before[node], after[node])
+        for old, new in zip(before, after):
+            assert concrete.leq_states(old, new)
     _, abst = analyze(corpus_source("collatz.up"), spec7, domain="abstract",
                       keep_trace=True)
     for before, after in zip(abst.trace, abst.trace[1:]):
-        for node in before:
-            assert abstract.leq_states(before[node], after[node])
+        for old, new in zip(before, after):
+            assert abstract.leq_states(old, new)
 
 
 # --- widening ---
@@ -238,10 +234,9 @@ def test_widening_accelerates_collatz(spec7):
     assert widened.iterations < plain.iterations
     # intervals only: the max-density widening rule can store a higher
     # probability than plain iteration, so the runs need not be ordered
-    for node in range(cfg.node_count):
-        for v, e in plain.states[node].items():
-            w = widened.states[node][v]
-            assert e.is_bottom or (w.lo <= e.lo and e.hi <= w.hi)
+    for node, state in enumerate(plain.states):
+        for e, w in zip(state or (), widened.states[node]):
+            assert w[0] <= e[0] and e[1] <= w[1]
 
 
 def test_unwidened_counter_does_not_converge(spec4):
@@ -315,7 +310,7 @@ def test_round_robin_recomputes_only_changed_sources(
     # loop body, where id order took 99 and 43 passes (514 and 226
     # transfers); a pass skips every node none of whose sources committed
     # since its last visit
-    mod = probrange.abstract if domain == "abstract" else probrange.concrete
+    mod = abstract if domain == "abstract" else concrete
     calls = count_calls(monkeypatch, mod, "sp_assign", "sp_guard")
     result = solve_golden(spec4, program, domain, bounds)
     assert result.converged and result.iterations == passes
@@ -328,10 +323,10 @@ def test_a_recomputation_joins_only_its_later_edges(
     # the first incoming edge's transfer starts a node's state, and each
     # later one is joined into it: a recomputation over k edges makes k - 1
     # joins. Every recomputation ends in one widening or one value check.
-    mod = probrange.abstract if domain == "abstract" else probrange.concrete
+    mod = abstract if domain == "abstract" else concrete
     calls = count_calls(monkeypatch, mod, "sp_assign", "join_states",
                         "same_values")
-    widenings = count_calls(monkeypatch, probrange.abstract, "widen_states")
+    widenings = count_calls(monkeypatch, abstract, "widen_states")
     result = solve_golden(spec4, program, domain, bounds)
     assert result.converged and result.iterations == passes
     recomputes = calls["same_values"] + widenings["widen_states"]
@@ -393,13 +388,12 @@ def test_less_than_minint_guard_solves():
     abst = solve(build_equations(cfg), TINY, domain="abstract")
     assert conc.converged and abst.converged
     exit_node = cfg.node_count - 1
-    assert conc.states[exit_node]["x"].values == frozenset({0})
-    exit_elem = abst.states[exit_node]["x"]
-    assert (exit_elem.lo, exit_elem.hi) == (0, 0)
+    assert conc.states[exit_node][0][0] == frozenset({0})
+    assert abst.states[exit_node][0][:2] == (0, 0)
 
 
 def test_tuple_cap_propagates(monkeypatch):
-    monkeypatch.setattr(probrange.concrete, "TUPLE_CAP", 10)
+    monkeypatch.setattr(concrete, "TUPLE_CAP", 10)
     cfg = build_cfg(parse_program("x =. x +. y;\n"))
     with pytest.raises(OracleBlowup):
         solve(build_equations(cfg), TINY, domain="concrete")
@@ -408,9 +402,9 @@ def test_tuple_cap_propagates(monkeypatch):
 # --- cross-domain soundness ---
 
 def test_check_soundness_accepts_corpus(spec4):
-    _, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
+    cfg, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     _, abst = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
-    assert check_soundness(conc, abst) == []
+    assert check_soundness(conc, abst, cfg.variables) == []
 
 
 FOLD_THEN = "x =. 7;\ny =. 0;\nif (x >=. 5 +. 5) {\n  y =. 1;\n}\n"
@@ -423,9 +417,9 @@ def test_constant_guard_side_folds_as_the_machine_computes(source, line):
     # 5 +. 5 saturates to 7 on [-8,7]: x >=. 7 holds and 7 >. 7 fails, so
     # the abstract run must reach the branch the concrete run takes
     spec = HardwareSpec.uniform(0.9999, minint=-8, maxint=7)
-    _, conc = analyze(source, spec, domain="concrete")
+    cfg, conc = analyze(source, spec, domain="concrete")
     _, abst = analyze(source, spec, domain="abstract")
-    assert check_soundness(conc, abst) == []
+    assert check_soundness(conc, abst, cfg.variables) == []
     assert abst.warnings == [
         f"line {line}: interval arithmetic overflow clamped to [-8,7]"]
 
@@ -440,16 +434,89 @@ def test_guard_edge_charges_the_written_comparison(domain, source, op, taken):
     # the edge taken is charged 0.5 + 0.5 / 2, whichever way it was rewritten
     spec = HardwareSpec({op: 0.5}, -8, 7)
     cfg, result = analyze(source, spec, domain=domain)
-    assert result.states[line_map(cfg)[taken]]["x"].prob == 0.75
+    x = cfg.variables.index("x")
+    assert result.states[line_map(cfg)[taken]][x][-1] == 0.75
 
 
 def test_check_soundness_flags_tampering(spec4):
-    _, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
+    cfg, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     _, abst = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
-    abst.states[1]["x"] = ValueRange(0, 5, 1.0)
-    violations = check_soundness(conc, abst)
+    abst.states[1] = ((0, 5, 1.0),)
+    violations = check_soundness(conc, abst, cfg.variables)
     assert violations
     assert any("node 1" in v and "x" in v for v in violations)
+
+
+# --- flat states ---
+
+def flat_state_violations(state, width: int, spec, domain: str) -> list:
+    """What is wrong with one flat state of a solve: None, or a tuple of
+    width triples with minint <= lo <= hi <= maxint, or of width pairs with
+    a non-empty set inside [minint, maxint]; every probability in [0, 1]."""
+    if state is None:
+        return []
+    if not isinstance(state, tuple) or len(state) != width:
+        return [state]
+    bad = []
+    for element in state:
+        if domain == "abstract":
+            lo, hi, p = element
+            ok = spec.minint <= lo <= hi <= spec.maxint
+        else:
+            values, p = element
+            ok = (isinstance(values, frozenset) and bool(values)
+                  and spec.minint <= min(values) <= max(values) <= spec.maxint)
+        if not (ok and 0.0 <= p <= 1.0):
+            bad.append(element)
+    return bad
+
+
+def test_every_state_and_snapshot_is_well_formed(spec4):
+    # a library caller reads states as the solver holds them, with nothing
+    # validating them on the way out: every state and trace snapshot of the
+    # corpus, the loop goldens and generated loop programs, in each domain
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.up"))]
+    sources += [(GOLDEN / name).read_text()
+                for name in ("loops4.up", "loops2.up")]
+    rng = random.Random(7)
+    sources += [loop_program(rng) for _ in range(20)]
+    small = spec4.replace(minint=-64, maxint=63)
+    modes = [(spec, "abstract", widen) for spec in (spec4, small)
+             for widen in (False, True)] + [(small, "concrete", False)]
+    checked = [0] * len(modes)
+    violations = []
+    for source in sources:
+        cfg = build_cfg(parse_program(source))
+        for i, (spec, domain, widen) in enumerate(modes):
+            widening = (collect_thresholds(cfg, spec.minint, spec.maxint)
+                        if widen else None)
+            try:
+                result = solve(build_equations(cfg), spec, domain=domain,
+                               widening=widening, keep_trace=True)
+            except LiteralRangeError:
+                continue
+            for states in (result.states, *result.trace):
+                assert len(states) == cfg.node_count
+                for state in states:
+                    violations += flat_state_violations(
+                        state, len(cfg.variables), spec, domain)
+                    checked[i] += len(state or ())
+    assert not violations, violations[:5]
+    assert all(checked), checked
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's "Library use" block, run on fig1: one line per node, each
+    # a source line and its variables' triples
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(block, {"source": corpus_source("fig1.up")})
+    lines = capsys.readouterr().out.splitlines()
+    cfg = build_cfg(parse_program(corpus_source("fig1.up")))
+    assert len(lines) == cfg.node_count
+    assert lines[0] == "1 {'x': (-64, 63, 1.0)}"
+    assert [line.split()[0] for line in lines] == list(map(str, cfg.lines))
 
 
 # --- record contract ---
@@ -464,8 +531,8 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
     (Cmp("lt", Var("x"), Const(1)), "op"),
     (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
     (GuardAction(Cmp("lt", Var("x"), Const(1))), "cond"),
-    (ValueRange(0, 1, 0.5), "lo"),
-    (set_of(1, 2), "prob"),
+    (BinOp("add", Var("x"), Const(1)), "lhs"),
+    (Shared(), "memo"),
     (TINY, "minint"),
     (build_equations(FIG1_CFG), "cfg"),
 ])
@@ -490,12 +557,12 @@ def test_mutable_records_are_unhashable(record, field):
     assert getattr(changed, field) == 8 and getattr(record, field) != 8
 
 
-# ValueRange(3, 1, 0.5) itself is test_abstract's canonical-bottom case, and
-# HardwareSpec.replace has its own cases in test_hardware
+# replace validates a copy as construction does: HardwareSpec has more
+# cases in test_hardware
 @pytest.mark.parametrize("make, error", [
-    (lambda: ValueRange(0, 1, 0.5).replace(lo=3), ValueError),
-    (lambda: ValueRange(0, 1, 0.5).replace(prob=1.5), ValueError),
-    (lambda: set_of(1).replace(prob=-0.5), ValueError),
+    (lambda: HardwareSpec.uniform(0.9).replace(minint=5), SpecError),
+    (lambda: TINY.replace(maxint=-9), SpecError),
+    (lambda: TINY.replace(probs={"add": -0.5}), SpecError),
     (lambda: Const(1).replace(name="x"), TypeError),
     (lambda: AssignAction("x"), TypeError),
     (lambda: Edge(0, 1, None, 2), TypeError),
