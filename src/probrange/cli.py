@@ -4,10 +4,15 @@ Exit codes: 0 on success, 1 on input problems (unreadable files, spec or
 parse errors, literals outside the machine range, a concrete run exceeding
 its enumeration cap), 2 when the solver hit the iteration bound without
 converging (the report is still emitted, flagged as not converged).
+
+main freezes the heap built by start-up and imports once per process, so
+exit skips collecting and freeing it.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import os
 import sys
 
@@ -148,7 +153,15 @@ def _take(args: dict, flag: str, value, items) -> None:
     args[flag] = value
 
 
+# A run is one process whose import-time heap lives until exit: frozen, no
+# collection during the run or at shutdown walks it. Once only, so a later
+# in-process call's garbage is collected, never pinned; and not by testing
+# gc.get_freeze_count(), which walks the whole frozen heap on every call.
+_freeze_heap_once = functools.cache(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_once()
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if args["--max-iters"] < 1:
         _usage_error("--max-iters must be at least 1")

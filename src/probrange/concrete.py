@@ -23,8 +23,8 @@ written over pairs.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
-small sets; TUPLE_CAP bounds the full tuple product on every call and
-OracleBlowup reports programs that exceed it.
+small sets; TUPLE_CAP bounds the full tuple product on every call and the
+machine range's values at entry, and OracleBlowup reports runs that exceed it.
 
 An edge evaluates a column at a time (as in MonetDB/X100; Boncz, Zukowski
 and Nes 2005): its operand tuples become one list per operand position, and
@@ -69,7 +69,7 @@ TUPLE_CAP = 10**6  # read on every call, so a test can lower it
 
 
 class OracleBlowup(Exception):
-    """The tuple product of an sp transfer would exceed TUPLE_CAP."""
+    """An sp transfer's tuple product or the entry range exceeds TUPLE_CAP."""
 
 
 Pair = tuple[frozenset[int], float]
@@ -181,6 +181,9 @@ def once(shared: Shared | None, key, compute: Callable):
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
                 shared: Shared | None = None) -> State:
+    if spec.maxint - spec.minint >= TUPLE_CAP:  # before any set is built
+        raise OracleBlowup(f"machine range [{spec.minint},{spec.maxint}] "
+                           f"holds more than {TUPLE_CAP} values")
     full = _canonical(shared, frozenset(range(spec.minint, spec.maxint + 1)))
     return ((full, 1.0),) * len(variables)
 

@@ -93,10 +93,10 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     machine range; it applies at loop-head nodes. max_iters bounds committing
     passes and running into it clears the converged flag; iterations counts
     the committing passes. The concrete domain raises OracleBlowup when an
-    edge's operand tuples outnumber concrete.TUPLE_CAP. Literals outside the
-    spec's machine range raise LiteralRangeError, and an expression too deep
-    to compile or evaluate raises ParseError, as the parser does for deep
-    nesting.
+    edge's operand tuples, or the machine range's values, outnumber
+    concrete.TUPLE_CAP. Literals outside the spec's machine range raise
+    LiteralRangeError, and an expression too deep to compile or evaluate
+    raises ParseError, as the parser does for deep nesting.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")

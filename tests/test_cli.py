@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import probrange
-from probrange import cli
+from probrange import cli, concrete
 from probrange.cli import (_FLAGS, _format_rows, _parse_args, _stem,
                            SET_DISPLAY_LIMIT, main, render_machine)
 from probrange.hardware import ALL_OPS, HardwareSpec
@@ -298,6 +298,18 @@ def test_one_value_range_exits_one(tmp_path, capsys, how):
     assert (code, out) == (1, "")
     assert err == ("probrange: spec error: integer range [0,0] must hold at "
                    "least two values\n")
+
+
+def test_concrete_range_over_the_cap_exits_one(tmp_path, capsys,
+                                               monkeypatch):
+    # [-8,7] stands in for a range too wide to enumerate, such as 64 bits
+    monkeypatch.setattr(concrete, "TUPLE_CAP", 10)
+    program = tmp_path / "one.up"
+    program.write_text("x =. 1;\n")
+    code, out, err = run(capsys, str(program), "--spec", SPEC4, "--mode",
+                         "concrete", "--minint", "-8", "--maxint", "7")
+    assert (code, out) == (1, "")
+    assert err == "probrange: machine range [-8,7] holds more than 10 values\n"
 
 
 def test_unconverged_exits_two_with_report(capsys):
@@ -706,6 +718,49 @@ def test_a_run_leaves_no_cyclic_garbage(tmp_path, program, flags):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_only_main_freezes_the_heap(tmp_path):
+    # importing the package and solving leave the collector alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc; import probrange.cli; from probrange import "
+         "HardwareSpec, build_cfg, build_equations, parse_program, solve; "
+         "solve(build_equations(build_cfg(parse_program('x =. 1;'))), "
+         "HardwareSpec.uniform(0.9)); before = gc.get_freeze_count(); "
+         f"code = probrange.cli.main([{FIG1!r}, '--spec', {SPEC4!r}, "
+         f"'--out', {os.devnull!r}]); "
+         "print(before, gc.get_freeze_count() > 0, code)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.stdout.split() == ["0", "True", "0"], proc.stderr
+
+
+def test_a_later_main_call_freezes_nothing(tmp_path):
+    argv = [FIG1, "--spec", SPEC4, "--out", str(tmp_path / "report")]
+    main(argv)
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    tracked = [[] for _ in range(1000)]  # live objects a freeze would pin
+    main(argv)
+    assert gc.get_freeze_count() <= frozen, len(tracked)
+
+
+def test_reports_are_whole_when_the_process_exits(tmp_path, capsys):
+    # stdout is a pipe, block-buffered, so the report's tail is written by
+    # the flush at shutdown, after main returned on a frozen heap
+    argv = [COLLATZ, "--spec", SPEC4, "--mode", "concrete", "--trace",
+            "--format", "machine"]
+    out = tmp_path / "report"
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    piped, written = (subprocess.run(
+        [sys.executable, "-m", "probrange", *argv, *extra],
+        capture_output=True, cwd=tmp_path, env=env)
+        for extra in ((), ("--out", str(out))))
+    code, in_process, _ = run(capsys, *argv)
+    assert piped.returncode == written.returncode == code, piped.stderr
+    assert piped.stdout == in_process.encode()
+    assert out.read_text() == in_process
 
 
 @pytest.mark.parametrize("program, spec, expected", [

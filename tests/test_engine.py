@@ -399,6 +399,21 @@ def test_tuple_cap_propagates(monkeypatch):
         solve(build_equations(cfg), TINY, domain="concrete")
 
 
+@pytest.mark.parametrize("cap", [10, 15, 16])
+def test_tuple_cap_bounds_the_entry_range(monkeypatch, cap):
+    # [-8,7] holds 16 values; the check comes before any set is built, so a
+    # 64-bit machine range raises instead of allocating until it is killed
+    monkeypatch.setattr(concrete, "TUPLE_CAP", cap)
+    spec = HardwareSpec.uniform(0.99, minint=-8, maxint=7)
+    system = build_equations(build_cfg(parse_program("x =. 1;\n")))
+    if cap < 16:
+        with pytest.raises(OracleBlowup, match=r"range \[-8,7\] holds more "
+                           f"than {cap} values"):
+            solve(system, spec, domain="concrete")
+    else:
+        assert solve(system, spec, domain="concrete").converged
+
+
 # --- cross-domain soundness ---
 
 def test_check_soundness_accepts_corpus(spec4):
