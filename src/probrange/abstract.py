@@ -40,6 +40,7 @@ operations are built from them as in the concrete domain.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from functools import partial
 
@@ -89,8 +90,8 @@ def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
     blo, bhi, bp = b
     lo = min(alo, blo)
     hi = max(ahi, bhi)
-    wlo = max(t for t in thresholds if t <= lo)
-    whi = min(t for t in thresholds if t >= hi)
+    wlo = thresholds[bisect_right(thresholds, lo) - 1]
+    whi = thresholds[bisect_left(thresholds, hi)]
     w = whi - wlo + 1
     p = w * min(max(ap / (ahi - alo + 1), bp / (bhi - blo + 1)), 1.0 / w)
     return wlo, whi, min(1.0, p)

@@ -306,34 +306,50 @@ def _set_text(values: list[int]) -> str:
     return f"{{{shown},...,{values[-1]}}} ({len(values)} values)"
 
 
-def _text_cell(memo: dict, element: tuple) -> tuple[str, str]:
-    """A triple's or pair's value and probability text."""
+def _text_cell(sets: dict, element: tuple | None) -> tuple[str, str]:
+    """A triple's, pair's or bottom's value and probability text."""
+    if element is None:
+        return sets[None]
     value = (f"[{element[0]},{element[1]}]" if len(element) == 3
-             else _sorted_set(memo, element[0], _set_text))
+             else _sorted_set(sets, element[0], _set_text))
     return value, f"{element[-1]:.12g}"
 
 
-def _cells(rows, memo: dict) -> list[tuple[str, str, str, str]]:
-    """Each row's line, variable, value and probability as text, from the
-    row dicts of a machine report read back or from Rows, whose distinct
-    elements memo keeps the text of, and bottom's under None."""
-    if isinstance(rows, list):  # row dicts
-        return [(str(row["line"]), row["variable"],
-                 _set_text(row["values"]) if "values" in row
-                 else "[%d,%d]" % tuple(row["interval"]) if row["interval"]
-                 else "[]",
-                 f"{row['probability']:.12g}") for row in rows]
-    memo.setdefault(None, ("[]" if rows.intervals else "{}", "1"))
-    bottom = (None,) * len(rows.variables)  # an unreachable node's elements
-    cells = []
+def _text_rows(rows, parts: list, sets: dict, cells: dict,
+               table: bool) -> None:
+    """Append rows, Rows or a machine report's row dicts, a line each of three
+    shared pieces: its node's line, its variable and its element's, kept in
+    cells across calls, as sets keeps set texts and bottom's under None. A
+    table pads each column but the last to its widest piece, as ljust does."""
+    if isinstance(rows, list):  # row dicts: sets' values as tuples
+        step = len({row["variable"] for row in rows}) or 1
+        elements = [(tuple(row["values"]), row["probability"])
+                    if "values" in row else row["interval"]
+                    and (*row["interval"], row["probability"]) for row in rows]
+        rows = Rows([row["line"] for row in rows[::step]],
+                    [row["variable"] for row in rows[:step]],
+                    [elements[i:i + step] for i in range(0, len(rows), step)],
+                    None)
+    texts = {e: _text_cell(sets, e) for e in set().union(
+        (None,), *filter(None, rows.states)).difference(cells)}
+    head, name, cell = "    line {}: ", "{} = ", "{} p={}\n"
+    if table:
+        columns = (map(str, rows.lines) if rows.variables else (),
+                   rows.variables, *zip(*texts.values()))
+        widths = [max(map(len, (title, *column))) for title, column in
+                  zip(("line", "variable", "value", "probability"), columns)]
+        head, name, cell = ["{:<%d} | " % w for w in widths[:3]]
+        cell += "{}\n"
+        parts += (head.format("line"), name.format("variable"),
+                  cell.format("value", "probability"),
+                  "-+-".join(["-" * w for w in widths]) + "\n")
+    cells.update({element: cell.format(*t) for element, t in texts.items()})
+    names = list(map(name.format, rows.variables))
+    bottom = (None,) * len(names)  # an unreachable node's elements
     for line, state in zip(rows.lines, rows.states):
-        line = str(line)
-        for var, element in zip(rows.variables, state or bottom):
-            cell = memo.get(element)
-            if cell is None:
-                cell = memo[element] = _text_cell(memo, element)
-            cells.append((line, var) + cell)
-    return cells
+        line = head.format(line)
+        for var, element in zip(names, state or bottom):
+            parts += (line, var, cells[element])
 
 
 def _spec_text(spec: dict) -> str:
@@ -343,43 +359,24 @@ def _spec_text(spec: dict) -> str:
     return f"{ops}, bounds [{spec['minint']},{spec['maxint']}]"
 
 
-def _format_rows(cells: list[tuple[str, str, str, str]]) -> list[str]:
-    """The results table: a header, a rule, and a line per row's cells."""
-    header = ("line", "variable", "value", "probability")
-    widths = [max(map(len, column)) for column in zip(header, *cells)]
-    # every column but the last padded to its width, as str.ljust pads
-    fmt = "%%-%ds | %%-%ds | %%-%ds | %%s" % tuple(widths[:3])
-    lines = [fmt % header, "-+-".join("-" * w for w in widths)]
-    lines.extend([fmt % c for c in cells])
-    return lines
-
-
 def render_text(report: dict) -> str:
-    mode = report["mode"]
-    if report["widening"]:
-        mode += " with widening"
+    mode = report["mode"] + (" with widening" if report["widening"] else "")
     status = "yes" if report["converged"] else "NO"
-    lines = [
-        f"program: {report['program']}",
-        f"mode: {mode}",
-        f"spec: {_spec_text(report['spec'])}",
-        f"converged: {status} ({report['iterations']} iterations, "
-        f"{report['schedule']})",
-        "",
-    ]
-    memo = {}  # element or value set -> its text, across all rows
-    lines.extend(_format_rows(_cells(report["results"], memo)))
+    parts = [f"program: {report['program']}\nmode: {mode}\n"
+             f"spec: {_spec_text(report['spec'])}\n"
+             f"converged: {status} ({report['iterations']} iterations, "
+             f"{report['schedule']})\n\n"]
+    sets = {None: ("{}" if report["mode"] == "concrete" else "[]", "1")}
+    _text_rows(report["results"], parts, sets, {}, table=True)
     if report["warnings"]:
-        lines += ["", "warnings:"]
-        lines.extend(f"  - {w}" for w in report["warnings"])
+        parts += ["\nwarnings:\n", *[f"  - {w}\n" for w in report["warnings"]]]
     if "trace" in report:
-        lines += ["", "trace:"]
+        parts.append("\ntrace:\n")
+        cells = {}
         for entry in report["trace"]:
-            lines.append(f"  iteration {entry['iteration']}:")
-            lines.extend(["    line %s: %s = %s p=%s" % c
-                          for c in _cells(entry["rows"], memo)])
-    lines.append("")
-    return "\n".join(lines)
+            parts.append(f"  iteration {entry['iteration']}:\n")
+            _text_rows(entry["rows"], parts, sets, cells, table=False)
+    return "".join(parts)
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
@@ -406,7 +403,7 @@ def _json_tail(memo: dict, element: tuple) -> tuple[str, ...]:
 
 def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
     """Append rows as _json writes a list of row dicts, each as its node's
-    head, its variable and its element's tail pieces; see _cells for memo."""
+    head, its variable and its element's tail; memo keeps tails, set texts."""
     memo.setdefault(None, (('"interval":null' if rows.intervals
                             else '"values":[]') + ',"probability":1.0}',))
     names = [f'"{v}",' for v in rows.variables]  # ASCII words: no escapes

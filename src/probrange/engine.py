@@ -104,10 +104,12 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         raise ValueError("max_iters must be at least 1")
     if widening is not None and domain == "concrete":
         raise ValueError("widening applies to the abstract domain only")
-    if widening is not None and (min(widening, default=None) != spec.minint
-                                 or max(widening, default=None) != spec.maxint):
+    if widening is not None and (  # abstract._widen bisects them
+            not widening or sorted(widening) != [*widening]
+            or widening[0] != spec.minint or widening[-1] != spec.maxint):
         raise ValueError(f"widening thresholds must contain {spec.minint} "
-                         f"and {spec.maxint} and nothing outside them")
+                         f"and {spec.maxint} and nothing outside them, in "
+                         "increasing order")
     _check_literals(system.cfg, spec.minint, spec.maxint)
     try:
         return _iterate(system, spec, domain, widening, max_iters, keep_trace)

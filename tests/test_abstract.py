@@ -519,7 +519,9 @@ def test_widen_lands_on_thresholds(a, b, mids):
     if leq(b, a):
         return
     lo, hi, _ = widen(a, b, thresholds)
-    assert lo in thresholds and hi in thresholds
+    # the nearest thresholds enclosing the hull
+    assert lo == max(t for t in thresholds if t <= min(a[0], b[0]))
+    assert hi == min(t for t in thresholds if t >= max(a[1], b[1]))
 
 
 @settings(max_examples=50, deadline=None)

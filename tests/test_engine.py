@@ -358,6 +358,9 @@ def test_argument_validation(spec4):
     for thresholds in ((0, 5), ()):
         with pytest.raises(ValueError, match="must contain -32768 and 32767"):
             solve(fig1, spec4, widening=thresholds)
+    # widening bisects the thresholds, so they must also be in order
+    with pytest.raises(ValueError, match="in increasing order"):
+        solve(fig1, spec4, widening=(-32768, 9, 0, 32767))
 
 
 def test_literal_outside_machine_range_rejected():
