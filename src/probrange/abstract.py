@@ -252,25 +252,25 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], source: Cmp | None = None,
-                  shared: Shared | None = None) -> Callable[[tuple], State]:
-    """Interval counterpart of the guard transfer, for one edge.
+                  warnings: list[str], shared: Shared | None = None,
+                  op: str | None = None) -> Callable[[tuple], State]:
+    """Interval counterpart of the guard transfer, for one edge testing op
+    (guard's own when None) between the guard's sides.
 
     Refinable shapes, after putting the variable on the left of a side that
     folds, as the machine computes it, to one value c: `x <op> c` truncates
     x's interval at c, and `x %. k ==. c` (or !=.) shrinks x's endpoints to
     the nearest values satisfying the congruence. The refined variable's
     probability scales by the width ratio; every variable's probability then
-    picks up the guard's read, comparison, and arithmetic factors, the
-    comparison charged being source's (see the concrete guard). Anything
-    else leaves all intervals unchanged. An unsatisfiable guard bottoms the
-    whole state. A fold's overflow warnings are raised whenever the edge is
-    applied, as the concrete guard raises them. With shared, both edges of
-    a guard share its factor and the folds of the sides they have in common.
+    picks up the guard's read, comparison, and arithmetic factors (as the
+    concrete guard charges them). Anything else leaves all intervals
+    unchanged. An unsatisfiable guard bottoms the whole state. A fold's
+    overflow warnings are raised whenever the edge is applied, as the
+    concrete guard raises them. With shared, both edges of a guard share its
+    factor and its sides' folds.
     """
-    source = source or guard
-    factor = once(shared, source, lambda: guard_factor(source, spec))[1]
-    op, lhs, rhs = guard.op, guard.lhs, guard.rhs
+    factor = once(shared, guard, lambda: guard_factor(guard, spec))[1]
+    op, lhs, rhs = op or guard.op, guard.lhs, guard.rhs
     notes: list[str] = []
     lhs_const = _fold(lhs, spec, notes, shared)
     rhs_const = _fold(rhs, spec, notes, shared)

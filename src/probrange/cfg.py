@@ -6,16 +6,15 @@ lists are threaded so that a loop's head is the point the loop statement sits
 at, the loop body flows back into the head, and the point after the loop is
 reached through the negated guard.
 
-Guards are single comparisons, the only condition the parser admits. `x <. c`
-with a constant right side is rewritten to `x <=. c-1` on the edge; the false
-edge carries the negation of the original guard. Each guard edge also keeps the
-guard as written, the comparison the program executes, so that the domains
-charge its operator and a literal check names the source literal c.
+Guards are single comparisons, the only condition the parser admits. Both
+edges of a guard hold the comparison as parsed, which the domains evaluate and
+charge as the program executes it, and the operator the edge tests: the
+guard's own on the true edge, its negation on the false edge.
 """
 
 from __future__ import annotations
 
-from .syntax import (Assign, Cmp, Const, If, Program, Stmt, While, end_line,
+from .syntax import (Assign, Const, Program, Stmt, While, end_line,
                      program_vars, walk_exprs)
 from .record import MutableRecord, Record, set_field
 
@@ -25,10 +24,8 @@ class AssignAction(Record):
 
 
 class GuardAction(Record):
-    # cond: the canonical Cmp; source: the guard as written, un-negated
-    __slots__ = ("cond", "source")
-    _defaults = {"source": None}
-    _loose = ("source",)
+    # cond: the Cmp as parsed, shared by both edges; op: the edge's test
+    __slots__ = ("cond", "op")
 
 
 Action = AssignAction | GuardAction
@@ -67,23 +64,6 @@ class CFG(MutableRecord):
 _NEGATED = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne": "eq"}
 
 
-def negate_guard(cond: Cmp) -> Cmp:
-    return Cmp(_NEGATED[cond.op], cond.lhs, cond.rhs, cond.line)
-
-
-def canonicalize_guard(cond: Cmp) -> Cmp:
-    if cond.op == "lt" and isinstance(cond.rhs, Const):
-        return Cmp("le", cond.lhs, Const(cond.rhs.value - 1, cond.rhs.line),
-                   cond.line)
-    return cond
-
-
-def _edge_guards(cond: Cmp) -> tuple[GuardAction, GuardAction]:
-    """The actions of the edges taken when cond holds and when it fails."""
-    return (GuardAction(canonicalize_guard(cond), cond),
-            GuardAction(canonicalize_guard(negate_guard(cond)), cond))
-
-
 class _Builder:
     def __init__(self) -> None:
         self.lines: list[int] = []
@@ -109,8 +89,12 @@ class _Builder:
     def emit(self, stmt: Stmt, point: int, get_cont) -> None:
         if isinstance(stmt, Assign):
             self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
-        elif isinstance(stmt, While):
-            true_guard, false_guard = _edge_guards(stmt.cond)
+            return
+        # the edges taken when the guard holds and when it fails
+        cond = stmt.cond
+        true_guard = GuardAction(cond, cond.op)
+        false_guard = GuardAction(cond, _NEGATED[cond.op])
+        if isinstance(stmt, While):
             if stmt.body.stmts:
                 body = self.node(stmt.body.stmts[0].line)
                 self.edge(point, body, true_guard)
@@ -118,8 +102,7 @@ class _Builder:
             else:
                 self.edge(point, point, true_guard)
             self.edge(point, get_cont(), false_guard)
-        elif isinstance(stmt, If):
-            true_guard, false_guard = _edge_guards(stmt.cond)
+        else:
             if stmt.then.stmts:
                 then = self.node(stmt.then.stmts[0].line)
                 self.edge(point, then, true_guard)
@@ -218,16 +201,28 @@ def loop_heads(cfg: CFG) -> set[int]:
     return weak_topological_order(cfg)[1]
 
 
+def literals(cfg: CFG) -> list[Const]:
+    """The literals on the CFG's edges in source order, a guard's once for
+    both of its edges."""
+    roots = {}
+    for e in cfg.edges:
+        action = e.action
+        root = action.value if isinstance(action, AssignAction) else action.cond
+        roots[id(root)] = root
+    return [node for root in roots.values() for node in walk_exprs(root)
+            if isinstance(node, Const)]
+
+
 def collect_thresholds(cfg: CFG, minint: int, maxint: int) -> tuple[int, ...]:
     """Widening thresholds: every constant on an edge, plus the range bounds.
 
-    Guard constants are read after canonicalization, so a `x <. c` guard
-    contributes c-1 through its rewritten form and c through its negation.
+    An edge that tests `e <. c` for a literal c also contributes c-1, the
+    largest value that passes it.
     """
-    values = {minint, maxint}
+    values = {minint, maxint, *(node.value for node in literals(cfg))}
     for e in cfg.edges:
-        root = e.action.value if isinstance(e.action, AssignAction) else e.action.cond
-        for node in walk_exprs(root):
-            if isinstance(node, Const):
-                values.add(min(max(node.value, minint), maxint))
-    return tuple(sorted(values))
+        action = e.action
+        if isinstance(action, GuardAction) and action.op == "lt" \
+                and isinstance(action.cond.rhs, Const):
+            values.add(action.cond.rhs.value - 1)
+    return tuple(sorted({min(max(v, minint), maxint) for v in values}))

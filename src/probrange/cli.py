@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on input problems (unreadable files, spec or
 parse errors, literals outside the machine range, a concrete run exceeding
-its enumeration cap), 2 when the solver hit the iteration bound without
-converging (the report is still emitted, flagged as not converged).
+its enumeration cap) or an unwritable report, 2 when the solver hit the
+iteration bound without converging (the report is still emitted, flagged
+as not converged).
 
 main freezes the heap built by start-up and imports once per process, so
 exit skips collecting and freeing it.
@@ -15,6 +16,7 @@ import functools
 import gc
 import os
 import sys
+from contextlib import nullcontext
 
 from .cfg import build_cfg, collect_thresholds
 from .concrete import OracleBlowup
@@ -24,6 +26,7 @@ from .record import Record
 from .syntax import FrontendError, parse_program
 
 SET_DISPLAY_LIMIT = 12
+_WRITE_SLICE = 8192  # characters per write of a report
 
 
 # Each long flag: None for a switch, else int, str, or the tuple of its
@@ -221,15 +224,17 @@ def _analyze(args: dict) -> int:
                           cfg, result, warnings)
     rendered = (render_machine(report) if args["--format"] == "machine"
                 else render_text(report))
-    if args["--out"]:
-        try:
-            with open(args["--out"], "w") as out:
-                out.write(rendered)
-        except OSError as exc:
-            print(f"probrange: cannot write report: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(rendered)
+    try:  # in slices, so that encoding never copies the whole report
+        with (open(args["--out"], "w") if args["--out"]
+              else nullcontext(sys.stdout)) as out:
+            for start in range(0, len(rendered), _WRITE_SLICE):
+                out.write(rendered[start:start + _WRITE_SLICE])
+            out.flush()
+    except OSError as exc:
+        if not args["--out"]:  # so that stdout's flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"probrange: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return 0 if result.converged else 2
 
 

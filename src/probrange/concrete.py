@@ -405,24 +405,23 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], source: Cmp | None = None,
-                  shared: Shared | None = None) -> Callable[[tuple], State]:
+                  warnings: list[str], shared: Shared | None = None,
+                  op: str | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
-    Each guard variable keeps only the values that occur in some satisfying
-    tuple; every variable's probability (guard-related or not) picks up one
-    read per distinct guard variable, the comparison's factor, and a factor
-    per arithmetic op inside the guard. The comparison charged is the one
-    the program executes: source's, the guard as written before rewriting
-    or negation (guard's own when None). An unsatisfiable guard bottoms the
+    The edge tests op (guard's own when None: the true edge) between the
+    guard's sides. Each guard variable keeps only the values that occur in
+    some tuple passing it; every variable's probability (guard-related or
+    not) picks up one read per distinct guard variable, the factor of the
+    guard's own comparison, executed on either edge, and a factor per
+    arithmetic op inside the guard. An unsatisfiable guard bottoms the
     whole state; a guard over constants alone is decided outright. With
     shared (one solve's Shared), both edges of a guard share its factor.
     """
-    source = source or guard
-    names, factor = once(shared, source, lambda: guard_factor(source, spec))
+    names, factor = once(shared, guard, lambda: guard_factor(guard, spec))
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
-                    COMPARE[guard.op])
+                    COMPARE[op or guard.op])
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
     satisfiable = False
 

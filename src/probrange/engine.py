@@ -38,10 +38,10 @@ edges and joins share: guard factors and folds, and live value sets by hash.
 from __future__ import annotations
 
 from . import abstract, concrete
-from .cfg import CFG, AssignAction, Edge, weak_topological_order
+from .cfg import CFG, AssignAction, Edge, literals, weak_topological_order
 from .hardware import HardwareSpec
 from .record import MutableRecord, Record
-from .syntax import Const, LiteralRangeError, ParseError, walk_exprs
+from .syntax import LiteralRangeError, ParseError
 
 
 class EquationSystem(Record):
@@ -60,19 +60,14 @@ def build_equations(cfg: CFG) -> EquationSystem:
 def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
     """Raise LiteralRangeError for an edge constant outside [minint,maxint].
 
-    Guards are checked as written, before `x <. c` became `x <=. c-1`, so
-    the message names the source literal; edges come in source order, so it
-    is the program's first literal out of range. This is the only literal
-    check: the CLI prints its message.
+    cfg.literals come in source order, so the message names the program's
+    first literal out of range. This is the only literal check: the CLI
+    prints its message.
     """
-    for edge in cfg.edges:
-        action = edge.action
-        root = (action.value if isinstance(action, AssignAction)
-                else action.source or action.cond)
-        for node in walk_exprs(root):
-            if isinstance(node, Const) and not minint <= node.value <= maxint:
-                raise LiteralRangeError(f"line {node.line}: literal "
-                                        f"{node.value} outside [{minint},{maxint}]")
+    for node in literals(cfg):
+        if not minint <= node.value <= maxint:
+            raise LiteralRangeError(f"line {node.line}: literal "
+                                    f"{node.value} outside [{minint},{maxint}]")
 
 
 class SolveResult(MutableRecord):
@@ -134,7 +129,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
             return edge.src, dom.compile_assign(action.target, action.value,
                                                 index, spec, warnings, shared)
         return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
-                                           action.source, shared)
+                                           shared, action.op)
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it

@@ -86,7 +86,7 @@ class HardwareSpec(Record):
 def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
     """Parse a spec file, returning the hardware and default-use warnings."""
     probs: dict[str, float] = {}
-    limits = {"minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
+    limits: dict[str, int] = {}  # HardwareSpec's defaults fill the rest
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,11 +98,12 @@ def parse_spec(text: str) -> tuple[HardwareSpec, list[str]]:
         try:  # a value read is ASCII without `_`, as a literal is written
             if key in _READ and (not value.isascii() or "_" in value):
                 raise ValueError(value)
-            if key in limits:
+            if key in limits or key in probs:
+                kind = "op" if key in probs else "key"
+                raise SpecError(f"line {lineno}: duplicate {kind} {key!r}")
+            if key in ("minint", "maxint"):
                 limits[key] = int(value)
             elif key in ALL_OPS:
-                if key in probs:
-                    raise SpecError(f"line {lineno}: duplicate op {key!r}")
                 probs[key] = float(value)
             elif key not in UNCHARGED_OPS:
                 raise SpecError(f"line {lineno}: unknown key {key!r}")

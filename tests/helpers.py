@@ -322,7 +322,7 @@ def product_sets(cfg, minint: int, maxint: int) -> dict[int, dict[str, set]]:
             except ZeroDivisionError:
                 continue
             ok = {"lt": lhs < rhs, "le": lhs <= rhs, "gt": lhs > rhs,
-                  "ge": lhs >= rhs, "eq": lhs == rhs, "ne": lhs != rhs}[guard.op]
+                  "ge": lhs >= rhs, "eq": lhs == rhs, "ne": lhs != rhs}[action.op]
             if ok:
                 satisfied = True
                 for v, val in zip(used, tup):
@@ -371,15 +371,18 @@ def expr_source(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     return text
 
 
-def cond_source(c: Cmp) -> str:
-    return f"{expr_source(c.lhs)} {_CMP_TEXT[c.op]} {expr_source(c.rhs)}"
+def cond_source(c: Cmp, op: str | None = None) -> str:
+    """c as source text, or its sides compared by op instead."""
+    return (f"{expr_source(c.lhs)} {_CMP_TEXT[op or c.op]} "
+            f"{expr_source(c.rhs)}")
 
 
 def action_source(action) -> str:
-    """A CFG edge's action as source text: `x =. e` or the guard."""
+    """A CFG edge's action as source text: `x =. e`, or the guard's sides
+    compared by the edge's test."""
     if isinstance(action, AssignAction):
         return f"{action.target} =. {expr_source(action.value)}"
-    return cond_source(action.cond)
+    return cond_source(action.cond, action.op)
 
 
 def to_source(program: Program) -> str:

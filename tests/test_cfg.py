@@ -1,10 +1,12 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
-                           canonicalize_guard, collect_thresholds, loop_heads,
-                           negate_guard, weak_topological_order)
-from probrange.syntax import BinOp, Cmp, Const, Var, parse_program
+                           collect_thresholds, loop_heads,
+                           weak_topological_order)
+from probrange.syntax import CMP_TOKENS, Const, parse_program
 
 from helpers import (CORPUS, action_source, corpus_source, exits,
                      loop_heads_dfs, loop_program, nested_program)
@@ -29,7 +31,7 @@ def test_fig1_shape():
     assert exits(cfg) == (3,)
     assert _edge_set(cfg) == {
         (0, 1, "x =. 0"),
-        (1, 2, "x <=. 9"),
+        (1, 2, "x <. 10"),
         (2, 1, "x =. x +. 3"),
         (1, 3, "x >=. 10"),
     }
@@ -52,32 +54,34 @@ def test_collatz_shape():
 
 def test_branch_edges_negate_each_other():
     cfg = _cfg("if (x >. 0) {\n  x =. 1;\n} else {\n  x =. 2;\n}\n")
-    guards = [e.action.cond for e in cfg.edges
-              if isinstance(e.action, GuardAction)]
+    guards = [e.action for e in cfg.edges if isinstance(e.action, GuardAction)]
     assert len(guards) == 2
+    # both edges hold the comparison as parsed and test opposite operators
+    assert guards[0].cond is guards[1].cond
+    assert guards[0].cond.op == "gt"
     assert {g.op for g in guards} == {"gt", "le"}
 
 
 def test_if_without_else_gets_fallthrough_edge():
     cfg = _cfg("x =. 0;\nif (x ==. 0) {\n  x =. 1;\n}\nx =. 2;\n")
-    ops = [e.action.cond.op for e in cfg.edges
+    ops = [e.action.op for e in cfg.edges
            if isinstance(e.action, GuardAction)]
     assert sorted(ops) == ["eq", "ne"]
 
 
-def test_canonicalize_lt_const():
-    rewritten = canonicalize_guard(Cmp("lt", Var("x"), Const(10)))
-    assert rewritten == Cmp("le", Var("x"), Const(9))
-    unchanged = canonicalize_guard(Cmp("lt", Var("x"), Var("y")))
-    assert unchanged.op == "lt"
-    assert canonicalize_guard(Cmp("gt", Var("x"), Const(10))).op == "gt"
-
-
 def test_negate_guard_covers_all_ops():
+    # every operator's true edge (to line 2) tests it, and its false edge (to
+    # line 4) tests its negation, in an if and in a while
     pairs = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt",
              "eq": "ne", "ne": "eq"}
-    for op, negated in pairs.items():
-        assert negate_guard(Cmp(op, Var("x"), Const(0))).op == negated
+    for token, op in CMP_TOKENS.items():
+        for source in (f"if (x {token} 0) {{\n  y =. 1;\n}} else {{\n"
+                       f"  y =. 2;\n}}\n",
+                       f"while (x {token} 0) {{\n  y =. 1;\n}}\ny =. 2;\n"):
+            cfg = _cfg(source)
+            tests = {cfg.lines[e.dst]: e.action.op for e in cfg.edges
+                     if isinstance(e.action, GuardAction)}
+            assert tests == {2: op, 4: pairs[op]}, source
 
 
 def test_loop_heads():
@@ -159,6 +163,24 @@ def test_thresholds_collatz():
     cfg = _cfg("collatz.up")
     assert collect_thresholds(cfg, -32768, 32767) == \
         (-32768, 0, 1, 2, 3, 10, 32767)
+
+
+@pytest.mark.parametrize("guard, full, small", [
+    # an edge testing `<.` against a literal c adds c-1, clamped
+    ("x <. 10", (-32768, 9, 10, 32767), (-8, 7)),
+    ("x >=. 5", (-32768, 4, 5, 32767), (-8, 4, 5, 7)),
+    ("3 <. 5", (-32768, 3, 4, 5, 32767), (-8, 3, 4, 5, 7)),
+    ("x <. -32768", (-32768, 32767), (-8, 7)),
+    ("x <. -8", (-32768, -9, -8, 32767), (-8, 7)),
+    # no literal right side of `<.`, or no `<.` on either edge: no c-1
+    ("5 <. x", (-32768, 5, 32767), (-8, 5, 7)),
+    ("x >. 4", (-32768, 4, 32767), (-8, 4, 7)),
+    ("x <. y", (-32768, 32767), (-8, 7)),
+])
+def test_thresholds_guard_shapes(guard, full, small):
+    cfg = _cfg(f"if ({guard}) {{\n}}\n")
+    assert collect_thresholds(cfg, -32768, 32767) == full
+    assert collect_thresholds(cfg, -8, 7) == small
 
 
 def test_thresholds_constant_free():

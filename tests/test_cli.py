@@ -364,6 +364,57 @@ def test_unwritable_out_exits_one(capsys):
     assert "cannot write report" in err
 
 
+def test_repeated_bound_in_spec_exits_one(capsys, tmp_path):
+    spec = tmp_path / "repeated.spec"
+    spec.write_text("minint = -8\nminint = -4\nmaxint = 7\n")
+    code, out, err = run(capsys, FIG1, "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert err == "probrange: spec error: line 2: duplicate key 'minint'\n"
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # every read end of the pipe is closed before the child writes: one
+    # message, and no traceback from the write or from the exit's flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "probrange", FIG1, "--spec", SPEC4],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("probrange: cannot write report: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_report_write_copies_a_slice_not_the_report(tmp_path, monkeypatch):
+    # the report goes to the file in slices, so the encoder's bytes copy is
+    # a slice's; one write of the whole 436 KB traced report peaked at 441 KB
+    traced = []
+
+    def render_then_trace(report):
+        rendered = render_text(report)
+        traced.append(len(rendered))
+        tracemalloc.start()
+        return rendered
+
+    monkeypatch.setattr(cli, "render_text", render_then_trace)
+    out = tmp_path / "report.txt"
+    try:
+        code = main([str(Path(__file__).parent / "golden" / "loops4.up"),
+                     "--spec", SPEC4, "--widening", "--trace",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.stat().st_size == traced[0] > 400_000
+    assert peak < 64 * 1024
+
+
 def test_range_overrides(capsys):
     # fig1's largest literal is 10, so the range must hold it
     code, out, _ = run(capsys, FIG1, "--spec", SPEC4, "--minint", "-16",

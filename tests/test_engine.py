@@ -31,7 +31,7 @@ def recompute(system, states, node, mod, spec):
                                           spec, [])
         else:
             compiled = mod.compile_guard(action.cond, index, spec, [],
-                                         action.source)
+                                         op=action.op)
         out = mod.join_states(out, mod.sp_assign(states[edge.src], compiled))
     return out
 
@@ -548,7 +548,7 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
     (Const(1, 2), "line"),
     (Cmp("lt", Var("x"), Const(1)), "op"),
     (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
-    (GuardAction(Cmp("lt", Var("x"), Const(1))), "cond"),
+    (GuardAction(Cmp("lt", Var("x"), Const(1)), "ge"), "cond"),
     (BinOp("add", Var("x"), Const(1)), "lhs"),
     (Shared(), "memo"),
     (TINY, "minint"),

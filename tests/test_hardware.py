@@ -176,6 +176,14 @@ def test_parse_spec_duplicate_key():
         parse_spec("add = 0.5\nadd = 0.6")
 
 
+@pytest.mark.parametrize("key", ["minint", "maxint"])
+def test_parse_spec_duplicate_bound(key):
+    # a repeated bound was once taken at its last value, silently
+    text = f"add = 0.5\n{key} = -8\n\n{key} = 7\n"
+    with pytest.raises(SpecError, match=f"^line 4: duplicate key '{key}'$"):
+        parse_spec(text)
+
+
 def test_parse_spec_unknown_key():
     with pytest.raises(SpecError):
         parse_spec("quux = 0.5")
