@@ -45,12 +45,11 @@ from collections.abc import Callable
 from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
+from .syntax import BinOp, Cmp, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
-from .concrete import (ARITH, COMPARE, Shared, _warn, assign_charge,
-                       compile_operand, guard_factor, once, sp_assign,
-                       sp_guard, state_operations)
+from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
+                       guard_factor, sp_assign, sp_guard, state_operations)
 
 PMF_TOLERANCE = 1e-12
 
@@ -65,7 +64,7 @@ def _leq(a: Triple, b: Triple) -> bool:
             and ap / (ahi - alo + 1) >= bp / (bhi - blo + 1) - PMF_TOLERANCE)
 
 
-def _join(a: Triple, b: Triple, shared: Shared | None = None) -> Triple:
+def _join(a: Triple, b: Triple) -> Triple:
     # min and max written out: on the hot path a builtin call per bound costs
     # more than the comparison itself
     alo, ahi, ap = a
@@ -100,8 +99,7 @@ def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
 State = tuple[Triple, ...] | None
 
 
-def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
-                shared: Shared | None = None) -> State:
+def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     return ((spec.minint, spec.maxint, 1.0),) * len(variables)
 
 
@@ -199,8 +197,8 @@ _ENDPOINTS = {"add": lambda a, b, c, d: (a + c, b + d),
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec, warnings: list[str],
-                   shared: Shared | None = None) -> Callable[[tuple], State]:
+                   spec: HardwareSpec,
+                   warnings: list[str]) -> Callable[[tuple], State]:
     """Interval counterpart of the assignment transfer, for one edge.
 
     The result interval comes from endpoint evaluation; its mass charges one
@@ -226,33 +224,25 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     return transfer
 
 
-def _fold(e: Expr, spec: HardwareSpec, notes: list[str],
-          shared: Shared | None) -> int | None:
+def _fold(e: Expr, spec: HardwareSpec, notes: list[str]) -> int | None:
     """e's value as the machine computes it, saturating each operator into
     the range, or None if e reads a variable or divides by zero. The
     overflow warnings of a fold that succeeds go to notes."""
-    if isinstance(e, Const):
-        return e.value
-    value, warned = once(shared, e, lambda: _fold_operators(e, spec))
-    notes += warned
-    return value
-
-
-def _fold_operators(e: Expr, spec: HardwareSpec) -> tuple[int | None, list]:
-    warned: list[str] = []
     if any(isinstance(node, Var) for node in walk_exprs(e)):
-        return None, warned
+        return None
+    warned: list[str] = []
     value, _ = interval_evaluator(e, {}, spec, warned)(())
     if any("contains zero" in message for message in warned):
-        return None, []
-    return value, warned
+        return None
+    notes += warned
+    return value
 
 
 _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], shared: Shared | None = None,
+                  warnings: list[str],
                   op: str | None = None) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge testing op
     (guard's own when None) between the guard's sides.
@@ -266,18 +256,17 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     concrete guard charges them). Anything else leaves all intervals
     unchanged. An unsatisfiable guard bottoms the whole state. A fold's
     overflow warnings are raised whenever the edge is applied, as the
-    concrete guard raises them. With shared, both edges of a guard share its
-    factor and its sides' folds.
+    concrete guard raises them.
     """
-    factor = once(shared, guard, lambda: guard_factor(guard, spec))[1]
+    factor = guard_factor(guard, spec)[1]
     op, lhs, rhs = op or guard.op, guard.lhs, guard.rhs
     notes: list[str] = []
-    lhs_const = _fold(lhs, spec, notes, shared)
-    rhs_const = _fold(rhs, spec, notes, shared)
+    lhs_const = _fold(lhs, spec, notes)
+    rhs_const = _fold(rhs, spec, notes)
     if lhs_const is not None and rhs_const is None:
         lhs, rhs, op = rhs, lhs, _FLIP[op]
         lhs_const, rhs_const = None, lhs_const
-    k = (_fold(lhs.rhs, spec, notes, shared)
+    k = (_fold(lhs.rhs, spec, notes)
          if rhs_const is not None and op in ("eq", "ne")
          and isinstance(lhs, BinOp) and lhs.op == "mod"
          and isinstance(lhs.lhs, Var) else None)

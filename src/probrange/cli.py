@@ -137,8 +137,7 @@ def _take(args: dict, flag: str, value, items) -> None:
             _usage_error(f"argument {name}: ignored explicit argument "
                          f"{value!r}")
         if flag in _HELP_FLAGS:
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
+            raise SystemExit(0 if _write(_HELP, None, "help") else 1)
         args[flag] = True
         return
     if value is None:
@@ -224,18 +223,25 @@ def _analyze(args: dict) -> int:
                           cfg, result, warnings)
     rendered = (render_machine(report) if args["--format"] == "machine"
                 else render_text(report))
-    try:  # in slices, so that encoding never copies the whole report
-        with (open(args["--out"], "w") if args["--out"]
-              else nullcontext(sys.stdout)) as out:
-            for start in range(0, len(rendered), _WRITE_SLICE):
-                out.write(rendered[start:start + _WRITE_SLICE])
-            out.flush()
-    except OSError as exc:
-        if not args["--out"]:  # so that stdout's flush at exit cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"probrange: cannot write report: {exc}", file=sys.stderr)
+    if not _write(rendered, args["--out"], "report"):
         return 1
     return 0 if result.converged else 2
+
+
+def _write(text: str, path: str | None, what: str) -> bool:
+    """Write text to path, or to stdout without one; False after printing
+    why it cannot be written."""
+    try:  # in slices, so that encoding never copies the whole text
+        with open(path, "w") if path else nullcontext(sys.stdout) as out:
+            for start in range(0, len(text), _WRITE_SLICE):
+                out.write(text[start:start + _WRITE_SLICE])
+            out.flush()
+    except OSError as exc:
+        if not path:  # so that stdout's flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"probrange: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _read(path: str, what: str) -> str | None:
@@ -266,8 +272,7 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
     """Assemble the report as one plain dict; both renderers feed on it.
 
     Its results, and each trace entry's rows, are Rows over the solve's flat
-    states. The renderers also take a machine report read back, whose rows
-    are dicts.
+    states.
     """
     def rows(states: list) -> Rows:
         return Rows(cfg.lines, cfg.variables, states, mode == "abstract")
@@ -320,21 +325,12 @@ def _text_cell(sets: dict, element: tuple | None) -> tuple[str, str]:
     return value, f"{element[-1]:.12g}"
 
 
-def _text_rows(rows, parts: list, sets: dict, cells: dict,
+def _text_rows(rows: Rows, parts: list, sets: dict, cells: dict,
                table: bool) -> None:
-    """Append rows, Rows or a machine report's row dicts, a line each of three
-    shared pieces: its node's line, its variable and its element's, kept in
-    cells across calls, as sets keeps set texts and bottom's under None. A
-    table pads each column but the last to its widest piece, as ljust does."""
-    if isinstance(rows, list):  # row dicts: sets' values as tuples
-        step = len({row["variable"] for row in rows}) or 1
-        elements = [(tuple(row["values"]), row["probability"])
-                    if "values" in row else row["interval"]
-                    and (*row["interval"], row["probability"]) for row in rows]
-        rows = Rows([row["line"] for row in rows[::step]],
-                    [row["variable"] for row in rows[:step]],
-                    [elements[i:i + step] for i in range(0, len(rows), step)],
-                    None)
+    """Append rows, a line each of three shared pieces: its node's line, its
+    variable and its element's, kept in cells across calls, as sets keeps set
+    texts and bottom's under None. A table pads each column but the last to
+    its widest piece, as ljust does."""
     texts = {e: _text_cell(sets, e) for e in set().union(
         (None,), *filter(None, rows.states)).difference(cells)}
     head, name, cell = "    line {}: ", "{} = ", "{} p={}\n"

@@ -11,9 +11,10 @@ least element is <{}, 1> and the greatest <full range, 0>. The least upper
 bound unions the sets and keeps the smaller probability; the greatest lower
 bound intersects and keeps the larger one (an empty intersection keeps
 max(p1, p2), which is exactly the greatest lower bound under the order above).
-A solve keeps one object per distinct live value set (hash-consing, through
-Shared.sets; Filliatre and Conchon 2006), and a join whose union adds nothing
-to one side returns that side, so edges tell unchanged sets by identity.
+The module keeps one object per distinct live value set (hash-consing, in a
+weak table that outlives any one solve, as sys.intern does for strings;
+Filliatre and Conchon 2006), and a join whose union adds nothing to one side
+returns that side, so edges tell unchanged sets by identity.
 
 A state is None when no environment is reachable, and otherwise a tuple of
 flat (values, prob) pairs, a frozenset and a float, indexed by variable
@@ -62,7 +63,6 @@ from collections.abc import Callable, Iterable
 from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .record import Record
 from .syntax import BinOp, Cmp, Const, Expr, Var, walk_exprs
 
 TUPLE_CAP = 10**6  # read on every call, so a test can lower it
@@ -80,36 +80,32 @@ def _leq(a: Pair, b: Pair) -> bool:
     return a[0] <= b[0] and a[1] >= b[1] - 1e-12
 
 
-class Shared(Record):
-    """One solve's tables: memo, `once`'s results per key object; sets, the
-    value sets it made, by hash and weakly, so unused ones are freed."""
-    __slots__ = ("memo", "sets")
-    _defaults = {"memo": dict, "sets": weakref.WeakValueDictionary}
+# the value sets made so far, by hash and weakly, so unused ones are freed
+_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _canonical(shared: Shared | None, values: frozenset[int]) -> frozenset:
-    """The live set in shared equal to values, else values, now stored."""
-    kept = (values if shared is None  # a collision keeps values unshared
-            else shared.sets.setdefault(hash(values), values))
+def _canonical(values: frozenset[int]) -> frozenset:
+    """The live set equal to values, else values, now stored (a hash
+    collision keeps values unshared)."""
+    kept = _SETS.setdefault(hash(values), values)
     return kept if kept is values or kept == values else values
 
 
-def _join(a: Pair, b: Pair, shared: Shared | None = None) -> Pair:
+def _join(a: Pair, b: Pair) -> Pair:
     # min(p, q), without the call; a side that holds the union is returned
     s, t = a[0], b[0]
-    s = s if s is t or t <= s else t if s <= t else _canonical(shared, s | t)
+    s = s if s is t or t <= s else t if s <= t else _canonical(s | t)
     return s, b[1] if b[1] < a[1] else a[1]
 
 
 def state_operations(join: Callable, leq: Callable,
                      same: Callable) -> tuple[Callable, ...]:
-    """A domain's join_states (taking the solve's Shared), leq_states and
-    same_values (values equal, probabilities aside), from its element join,
-    order and test."""
-    def join_states(a, b, shared: Shared | None = None):
+    """A domain's join_states, leq_states and same_values (values equal,
+    probabilities aside), from its element join, order and test."""
+    def join_states(a, b):
         if a is None or b is None:
             return a if b is None else b
-        return tuple(map(join, a, b, itertools.repeat(shared)))
+        return tuple(map(join, a, b))
 
     def leq_states(a, b) -> bool:
         return a is None or b is not None and all(map(leq, a, b))
@@ -170,21 +166,11 @@ def guard_factor(guard: Cmp,
                    * lhs_ops * rhs_ops)
 
 
-def once(shared: Shared | None, key, compute: Callable):
-    """compute(), or with shared what it gave for this key object before."""
-    if shared is None:
-        return compute()
-    if id(key) not in shared.memo:
-        shared.memo[id(key)] = compute()
-    return shared.memo[id(key)]
-
-
-def entry_state(variables: tuple[str, ...], spec: HardwareSpec,
-                shared: Shared | None = None) -> State:
+def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     if spec.maxint - spec.minint >= TUPLE_CAP:  # before any set is built
         raise OracleBlowup(f"machine range [{spec.minint},{spec.maxint}] "
                            f"holds more than {TUPLE_CAP} values")
-    full = _canonical(shared, frozenset(range(spec.minint, spec.maxint + 1)))
+    full = _canonical(frozenset(range(spec.minint, spec.maxint + 1)))
     return ((full, 1.0),) * len(variables)
 
 
@@ -362,8 +348,8 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
-                   spec: HardwareSpec, warnings: list[str],
-                   shared: Shared | None = None) -> Callable[[tuple], State]:
+                   spec: HardwareSpec,
+                   warnings: list[str]) -> Callable[[tuple], State]:
     """Strongest postcondition of `target =. expr`, for one edge.
 
     The result set is the image of expr over every tuple of operand values;
@@ -388,7 +374,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
                 image, had_eval_error = frozenset(), False
             had_eval_error = had_eval_error or divided
             if not image.issuperset(values):
-                image = _canonical(shared, image.union(values))
+                image = _canonical(image.union(values))
         if not image:
             if had_eval_error:
                 _warn(warnings, f"every operand tuple of `{target} =. ...` "
@@ -405,7 +391,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], shared: Shared | None = None,
+                  warnings: list[str],
                   op: str | None = None) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
@@ -415,10 +401,9 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     not) picks up one read per distinct guard variable, the factor of the
     guard's own comparison, executed on either edge, and a factor per
     arithmetic op inside the guard. An unsatisfiable guard bottoms the
-    whole state; a guard over constants alone is decided outright. With
-    shared (one solve's Shared), both edges of a guard share its factor.
+    whole state; a guard over constants alone is decided outright.
     """
-    names, factor = once(shared, guard, lambda: guard_factor(guard, spec))
+    names, factor = guard_factor(guard, spec)
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
                     COMPARE[op or guard.op])
@@ -436,7 +421,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                 satisfiable = True
                 new = (list(itertools.compress(c, hits)) for c in columns)
                 kept = [old if old.issuperset(v)
-                        else _canonical(shared, old.union(v))
+                        else _canonical(old.union(v))
                         for old, v in zip(kept, new)]
         if not satisfiable:
             return None

@@ -30,9 +30,9 @@ it back), so a loop head, too, is recomputed only when a source commits.
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
 iterates over flat states, None or a tuple indexed by variable position,
-and SolveResult keeps them as they are.
-A concrete.Shared, made per solve and dropped when it returns, holds what its
-edges and joins share: guard factors and folds, and live value sets by hash.
+and SolveResult keeps them as they are. The two edges of a guard each
+compile its factor and folds; the concrete domain's value sets are interned
+module-wide, so a set a solve builds again is the object already live.
 """
 
 from __future__ import annotations
@@ -121,20 +121,19 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
     variables = system.variables
     index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
-    shared = concrete.Shared()  # what this solve's edges and joins share
 
     def compiled(edge: Edge) -> tuple:
         action = edge.action
         if isinstance(action, AssignAction):
             return edge.src, dom.compile_assign(action.target, action.value,
-                                                index, spec, warnings, shared)
+                                                index, spec, warnings)
         return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
-                                           shared, action.op)
+                                           action.op)
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it
     states: list = [None if variables else ()] * cfg.node_count
-    states[cfg.entry] = dom.entry_state(variables, spec, shared)
+    states[cfg.entry] = dom.entry_state(variables, spec)
     order, heads = weak_topological_order(cfg)
     widen_nodes = heads if widening is not None else set()
     trace: list[list] | None = [] if keep_trace else None
@@ -143,7 +142,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
         out = None
         for i, (src, edge) in enumerate(incoming[node]):
             new = dom.sp_assign(states[src], edge)
-            out = dom.join_states(out, new, shared) if i else new
+            out = dom.join_states(out, new) if i else new
         return out
 
     def try_commit(node: int) -> bool:

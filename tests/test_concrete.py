@@ -14,6 +14,7 @@ from helpers import (CORPUS, XYZ, analyze, apply_assign, apply_guard, join,
                      reliable, set_top)
 
 from probrange import concrete
+from probrange.cli import build_report, render_text
 from probrange.concrete import OracleBlowup
 from probrange.hardware import HardwareSpec
 from probrange.syntax import Assign, parse_program
@@ -524,7 +525,7 @@ def test_column_warnings_follow_the_original_rows():
 def test_join_keeps_a_shared_set():
     # a set both sides hold is returned as is, not unioned into a copy, and
     # so is a side that holds the union; a new union is the object that the
-    # solve's set table holds for its values
+    # module's set table holds for its values
     shared = frozenset({1, 2})
     a = ((shared, 0.9), (frozenset({0}), 0.5))
     b = ((shared, 0.8), (frozenset({3}), 0.7))
@@ -536,11 +537,9 @@ def test_join_keeps_a_shared_set():
     assert concrete.join_states(c, d)[0] == (wider, 0.8)
     assert concrete.join_states(c, d)[0][0] is wider
     assert concrete.join_states(d, c)[0][0] is wider
-    table = concrete.Shared()  # one solve's: equal unions are one object
-    union = concrete.join_states(a, b, table)[1][0]
+    union = concrete.join_states(a, b)[1][0]
     again = ((shared, 0.8), (frozenset({3}), 0.7))
-    assert concrete.join_states(a, again, table)[1][0] is union
-    assert concrete.join_states(a, again)[1][0] is not union
+    assert concrete.join_states(a, again)[1][0] is union
 
 
 def test_same_values_ignores_probabilities_and_set_identity():
@@ -578,7 +577,7 @@ def test_loops2_concrete_evaluates_each_edge_tuple_once(monkeypatch):
 
 
 def test_loops2_concrete_holds_one_object_per_distinct_set():
-    # the entry's range, images, kept sets and unions go through the solve's
+    # the entry's range, images, kept sets and unions go through the module's
     # set table, so equal sets in the states and trace snapshots are one
     source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
     spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
@@ -589,6 +588,25 @@ def test_loops2_concrete_holds_one_object_per_distinct_set():
             for state in states if state is not None for values, _ in state]
     assert len(sets) == 2032
     assert len(set(map(id, sets))) == len(set(sets)) == 27
+
+
+def test_loops2_concrete_solves_share_their_sets_and_reports():
+    # the set table outlives a solve: while the first result is alive, a
+    # second solve builds the very same set objects and the same report
+    source = (Path(__file__).parent / "golden" / "loops2.up").read_text()
+    spec = HardwareSpec.uniform(0.9999, minint=-64, maxint=63)
+    results, reports = [], []
+    for _ in range(2):
+        cfg, result = analyze(source, spec, domain="concrete", max_iters=2000)
+        results.append(result)
+        reports.append(render_text(build_report(
+            "loops2", "concrete", False, spec, cfg, result, result.warnings)))
+    first, second = (result.states for result in results)
+    assert first == second
+    sets = [(a[0], b[0]) for s, t in zip(first, second) if s is not None
+            for a, b in zip(s, t)]
+    assert sets and all(a is b for a, b in sets)
+    assert reports[0] == reports[1]
 
 
 def test_untraced_concrete_solve_frees_the_sets_it_replaced():

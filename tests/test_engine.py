@@ -6,7 +6,7 @@ import pytest
 from probrange import abstract, concrete
 from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
                            collect_thresholds)
-from probrange.concrete import OracleBlowup, Shared
+from probrange.concrete import OracleBlowup
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec, SpecError
 from probrange.syntax import (BinOp, Cmp, Const, LiteralRangeError, Token,
@@ -550,7 +550,7 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
     (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
     (GuardAction(Cmp("lt", Var("x"), Const(1)), "ge"), "cond"),
     (BinOp("add", Var("x"), Const(1)), "lhs"),
-    (Shared(), "memo"),
+    (AssignAction("x", Const(1)), "target"),
     (TINY, "minint"),
     (build_equations(FIG1_CFG), "cfg"),
 ])

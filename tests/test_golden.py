@@ -8,8 +8,8 @@ snapshots and the machine format.
 
 A cross-check ties the two formats together: each machine golden, and a
 fresh machine report of the loops2 concrete case, must render through
-`render_text` to the matching text golden byte for byte, so a machine
-report carries exactly the content of its text twin. `render_machine`
+`helpers.reference_text` to the matching text golden byte for byte, so a
+machine report carries exactly the content of its text twin. `render_machine`
 writes its rows straight from the solve's flat states, so it is also held
 to `json.dumps` of the row dicts that `helpers.reference_report` builds from
 the same result, on the machine goldens, concrete traces and generated loop
@@ -31,9 +31,9 @@ from pathlib import Path
 import pytest
 
 from probrange import cli
-from probrange.cli import main, render_text
+from probrange.cli import main
 
-from helpers import loop_program, reference_report
+from helpers import loop_program, reference_report, reference_text
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -104,7 +104,8 @@ def test_report_matches_golden(case, tmp_path):
                                   "fig1-trace"])
 def test_machine_golden_renders_to_text_golden(text):
     report = json.loads((GOLDEN / f"{text}-machine.txt").read_bytes())
-    assert render_text(report).encode() == (GOLDEN / f"{text}.txt").read_bytes()
+    assert (reference_text(report).encode()
+            == (GOLDEN / f"{text}.txt").read_bytes())
 
 
 def test_fresh_machine_report_renders_to_text_golden(tmp_path):
@@ -114,7 +115,7 @@ def test_fresh_machine_report_renders_to_text_golden(tmp_path):
     assert main([str(program), *flags, *MACHINE, "--out", str(out)]) == code
     report = json.loads(out.read_bytes())
     expected = (GOLDEN / "loops2-concrete.txt").read_bytes()
-    assert render_text(report).encode() == expected
+    assert reference_text(report).encode() == expected
 
 
 # program, flags: reports the machine renderer must write as json.dumps does
