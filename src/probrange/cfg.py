@@ -6,6 +6,10 @@ lists are threaded so that a loop's head is the point the loop statement sits
 at, the loop body flows back into the head, and the point after the loop is
 reached through the negated guard.
 
+The builder lays out the weak topological order (Bourdoncle 1993) as it
+links: it creates every loop head, a `while` statement's point, and every
+cycle passes through one, so the heads are the widening points.
+
 Guards are single comparisons, the only condition the parser admits. Both
 edges of a guard hold the comparison as parsed, which the domains evaluate and
 charge as the program executes it, and the operator the edge tests: the
@@ -14,7 +18,7 @@ guard's own on the true edge, its negation on the false edge.
 
 from __future__ import annotations
 
-from .syntax import (Assign, Const, Program, Stmt, While, end_line,
+from .syntax import (Assign, Block, Const, Program, Stmt, While, end_line,
                      program_vars, walk_exprs)
 from .record import MutableRecord, Record, set_field
 
@@ -41,7 +45,9 @@ class Edge(Record):
 
 
 class CFG(MutableRecord):
-    __slots__ = ("lines", "edges", "variables", "entry")  # lines[node]: its source line
+    # lines[node]: its source line; order: every node once, in a weak
+    # topological order; heads: the order's component heads
+    __slots__ = ("lines", "edges", "variables", "order", "heads", "entry")
     _defaults = {"entry": 0}
 
     @property
@@ -68,6 +74,7 @@ class _Builder:
     def __init__(self) -> None:
         self.lines: list[int] = []
         self.edges: list[Edge] = []
+        self.heads: list[int] = []
 
     def node(self, line: int) -> int:
         self.lines.append(line)
@@ -76,129 +83,75 @@ class _Builder:
     def edge(self, src: int, dst: int, action: Action) -> None:
         self.edges.append(Edge(src, dst, action))
 
-    def thread(self, stmts: tuple[Stmt, ...], entry: int, get_exit) -> None:
+    def thread(self, stmts: tuple[Stmt, ...], entry: int,
+               get_exit) -> list[int]:
+        """Link stmts from entry on; the points they sit at and the nodes
+        inside them, in order, the continuation get_exit left out."""
+        order: list[int] = []
         point = entry
         for i, stmt in enumerate(stmts):
             if i + 1 < len(stmts):
                 nxt = self.node(stmts[i + 1].line)
-                self.emit(stmt, point, lambda nxt=nxt: nxt)
+                order += self.emit(stmt, point, lambda nxt=nxt: nxt)
                 point = nxt
             else:
-                self.emit(stmt, point, get_exit)
+                order += self.emit(stmt, point, get_exit)
+        return order
 
-    def emit(self, stmt: Stmt, point: int, get_cont) -> None:
+    def emit(self, stmt: Stmt, point: int, get_cont) -> list[int]:
+        """Link stmt at point; point and the nodes inside stmt in a weak
+        topological order, as Bourdoncle's depth-first search from point,
+        taking the true edge first, places them: a loop is a component of
+        its head and then its body; an if lists the else branch before the
+        then branch, both before the continuation."""
         if isinstance(stmt, Assign):
             self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
-            return
+            return [point]
         # the edges taken when the guard holds and when it fails
         cond = stmt.cond
         true_guard = GuardAction(cond, cond.op)
         false_guard = GuardAction(cond, _NEGATED[cond.op])
         if isinstance(stmt, While):
-            if stmt.body.stmts:
-                body = self.node(stmt.body.stmts[0].line)
-                self.edge(point, body, true_guard)
-                self.thread(stmt.body.stmts, body, lambda: point)
-            else:
-                self.edge(point, point, true_guard)
+            self.heads.append(point)
+            body = self.branch(stmt.body, point, true_guard, lambda: point)
             self.edge(point, get_cont(), false_guard)
-        else:
-            if stmt.then.stmts:
-                then = self.node(stmt.then.stmts[0].line)
-                self.edge(point, then, true_guard)
-                self.thread(stmt.then.stmts, then, get_cont)
-            else:
-                self.edge(point, get_cont(), true_guard)
-            orelse = stmt.orelse
-            if orelse is not None and orelse.stmts:
-                other = self.node(orelse.stmts[0].line)
-                self.edge(point, other, false_guard)
-                self.thread(orelse.stmts, other, get_cont)
-            else:
-                self.edge(point, get_cont(), false_guard)
+            return [point, *body]
+        then = self.branch(stmt.then, point, true_guard, get_cont)
+        orelse = self.branch(stmt.orelse, point, false_guard, get_cont)
+        return [point, *orelse, *then]
+
+    def branch(self, block: Block | None, point: int, guard: GuardAction,
+               get_cont) -> list[int]:
+        """Link guard's edge from point into block, straight to the
+        continuation when block is empty or missing; block's nodes in
+        order."""
+        if block is None or not block.stmts:
+            self.edge(point, get_cont(), guard)
+            return []
+        first = self.node(block.stmts[0].line)
+        self.edge(point, first, guard)
+        return self.thread(block.stmts, first, get_cont)
 
 
 def build_cfg(program: Program) -> CFG:
     b = _Builder()
     entry = b.node(program.line)
     stmts = program.body.stmts
-    if stmts:
-        exit_line = end_line(stmts[-1])
-        exit_id: list[int] = []
+    exit_id: list[int] = []  # the exit, made when the last statement links
 
-        def get_exit() -> int:
-            if not exit_id:
-                exit_id.append(b.node(exit_line))
-            return exit_id[0]
+    def get_exit() -> int:
+        if not exit_id:
+            exit_id.append(b.node(end_line(stmts[-1])))
+        return exit_id[0]
 
-        b.thread(stmts, entry, get_exit)
-    return CFG(b.lines, b.edges, program_vars(program), entry)
-
-
-def weak_topological_order(cfg: CFG) -> tuple[list[int], set[int]]:
-    """The nodes in a weak topological order (WTO), and its component heads.
-
-    Bourdoncle's algorithm ("Efficient chaotic iteration strategies with
-    widenings", 1993) from the entry node, its nested components flattened:
-    a component lists its head, then its body in a WTO of its own. Every
-    cycle passes through a head, so the heads are the widening points.
-    Nodes the entry does not reach follow in id order.
-
-    The paper's recursive visit and component procedures run over a stack
-    of frames [node, successor iterator, head, loop], loop None marking a
-    component's frame, so a deep CFG takes no Python recursion. Partitions
-    grow by prepending, so the order is built back to front.
-    """
-    succs = cfg.succs()
-    placed = float("inf")  # above every depth-first number
-    dfn: list = [0] * cfg.node_count  # 0 before a visit, placed once ordered
-    pending: list[int] = []  # visited nodes not yet ordered
-    backwards: list[int] = []
-    heads: set[int] = set()
-    frames: list[list] = []
-    num = 0
-
-    def enter(node: int) -> None:
-        nonlocal num
-        num += 1
-        dfn[node] = num
-        pending.append(node)
-        frames.append([node, iter(succs[node]), num, False])
-
-    enter(cfg.entry)
-    while frames:
-        frame = frames[-1]
-        node, successors, head, loop = frame
-        nxt = next(successors, None)
-        if nxt is not None:
-            if dfn[nxt] == 0:
-                enter(nxt)
-            elif loop is not None and dfn[nxt] <= head:
-                frame[2], frame[3] = dfn[nxt], True
-            continue
-        frames.pop()
-        if loop is None:
-            backwards.append(node)
-        elif head == dfn[node]:
-            dfn[node] = placed
-            member = pending.pop()
-            if loop:
-                while member != node:
-                    dfn[member] = 0
-                    member = pending.pop()
-                heads.add(node)
-                frames.append([node, iter(succs[node]), head, None])
-                continue
-            backwards.append(node)
-        if frames and frames[-1][3] is not None and head <= frames[-1][2]:
-            frames[-1][2], frames[-1][3] = head, True
-    backwards.reverse()
-    return backwards + [n for n in range(cfg.node_count) if not dfn[n]], heads
+    order = (b.thread(stmts, entry, get_exit) or [entry]) + exit_id
+    return CFG(b.lines, b.edges, program_vars(program), tuple(order),
+               frozenset(b.heads), entry)
 
 
-def loop_heads(cfg: CFG) -> set[int]:
+def loop_heads(cfg: CFG) -> frozenset[int]:
     """The widening points: the heads of the weak topological order."""
-    return weak_topological_order(cfg)[1]
+    return cfg.heads
 
 
 def literals(cfg: CFG) -> list[Const]:

@@ -4,9 +4,9 @@ Each non-entry node i owes its state to its first incoming edge's transfer
 of the source state, joined with each later edge's (bottom without edges);
 the entry node's constant state gives every variable the machine range at
 probability 1. The solver iterates from all-bottom until a full pass commits
-nothing. A pass visits nodes in a weak topological order of the CFG
-(cfg.weak_topological_order; Bourdoncle 1993), so a change flows down a loop
-body, through its ifs and their join nodes, within one pass. Iterating that
+nothing. A pass visits nodes in the weak topological order that build_cfg
+lays out (CFG.order; Bourdoncle 1993), so a change flows down a loop body,
+through its ifs and their join nodes, within one pass. Iterating that
 whole order until nothing commits is Bourdoncle's iterative strategy. A pass
 recomputes only the nodes with a source that committed since their last
 recomputation (Kildall 1973): the transfers are pure and warnings
@@ -20,12 +20,13 @@ therefore stops when the value parts stabilize and each node keeps the
 probability from its last value-changing update. Iteration counts reported
 here are committing passes; the final confirming pass is free.
 
-With widening enabled, the order's component heads, through which every
-cycle of the CFG passes, are the widening points. They instead keep their
-state when the recomputation is below it and otherwise widen toward the
-threshold set; widened nodes commit on any change, value or probability.
-Widening is idempotent (widening the result by the same recomputation gives
-it back), so a loop head, too, is recomputed only when a source commits.
+With widening enabled, the order's component heads (CFG.heads), through
+which every cycle of the CFG passes, are the widening points. They instead
+keep their state when the recomputation is below it and otherwise widen
+toward the threshold set; widened nodes commit on any change, value or
+probability. Widening is idempotent (widening the result by the same
+recomputation gives it back), so a loop head, too, is recomputed only when a
+source commits.
 
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
@@ -38,7 +39,7 @@ module-wide, so a set a solve builds again is the object already live.
 from __future__ import annotations
 
 from . import abstract, concrete
-from .cfg import CFG, AssignAction, Edge, literals, weak_topological_order
+from .cfg import CFG, AssignAction, Edge, literals
 from .hardware import HardwareSpec
 from .record import MutableRecord, Record
 from .syntax import LiteralRangeError, ParseError
@@ -91,7 +92,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
     edge's operand tuples, or the machine range's values, outnumber
     concrete.TUPLE_CAP. Literals outside the spec's machine range raise
     LiteralRangeError, and an expression too deep to compile or evaluate
-    raises ParseError, as the parser does for deep nesting.
+    raises ParseError, as the parser does for deep nesting. A CFG whose
+    order does not list every node exactly once raises ValueError.
     """
     if domain not in ("concrete", "abstract"):
         raise ValueError(f"unknown domain {domain!r}")
@@ -105,6 +107,8 @@ def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
         raise ValueError(f"widening thresholds must contain {spec.minint} "
                          f"and {spec.maxint} and nothing outside them, in "
                          "increasing order")
+    if sorted(system.cfg.order) != list(range(system.cfg.node_count)):
+        raise ValueError("cfg.order must list every node exactly once")
     _check_literals(system.cfg, spec.minint, spec.maxint)
     try:
         return _iterate(system, spec, domain, widening, max_iters, keep_trace)
@@ -134,8 +138,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
     # without variables there is one state, and every node holds it
     states: list = [None if variables else ()] * cfg.node_count
     states[cfg.entry] = dom.entry_state(variables, spec)
-    order, heads = weak_topological_order(cfg)
-    widen_nodes = heads if widening is not None else set()
+    widen_nodes = cfg.heads if widening is not None else frozenset()
     trace: list[list] | None = [] if keep_trace else None
 
     def recompute(node: int):
@@ -156,7 +159,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
         states[node] = new
         return True
 
-    targets = [n for n in order if n != cfg.entry]
+    targets = [n for n in cfg.order if n != cfg.entry]
     succs = cfg.succs()
     iterations = 0
     converged = False

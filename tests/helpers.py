@@ -1,11 +1,12 @@
-"""Shared test utilities: corpus access, one-call analysis, random programs,
-source printing, edges compiled and applied to hand-made flat states, the
-element operations that no analysis uses (width and density, order, join,
-widening, meet, top elements and the Galois maps, all over the solver's flat
-(lo, hi, prob) triples and (values, prob) pairs with None as bottom), the
-machine model's `clamp` and `reliable` and the CFG's `exits`, and the
-references that faster code in src/ is judged against: the argparse flag
-parser, the character-loop tokenizer, the scanning congruence refinement,
+"""Shared test utilities: corpus access, one-call analysis, random programs
+and structured shapes, source printing, edges compiled and applied to
+hand-made flat states, the element operations that no analysis uses (width
+and density, order, join, widening, meet, top elements and the Galois maps,
+all over the solver's flat (lo, hi, prob) triples and (values, prob) pairs
+with None as bottom), the machine model's `clamp` and `reliable` and the
+CFG's `exits`, and the references that faster code in src/ is judged
+against: the argparse flag parser, the character-loop tokenizer, the
+scanning congruence refinement, Bourdoncle's general weak topological order,
 the tuple-at-a-time concrete edges and the report builder and text renderer
 that went through a dict per row."""
 
@@ -186,6 +187,98 @@ def loop_heads_dfs(cfg) -> set[int]:
         else:
             color[node] = 2
     return heads
+
+
+def reference_wto(cfg) -> tuple[tuple[int, ...], set[int]]:
+    """The nodes in a weak topological order (WTO), and its component heads:
+    the general search that build_cfg's layout is judged against.
+
+    Bourdoncle's algorithm ("Efficient chaotic iteration strategies with
+    widenings", 1993) from the entry node, its nested components flattened:
+    a component lists its head, then its body in a WTO of its own. Every
+    cycle passes through a head, so the heads are the widening points.
+    Nodes the entry does not reach follow in id order.
+
+    The paper's recursive visit and component procedures run over a stack
+    of frames [node, successor iterator, head, loop], loop None marking a
+    component's frame, so a deep CFG takes no Python recursion. Partitions
+    grow by prepending, so the order is built back to front.
+    """
+    succs = cfg.succs()
+    placed = float("inf")  # above every depth-first number
+    dfn: list = [0] * cfg.node_count  # 0 before a visit, placed once ordered
+    pending: list[int] = []  # visited nodes not yet ordered
+    backwards: list[int] = []
+    heads: set[int] = set()
+    frames: list[list] = []
+    num = 0
+
+    def enter(node: int) -> None:
+        nonlocal num
+        num += 1
+        dfn[node] = num
+        pending.append(node)
+        frames.append([node, iter(succs[node]), num, False])
+
+    enter(cfg.entry)
+    while frames:
+        frame = frames[-1]
+        node, successors, head, loop = frame
+        nxt = next(successors, None)
+        if nxt is not None:
+            if dfn[nxt] == 0:
+                enter(nxt)
+            elif loop is not None and dfn[nxt] <= head:
+                frame[2], frame[3] = dfn[nxt], True
+            continue
+        frames.pop()
+        if loop is None:
+            backwards.append(node)
+        elif head == dfn[node]:
+            dfn[node] = placed
+            member = pending.pop()
+            if loop:
+                while member != node:
+                    dfn[member] = 0
+                    member = pending.pop()
+                heads.add(node)
+                frames.append([node, iter(succs[node]), head, None])
+                continue
+            backwards.append(node)
+        if frames and frames[-1][3] is not None and head <= frames[-1][2]:
+            frames[-1][2], frames[-1][3] = head, True
+    backwards.reverse()
+    unreached = [n for n in range(cfg.node_count) if not dfn[n]]
+    return tuple(backwards + unreached), heads
+
+
+def structured_program(rng: random.Random, depth: int = 3,
+                       max_stmts: int = 4) -> str:
+    """A program of whiles and ifs nested up to depth levels: empty and
+    missing else branches, empty then branches, empty loop bodies, loops
+    inside either branch and an empty program all occur. Only its shape is
+    meant to matter."""
+    lines: list[str] = []
+
+    def block(level: int) -> None:
+        for _ in range(rng.randint(0, max_stmts)):
+            kind = rng.random() if level < depth else 0.0
+            if kind < 0.4:
+                lines.append("x =. x +. 1;")
+            elif kind < 0.7:
+                lines.append("while (x <. 9) {")
+                block(level + 1)
+                lines.append("}")
+            else:
+                lines.append("if (x >. 4) {")
+                block(level + 1)
+                if rng.random() < 0.6:
+                    lines.append("} else {")
+                    block(level + 1)
+                lines.append("}")
+
+    block(0)
+    return "void f() {\n" + "".join(f"{line}\n" for line in lines) + "}\n"
 
 
 def loop_program(rng: random.Random, trips=(2, 4)) -> str:

@@ -3,13 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
-                           collect_thresholds, loop_heads,
-                           weak_topological_order)
-from probrange.syntax import CMP_TOKENS, Const, parse_program
+from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
+                           collect_thresholds, loop_heads)
+from probrange.syntax import CMP_TOKENS, ParseError, parse_program
 
 from helpers import (CORPUS, action_source, corpus_source, exits,
-                     loop_heads_dfs, loop_program, nested_program)
+                     loop_heads_dfs, loop_program, nested_program,
+                     reference_wto, structured_program)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,13 +118,7 @@ def test_wto_puts_an_if_join_after_both_branches():
                "  }\n"
                "  y =. x;\n"
                "}\n")
-    assert weak_topological_order(cfg) == ([0, 1, 2, 5, 4, 3, 6], {1})
-
-
-def test_wto_lists_unreached_nodes_last_in_id_order():
-    cfg = CFG([1, 1, 1, 1], [Edge(0, 2, AssignAction("x", Const(0))),
-                             Edge(3, 1, AssignAction("x", Const(1)))], ("x",))
-    assert weak_topological_order(cfg) == ([0, 2, 1, 3], set())
+    assert (cfg.order, cfg.heads) == ((0, 1, 2, 5, 4, 3, 6), {1})
 
 
 def _wto_programs():
@@ -145,12 +139,36 @@ def test_wto_heads_are_the_dfs_back_edge_targets():
     # pass in that order widens on every cycle
     for source in _wto_programs():
         cfg = build_cfg(parse_program(source))
-        order, heads = weak_topological_order(cfg)
-        assert heads == loop_heads_dfs(cfg) == loop_heads(cfg)
-        assert sorted(order) == list(range(cfg.node_count))
-        position = {node: i for i, node in enumerate(order)}
+        assert cfg.heads == loop_heads_dfs(cfg) == loop_heads(cfg)
+        assert sorted(cfg.order) == list(range(cfg.node_count))
+        position = {node: i for i, node in enumerate(cfg.order)}
         for e in cfg.edges:
-            assert position[e.src] < position[e.dst] or e.dst in heads
+            assert position[e.src] < position[e.dst] or e.dst in cfg.heads
+
+
+def test_builder_lays_out_bourdoncles_wto():
+    # the order and heads the general search finds, on the structured shapes
+    # too: nested loops, empty and missing branches, empty loop bodies
+    sources = _wto_programs() + ["void f() { }"]
+    sources += [structured_program(random.Random(seed)) for seed in range(1000)]
+    for source in sources:
+        cfg = build_cfg(parse_program(source))
+        assert (cfg.order, cfg.heads) == reference_wto(cfg), source
+
+
+@pytest.mark.parametrize("shape", ["whiles", "ifs"])
+def test_the_deepest_program_the_parser_admits_builds(shape):
+    # build_cfg recurses per nesting level as the parser does, a few frames
+    # short of it
+    depth, program = 300, parse_program(nested_program(shape, 300))
+    while True:
+        try:
+            program = parse_program(nested_program(shape, depth + 1))
+        except ParseError:
+            break
+        depth += 1
+    cfg = build_cfg(program)
+    assert len(cfg.order) == cfg.node_count
 
 
 def test_thresholds_fig1():
@@ -218,7 +236,8 @@ def test_straight_line_chain():
 
 
 def test_single_node_cfg_is_representable():
-    cfg = CFG(lines=[1], edges=[], variables=("x",))
+    cfg = CFG(lines=[1], edges=[], variables=("x",), order=(0,),
+              heads=frozenset())
     assert cfg.node_count == 1
     assert exits(cfg) == (0,)
     assert loop_heads(cfg) == set()

@@ -263,9 +263,10 @@ CONCRETE8 = ("--mode", "concrete", "--minint", "-8", "--maxint", "8")
         "concrete-chain-480", "concrete-chain-500", "concrete-chain-800"])
 def test_deep_programs_solve_or_exit_cleanly(tmp_path, shape, depth, flags,
                                              code):
-    # the parser admits these; the weak topological order takes no Python
-    # recursion, and an expression too deep to compile gets the parser's
-    # message. Both domains compile at one frame per operator (the abstract
+    # the parser admits these; build_cfg, which lays out the weak
+    # topological order as it links, recurses no deeper per nesting level
+    # than the parser, and an expression too deep to compile gets the
+    # parser's message. Both domains compile at one frame per operator (the abstract
     # one evaluates so too): a chain of 987 `+.` is too deep under Python
     # 3.10 and 3.11 but not under 3.12 and 3.13, in either mode
     program = tmp_path / "deep.up"

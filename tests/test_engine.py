@@ -74,7 +74,7 @@ def test_single_assignment_both_domains():
 
 
 def test_no_target_nodes():
-    cfg = CFG([1], [], ("x",))
+    cfg = CFG([1], [], ("x",), (0,), frozenset())
     result = solve(build_equations(cfg), TINY, domain="abstract")
     assert result.converged and result.iterations == 0
     assert result.states[0] == ((-8, 8, 1.0),)
@@ -361,6 +361,17 @@ def test_argument_validation(spec4):
     # widening bisects the thresholds, so they must also be in order
     with pytest.raises(ValueError, match="in increasing order"):
         solve(fig1, spec4, widening=(-32768, 9, 0, 32767))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 1, 2, 3), (0, 2, 3),
+                                   (0, 1, 2, 3, 4)])
+def test_order_must_list_every_node_once(spec4, order):
+    # a node left out of the order would never be recomputed and print bottom
+    cfg = build_cfg(parse_program(corpus_source("fig1.up")))
+    assert cfg.order == (0, 1, 2, 3)
+    system = build_equations(cfg.replace(order=order))
+    with pytest.raises(ValueError, match="every node exactly once"):
+        solve(system, spec4)
 
 
 def test_literal_outside_machine_range_rejected():

@@ -85,6 +85,14 @@ CASES["warnorder-concrete-machine"] = (GOLDEN / "warnorder.up",
 # an empty loop body: the loop head is its own source through a self-loop edge
 CASES["emptyloop"] = (GOLDEN / "emptyloop.up", SPEC4, 0)
 CASES["emptyloop-widening"] = (GOLDEN / "emptyloop.up", WIDEN4, 0)
+# nested components: a loop in a loop body and in an else branch, an empty
+# then branch, a loop with an empty body and an else-less if that ends a body
+CASES["nested"] = (GOLDEN / "nested.up", SPEC4, 0)
+CASES["nested-widening"] = (GOLDEN / "nested.up", WIDEN4, 0)
+CASES["nested-concrete"] = (GOLDEN / "nested.up",
+                            SPEC4 + ("--mode", "concrete", "--minint", "-64",
+                                     "--maxint", "63"), 0)
+CASES["nested-trace"] = (GOLDEN / "nested.up", WIDEN4 + TRACE, 2)
 
 
 def _report(case: str, out: Path) -> tuple[int, bytes]:
