@@ -18,8 +18,8 @@ guard's own on the true edge, its negation on the false edge.
 
 from __future__ import annotations
 
-from .syntax import (Assign, Block, Const, Program, Stmt, While, end_line,
-                     program_vars, walk_exprs)
+from .syntax import (Assign, Const, ParseError, Program, Stmt, While,
+                     end_line, program_vars, walk_exprs)
 from .record import MutableRecord, Record, set_field
 
 
@@ -83,19 +83,27 @@ class _Builder:
     def edge(self, src: int, dst: int, action: Action) -> None:
         self.edges.append(Edge(src, dst, action))
 
-    def thread(self, stmts: tuple[Stmt, ...], entry: int,
-               get_exit) -> list[int]:
-        """Link stmts from entry on; the points they sit at and the nodes
-        inside them, in order, the continuation get_exit left out."""
+    def thread(self, stmts: tuple[Stmt, ...], point: int,
+               guard: GuardAction | None, get_cont) -> list[int]:
+        """Link stmts in turn: the first sits at point when guard is None,
+        else guard's edge leads from point to it, or straight to the
+        continuation when stmts is empty. The points the statements sit at
+        and the nodes inside them, in order, the continuation left out."""
+        if guard is not None:
+            if not stmts:
+                self.edge(point, get_cont(), guard)
+                return []
+            first = self.node(stmts[0].line)
+            self.edge(point, first, guard)
+            point = first
         order: list[int] = []
-        point = entry
         for i, stmt in enumerate(stmts):
             if i + 1 < len(stmts):
                 nxt = self.node(stmts[i + 1].line)
                 order += self.emit(stmt, point, lambda nxt=nxt: nxt)
                 point = nxt
             else:
-                order += self.emit(stmt, point, get_exit)
+                order += self.emit(stmt, point, get_cont)
         return order
 
     def emit(self, stmt: Stmt, point: int, get_cont) -> list[int]:
@@ -103,7 +111,9 @@ class _Builder:
         topological order, as Bourdoncle's depth-first search from point,
         taking the true edge first, places them: a loop is a component of
         its head and then its body; an if lists the else branch before the
-        then branch, both before the continuation."""
+        then branch, both before the continuation. Two frames per nesting
+        level, thread and emit, no more than the parser spends on a body
+        without braces."""
         if isinstance(stmt, Assign):
             self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
             return [point]
@@ -113,24 +123,14 @@ class _Builder:
         false_guard = GuardAction(cond, _NEGATED[cond.op])
         if isinstance(stmt, While):
             self.heads.append(point)
-            body = self.branch(stmt.body, point, true_guard, lambda: point)
+            body = self.thread(stmt.body.stmts, point, true_guard,
+                               lambda: point)
             self.edge(point, get_cont(), false_guard)
             return [point, *body]
-        then = self.branch(stmt.then, point, true_guard, get_cont)
-        orelse = self.branch(stmt.orelse, point, false_guard, get_cont)
+        then = self.thread(stmt.then.stmts, point, true_guard, get_cont)
+        orelse = self.thread(stmt.orelse.stmts if stmt.orelse else (), point,
+                             false_guard, get_cont)
         return [point, *orelse, *then]
-
-    def branch(self, block: Block | None, point: int, guard: GuardAction,
-               get_cont) -> list[int]:
-        """Link guard's edge from point into block, straight to the
-        continuation when block is empty or missing; block's nodes in
-        order."""
-        if block is None or not block.stmts:
-            self.edge(point, get_cont(), guard)
-            return []
-        first = self.node(block.stmts[0].line)
-        self.edge(point, first, guard)
-        return self.thread(block.stmts, first, get_cont)
 
 
 def build_cfg(program: Program) -> CFG:
@@ -144,7 +144,11 @@ def build_cfg(program: Program) -> CFG:
             exit_id.append(b.node(end_line(stmts[-1])))
         return exit_id[0]
 
-    order = (b.thread(stmts, entry, get_exit) or [entry]) + exit_id
+    try:
+        order = (b.thread(stmts, entry, None, get_exit) or [entry]) + exit_id
+    except RecursionError:
+        # a backstop: the parser gives out first at the default limit
+        raise ParseError("program is nested too deeply") from None
     return CFG(b.lines, b.edges, program_vars(program), tuple(order),
                frozenset(b.heads), entry)
 

@@ -150,7 +150,8 @@ def random_program(rng: random.Random, max_vars: int = 3,
 
 def nested_program(shape: str, depth: int) -> str:
     """A program nested depth levels deep: "parens" around one literal, a
-    "chain" of +. operators, "ifs" or "whiles" one inside the other; or
+    "chain" of +. operators, "ifs" or "whiles" one inside the other, braced,
+    or "bare-ifs" or "bare-whiles", whose bodies take no braces; or
     "straight", depth assignments in a row."""
     if shape == "parens":
         return "x =. " + "(" * depth + "1" + ")" * depth + ";\n"
@@ -159,6 +160,10 @@ def nested_program(shape: str, depth: int) -> str:
     if shape == "whiles":
         return ("x =. 0;\n" + "while (x <. 9) {\n" * depth + "x =. x +. 1;\n"
                 + "}\n" * depth)
+    if shape == "bare-whiles":
+        return "x =. 0;\n" + "while (x <. 9)\n" * depth + "x =. x +. 1;\n"
+    if shape == "bare-ifs":
+        return "x =. 0;\n" + "if (x ==. 0)\n" * depth + "x =. 1;\n"
     if shape == "straight":  # depth statements, none nested
         return "".join(f"x{i % 5} =. {i % 7};\n" for i in range(depth))
     assert shape == "ifs"

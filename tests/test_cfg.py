@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,10 +158,12 @@ def test_builder_lays_out_bourdoncles_wto():
         assert (cfg.order, cfg.heads) == reference_wto(cfg), source
 
 
-@pytest.mark.parametrize("shape", ["whiles", "ifs"])
+@pytest.mark.parametrize("shape", ["whiles", "ifs", "bare-whiles",
+                                   "bare-ifs"])
 def test_the_deepest_program_the_parser_admits_builds(shape):
-    # build_cfg recurses per nesting level as the parser does, a few frames
-    # short of it
+    # build_cfg spends two frames per nesting level, thread and emit, no
+    # more than the parser spends on a body without braces, and a few frames
+    # fewer in all
     depth, program = 300, parse_program(nested_program(shape, 300))
     while True:
         try:
@@ -169,6 +173,18 @@ def test_the_deepest_program_the_parser_admits_builds(shape):
         depth += 1
     cfg = build_cfg(program)
     assert len(cfg.order) == cfg.node_count
+
+
+def test_a_stack_too_shallow_to_build_on_is_a_parse_error():
+    # the parser's message, not a RecursionError, should the stack run out
+    program = parse_program(nested_program("bare-whiles", 200))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            build_cfg(program)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_thresholds_fig1():

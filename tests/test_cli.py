@@ -256,19 +256,22 @@ CONCRETE8 = ("--mode", "concrete", "--minint", "-8", "--maxint", "8")
 
 @pytest.mark.parametrize("shape, depth, flags, code", [
     ("straight", 3000, (), 0), ("whiles", 300, ("--widening",), 2),
+    ("bare-whiles", 480, ("--widening",), 2), ("bare-ifs", 480, (), 0),
     ("chain", 980, (), 0), ("chain", 990, (), 1),
     ("chain", 480, CONCRETE8, 0), ("chain", 500, CONCRETE8, 0),
     ("chain", 800, CONCRETE8, 0),
-], ids=["straight-3000", "whiles-300", "chain-980", "chain-990",
+], ids=["straight-3000", "whiles-300", "bare-whiles-480", "bare-ifs-480",
+        "chain-980", "chain-990",
         "concrete-chain-480", "concrete-chain-500", "concrete-chain-800"])
 def test_deep_programs_solve_or_exit_cleanly(tmp_path, shape, depth, flags,
                                              code):
     # the parser admits these; build_cfg, which lays out the weak
     # topological order as it links, recurses no deeper per nesting level
-    # than the parser, and an expression too deep to compile gets the
-    # parser's message. Both domains compile at one frame per operator (the abstract
-    # one evaluates so too): a chain of 987 `+.` is too deep under Python
-    # 3.10 and 3.11 but not under 3.12 and 3.13, in either mode
+    # than the parser does on bodies without braces, and an expression too
+    # deep to compile gets the parser's message. Both domains compile at one
+    # frame per operator (the abstract one evaluates so too): a chain of 987
+    # `+.` is too deep under Python 3.10 and 3.11 but not under 3.12 and
+    # 3.13, in either mode
     program = tmp_path / "deep.up"
     program.write_text(nested_program(shape, depth))
     proc = subprocess.run(
