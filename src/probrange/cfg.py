@@ -8,7 +8,9 @@ reached through the negated guard.
 
 The builder lays out the weak topological order (Bourdoncle 1993) as it
 links: it creates every loop head, a `while` statement's point, and every
-cycle passes through one, so the heads are the widening points.
+cycle passes through one, so the heads are the widening points. It also
+collects the variables: the parameters, every assignment's target and every
+variable an edge reads.
 
 Guards are single comparisons, the only condition the parser admits. Both
 edges of a guard hold the comparison as parsed, which the domains evaluate and
@@ -18,8 +20,8 @@ guard's own on the true edge, its negation on the false edge.
 
 from __future__ import annotations
 
-from .syntax import (Assign, Const, ParseError, Program, Stmt, While,
-                     end_line, program_vars, walk_exprs)
+from .syntax import (Assign, Const, ParseError, Program, Stmt, Var, While,
+                     end_line, walk_exprs)
 from .record import MutableRecord, Record, set_field
 
 
@@ -75,6 +77,11 @@ class _Builder:
         self.lines: list[int] = []
         self.edges: list[Edge] = []
         self.heads: list[int] = []
+        self.names: set[str] = set()  # the variables the edges name
+
+    def note(self, root) -> None:
+        self.names.update(x.name for x in walk_exprs(root)
+                          if isinstance(x, Var))
 
     def node(self, line: int) -> int:
         self.lines.append(line)
@@ -115,10 +122,13 @@ class _Builder:
         level, thread and emit, no more than the parser spends on a body
         without braces."""
         if isinstance(stmt, Assign):
+            self.names.add(stmt.target)
+            self.note(stmt.value)
             self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
             return [point]
         # the edges taken when the guard holds and when it fails
         cond = stmt.cond
+        self.note(cond)
         true_guard = GuardAction(cond, cond.op)
         false_guard = GuardAction(cond, _NEGATED[cond.op])
         if isinstance(stmt, While):
@@ -149,8 +159,8 @@ def build_cfg(program: Program) -> CFG:
     except RecursionError:
         # a backstop: the parser gives out first at the default limit
         raise ParseError("program is nested too deeply") from None
-    return CFG(b.lines, b.edges, program_vars(program), tuple(order),
-               frozenset(b.heads), entry)
+    return CFG(b.lines, b.edges, tuple(sorted(b.names | set(program.params))),
+               tuple(order), frozenset(b.heads), entry)
 
 
 def loop_heads(cfg: CFG) -> frozenset[int]:

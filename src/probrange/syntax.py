@@ -447,30 +447,11 @@ def parse_program(source: str) -> Program:
         raise ParseError("program is nested too deeply") from None
 
 
-# --- validation and queries ---
+# --- queries ---
 
-def _statements(block: Block) -> list:
-    """Every statement in a block, nested ones included, in source order."""
-    out = []
-    for s in block.stmts:
-        out.append(s)
-        if isinstance(s, While):
-            out += _statements(s.body)
-        elif isinstance(s, If):
-            out += _statements(s.then)
-            if s.orelse is not None:
-                out += _statements(s.orelse)
-    return out
-
-
-def walk_exprs(node) -> list:
-    """All expression and condition nodes under an AST node, preorder."""
-    if isinstance(node, (Program, Block)):
-        block = node.body if isinstance(node, Program) else node
-        stack = [s.value if isinstance(s, Assign) else s.cond
-                 for s in reversed(_statements(block))]
-    else:
-        stack = [node]
+def walk_exprs(e: Expr | Cmp) -> list:
+    """Every node of an expression or condition, preorder."""
+    stack = [e]
     out: list = []
     while stack:
         x = stack.pop()
@@ -480,10 +461,3 @@ def walk_exprs(node) -> list:
             stack.append(x.lhs)
     return out
 
-
-def program_vars(program: Program) -> tuple[str, ...]:
-    """Every variable the program mentions, parameters included, sorted."""
-    names = set(program.params)
-    names.update(x.name for x in walk_exprs(program) if isinstance(x, Var))
-    names.update(s.target for s in _statements(program.body) if isinstance(s, Assign))
-    return tuple(sorted(names))

@@ -7,6 +7,7 @@ with None as bottom), the machine model's `clamp` and `reliable` and the
 CFG's `exits`, and the references that faster code in src/ is judged
 against: the argparse flag parser, the character-loop tokenizer, the
 scanning congruence refinement, Bourdoncle's general weak topological order,
+the second walk over the statements that listed the program's variables,
 the tuple-at-a-time concrete edges and the report builder and text renderer
 that went through a dict per row."""
 
@@ -30,7 +31,7 @@ from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
                                 HardwareSpec, c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
                               ARITH_TOKENS, CMP_TOKENS, KEYWORDS, PUNCT,
-                              Assign, Block, Cmp, Const, Expr, LexError,
+                              Assign, Block, Cmp, Const, Expr, If, LexError,
                               Program, Token, Var, While, walk_exprs)
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -255,6 +256,32 @@ def reference_wto(cfg) -> tuple[tuple[int, ...], set[int]]:
     backwards.reverse()
     unreached = [n for n in range(cfg.node_count) if not dfn[n]]
     return tuple(backwards + unreached), heads
+
+
+def _statements(block: Block) -> list:
+    """Every statement in a block, nested ones included, in source order."""
+    out = []
+    for s in block.stmts:
+        out.append(s)
+        if isinstance(s, While):
+            out += _statements(s.body)
+        elif isinstance(s, If):
+            out += _statements(s.then)
+            if s.orelse is not None:
+                out += _statements(s.orelse)
+    return out
+
+
+def reference_program_vars(program: Program) -> tuple[str, ...]:
+    """Every variable the program mentions, parameters included, sorted,
+    from a second walk over its statements: what build_cfg's variables,
+    collected as it links, are judged against."""
+    stmts = _statements(program.body)
+    names = set(program.params)
+    names.update(s.target for s in stmts if isinstance(s, Assign))
+    for s in stmts:
+        names.update(expr_vars(s.value if isinstance(s, Assign) else s.cond))
+    return tuple(sorted(names))
 
 
 def structured_program(rng: random.Random, depth: int = 3,

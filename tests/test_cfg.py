@@ -11,7 +11,8 @@ from probrange.syntax import CMP_TOKENS, ParseError, parse_program
 
 from helpers import (CORPUS, action_source, corpus_source, exits,
                      loop_heads_dfs, loop_program, nested_program,
-                     reference_wto, structured_program)
+                     random_program, reference_program_vars, reference_wto,
+                     structured_program)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,6 +157,22 @@ def test_builder_lays_out_bourdoncles_wto():
     for source in sources:
         cfg = build_cfg(parse_program(source))
         assert (cfg.order, cfg.heads) == reference_wto(cfg), source
+
+
+def test_builder_collects_the_program_variables():
+    # the parameters, targets and read variables the second statement walk
+    # finds, on every shape that walk could miss: unread parameters, empty
+    # branches and bodies, variables read only in a guard
+    sources = [(CORPUS / f"{name}.up").read_text() for name in
+               ("collatz", "counter", "factorial", "fig1", "gcd", "reverse")]
+    sources += [path.read_text() for path in sorted(GOLDEN.glob("*.up"))]
+    sources += [structured_program(random.Random(seed)) for seed in range(1000)]
+    sources += [random_program(random.Random(seed)) for seed in range(200)]
+    sources += [loop_program(random.Random(seed)) for seed in range(200)]
+    for source in sources:
+        program = parse_program(source)
+        assert build_cfg(program).variables == \
+            reference_program_vars(program), source
 
 
 @pytest.mark.parametrize("shape", ["whiles", "ifs", "bare-whiles",

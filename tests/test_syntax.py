@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probrange.cfg import build_cfg
 from probrange.syntax import (OPERATORS, Assign, BinOp, Block, Cmp, Const, If,
                               LexError, ParseError, Program, Token, Var,
-                              While, parse_program, program_vars, tokenize,
-                              walk_exprs)
+                              While, parse_program, tokenize, walk_exprs)
 
 from helpers import (CORPUS, corpus_source, expr_vars, nested_program,
                      reference_tokenize, to_source)
@@ -265,12 +265,12 @@ def test_expr_vars_distinct_sorted():
 
 def test_program_vars_include_params_and_targets():
     prog = parse_program("void f(int a, int b) { c =. a; }")
-    assert program_vars(prog) == ("a", "b", "c")
+    assert build_cfg(prog).variables == ("a", "b", "c")
 
 
 def test_walk_exprs_sees_every_node():
     prog = parse_program("x =. y +. 2;")
-    kinds = [type(n).__name__ for n in walk_exprs(prog)]
+    kinds = [type(n).__name__ for n in walk_exprs(prog.body.stmts[0].value)]
     assert kinds.count("BinOp") == 1
     assert kinds.count("Var") == 1
     assert kinds.count("Const") == 1
@@ -291,7 +291,8 @@ def test_walk_exprs_is_preorder_without_recursion():
     assign, loop = prog.body.stmts
     roots = (assign.value, loop.cond, loop.body.stmts[0].value)
     expected = [n for root in roots for n in _preorder(root)]
-    assert list(map(id, walk_exprs(prog))) == list(map(id, expected))
+    walked = [n for root in roots for n in walk_exprs(root)]
+    assert list(map(id, walked)) == list(map(id, expected))
     deep = Var("x")
     for _ in range(5000):  # far deeper than the parser admits
         deep = BinOp("add", deep, Const(1))
