@@ -20,16 +20,18 @@ against this module.
 
 Transfers mirror the concrete ones on interval endpoints, each operator's
 endpoint rule chosen once per edge. Division or modulo by an interval
-containing zero widens the target to the full machine range and reports it
-rather than failing. Comparison guards refine the tested variable's interval
-when one side is a lone variable (or `var %. k` against a constant) and the
-other side folds, as the machine computes it, to one value (`5 +. 5` folds
-to 7 on [-8,7], with an overflow warning). The congruence guards narrow in
-closed form: the values passing `x %. k ==. c` are the residue class of c mod
-k on c's side of zero, so x's new endpoints are the class's first and last
-members in its interval; the values failing `x %. k !=. c` are such a class,
-whose members lie k apart, so for k >= 2 each endpoint moves inward by one at
-most (for k = 1 the class is every value or none).
+containing zero widens the result to the full machine range and reports it
+rather than failing, in a guard's sides as in an assignment, whether or not
+the guard refines anything. Comparison guards refine the tested variable's
+interval when one side is a lone variable (or `var %. k` against a
+constant) and the other side folds, as the machine computes it, to one
+value (`5 +. 5` folds to 7 on [-8,7], with an overflow warning). The
+congruence guards narrow in closed form: the values passing `x %. k ==. c`
+are the residue class of c mod k on c's side of zero, so x's new endpoints
+are the class's first and last members in its interval; the values failing
+`x %. k !=. c` are such a class, whose members lie k apart, so for k >= 2
+each endpoint moves inward by one at most (for k = 1 the class is every
+value or none).
 
 A state is None when no environment is reachable, and otherwise a tuple of
 (lo, hi, prob) triples, never empty (lo <= hi), indexed by variable
@@ -242,10 +244,9 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str],
-                  op: str | None = None) -> Callable[[tuple], State]:
+                  warnings: list[str], op: str) -> Callable[[tuple], State]:
     """Interval counterpart of the guard transfer, for one edge testing op
-    (guard's own when None) between the guard's sides.
+    between the guard's sides.
 
     Refinable shapes, after putting the variable on the left of a side that
     folds, as the machine computes it, to one value c: `x <op> c` truncates
@@ -254,12 +255,13 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     probability scales by the width ratio; every variable's probability then
     picks up the guard's read, comparison, and arithmetic factors (as the
     concrete guard charges them). Anything else leaves all intervals
-    unchanged. An unsatisfiable guard bottoms the whole state. A fold's
-    overflow warnings are raised whenever the edge is applied, as the
-    concrete guard raises them.
+    unchanged, but still evaluates each arithmetic side for its warnings.
+    An unsatisfiable guard bottoms the whole state. A fold's overflow
+    warnings are raised whenever the edge is applied, as the concrete guard
+    raises them.
     """
     factor = guard_factor(guard, spec)[1]
-    op, lhs, rhs = op or guard.op, guard.lhs, guard.rhs
+    lhs, rhs = guard.lhs, guard.rhs
     notes: list[str] = []
     lhs_const = _fold(lhs, spec, notes)
     rhs_const = _fold(rhs, spec, notes)
@@ -287,7 +289,13 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
         if k == 0:
             notes.append(f"line {guard.line}: congruence guard has zero "
                          f"modulus; no refinement applied")
-        transfer = partial(_scale_all, factor)
+        sides = [interval_evaluator(side, index, spec, warnings)
+                 for side in (guard.lhs, guard.rhs) if isinstance(side, BinOp)]
+
+        def transfer(state: tuple) -> State:
+            for side in sides:
+                side(state)
+            return _scale_all(factor, state)
     if not notes:
         return transfer
 

@@ -391,12 +391,11 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str],
-                  op: str | None = None) -> Callable[[tuple], State]:
+                  warnings: list[str], op: str) -> Callable[[tuple], State]:
     """Strongest postcondition of passing a comparison guard, for one edge.
 
-    The edge tests op (guard's own when None: the true edge) between the
-    guard's sides. Each guard variable keeps only the values that occur in
+    The edge tests op (guard.op on the true edge) between the guard's
+    sides. Each guard variable keeps only the values that occur in
     some tuple passing it; every variable's probability (guard-related or
     not) picks up one read per distinct guard variable, the factor of the
     guard's own comparison, executed on either edge, and a factor per
@@ -406,7 +405,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     names, factor = guard_factor(guard, spec)
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
-                    COMPARE[op or guard.op])
+                    COMPARE[op])
     kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
     satisfiable = False
 

@@ -460,4 +460,3 @@ def walk_exprs(e: Expr | Cmp) -> list:
             stack.append(x.rhs)
             stack.append(x.lhs)
     return out
-

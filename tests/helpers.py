@@ -98,7 +98,7 @@ def apply_guard(mod, state, source: str, spec, warnings=None):
     source, as apply_assign applies an assignment."""
     cond = parse_program(source).body.stmts[0].cond
     edge = mod.compile_guard(cond, XYZ, spec,
-                             [] if warnings is None else warnings)
+                             [] if warnings is None else warnings, cond.op)
     return mod.sp_guard(state, edge)
 
 

@@ -387,7 +387,8 @@ def compile_action(source: str, warnings: list):
         edge = concrete.compile_assign(stmt.target, stmt.value, XYZ, TINY,
                                        warnings)
         return lambda state: concrete.sp_assign(state, edge)
-    edge = concrete.compile_guard(stmt.cond, XYZ, TINY, warnings)
+    edge = concrete.compile_guard(stmt.cond, XYZ, TINY, warnings,
+                                  stmt.cond.op)
     return lambda state: concrete.sp_guard(state, edge)
 
 
@@ -497,7 +498,8 @@ def test_column_edge_matches_tuple_at_a_time_reference(case):
         reference = reference_compile_assign(stmt.target, stmt.value, index,
                                              TINY, reference_warnings)
     else:
-        edge = concrete.compile_guard(stmt.cond, index, TINY, warnings)
+        edge = concrete.compile_guard(stmt.cond, index, TINY, warnings,
+                                      stmt.cond.op)
         reference = reference_compile_guard(stmt.cond, index, TINY,
                                             reference_warnings)
     for state in states:
@@ -512,7 +514,8 @@ def test_column_warnings_follow_the_original_rows():
                      "{ x =. 0; }")
     state = (pair(*range(-8, 9)), pair(0))
     warnings, reference_warnings = [], []
-    edge = concrete.compile_guard(guard, {"x": 0, "y": 1}, TINY, warnings)
+    edge = concrete.compile_guard(guard, {"x": 0, "y": 1}, TINY, warnings,
+                                  guard.op)
     reference = reference_compile_guard(guard, {"x": 0, "y": 1}, TINY,
                                         reference_warnings)
     assert edge(state) == reference(state)
