@@ -26,11 +26,12 @@ Statements and the program shell:
 
 Plain `-` and `+` exist only to write signed literals and are folded away at
 parse time; they are not unreliable ops and charge no reliability factor.
-Statement-level validation keeps the analyzable shape: an assignment is not
-chained and has an arithmetic right side, and a while/if condition must be a
-single comparison of arithmetic operands. The logical operators `&&.`, `||.`
-and `!.` are tokens only, so a compound guard is a parse error that names the
-line and the operator. `//` starts a line comment.
+An assignment is not chained, and its right side is arithmetic; a while/if
+condition is a single comparison of arithmetic operands. The parser checks
+this shape as it builds each operator, flagging one built over a comparison.
+The logical operators `&&.`, `||.` and `!.` are tokens only, so a compound
+guard is a parse error that names the line and the operator. `//` starts a
+line comment.
 """
 
 from __future__ import annotations
@@ -272,19 +273,6 @@ def end_line(stmt: Stmt) -> int:
     return (stmt.orelse or stmt.then).end_line
 
 
-def is_arith(e) -> bool:
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, BinOp):
-        return is_arith(e.lhs) and is_arith(e.rhs)
-    return False
-
-
-def is_condition(c) -> bool:
-    """Comparison of arithmetic operands."""
-    return isinstance(c, Cmp) and is_arith(c.lhs) and is_arith(c.rhs)
-
-
 # --- parser ---
 
 # binary operators by binding level, loosest first, each left-associative
@@ -298,6 +286,7 @@ class _Parser:
         self.tokens = tokens
         self.kinds = [t[0] for t in tokens]  # read on the hot paths
         self.pos = 0
+        self.misshapen = False  # expr built an operator over a comparison
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -384,21 +373,23 @@ class _Parser:
         if tok.kind != "ident" or self.tokens[self.pos + 1].kind != "=.":
             raise ParseError(f"line {tok.line}: expression statement must be an assignment")
         self.pos += 2  # the target and `=.`
+        self.misshapen = False
         value = self.expr()
         if self.peek().kind == "=.":
             raise ParseError(f"line {tok.line}: chained assignment is not allowed")
         self.expect(";")
-        if not is_arith(value):
+        if self.misshapen or value.__class__ is Cmp:
             raise ParseError(
                 f"line {tok.line}: assignment right side must be an arithmetic expression")
         return Assign(tok.text, value, tok.line)
 
     def condition(self) -> Cmp:
         tok = self.peek()
+        self.misshapen = False
         c = self.expr()
         if self.peek().kind == "=.":
             raise ParseError(f"line {tok.line}: assignment is not allowed in a condition")
-        if not is_condition(c):
+        if self.misshapen or c.__class__ is not Cmp:
             raise ParseError(f"line {tok.line}: condition must compare arithmetic expressions")
         return c
 
@@ -412,7 +403,10 @@ class _Parser:
         while kinds[self.pos] in _LEVELS[level]:
             kind, _, line, _ = self.next()
             make, op = _MAKE[kind]
-            node = make(op, node, self.expr(level + 1), line)
+            rhs = self.expr(level + 1)
+            if node.__class__ is Cmp or rhs.__class__ is Cmp:
+                self.misshapen = True
+            node = make(op, node, rhs, line)
         return node
 
     def unary(self):
@@ -443,7 +437,7 @@ def parse_program(source: str) -> Program:
     try:
         return _Parser(tokenize(source)).program()
     except RecursionError:
-        # the parser and its checks recurse once per nesting level
+        # recursion grows with parentheses and nested statements, not operators
         raise ParseError("program is nested too deeply") from None
 
 

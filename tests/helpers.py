@@ -8,8 +8,9 @@ CFG's `exits`, and the references that faster code in src/ is judged
 against: the argparse flag parser, the character-loop tokenizer, the
 scanning congruence refinement, Bourdoncle's general weak topological order,
 the second walk over the statements that listed the program's variables,
-the tuple-at-a-time concrete edges and the report builder and text renderer
-that went through a dict per row."""
+the recursive predicates that checked each statement's shape after it was
+parsed, the tuple-at-a-time concrete edges and the report builder and text
+renderer that went through a dict per row."""
 
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
                                 HardwareSpec, c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
                               ARITH_TOKENS, CMP_TOKENS, KEYWORDS, PUNCT,
-                              Assign, Block, Cmp, Const, Expr, If, LexError,
-                              Program, Token, Var, While, walk_exprs)
+                              Assign, BinOp, Block, Cmp, Const, Expr, If,
+                              LexError, Program, Token, Var, While,
+                              walk_exprs)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -284,6 +286,23 @@ def reference_program_vars(program: Program) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def reference_is_arith(e) -> bool:
+    """Whether an expression holds no comparison, by a second walk of it:
+    with reference_is_condition, what the parser's check of each statement
+    as it builds the operators is judged against."""
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, BinOp):
+        return reference_is_arith(e.lhs) and reference_is_arith(e.rhs)
+    return False
+
+
+def reference_is_condition(c) -> bool:
+    """Comparison of arithmetic operands."""
+    return (isinstance(c, Cmp) and reference_is_arith(c.lhs)
+            and reference_is_arith(c.rhs))
+
+
 def structured_program(rng: random.Random, depth: int = 3,
                        max_stmts: int = 4) -> str:
     """A program of whiles and ifs nested up to depth levels: empty and
@@ -335,6 +354,30 @@ def loop_program(rng: random.Random, trips=(2, 4)) -> str:
                       f"    {target} =. {target} +. 1;",
                       "  }"]
         lines += ["  h =. h +. 1;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def bounded_loop_program(rng: random.Random) -> str:
+    """random_program's statements over one to three of x, y and z, in one
+    or two loops counted by i.
+
+    `i =. 0;`, then once or twice an assignment and `while (i <. k)`, k in
+    [1, 4], whose body is one to three statements, each an assignment or,
+    with probability 0.4, an if/else of one assignment a side, and then
+    `i =. i +. 1;`. Only the counter reads or writes i.
+    """
+    names = sorted(rng.sample(("x", "y", "z"), rng.randint(1, 3)))
+    lines = ["i =. 0;"]
+    for _ in range(rng.randint(1, 2)):
+        lines += [_assign(rng, names), f"while (i <. {rng.randint(1, 4)}) {{"]
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.4:
+                lines += [f"  if ({_guard(rng, names)}) {{",
+                          f"    {_assign(rng, names)}", "  } else {",
+                          f"    {_assign(rng, names)}", "  }"]
+            else:
+                lines.append(f"  {_assign(rng, names)}")
+        lines += ["  i =. i +. 1;", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -595,10 +638,6 @@ def range_top(minint: int, maxint: int) -> tuple[int, int, float]:
 
 def set_top(minint: int, maxint: int) -> tuple[frozenset[int], float]:
     return frozenset(range(minint, maxint + 1)), 0.0
-
-
-def set_of(*values: int, prob: float = 1.0) -> tuple[frozenset[int], float]:
-    return frozenset(values), prob
 
 
 def meet(a, b):

@@ -13,8 +13,9 @@ from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import parse_program
 
-from helpers import (alpha, analyze, check_soundness, corpus_source, gamma,
-                     join, leq, line_map, meet, pmf, random_program)
+from helpers import (alpha, analyze, bounded_loop_program, check_soundness,
+                     corpus_source, gamma, join, leq, line_map, meet, pmf,
+                     random_program)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -237,6 +238,47 @@ def test_criterion_7_end_to_end_soundness():
         detail += f"; first: {failures[0][2]}"
     report(7, ok, detail)
     assert ok, failures[:3]
+
+
+def _values_outside(concrete_result, abstract_result, variables) -> list:
+    """(node, variable) wherever a concrete value lies outside the abstract
+    interval, probabilities aside."""
+    out = []
+    for node, (cstate, astate) in enumerate(zip(concrete_result.states,
+                                                abstract_result.states)):
+        for i, var in enumerate(variables if cstate else ()):
+            values = cstate[i][0]
+            if values and (astate is None or min(values) < astate[i][0]
+                           or max(values) > astate[i][1]):
+                out.append((node, var))
+    return out
+
+
+def test_criterion_7_value_soundness_on_loops():
+    # values only: inside a loop the probabilities follow the solver's
+    # schedule, so the full check_soundness does not hold there yet
+    spec = HardwareSpec.uniform(0.999, minint=-8, maxint=7)
+    start = time.perf_counter()
+    failures, runs = [], 0
+    for seed in range(400):
+        source = bounded_loop_program(random.Random(seed))
+        cfg = build_cfg(parse_program(source))
+        system = build_equations(cfg)
+        conc = solve(system, spec, domain="concrete", max_iters=500)
+        assert conc.converged, source
+        thresholds = collect_thresholds(cfg, spec.minint, spec.maxint)
+        for widening in (None, thresholds):
+            abst = solve(system, spec, widening=widening, max_iters=500)
+            assert abst.converged, source
+            runs += 1
+            bad = _values_outside(conc, abst, cfg.variables)
+            if bad:
+                failures.append((seed, widening is not None, source, bad[0]))
+    elapsed = time.perf_counter() - start
+    report(7, not failures, f"{runs} abstract runs of 400 bounded-loop "
+           f"programs in {elapsed:.1f}s, {len(failures)} hold a value "
+           f"outside the interval")
+    assert not failures, failures[:3]
 
 
 def test_criterion_8_widening_convergence(spec4):

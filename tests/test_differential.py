@@ -1,7 +1,8 @@
 """Self-test of tools/differential.py on two cases: a tree against itself is
 identical, a copy with a mutated text renderer differs in exactly the text
 case, and with --values-only a copy whose probabilities all change differs
-in no case and lists the changed probabilities of both."""
+in no case and lists the changed probabilities of both. Every rejected
+program of the matrix also exits 1 with one line of message."""
 
 import importlib.util
 import shutil
@@ -65,3 +66,13 @@ def test_values_only_lists_changed_probabilities(head, tmp_path):
             "0.995659289447" in changed)
     assert {line.split(": ")[1] for line in changed} == {label for label, _
                                                           in CASES}
+
+
+def test_rejected_programs_exit_1(tmp_path):
+    rejected = [case for case in differential.cases(tmp_path)
+                if case[0].startswith("rejected-")]
+    assert len(rejected) == len(differential.REJECTED)
+    for label, args in rejected:
+        code, out, err = differential.run(ROOT / "src", args)
+        assert (code, out) == (1, b""), label
+        assert err.startswith(b"probrange: ") and err.count(b"\n") == 1, label

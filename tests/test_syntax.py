@@ -1,13 +1,20 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probrange.cfg import build_cfg
-from probrange.syntax import (OPERATORS, Assign, BinOp, Block, Cmp, Const, If,
-                              LexError, ParseError, Program, Token, Var,
-                              While, parse_program, tokenize, walk_exprs)
+from probrange.engine import build_equations, solve
+from probrange.hardware import HardwareSpec
+from probrange.syntax import (_LEVELS, ARITH_TOKENS, CMP_TOKENS, OPERATORS,
+                              Assign, BinOp, Block, Cmp, Const, If, LexError,
+                              ParseError, Program, Token, Var, While,
+                              parse_program, tokenize, walk_exprs)
 
 from helpers import (CORPUS, corpus_source, expr_vars, nested_program,
+                     reference_is_arith, reference_is_condition,
                      reference_tokenize, to_source)
 
 
@@ -167,9 +174,11 @@ def test_assignment_rhs_must_be_arithmetic():
 
 @pytest.mark.parametrize("source, message", [
     ("x =. y =. 3;", "chained assignment is not allowed"),
+    ("x =. (a <. b) +. 1 =. 2;", "chained assignment is not allowed"),
     ("x =. (y =. 3);", r"expected '\)'"),
     ("if (x =. 1) { x =. 0; }", "assignment is not allowed in a condition"),
     ("while (x <. 3 =. 2) { x =. 0; }", "assignment is not allowed in a condition"),
+    ("while ((x <. 3) =. 1) { x =. 0; }", "assignment is not allowed in a condition"),
     ("x +. 1;", "expression statement must be an assignment"),
     ("3 =. x;", "expression statement must be an assignment"),
     ("(x) =. 3;", "expression statement must be an assignment"),
@@ -203,6 +212,59 @@ def test_compound_guard_is_a_parse_error(keyword, guard, message):
         parse_program(f"x =. 0;\n{keyword} ({guard}) {{\n  x =. 1;\n}}\n")
 
 
+# each operator's binding level, loosest 1; atoms are 5
+_SHAPE_LEVELS = {t: i for i, level in enumerate(_LEVELS, 1) for t in level}
+
+
+def _shape_tree(rng: random.Random, depth: int, cmp_chance: float):
+    """A random expression tree with comparisons anywhere, the source text
+    that parses back to it, and the binding level of that text: operands
+    are parenthesized where precedence or left associativity needs it, and
+    any subtree, the root included, now and then for no reason."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            leaf = Const(rng.randint(-3, 9))
+            return leaf, str(leaf.value), 5
+        leaf = Var(rng.choice("abc"))
+        return leaf, leaf.name, 5
+    table = CMP_TOKENS if rng.random() < cmp_chance else ARITH_TOKENS
+    token = rng.choice(sorted(table))
+    level = _SHAPE_LEVELS[token]
+    lhs, ltext, llevel = _shape_tree(rng, depth - 1, cmp_chance)
+    rhs, rtext, rlevel = _shape_tree(rng, depth - 1, cmp_chance)
+    ltext = f"({ltext})" if llevel < level else ltext
+    rtext = f"({rtext})" if rlevel <= level else rtext
+    node = (Cmp if table is CMP_TOKENS else BinOp)(table[token], lhs, rhs)
+    text = f"{ltext} {token} {rtext}"
+    if rng.random() < 0.15:
+        return node, f"({text})", 5
+    return node, text, level
+
+
+def test_shape_rule_matches_the_recursive_predicates():
+    # the parser flags comparisons as it builds the operators; the
+    # recursive predicates over the finished tree are the reference
+    rng = random.Random(2)
+    seen = Counter()
+    for _ in range(2000):
+        tree, text, _ = _shape_tree(rng, rng.randint(1, 4),
+                                    rng.choice((0.0, 0.2, 0.5, 1.0)))
+        for source, accepted, message, part in (
+                (f"x =. {text};", reference_is_arith(tree),
+                 "assignment right side must be an arithmetic expression",
+                 lambda stmt: stmt.value),
+                (f"if ({text}) {{ x =. 1; }}", reference_is_condition(tree),
+                 "condition must compare arithmetic expressions",
+                 lambda stmt: stmt.cond)):
+            seen[source[0], accepted] += 1
+            if accepted:
+                assert part(parse_program(source).body.stmts[0]) == tree, source
+            else:
+                with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+                    parse_program(source)
+    assert len(seen) == 4 and min(seen.values()) >= 200, seen
+
+
 def test_parenthesized_condition():
     prog = parse_program("while ((x <. 10)) { x =. x +. 1; }")
     assert prog.body.stmts[0].cond == Cmp("lt", Var("x"), Const(10))
@@ -222,14 +284,21 @@ def test_empty_program_rejected():
         parse_program("// nothing here\n")
 
 
-@pytest.mark.parametrize("shape, depth", [
-    ("parens", 200), ("chain", 1000), ("ifs", 600),
-])
+@pytest.mark.parametrize("shape, depth", [("parens", 200), ("ifs", 600)])
 def test_deep_nesting_is_a_parse_error(shape, depth):
-    # the parser recurses once per level; running out of stack is reported
-    # like any other malformed program
+    # the parser recurses per parenthesis and per nested statement; running
+    # out of stack is reported like any other malformed program
     with pytest.raises(ParseError, match="^program is nested too deeply$"):
         parse_program(nested_program(shape, depth))
+
+
+def test_long_operator_chain_parses_and_fails_to_solve():
+    # the parser builds a chain in a loop; compiling it recurses per operator
+    program = parse_program(nested_program("chain", 1000))
+    assert program.body.stmts[1].value.op == "add"
+    spec = HardwareSpec.uniform(0.999, minint=-8, maxint=7)
+    with pytest.raises(ParseError, match="^program is nested too deeply$"):
+        solve(build_equations(build_cfg(program)), spec)
 
 
 def test_missing_semicolon():

@@ -13,8 +13,12 @@ mode without and with --widening and in concrete mode (at the default range
 for the corpus, whose goldens use it, and at [-64,63] and [-8,8] for every
 program; arithmetic overflows often on [-8,8], so warning order is compared
 there), in text and machine format, each once plain and once with --trace
---max-iters 3; and seeded programs of the benchmark's loop family: two of four loops under
---widening and two of two loops in concrete mode on [-64,63].
+--max-iters 3; seeded programs of the benchmark's loop family: two of four
+loops under --widening and two of two loops in concrete mode on [-64,63];
+and 20 programs the CLI rejects with exit code 1 (misshapen assignments and
+guards, compound guards, an unexpected character, a literal outside the
+machine range, and nesting too deep to parse or to solve), each once in
+text format.
 
 The last line is the summary, `differential: N cases, D differ (base REV)`;
 each differing case is listed above it. The exit code is 0 when no case
@@ -54,6 +58,32 @@ WORKERS = min(4, os.cpu_count() or 1)
 
 Case = tuple[str, tuple[str, ...]]  # a label, and the CLI's arguments
 
+# each rejected by the parser, the lexer, the literal check or the solver
+REJECTED = (
+    ("assign-cmp", "x =. a <. b;"),
+    ("assign-cmp-operand", "x =. (a <. b) +. 1;"),
+    ("assign-chained", "x =. (a <. b) +. 1 =. 2;"),
+    ("assign-no-semicolon", "x =. (a <. b) +. 1"),
+    ("assign-no-operand", "x =. (a <. b) +. ;"),
+    ("cond-bare", "if (x)"),
+    ("cond-chain", "if (x <. 3 <. 4)"),
+    ("cond-cmp-lhs", "if ((x <. 3) ==. 1)"),
+    ("cond-cmp-rhs", "if (x <. (y <. 3))"),
+    ("cond-assign", "while ((x <. 3) =. 1)"),
+    ("cond-cmp-operand", "if (x +. (y ==. 1) >. 0)"),
+    ("body-assign-cmp", "if ((x <. 3)) { y =. (x <. 1); }"),
+    ("guard-and", "x =. 0;\nwhile (x <. 1 &&. x >. 0) {\n  x =. 1;\n}"),
+    ("guard-or", "x =. 0;\nwhile (x <. 1 ||. x >. 0) {\n  x =. 1;\n}"),
+    ("guard-not", "x =. 0;\nwhile (!. (x ==. 0)) {\n  x =. 1;\n}"),
+    ("character", "x =. 1 $ 2;"),
+    ("literal-range", "x =. 40000;"),
+    # tests/helpers.nested_program's parens 200, chain 1000 and ifs 600
+    ("parens-200", "x =. " + "(" * 200 + "1" + ")" * 200 + ";"),
+    ("chain-1000", "x =. 0;\ny =. x" + " +. 1" * 1000 + ";"),
+    ("ifs-600", "x =. 0;\n" + "if (x ==. 0) {\n" * 600 + "x =. 1;\n"
+     + "}\n" * 600),
+)
+
 
 def cases(work: Path) -> list[Case]:
     """The full matrix; generated programs are written under work."""
@@ -83,6 +113,10 @@ def cases(work: Path) -> list[Case]:
             for fmt in FORMATS:
                 args = (str(program), *SPEC, *mode, *fmt)
                 out.append((f"{program.name} {' '.join(args[3:])}", args))
+    for name, source in REJECTED:
+        program = work / f"rejected-{name}.up"
+        program.write_text(source + "\n")
+        out.append((program.name, (str(program), *SPEC)))
     return out
 
 
