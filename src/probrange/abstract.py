@@ -85,10 +85,10 @@ def _join(a: Triple, b: Triple) -> Triple:
 
 
 def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
-    if _leq(b, a):
-        return a
     alo, ahi, ap = a
     blo, bhi, bp = b
+    if alo <= blo and bhi <= ahi:
+        return a
     lo = min(alo, blo)
     hi = max(ahi, bhi)
     wlo = thresholds[bisect_right(thresholds, lo) - 1]

@@ -1,10 +1,10 @@
 """Control-flow graph over program points.
 
 Nodes are program points labeled with source lines; edges carry the action
-(an assignment or a guard) that leads from one point to the next. Statement
-lists are threaded so that a loop's head is the point the loop statement sits
-at, the loop body flows back into the head, and the point after the loop is
-reached through the negated guard.
+that leads from one point to the next, an Assign as parsed or a guard.
+Statement lists are threaded so that a loop's head is the point the loop
+statement sits at, the loop body flows back into the head, and the point
+after the loop is reached through the negated guard.
 
 The builder lays out the weak topological order (Bourdoncle 1993) as it
 links: it creates every loop head, a `while` statement's point, and every
@@ -25,16 +25,12 @@ from .syntax import (Assign, Const, ParseError, Program, Stmt, Var, While,
 from .record import MutableRecord, Record, set_field
 
 
-class AssignAction(Record):
-    __slots__ = ("target", "value")  # value: Expr
-
-
 class GuardAction(Record):
     # cond: the Cmp as parsed, shared by both edges; op: the edge's test
     __slots__ = ("cond", "op")
 
 
-Action = AssignAction | GuardAction
+Action = Assign | GuardAction
 
 
 class Edge(Record):
@@ -124,7 +120,7 @@ class _Builder:
         if isinstance(stmt, Assign):
             self.names.add(stmt.target)
             self.note(stmt.value)
-            self.edge(point, get_cont(), AssignAction(stmt.target, stmt.value))
+            self.edge(point, get_cont(), stmt)
             return [point]
         # the edges taken when the guard holds and when it fails
         cond = stmt.cond
@@ -174,7 +170,7 @@ def literals(cfg: CFG) -> list[Const]:
     roots = {}
     for e in cfg.edges:
         action = e.action
-        root = action.value if isinstance(action, AssignAction) else action.cond
+        root = action.value if isinstance(action, Assign) else action.cond
         roots[id(root)] = root
     return [node for root in roots.values() for node in walk_exprs(root)
             if isinstance(node, Const)]

@@ -13,18 +13,19 @@ recomputation (Kildall 1973): the transfers are pure and warnings
 de-duplicate, so a skipped recomputation would have committed nothing, and
 every commit happens as in a pass that recomputes every node.
 
-Commit rule: a node's stored state is replaced only when the recomputed
-state's value part (sets or intervals) differs. Probabilities shrink on every
-trip around a loop, so a pure-probability fixpoint does not exist; iteration
-therefore stops when the value parts stabilize and each node keeps the
-probability from its last value-changing update. Iteration counts reported
-here are committing passes; the final confirming pass is free.
+Commit rule, one for every node: the stored state is replaced only when the
+recomputed state's value part (sets or intervals) differs. Probabilities
+shrink on every trip around a loop, so a pure-probability fixpoint does not
+exist; iteration therefore stops when the value parts stabilize and each node
+keeps the probability from its last value-changing update. Iteration counts
+reported here are committing passes; the final confirming pass is free.
 
 With widening enabled, the order's component heads (CFG.heads), through
-which every cycle of the CFG passes, are the widening points. They instead
-keep their state when the recomputation is below it and otherwise widen
-toward the threshold set; widened nodes commit on any change, value or
-probability. Widening is idempotent (widening the result by the same
+which every cycle of the CFG passes, are the widening points. A head first
+widens its recomputation by its stored state: a variable whose recomputed
+interval lies inside the stored one keeps its stored triple, whatever either
+probability, and any other widens toward the threshold set. So no value
+reads a probability. Widening is idempotent (widening the result by the same
 recomputation gives it back), so a loop head, too, is recomputed only when a
 source commits.
 
@@ -39,10 +40,10 @@ module-wide, so a set a solve builds again is the object already live.
 from __future__ import annotations
 
 from . import abstract, concrete
-from .cfg import CFG, AssignAction, Edge, literals
+from .cfg import CFG, Edge, literals
 from .hardware import HardwareSpec
 from .record import MutableRecord, Record
-from .syntax import LiteralRangeError, ParseError
+from .syntax import Assign, LiteralRangeError, ParseError
 
 
 class EquationSystem(Record):
@@ -128,7 +129,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
 
     def compiled(edge: Edge) -> tuple:
         action = edge.action
-        if isinstance(action, AssignAction):
+        if isinstance(action, Assign):
             return edge.src, dom.compile_assign(action.target, action.value,
                                                 index, spec, warnings)
         return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
@@ -152,9 +153,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
         new, cur = recompute(node), states[node]
         if node in widen_nodes:
             new = abstract.widen_states(cur, new, widening)
-            if new == cur:
-                return False
-        elif dom.same_values(new, cur):
+        if dom.same_values(new, cur):
             return False
         states[node] = new
         return True

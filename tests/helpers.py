@@ -27,7 +27,6 @@ from pathlib import Path
 from probrange import (abstract, build_cfg, build_equations, concrete,
                        parse_program, solve)
 from probrange.cli import SET_DISPLAY_LIMIT
-from probrange.cfg import AssignAction
 from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
                                 HardwareSpec, c_div, c_mod)
 from probrange.syntax import (_MAX_LITERAL, _OPERATORS_AT, _WORD,
@@ -357,19 +356,29 @@ def loop_program(rng: random.Random, trips=(2, 4)) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a loop's counter i: its start (k stands for the loop's bound), guard and
+# step, counting up, counting down and halving
+COUNTER_SHAPES = (("0", "i <. {k}", "i +. 1"), ("{k}", "i >. 0", "i -. 1"),
+                  ("{k}", "i >. 0", "i /. 2"))
+
+
 def bounded_loop_program(rng: random.Random) -> str:
     """random_program's statements over one to three of x, y and z, in one
     or two loops counted by i.
 
-    `i =. 0;`, then once or twice an assignment and `while (i <. k)`, k in
-    [1, 4], whose body is one to three statements, each an assignment or,
-    with probability 0.4, an if/else of one assignment a side, and then
-    `i =. i +. 1;`. Only the counter reads or writes i.
+    Each loop follows an assignment and takes one of COUNTER_SHAPES, k in
+    [1, 4]: i's start, the loop's guard, and i's step, which ends the body.
+    Before the step come one to three statements, each an assignment or,
+    with probability 0.4, an if/else of one assignment a side. Only the
+    counter reads or writes i.
     """
     names = sorted(rng.sample(("x", "y", "z"), rng.randint(1, 3)))
-    lines = ["i =. 0;"]
+    lines = []
     for _ in range(rng.randint(1, 2)):
-        lines += [_assign(rng, names), f"while (i <. {rng.randint(1, 4)}) {{"]
+        start, guard, step = rng.choice(COUNTER_SHAPES)
+        k = rng.randint(1, 4)
+        lines += [_assign(rng, names), f"i =. {start.format(k=k)};",
+                  f"while ({guard.format(k=k)}) {{"]
         for _ in range(rng.randint(1, 3)):
             if rng.random() < 0.4:
                 lines += [f"  if ({_guard(rng, names)}) {{",
@@ -377,7 +386,7 @@ def bounded_loop_program(rng: random.Random) -> str:
                           f"    {_assign(rng, names)}", "  }"]
             else:
                 lines.append(f"  {_assign(rng, names)}")
-        lines += ["  i =. i +. 1;", "}"]
+        lines += [f"  i =. {step};", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -463,10 +472,9 @@ def product_sets(cfg, minint: int, maxint: int) -> dict[int, dict[str, set]]:
         return clamp(c_div(a, b) if e.op == "div" else c_mod(a, b))
 
     def transfer(state, action):
-        from probrange.cfg import AssignAction
         if any(not s for s in state.values()):
             return {v: set() for v in variables}
-        if isinstance(action, AssignAction):
+        if isinstance(action, Assign):
             used = expr_vars(action.value)
             result = set()
             for tup in itertools.product(*(sorted(state[v]) for v in used)):
@@ -548,7 +556,7 @@ def cond_source(c: Cmp, op: str | None = None) -> str:
 def action_source(action) -> str:
     """A CFG edge's action as source text: `x =. e`, or the guard's sides
     compared by the edge's test."""
-    if isinstance(action, AssignAction):
+    if isinstance(action, Assign):
         return f"{action.target} =. {expr_source(action.value)}"
     return cond_source(action.cond, action.op)
 
@@ -623,9 +631,9 @@ def widen(a, b, thresholds):
     """Jump both endpoints of two triples outward to thresholds bracketing
     the hull.
 
-    Identity on a bottom side; returns a unchanged when b leq a. The
-    result's mass is the hull width times the larger of the two densities,
-    capped at 1.
+    Identity on a bottom side; returns a unchanged when b's interval lies
+    inside a's, whatever either probability. The result's mass is the hull
+    width times the larger of the two densities, capped at 1.
     """
     if a is None or b is None:
         return a if b is None else b

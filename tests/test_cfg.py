@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from probrange.cfg import (CFG, AssignAction, GuardAction, build_cfg,
-                           collect_thresholds, loop_heads)
-from probrange.syntax import CMP_TOKENS, ParseError, parse_program
+from probrange.cfg import (CFG, GuardAction, build_cfg, collect_thresholds,
+                           loop_heads)
+from probrange.syntax import Assign, CMP_TOKENS, ParseError, parse_program
 
 from helpers import (CORPUS, action_source, corpus_source, exits,
                      loop_heads_dfs, loop_program, nested_program,
@@ -263,8 +263,10 @@ def test_straight_line_chain():
     cfg = _cfg("x =. 1;\ny =. 2;\nz =. x +. y;\n")
     assert cfg.lines == [1, 2, 3, 3]
     actions = [e.action for e in cfg.edges]
-    assert all(isinstance(a, AssignAction) for a in actions)
+    # each assignment edge holds its statement as parsed, line included
+    assert all(isinstance(a, Assign) for a in actions)
     assert [a.target for a in actions] == ["x", "y", "z"]
+    assert [a.line for a in actions] == [1, 2, 3]
     assert exits(cfg) == (3,)
 
 

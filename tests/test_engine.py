@@ -4,16 +4,16 @@ from pathlib import Path
 import pytest
 
 from probrange import abstract, concrete
-from probrange.cfg import (CFG, AssignAction, Edge, GuardAction, build_cfg,
-                           collect_thresholds)
+from probrange.cfg import CFG, Edge, GuardAction, build_cfg, collect_thresholds
 from probrange.concrete import OracleBlowup
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec, SpecError
-from probrange.syntax import (BinOp, Cmp, Const, LiteralRangeError, Token,
-                              Var, parse_program)
+from probrange.syntax import (Assign, BinOp, Cmp, Const, LiteralRangeError,
+                              Token, Var, parse_program)
 
-from helpers import (CORPUS, analyze, check_soundness, corpus_source,
-                     line_map, loop_program, random_program, value_part)
+from helpers import (CORPUS, analyze, bounded_loop_program, check_soundness,
+                     corpus_source, line_map, loop_program, random_program,
+                     value_part)
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,7 +26,7 @@ def recompute(system, states, node, mod, spec):
     out = None
     for edge in system.preds[node]:
         action = edge.action
-        if isinstance(action, AssignAction):
+        if isinstance(action, Assign):
             compiled = mod.compile_assign(action.target, action.value, index,
                                           spec, [])
         else:
@@ -45,7 +45,7 @@ def test_equations_fig1():
     assert system.preds[0] == ()
     head = system.preds[1]
     assert {e.src for e in head} == {0, 2}
-    assert all(isinstance(e.action, AssignAction) for e in head)
+    assert all(isinstance(e.action, Assign) for e in head)
     assert len(system.preds[2]) == 1
     assert isinstance(system.preds[2][0].action, GuardAction)
     assert len(system.preds) == cfg.node_count
@@ -56,7 +56,7 @@ def test_equations_collatz():
     system = build_equations(cfg)
     head = system.preds[1]
     assert {e.src for e in head} == {0, 3, 4}
-    assert all(isinstance(e.action, AssignAction) for e in head)
+    assert all(isinstance(e.action, Assign) for e in head)
     branch = system.preds[2]
     assert [e.src for e in branch] == [1]
     assert isinstance(branch[0].action, GuardAction)
@@ -295,6 +295,30 @@ def test_widened_counter_converges(spec4):
     assert result.converged
 
 
+def test_values_do_not_depend_on_probabilities():
+    # a loop head keeps its interval when the recomputation lies inside it,
+    # whatever the densities, so no value, warning or iteration count reads
+    # a probability
+    programs = [(bounded_loop_program(random.Random(seed)), -8, 7, 500)
+                for seed in range(400)]
+    programs += [(path.read_text(), -32768, 32767, 20) for path in
+                 sorted([*CORPUS.glob("*.up"), *GOLDEN.glob("*.up")])]
+    differ = []
+    for source, minint, maxint, max_iters in programs:
+        cfg = build_cfg(parse_program(source))
+        system = build_equations(cfg)
+        for widening in (None, collect_thresholds(cfg, minint, maxint)):
+            outcomes = set()
+            for p in (1.0, 0.999, 0.9):
+                spec = HardwareSpec.uniform(p, minint=minint, maxint=maxint)
+                r = solve(system, spec, widening=widening, max_iters=max_iters)
+                outcomes.add((tuple(map(value_part, r.states)),
+                              tuple(r.warnings), r.iterations, r.converged))
+            if len(outcomes) > 1:
+                differ.append((source, widening is not None))
+    assert not differ, differ[:3]
+
+
 # --- traces ---
 
 def test_trace_has_one_snapshot_per_committing_pass(spec4):
@@ -364,14 +388,14 @@ def test_a_recomputation_joins_only_its_later_edges(
         monkeypatch, spec4, program, domain, bounds, passes, transfers):
     # the first incoming edge's transfer starts a node's state, and each
     # later one is joined into it: a recomputation over k edges makes k - 1
-    # joins. Every recomputation ends in one widening or one value check.
+    # joins. Every recomputation ends in one value check, a loop head's
+    # after its widening.
     mod = abstract if domain == "abstract" else concrete
     calls = count_calls(monkeypatch, mod, "sp_assign", "join_states",
                         "same_values")
-    widenings = count_calls(monkeypatch, abstract, "widen_states")
     result = solve_golden(spec4, program, domain, bounds)
     assert result.converged and result.iterations == passes
-    recomputes = calls["same_values"] + widenings["widen_states"]
+    recomputes = calls["same_values"]
     assert calls["sp_assign"] == transfers
     assert calls["join_states"] == transfers - recomputes
 
@@ -600,10 +624,10 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
     (Token("int", "1", 1, 1), "kind"),
     (Const(1, 2), "line"),
     (Cmp("lt", Var("x"), Const(1)), "op"),
-    (Edge(0, 1, AssignAction("x", Const(1))), "dst"),
+    (Edge(0, 1, Assign("x", Const(1))), "dst"),
     (GuardAction(Cmp("lt", Var("x"), Const(1)), "ge"), "cond"),
     (BinOp("add", Var("x"), Const(1)), "lhs"),
-    (AssignAction("x", Const(1)), "target"),
+    (Assign("x", Const(1)), "target"),
     (TINY, "minint"),
     (build_equations(FIG1_CFG), "cfg"),
 ])
@@ -635,7 +659,7 @@ def test_mutable_records_are_unhashable(record, field):
     (lambda: TINY.replace(maxint=-9), SpecError),
     (lambda: TINY.replace(probs={"add": -0.5}), SpecError),
     (lambda: Const(1).replace(name="x"), TypeError),
-    (lambda: AssignAction("x"), TypeError),
+    (lambda: Assign("x"), TypeError),
     (lambda: Edge(0, 1, None, 2), TypeError),
 ])
 def test_replace_and_construction_check_fields(make, error):

@@ -93,6 +93,10 @@ CASES["nested-concrete"] = (GOLDEN / "nested.up",
                             SPEC4 + ("--mode", "concrete", "--minint", "-64",
                                      "--maxint", "63"), 0)
 CASES["nested-trace"] = (GOLDEN / "nested.up", WIDEN4 + TRACE, 2)
+# a loop head whose recomputation lies inside its interval at a lower
+# density keeps the interval: x stays [7,7], as it does when every op is
+# reliable
+CASES["widenkeep-widening"] = (GOLDEN / "widenkeep.up", WIDEN4, 0)
 
 
 def _report(case: str, out: Path) -> tuple[int, bytes]:
