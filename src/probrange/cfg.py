@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .syntax import (Assign, Const, ParseError, Program, Stmt, Var, While,
                      end_line, walk_exprs)
-from .record import MutableRecord, Record, set_field
+from .record import Record
 
 
 class GuardAction(Record):
@@ -36,13 +36,8 @@ Action = Assign | GuardAction
 class Edge(Record):
     __slots__ = ("src", "dst", "action")
 
-    def __init__(self, src: int, dst: int, action: Action) -> None:
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "action", action)
 
-
-class CFG(MutableRecord):
+class CFG(Record):
     # lines[node]: its source line; order: every node once, in a weak
     # topological order; heads: the order's component heads
     __slots__ = ("lines", "edges", "variables", "order", "heads", "entry")

@@ -38,14 +38,14 @@ warnings come out as from that loop.
 
 A compiled edge is incremental (semi-naive evaluation, as in Bancilhon and
 Ramakrishnan 1986). It keeps the operand sets it last evaluated and what it
-built from their tuples: an assignment's image and whether a tuple divided by
-zero, a guard's kept values per variable and whether a tuple satisfied it. A
-solve only grows the sets, so the next call evaluates just the tuples with
-some component outside the kept sets, in the order of the full product; with
-_warn's de-duplication the warnings come out as if every tuple were visited.
-Operand sets that are the very objects of the last call cost no scan. When
-some operand set lost a value, the edge drops what it kept and evaluates the
-whole product again. Probabilities come from the current state on every call.
+built from their tuples: an assignment's image, a guard's kept values per
+variable and whether a tuple satisfied it. A solve iterates monotone
+transfers up from bottom, so it only grows the sets, and the next call
+evaluates just the tuples with some component outside the kept sets, in the
+order of the full product; with _warn's de-duplication the warnings come out
+as if every tuple were visited. Operand sets that are the very objects of
+the last call cost no scan. Probabilities come from the current state on
+every call.
 
 This module also holds what both domains share: the per-edge reliability
 charges, the comparison table, the warning helper, the state operations
@@ -217,31 +217,23 @@ def _fresh_tuples(sets: list, seen: list) -> Iterable[tuple[int, ...]]:
 
 
 def _fresh_columns(sets: list[frozenset[int]],
-                   seen: list | None) -> tuple[bool, list, int]:
+                   seen: list | None) -> tuple[list, int]:
     """The operand tuples over sets that an edge has not evaluated yet,
-    given the sets it evaluated before (seen, None before the first call).
+    given the sets it evaluated before (seen, None before the first call),
+    each a subset of its current set: a solve only grows the sets.
 
-    Returns (restart, columns, n): whether evaluation starts over, because
-    it is the first call or some set lost a value, and the n tuples to
-    evaluate, in the product's order, as one column per operand position.
-    A one-variable edge's column is its sorted new values, and no tuple is
-    built.
+    Returns (columns, n): the n tuples to evaluate, in the product's order,
+    as one column per operand position. A one-variable edge's column is its
+    sorted new values, and no tuple is built.
     """
     if len(sets) == 1:
-        if seen is not None:
-            new = sets[0] - seen[0]
-            # |S - T| == |S| - |T| iff T <= S: one pass finds both
-            if len(new) == len(sets[0]) - len(seen[0]):
-                return False, [sorted(new)], len(new)
-        column = sorted(sets[0])
-        return True, [column], len(column)
-    if seen is not None and not all(map(operator.le, seen, sets)):
-        seen = None
+        column = sorted(sets[0] if seen is None else sets[0] - seen[0])
+        return [column], len(column)
     if seen is None:
         rows = list(itertools.product(*map(sorted, sets)))
     else:
         rows = list(_fresh_tuples(list(map(sorted, sets)), seen))
-    return seen is None, list(zip(*rows)) or [()] * len(sets), len(rows)
+    return list(zip(*rows)) or [()] * len(sets), len(rows)
 
 
 def _column_step(spec: HardwareSpec, steps: list, e: BinOp, left: tuple,
@@ -260,7 +252,7 @@ def _column_step(spec: HardwareSpec, steps: list, e: BinOp, left: tuple,
 
 def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
               warnings: list[str], unreachable: bool, columns: list,
-              n: int) -> tuple[list, list, bool]:
+              n: int) -> tuple[list, list]:
     """Run steps over n operand rows, given as one column per operand
     position.
 
@@ -270,11 +262,10 @@ def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
     loop stops a tuple at its first zero divisor. The warnings come as from
     that loop too: each step notes its first offending row, and the notes
     are warned in the order of their rows, then of their steps. Returns
-    top's column, the operand columns of the rows that reach it, and
-    whether some row divided by zero.
+    top's column and the operand columns of the rows that reach it.
     """
     minint, maxint = spec.minint, spec.maxint
-    stack, rows, events, whole = [], range(n), [], n
+    stack, rows, events = [], range(n), []
     for i, (left, right, apply, zero, overflow) in enumerate(steps):
         rvar, rconst, rx = right
         b = columns[rx] if rvar else [rx] * n if rconst else stack.pop()
@@ -304,8 +295,7 @@ def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
     for *_, message in sorted(events):
         _warn(warnings, message)
     var, const, x = top
-    return (columns[x] if var else [x] * n if const else stack.pop(),
-            columns, n < whole)
+    return columns[x] if var else [x] * n if const else stack.pop(), columns
 
 
 def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
@@ -314,10 +304,9 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
     """An edge's column evaluation of its expression, or of its guard's
     two sides and compare, over the operand tuples it has not evaluated.
 
-    scan(state) is None when no tuple is new; otherwise (restart, column,
-    columns, divided): whether what the edge kept must be dropped first,
-    then _evaluate's result over the new tuples. Every operand set the same
-    object as on the last call means no tuple is new, at no cost.
+    scan(state) is None when no tuple is new, and otherwise _evaluate's
+    result over the new tuples. Every operand set the same object as on the
+    last call means no tuple is new, at no cost.
     """
     steps = []
     tops = [compile_operand(side, names.index, int,
@@ -337,12 +326,12 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
         if math.prod(map(len, sets)) > TUPLE_CAP:
             raise OracleBlowup(f"tuple product over {names} exceeds cap "
                                f"{TUPLE_CAP}")
-        restart, columns, n = _fresh_columns(sets, seen)
+        columns, n = _fresh_columns(sets, seen)
         seen = sets
         if not n:
             return None
-        return (restart, *_evaluate(steps, tops[0], spec, warnings,
-                                    unreachable, columns, n))
+        return _evaluate(steps, tops[0], spec, warnings, unreachable, columns,
+                         n)
 
     return scan
 
@@ -363,22 +352,15 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     reads = tuple(index[v] for v in names)
     scan = _scanner((expr,), names, reads, spec, warnings)
     image = frozenset()  # what the tuples evaluated so far evaluate to
-    had_eval_error = False
 
     def transfer(state: tuple[Pair, ...]) -> State:
-        nonlocal image, had_eval_error
+        nonlocal image
         scanned = scan(state)
-        if scanned is not None:
-            restart, values, _, divided = scanned
-            if restart:
-                image, had_eval_error = frozenset(), False
-            had_eval_error = had_eval_error or divided
-            if not image.issuperset(values):
-                image = _canonical(image.union(values))
-        if not image:
-            if had_eval_error:
-                _warn(warnings, f"every operand tuple of `{target} =. ...` "
-                                f"divides by zero; state is unreachable")
+        if scanned is not None and not image.issuperset(scanned[0]):
+            image = _canonical(image.union(scanned[0]))
+        if not image:  # every tuple evaluated so far, at least one, divided
+            _warn(warnings, f"every operand tuple of `{target} =. ...` "
+                            f"divides by zero; state is unreachable")
             return None
         prob = charge
         for i in reads:
@@ -413,9 +395,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
         nonlocal kept, satisfiable
         scanned = scan(state)
         if scanned is not None:
-            restart, hits, columns, _ = scanned
-            if restart:
-                kept, satisfiable = [frozenset()] * len(reads), False
+            hits, columns = scanned
             if any(hits):
                 satisfiable = True
                 new = (list(itertools.compress(c, hits)) for c in columns)

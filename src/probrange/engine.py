@@ -42,16 +42,12 @@ from __future__ import annotations
 from . import abstract, concrete
 from .cfg import CFG, Edge, literals
 from .hardware import HardwareSpec
-from .record import MutableRecord, Record
+from .record import Record
 from .syntax import Assign, LiteralRangeError, ParseError
 
 
 class EquationSystem(Record):
     __slots__ = ("cfg", "preds")  # preds: incoming edges per node
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.cfg.variables
 
 
 def build_equations(cfg: CFG) -> EquationSystem:
@@ -72,7 +68,7 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
                                     f"{node.value} outside [{minint},{maxint}]")
 
 
-class SolveResult(MutableRecord):
+class SolveResult(Record):
     """states and each trace snapshot (one per committing pass; trace is
     None without keep_trace) list each node's flat state: None when the node
     is unreachable, else the domain's (lo, hi, prob) triples or (values,
@@ -123,7 +119,7 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
              keep_trace: bool) -> SolveResult:
     dom = abstract if domain == "abstract" else concrete
     cfg = system.cfg
-    variables = system.variables
+    variables = cfg.variables
     index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
 

@@ -2,8 +2,7 @@
 
 A class names its fields once, as __slots__ in order; `_defaults` holds
 defaults (a callable one is called per instance) and `_loose` the fields that
-== and hash leave out. A class on a hot path writes its own __init__ and
-stores each field with `set_field`.
+== and hash leave out. A record holding a list is unhashable, as the list is.
 """
 
 from operator import attrgetter
@@ -66,10 +65,3 @@ class Record:
     def replace(self, **changes):
         """A copy with some fields changed, validated like a new record."""
         return type(self)(**{**{n: getattr(self, n) for n in self.__slots__}, **changes})
-
-
-class MutableRecord(Record):
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None

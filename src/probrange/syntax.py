@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .record import Record, set_field
+from .record import Record
 
 
 class FrontendError(Exception):
@@ -203,27 +203,13 @@ class _Node(Record):
 class Const(_Node):
     __slots__ = ("value", "line")
 
-    def __init__(self, value: int, line: int = 0) -> None:
-        set_field(self, "value", value)
-        set_field(self, "line", line)
-
 
 class Var(_Node):
     __slots__ = ("name", "line")
 
-    def __init__(self, name: str, line: int = 0) -> None:
-        set_field(self, "name", name)
-        set_field(self, "line", line)
-
 
 class BinOp(_Node):
     __slots__ = ("op", "lhs", "rhs", "line")  # op: add, sub, mul, div, mod
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0) -> None:
-        set_field(self, "op", op)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "line", line)
 
 
 Expr = Const | Var | BinOp
@@ -231,12 +217,6 @@ Expr = Const | Var | BinOp
 
 class Cmp(_Node):
     __slots__ = ("op", "lhs", "rhs", "line")  # op: lt, le, gt, ge, eq, ne
-
-    def __init__(self, op: str, lhs, rhs, line: int = 0) -> None:
-        set_field(self, "op", op)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "line", line)
 
 
 class Assign(_Node):

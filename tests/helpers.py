@@ -829,10 +829,6 @@ def _reference_operand_sets(state, reads, names) -> list:
     return sets
 
 
-def _reference_shrunk(seen: list | None, sets: list) -> bool:
-    return seen is not None and not all(map(operator.le, seen, sets))
-
-
 def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
                              warnings: list[str]):
     """The assignment edge that evaluated one operand tuple at a time
@@ -850,8 +846,6 @@ def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
     def transfer(state):
         nonlocal seen, image, had_eval_error
         sets = _reference_operand_sets(state, reads, names)
-        if _reference_shrunk(seen, sets):
-            seen, image, had_eval_error = None, frozenset(), False
         values = set()
         for operands in _reference_unseen(sets, seen):
             try:
@@ -892,8 +886,6 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
     def transfer(state):
         nonlocal seen, kept, satisfiable
         sets = _reference_operand_sets(state, reads, names)
-        if _reference_shrunk(seen, sets):
-            seen, kept, satisfiable = None, [frozenset()] * len(reads), False
         hits = []
         for operands in _reference_unseen(sets, seen):
             try:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import tracemalloc
 from functools import partial
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORPUS, XYZ, analyze, apply_assign, apply_guard, join,
-                     leq, meet, product_sets, random_program,
+from helpers import (CORPUS, XYZ, analyze, apply_assign, apply_guard,
+                     bounded_loop_program, join, leq, loop_program, meet,
+                     product_sets, random_program,
                      reference_compile_assign, reference_compile_guard,
                      reliable, set_top)
 
@@ -17,7 +19,7 @@ from probrange import concrete
 from probrange.cli import build_report, render_text
 from probrange.concrete import OracleBlowup
 from probrange.hardware import HardwareSpec
-from probrange.syntax import Assign, parse_program
+from probrange.syntax import Assign, LiteralRangeError, parse_program
 
 SPEC = HardwareSpec.uniform(0.9999)
 TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
@@ -395,28 +397,27 @@ def compile_action(source: str, warnings: list):
 xyz_states = st.tuples(*[st.tuples(
     st.frozensets(st.integers(-6, 6), min_size=1, max_size=5),
     st.floats(0.1, 1, allow_nan=False))] * 3)
-state_steps = st.lists(st.tuples(st.sampled_from(("grow", "grow", "fresh",
-                                                  "bottom")), xyz_states),
+state_steps = st.lists(st.tuples(st.sampled_from(("grow", "grow", "bottom")),
+                                 xyz_states),
                        min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EDGE_ACTIONS), state_steps)
 def test_compiled_edge_matches_fresh_edge(source, steps):
-    # growing states extend the enumeration; a shrunk one starts it over. A
-    # fresh edge per call, sharing one warnings list, is the reference
+    # states only grow, as in a solve, and each extends the enumeration; a
+    # bottom step passes None and keeps the state for the next step. A fresh
+    # edge per call, sharing one warnings list, is the reference
     warnings, fresh_warnings = [], []
     transfer = compile_action(source, warnings)
     state = None
     for kind, drawn in steps:
         if kind == "bottom":
-            state = None
-        elif kind == "fresh" or state is None:
-            state = drawn
+            passed = None
         else:
-            state = concrete.join_states(state, drawn)
-        fresh = compile_action(source, fresh_warnings)(state)
-        assert transfer(state) == fresh
+            state = passed = concrete.join_states(state, drawn)
+        fresh = compile_action(source, fresh_warnings)(passed)
+        assert transfer(passed) == fresh
         assert warnings == fresh_warnings
 
 
@@ -454,7 +455,7 @@ def expression_source(draw, ops: int) -> str:
 def column_cases(draw):
     """An edge reading one or two of x, y with up to three operators, and
     the states it is applied to: operand sets that grow over several calls,
-    each state given twice, and then shrink once."""
+    each state given twice."""
     ops = draw(st.integers(0, 3))
     if draw(st.booleans()):
         read = draw(expression_source(ops))
@@ -477,10 +478,7 @@ def column_cases(draw):
                                min_size=1, max_size=4)):
         state = concrete.join_states(state, grown)
         states.append(state)
-    shrunk = tuple((frozenset(draw(st.lists(st.sampled_from(sorted(values)),
-                                            min_size=1, max_size=3))), p)
-                   for values, p in state)
-    return source, [s for s in states + [shrunk] for _ in range(2)]
+    return source, [s for s in states for _ in range(2)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -626,6 +624,40 @@ def test_untraced_concrete_solve_frees_the_sets_it_replaced():
         tracemalloc.stop()
     assert result.converged and result.iterations == 1001
     assert peak < 1_000_000
+
+
+def test_solves_only_grow_the_operand_sets_an_edge_scans(monkeypatch):
+    # a compiled edge extends what it kept and never starts over: within a
+    # solve, every set an edge scanned before is a subset of its set now
+    shrunk, calls = [], [0]
+    fresh_columns = concrete._fresh_columns
+
+    def checked(sets, seen):
+        calls[0] += 1
+        if seen is not None and not all(map(operator.le, seen, sets)):
+            shrunk.append((seen, sets))
+        return fresh_columns(sets, seen)
+
+    monkeypatch.setattr(concrete, "_fresh_columns", checked)
+    here = Path(__file__).parent
+    programs = [(path.read_text(), lo, hi) for path in
+                sorted([*CORPUS.glob("*.up"), *(here / "golden").glob("*.up")])
+                for lo, hi in ((-64, 63), (-8, 8))]
+    programs += [(loop_program(random.Random(seed)), -64, 63)
+                 for seed in range(10)]
+    programs += [(bounded_loop_program(random.Random(seed)), -8, 7)
+                 for seed in range(400)]
+    solved = 0
+    for source, minint, maxint in programs:
+        spec = HardwareSpec.uniform(0.999, minint=minint, maxint=maxint)
+        try:  # as the CLI reports, a literal outside the range stops the
+            # solve before any scan, and a product over the cap part way
+            analyze(source, spec, domain="concrete", max_iters=2000)
+        except (LiteralRangeError, OracleBlowup):
+            continue
+        solved += 1
+    assert solved == 425 and calls[0] > 9000
+    assert not shrunk, shrunk[:3]
 
 
 def test_compiled_edge_blowup_on_grown_input(monkeypatch):

@@ -97,6 +97,11 @@ CASES["nested-trace"] = (GOLDEN / "nested.up", WIDEN4 + TRACE, 2)
 # density keeps the interval: x stays [7,7], as it does when every op is
 # reliable
 CASES["widenkeep-widening"] = (GOLDEN / "widenkeep.up", WIDEN4, 0)
+# division by zero everywhere a run can meet it: an assignment whose every
+# operand tuple divides, and guards whose constant side divides by zero,
+# overflows or takes a modulo by zero
+CASES["divzero"] = (GOLDEN / "divzero.up", SPEC4, 0)
+CASES["divzero-concrete"] = (GOLDEN / "divzero.up", CONCRETE8, 0)
 
 
 def _report(case: str, out: Path) -> tuple[int, bytes]:
