@@ -47,7 +47,7 @@ from collections.abc import Callable
 from functools import partial
 
 from .hardware import HardwareSpec, c_div, c_mod
-from .syntax import BinOp, Cmp, Expr, Var, walk_exprs
+from .syntax import NEGATED, BinOp, Cmp, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
 from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
@@ -244,9 +244,9 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], op: str) -> Callable[[tuple], State]:
-    """Interval counterpart of the guard transfer, for one edge testing op
-    between the guard's sides.
+                  warnings: list[str]) -> tuple[Callable, Callable]:
+    """Interval counterparts of a guard holding and failing: the transfers
+    of its true and false edges, the false one testing the negated op.
 
     Refinable shapes, after putting the variable on the left of a side that
     folds, as the machine computes it, to one value c: `x <op> c` truncates
@@ -257,34 +257,36 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     concrete guard charges them). Anything else leaves all intervals
     unchanged, but still evaluates each arithmetic side for its warnings.
     An unsatisfiable guard bottoms the whole state. A fold's overflow
-    warnings are raised whenever the edge is applied, as the concrete guard
+    warnings are raised whenever an edge is applied, as the concrete guard
     raises them.
     """
     factor = guard_factor(guard, spec)[1]
-    lhs, rhs = guard.lhs, guard.rhs
+    lhs, rhs, op = guard.lhs, guard.rhs, guard.op
     notes: list[str] = []
     lhs_const = _fold(lhs, spec, notes)
     rhs_const = _fold(rhs, spec, notes)
     if lhs_const is not None and rhs_const is None:
         lhs, rhs, op = rhs, lhs, _FLIP[op]
         lhs_const, rhs_const = None, lhs_const
+    ops = (op, NEGATED[op])
     k = (_fold(lhs.rhs, spec, notes)
          if rhs_const is not None and op in ("eq", "ne")
          and isinstance(lhs, BinOp) and lhs.op == "mod"
          and isinstance(lhs.lhs, Var) else None)
 
     if lhs_const is not None:  # both sides fold
-        holds = COMPARE[op](lhs_const, rhs_const)
-        transfer = partial(_scale_all, factor) if holds else lambda state: None
+        transfers = [partial(_scale_all, factor)
+                     if COMPARE[o](lhs_const, rhs_const) else lambda state: None
+                     for o in ops]
     elif rhs_const is not None and isinstance(lhs, Var):
         c, low, high = rhs_const, spec.minint, spec.maxint
         cut = {"lt": (low, c - 1), "le": (low, c), "gt": (c + 1, high),
-               "ge": (c, high), "eq": (c, c), "ne": (low, high)}[op]
-        transfer = partial(_refine_compare, factor, index[lhs.name], *cut,
-                           c if op == "ne" else None)
+               "ge": (c, high), "eq": (c, c), "ne": (low, high)}
+        transfers = [partial(_refine_compare, factor, index[lhs.name], *cut[o],
+                             c if o == "ne" else None) for o in ops]
     elif k:
-        transfer = partial(_refine_congruence, factor, index[lhs.lhs.name],
-                           abs(k), rhs_const, op == "eq")
+        transfers = [partial(_refine_congruence, factor, index[lhs.lhs.name],
+                             abs(k), rhs_const, o == "eq") for o in ops]
     else:
         if k == 0:
             notes.append(f"line {guard.line}: congruence guard has zero "
@@ -296,15 +298,16 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
             for side in sides:
                 side(state)
             return _scale_all(factor, state)
+        transfers = [transfer, transfer]
     if not notes:
-        return transfer
+        return tuple(transfers)
 
-    def warned(state: tuple) -> State:
+    def warned(transfer: Callable, state: tuple) -> State:
         for message in notes:
             _warn(warnings, message)
         return transfer(state)
 
-    return warned
+    return tuple(partial(warned, t) for t in transfers)
 
 
 # A guard only scales probabilities down: a probability and the factor (a

@@ -20,27 +20,27 @@ guard's own on the true edge, its negation on the false edge.
 
 from __future__ import annotations
 
-from .syntax import (Assign, Const, ParseError, Program, Stmt, Var, While,
-                     end_line, walk_exprs)
+from .syntax import (NEGATED, Assign, Const, ParseError, Program, Stmt, Var,
+                     While, end_line, walk_exprs)
 from .record import Record
 
 
 class GuardAction(Record):
     # cond: the Cmp as parsed, shared by both edges; op: the edge's test
-    __slots__ = ("cond", "op")
+    _fields = ("cond", "op")
 
 
 Action = Assign | GuardAction
 
 
 class Edge(Record):
-    __slots__ = ("src", "dst", "action")
+    _fields = ("src", "dst", "action")
 
 
 class CFG(Record):
     # lines[node]: its source line; order: every node once, in a weak
     # topological order; heads: the order's component heads
-    __slots__ = ("lines", "edges", "variables", "order", "heads", "entry")
+    _fields = ("lines", "edges", "variables", "order", "heads", "entry")
     _defaults = {"entry": 0}
 
     @property
@@ -58,9 +58,6 @@ class CFG(Record):
         for e in self.edges:
             out[e.src].append(e.dst)
         return out
-
-
-_NEGATED = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne": "eq"}
 
 
 class _Builder:
@@ -121,7 +118,7 @@ class _Builder:
         cond = stmt.cond
         self.note(cond)
         true_guard = GuardAction(cond, cond.op)
-        false_guard = GuardAction(cond, _NEGATED[cond.op])
+        false_guard = GuardAction(cond, NEGATED[cond.op])
         if isinstance(stmt, While):
             self.heads.append(point)
             body = self.thread(stmt.body.stmts, point, true_guard,

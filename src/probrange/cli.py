@@ -264,7 +264,7 @@ class Rows(Record):
     """A report's rows, one per node and variable in that order, held as the
     solve's flat states: per node, None when unreachable, else the domain's
     (lo, hi, prob) triples or (values, prob) pairs in variable order."""
-    __slots__ = ("lines", "variables", "states", "intervals")
+    _fields = ("lines", "variables", "states", "intervals")
 
 
 def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,

@@ -38,8 +38,8 @@ warnings come out as from that loop.
 
 A compiled edge is incremental (semi-naive evaluation, as in Bancilhon and
 Ramakrishnan 1986). It keeps the operand sets it last evaluated and what it
-built from their tuples: an assignment's image, a guard's kept values per
-variable and whether a tuple satisfied it. A solve iterates monotone
+built from their tuples: an assignment's image, or for each edge of a guard
+the values per variable of the tuples taking it. A solve iterates monotone
 transfers up from bottom, so it only grows the sets, and the next call
 evaluates just the tuples with some component outside the kept sets, in the
 order of the full product; with _warn's de-duplication the warnings come out
@@ -373,43 +373,43 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
 
 
 def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
-                  warnings: list[str], op: str) -> Callable[[tuple], State]:
-    """Strongest postcondition of passing a comparison guard, for one edge.
+                  warnings: list[str]) -> tuple[Callable, Callable]:
+    """Strongest postconditions of a comparison guard holding and failing:
+    the transfers of its true and false edges.
 
-    The edge tests op (guard.op on the true edge) between the guard's
-    sides. Each guard variable keeps only the values that occur in
-    some tuple passing it; every variable's probability (guard-related or
+    On each edge every guard variable keeps only the values that occur in
+    some tuple taking it; every variable's probability (guard-related or
     not) picks up one read per distinct guard variable, the factor of the
     guard's own comparison, executed on either edge, and a factor per
-    arithmetic op inside the guard. An unsatisfiable guard bottoms the
-    whole state; a guard over constants alone is decided outright.
+    arithmetic op inside the guard. An edge no tuple takes bottoms the whole
+    state; a guard over constants alone is decided outright. One scan serves
+    both edges: they read the same source node, whose state only grows.
     """
     names, factor = guard_factor(guard, spec)
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
-                    COMPARE[op])
-    kept = [frozenset()] * len(reads)  # per guard variable, satisfying values
-    satisfiable = False
+                    COMPARE[guard.op])
+    kept: list = [None, None]  # per edge, None until a tuple takes it
 
-    def transfer(state: tuple[Pair, ...]) -> State:
-        nonlocal kept, satisfiable
+    def transfer(edge: int, state: tuple[Pair, ...]) -> State:
         scanned = scan(state)
         if scanned is not None:
             hits, columns = scanned
-            if any(hits):
-                satisfiable = True
-                new = (list(itertools.compress(c, hits)) for c in columns)
-                kept = [old if old.issuperset(v)
-                        else _canonical(old.union(v))
-                        for old, v in zip(kept, new)]
-        if not satisfiable:
+            for side, taken in enumerate((hits, [not h for h in hits])):
+                if any(taken):
+                    old = kept[side] or [frozenset()] * len(reads)
+                    new = (list(itertools.compress(c, taken)) for c in columns)
+                    kept[side] = [s if s.issuperset(v)
+                                  else _canonical(s.union(v))
+                                  for s, v in zip(old, new)]
+        if kept[edge] is None:
             return None
         out = [(values, prob * factor) for values, prob in state]
-        for i, values in zip(reads, kept):
+        for i, values in zip(reads, kept[edge]):
             out[i] = (values, out[i][1])
         return tuple(out)
 
-    return transfer
+    return partial(transfer, 0), partial(transfer, 1)
 
 
 def sp_assign(state, edge):

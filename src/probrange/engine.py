@@ -32,9 +32,10 @@ source commits.
 Each solve compiles every edge once through the domain module (operand
 positions, reliability charge, folded guard shape, expression closure) and
 iterates over flat states, None or a tuple indexed by variable position,
-and SolveResult keeps them as they are. The two edges of a guard each
-compile its factor and folds; the concrete domain's value sets are interned
-module-wide, so a set a solve builds again is the object already live.
+and SolveResult keeps them as they are. Each assignment edge and each guard
+is compiled once, a guard for both of its edges, which share one concrete
+scan; the concrete domain's value sets are interned module-wide, so a set a
+solve builds again is the object already live.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .syntax import Assign, LiteralRangeError, ParseError
 
 
 class EquationSystem(Record):
-    __slots__ = ("cfg", "preds")  # preds: incoming edges per node
+    _fields = ("cfg", "preds")  # preds: incoming edges per node
 
 
 def build_equations(cfg: CFG) -> EquationSystem:
@@ -73,7 +74,7 @@ class SolveResult(Record):
     None without keep_trace) list each node's flat state: None when the node
     is unreachable, else the domain's (lo, hi, prob) triples or (values,
     prob) pairs in cfg.variables order."""
-    __slots__ = ("states", "iterations", "converged", "warnings", "trace")
+    _fields = ("states", "iterations", "converged", "warnings", "trace")
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
@@ -122,14 +123,17 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
     variables = cfg.variables
     index = {v: i for i, v in enumerate(variables)}
     warnings: list[str] = []
+    guards: dict[int, tuple] = {}  # by the Cmp's id: its two edges' transfers
 
     def compiled(edge: Edge) -> tuple:
         action = edge.action
         if isinstance(action, Assign):
             return edge.src, dom.compile_assign(action.target, action.value,
                                                 index, spec, warnings)
-        return edge.src, dom.compile_guard(action.cond, index, spec, warnings,
-                                           action.op)
+        cond = action.cond
+        if id(cond) not in guards:
+            guards[id(cond)] = dom.compile_guard(cond, index, spec, warnings)
+        return edge.src, guards[id(cond)][action.op != cond.op]
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it

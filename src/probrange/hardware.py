@@ -50,10 +50,12 @@ def c_mod(a: int, b: int) -> int:
 class HardwareSpec(Record):
     """Success probability per op plus the machine integer range."""
 
-    __slots__ = ("probs", "minint", "maxint")
+    _fields = ("probs", "minint", "maxint")
     _defaults = {"probs": dict, "minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> HardwareSpec:
+        """Check the fields, on every construction, replace included."""
+        self = super().__new__(cls, *args, **kwargs)
         for op, p in self.probs.items():
             if op not in ALL_OPS:
                 raise SpecError(f"unknown op {op!r}")
@@ -63,6 +65,7 @@ class HardwareSpec(Record):
             raise SpecError(f"integer range [{self.minint},{self.maxint}] must hold at least two values")
         if not self.minint <= 0 <= self.maxint:
             raise SpecError("integer range must contain 0")
+        return self
 
     @property
     def width(self) -> int:

@@ -36,8 +36,6 @@ line comment.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .record import Record
 
 
@@ -70,6 +68,8 @@ PUNCT = "(){};,-+"
 
 ARITH_TOKENS = {"+.": "add", "-.": "sub", "*.": "mul", "/.": "div", "%.": "mod"}
 CMP_TOKENS = {"<.": "lt", "<=.": "le", ">.": "gt", ">=.": "ge", "==.": "eq", "!=.": "ne"}
+# the comparison that holds exactly when the keyed one fails
+NEGATED = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne": "eq"}
 
 _MAX_LITERAL = 2**63 - 1
 # judged by digit count first: int() refuses strings of more than 4,300
@@ -84,34 +84,14 @@ _WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
                   "0123456789")
 
 
-class Token(tuple):
+class Token(Record):
     """One token: its kind ("ident", "int", "eof", a keyword, an operator or
     punctuation), its text, and the line and column where it starts.
 
-    A tuple, so that tokenize builds one without a Python call. Like a
-    record, it equals only another Token with the same fields, prints its
-    fields by name, and its fields cannot change.
+    tokenize builds one as a tuple, without a Python call.
     """
 
-    __slots__ = ()
-    kind = property(itemgetter(0))
-    text = property(itemgetter(1))
-    line = property(itemgetter(2))
-    col = property(itemgetter(3))
-
-    def __new__(cls, kind: str, text: str, line: int, col: int) -> Token:
-        return tuple.__new__(cls, (kind, text, line, col))
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is Token and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self) -> str:
-        return "Token(kind=%r, text=%r, line=%r, col=%r)" % self
+    _fields = ("kind", "text", "line", "col")
 
 
 # punctuation that is never part of a longer token
@@ -195,44 +175,43 @@ def _cut(chunk: str, line: int, col: int) -> tuple:
 class _Node(Record):
     """An AST node; its source lines stay out of == and hash."""
 
-    __slots__ = ()
     _defaults = {"line": 0, "end_line": 0, "orelse": None}
     _loose = ("line", "end_line")
 
 
 class Const(_Node):
-    __slots__ = ("value", "line")
+    _fields = ("value", "line")
 
 
 class Var(_Node):
-    __slots__ = ("name", "line")
+    _fields = ("name", "line")
 
 
 class BinOp(_Node):
-    __slots__ = ("op", "lhs", "rhs", "line")  # op: add, sub, mul, div, mod
+    _fields = ("op", "lhs", "rhs", "line")  # op: add, sub, mul, div, mod
 
 
 Expr = Const | Var | BinOp
 
 
 class Cmp(_Node):
-    __slots__ = ("op", "lhs", "rhs", "line")  # op: lt, le, gt, ge, eq, ne
+    _fields = ("op", "lhs", "rhs", "line")  # op: lt, le, gt, ge, eq, ne
 
 
 class Assign(_Node):
-    __slots__ = ("target", "value", "line")
+    _fields = ("target", "value", "line")
 
 
 class Block(_Node):
-    __slots__ = ("stmts", "end_line")
+    _fields = ("stmts", "end_line")
 
 
 class While(_Node):
-    __slots__ = ("cond", "body", "line")
+    _fields = ("cond", "body", "line")
 
 
 class If(_Node):
-    __slots__ = ("cond", "then", "orelse", "line")
+    _fields = ("cond", "then", "orelse", "line")
 
 
 Stmt = Assign | While | If
@@ -240,7 +219,7 @@ Stmt = Assign | While | If
 
 class Program(_Node):
     # name is None for a bare statement list
-    __slots__ = ("name", "params", "body", "line")
+    _fields = ("name", "params", "body", "line")
     _defaults = {"line": 1}
 
 

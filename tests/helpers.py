@@ -95,11 +95,11 @@ def apply_assign(mod, state, source: str, spec, warnings=None):
 
 
 def apply_guard(mod, state, source: str, spec, warnings=None):
-    """mod's transfer of the condition of the `while` or `if` statement
-    source, as apply_assign applies an assignment."""
+    """mod's true-edge transfer of the condition of the `while` or `if`
+    statement source, as apply_assign applies an assignment."""
     cond = parse_program(source).body.stmts[0].cond
     edge = mod.compile_guard(cond, XYZ, spec,
-                             [] if warnings is None else warnings, cond.op)
+                             [] if warnings is None else warnings)[0]
     return mod.sp_guard(state, edge)
 
 

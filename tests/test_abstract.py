@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from probrange import abstract, concrete
 from probrange.hardware import HardwareSpec, c_div, c_mod
+from probrange.syntax import NEGATED, Cmp, parse_program
 
 from helpers import (XYZ, BottomArgument, alpha, apply_assign, apply_guard,
                      clamp, gamma, join, leq, meet, pmf, range_top,
@@ -24,7 +25,6 @@ TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
 
 
 def rhs_of(source: str):
-    from probrange.syntax import parse_program
     return parse_program(source).body.stmts[0].value
 
 
@@ -482,6 +482,32 @@ def test_guard_locally_sound(x, y, source):
     abs_out = sp_guard((x, y), source, TINY)
     conc_out = conc_guard((gamma(x), gamma(y)), source, TINY)
     assert_covers(conc_out, abs_out)
+
+
+# one guard of each shape: a variable against a constant side and flipped,
+# both congruences and a zero modulus, sides that both fold (one with an
+# overflow note), and the fallback, whose sides warn
+guard_shapes = st.sampled_from([
+    "while (x <=. 2) { x =. 0; }", "while (x >. 7 -. 9) { x =. 0; }",
+    "while (3 <=. x) { x =. 0; }", "while (5 +. 5 >. x) { x =. 0; }",
+    "while (x %. 3 ==. 1) { x =. 0; }", "while (x %. 2 !=. 0) { x =. 0; }",
+    "while (x %. 0 ==. 1) { x =. 0; }", "while (1 <=. 2) { x =. 0; }",
+    "while (8 +. 1 ==. 8) { x =. 0; }", "while (x <. y +. 1) { x =. 0; }",
+    "while (x /. y !=. 0) { x =. 0; }",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges(-6, 6, 5), ranges(-6, 6, 5), guard_shapes)
+def test_false_edge_is_the_negated_guards_true_edge(x, y, source):
+    # a uniform spec charges the guard's comparison and its negation alike
+    guard = parse_program(source).body.stmts[0].cond
+    negated = Cmp(NEGATED[guard.op], guard.lhs, guard.rhs, guard.line)
+    warnings, negated_warnings = [], []
+    fails = abstract.compile_guard(guard, XYZ, TINY, warnings)[1]
+    holds = abstract.compile_guard(negated, XYZ, TINY, negated_warnings)[0]
+    assert fails((x, y)) == holds((x, y))
+    assert warnings == negated_warnings
 
 
 # --- widening ---

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from pathlib import Path
 
@@ -8,8 +10,11 @@ from probrange.cfg import CFG, Edge, GuardAction, build_cfg, collect_thresholds
 from probrange.concrete import OracleBlowup
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec, SpecError
-from probrange.syntax import (Assign, BinOp, Cmp, Const, LiteralRangeError,
-                              Token, Var, parse_program)
+from probrange.cli import Rows
+from probrange.record import Record
+from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If,
+                              LiteralRangeError, Program, Token, Var, While,
+                              parse_program)
 
 from helpers import (CORPUS, analyze, bounded_loop_program, check_soundness,
                      corpus_source, line_map, loop_program, random_program,
@@ -30,8 +35,8 @@ def recompute(system, states, node, mod, spec):
             compiled = mod.compile_assign(action.target, action.value, index,
                                           spec, [])
         else:
-            compiled = mod.compile_guard(action.cond, index, spec, [],
-                                         action.op)
+            compiled = mod.compile_guard(action.cond, index, spec, [])[
+                action.op != action.cond.op]
         out = mod.join_states(out, mod.sp_assign(states[edge.src], compiled))
     return out
 
@@ -400,6 +405,29 @@ def test_a_recomputation_joins_only_its_later_edges(
     assert calls["join_states"] == transfers - recomputes
 
 
+@pytest.mark.parametrize("domain, bounds", [("abstract", None),
+                                           ("concrete", (-16, 15))])
+def test_a_solve_compiles_each_guard_once(monkeypatch, spec4, domain, bounds):
+    # both edges of a guard hold the same Cmp and take their transfers from
+    # one compile
+    mod = abstract if domain == "abstract" else concrete
+    compile_guard, compiled = mod.compile_guard, []
+
+    def counted(guard, *args):
+        compiled.append(guard)
+        return compile_guard(guard, *args)
+
+    monkeypatch.setattr(mod, "compile_guard", counted)
+    result = solve_golden(spec4, "loops4.up", domain, bounds)
+    assert result.converged
+    cfg = build_cfg(parse_program((GOLDEN / "loops4.up").read_text()))
+    guards = [e.action.cond for e in cfg.edges
+              if isinstance(e.action, GuardAction)]
+    assert len(guards) == 2 * len(compiled) == 56
+    assert len(set(map(id, compiled))) == len(compiled)
+    assert sorted(g.line for g in compiled) == sorted({g.line for g in guards})
+
+
 # --- exhaustion and validation ---
 
 def test_max_iters_exhaustion(spec4):
@@ -638,6 +666,38 @@ def test_frozen_record_fields_cannot_change(record, field):
         delattr(record, field)
     with pytest.raises(AttributeError):
         record.unknown = 0
+
+
+def record_classes(cls=Record) -> set:
+    """Every record class with fields, cls's subclasses searched through."""
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= record_classes(sub) | ({sub} if sub._fields else set())
+    return found
+
+
+RECORDS = [Token("int", "1", 1, 1), Const(1, 2), Var("x", 3),
+           BinOp("add", Var("x"), Const(1), 4), Cmp("lt", Var("x"), Const(1)),
+           Assign("x", Const(1), 5), Block((), 6),
+           While(Cmp("lt", Var("x"), Const(1)), Block(()), 7),
+           If(Cmp("lt", Var("x"), Const(1)), Block(()), None, 8),
+           Program("f", ("x",), Block(())), FIG1_CFG, FIG1_CFG.edges[0],
+           GuardAction(Cmp("lt", Var("x"), Const(1)), "ge"),
+           build_equations(FIG1_CFG), FIG1_RESULT, TINY,
+           Rows((1,), ("x",), [None], True)]
+
+
+def test_a_record_is_the_tuple_of_its_fields():
+    # tokenize builds a Token as the plain tuple of its fields in order, and
+    # a copy is built from the fields as a new record is
+    assert {type(r) for r in RECORDS} == record_classes()
+    for record in RECORDS:
+        assert tuple(record) == tuple(getattr(record, name)
+                                      for name in record._fields)
+        assert len(record) == len(record._fields)
+        for copied in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(copied) is type(record)
+            assert tuple(copied) == tuple(record)
 
 
 @pytest.mark.parametrize("record, field", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probrange.cfg import build_cfg
+from probrange.cfg import Edge, build_cfg
 from probrange.engine import build_equations, solve
 from probrange.hardware import HardwareSpec
 from probrange.syntax import (_LEVELS, ARITH_TOKENS, CMP_TOKENS, OPERATORS,
@@ -87,7 +87,7 @@ def test_tokenize_matches_the_character_loop_on_the_corpus():
         assert tokenize(source) == reference_tokenize(source), path.name
 
 
-def test_token_is_a_record_not_a_tuple():
+def test_token_equals_only_tokens():
     token = Token("int", "1", 2, 5)
     assert token == Token("int", "1", 2, 5)
     assert hash(token) == hash(Token("int", "1", 2, 5))
@@ -416,9 +416,11 @@ def test_records_leave_lines_out_of_eq_and_hash(a, b):
     (Const("x"), Var("x")),
     (Token("int", "2", 1, 1), Token("int", "2", 2, 1)),
     (Const(1), 1),
+    (Const(1, 0), (1, 0)),  # a record is a tuple, yet no plain one equals it
+    (Edge(0, 1, None), (0, 1, None)),
 ])
 def test_records_differ_across_classes_and_fields(a, b):
-    assert a != b and b != a
+    assert a != b and b != a and not a == b and not b == a
 
 
 @pytest.mark.parametrize("record, text", [
