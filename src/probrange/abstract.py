@@ -1,22 +1,15 @@
-"""Interval domain with a correctness bound, and threshold widening.
+"""Interval domain and threshold widening.
 
-An element <[a,b], p> says the variable's value lies in [a,b] and that the
-whole interval carries correctness probability p, spread uniformly: each value
-is correct with density pmf = p / (b-a+1). Elements are ordered by interval
-containment together with density:
-
-    <[a,b], p>  <=  <[c,d], q>   iff  [a,b] within [c,d]  and  pmf >= pmf'
-
-(the density comparison uses a small absolute tolerance so that chained joins
-of equal densities stay reflexive). The least element is the empty interval,
-None in a state; the greatest is the full machine range with probability 0.
-
-Joins take the hull and the smaller density, capped at the uniform density of
-the hull. The meet and the Galois maps to the concrete domain (abstraction
-takes <S, p> to the hull of S at mass min(1, p * hull width), concretization
-takes <[a,b], p> to every value in it at density p / (b-a+1)) take no part in
+A variable's cell is an interval (lo, hi) of the values it may hold. Cells
+are ordered by containment; the least element is the empty interval, None in
+a state, and the greatest the full machine range. The join takes the hull,
+and widening at a loop head jumps each endpoint of the hull outward to the
+nearest threshold, unless the new interval lies inside the stored one, which
+is kept. The meet and the Galois maps to the concrete domain take no part in
 an analysis; the tests define them and check the lattice and Galois laws
-against this module.
+against this module. The module computes values only: engine.py charges
+each interval's probability, spread evenly over its width, and orders, joins
+and widens the densities.
 
 Transfers mirror the concrete ones on interval endpoints, each operator's
 endpoint rule chosen once per edge. Division or modulo by an interval
@@ -34,10 +27,9 @@ each endpoint moves inward by one at most (for k = 1 the class is every
 value or none).
 
 A state is None when no environment is reachable, and otherwise a tuple of
-(lo, hi, prob) triples, never empty (lo <= hi), indexed by variable
-position; the solver, its result and both report formats hold states in this
-form only. join, leq and widen are written over triples, and the state
-operations are built from them as in the concrete domain.
+(lo, hi) pairs, never empty (lo <= hi), indexed by variable position. join,
+leq and widen are written over pairs, and the state operations are built
+from them as in the concrete domain.
 """
 
 from __future__ import annotations
@@ -50,63 +42,49 @@ from .hardware import HardwareSpec, c_div, c_mod
 from .syntax import NEGATED, BinOp, Cmp, Expr, Var, walk_exprs
 # the edge call and the state operations are shared by both domains; the
 # solver looks them up here when it runs in this domain
-from .concrete import (ARITH, COMPARE, _warn, assign_charge, compile_operand,
-                       guard_factor, sp_assign, sp_guard, state_operations)
+from .concrete import (ARITH, COMPARE, _warn, compile_operand, sp_assign,
+                       sp_guard, state_operations)
 
-PMF_TOLERANCE = 1e-12
-
-
-Triple = tuple[int, int, float]
+Interval = tuple[int, int]
 
 
-def _leq(a: Triple, b: Triple) -> bool:
-    alo, ahi, ap = a
-    blo, bhi, bp = b
-    return (blo <= alo and ahi <= bhi
-            and ap / (ahi - alo + 1) >= bp / (bhi - blo + 1) - PMF_TOLERANCE)
+def _leq(a: Interval, b: Interval) -> bool:
+    return b[0] <= a[0] and a[1] <= b[1]
 
 
-def _join(a: Triple, b: Triple) -> Triple:
-    # min and max written out: on the hot path a builtin call per bound costs
-    # more than the comparison itself
-    alo, ahi, ap = a
-    blo, bhi, bp = b
-    lo = alo if alo < blo else blo
-    hi = ahi if ahi > bhi else bhi
-    w = hi - lo + 1
-    p = ap / (ahi - alo + 1)
-    q = bp / (bhi - blo + 1)
-    if q < p:
-        p = q
-    if 1.0 / w < p:
-        p = 1.0 / w
-    p *= w
-    return lo, hi, p if p < 1.0 else 1.0
-
-
-def _widen(a: Triple, b: Triple, thresholds: tuple[int, ...]) -> Triple:
-    alo, ahi, ap = a
-    blo, bhi, bp = b
+def _join(a: Interval, b: Interval) -> Interval:
+    # a side that holds the hull is returned; min and max written out, as a
+    # builtin call per bound costs more than the comparison on the hot path
+    alo, ahi = a
+    blo, bhi = b
     if alo <= blo and bhi <= ahi:
         return a
-    lo = min(alo, blo)
-    hi = max(ahi, bhi)
-    wlo = thresholds[bisect_right(thresholds, lo) - 1]
-    whi = thresholds[bisect_left(thresholds, hi)]
-    w = whi - wlo + 1
-    p = w * min(max(ap / (ahi - alo + 1), bp / (bhi - blo + 1)), 1.0 / w)
-    return wlo, whi, min(1.0, p)
+    if blo <= alo and ahi <= bhi:
+        return b
+    return alo if alo < blo else blo, ahi if ahi > bhi else bhi
 
 
-State = tuple[Triple, ...] | None
+def _widen(a: Interval, b: Interval,
+           thresholds: tuple[int, ...]) -> Interval:
+    if _leq(b, a):
+        return a
+    return (thresholds[bisect_right(thresholds, min(a[0], b[0])) - 1],
+            thresholds[bisect_left(thresholds, max(a[1], b[1]))])
+
+
+State = tuple[Interval, ...] | None
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
-    return ((spec.minint, spec.maxint, 1.0),) * len(variables)
+    return ((spec.minint, spec.maxint),) * len(variables)
 
 
-join_states, leq_states, same_values = state_operations(
-    _join, _leq, lambda a, b: a[0] == b[0] and a[1] == b[1])
+join_states, leq_states = state_operations(_join, _leq)
+
+
+def width(cell: Interval) -> int:
+    """The number of values an interval's probability spreads over."""
+    return cell[1] - cell[0] + 1
 
 
 def widen_states(a: State, b: State, thresholds: tuple[int, ...]) -> State:
@@ -124,7 +102,7 @@ def interval_evaluator(e: Expr, index: dict[str, int], spec: HardwareSpec,
                                           lambda value: (value, value),
                                           partial(_interval_op, spec, warnings))
     if is_var:
-        return lambda state: state[x][:2]
+        return lambda state: state[x]
     if is_const:
         return lambda state: x
     return x
@@ -135,7 +113,7 @@ def _interval_op(spec: HardwareSpec, warnings: list[str], e: BinOp,
     """The closure for one operator, given how it reads its operands.
 
     The endpoint rule and the zero-divisor test are chosen here, once per
-    edge; a variable operand is its triple in the state and a constant its
+    edge; a variable operand is its interval in the state and a constant its
     (value, value) pair, both read in place.
     """
     lvar, lconst, lhs = left
@@ -201,26 +179,14 @@ _ENDPOINTS = {"add": lambda a, b, c, d: (a + c, b + d),
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
                    spec: HardwareSpec,
                    warnings: list[str]) -> Callable[[tuple], State]:
-    """Interval counterpart of the assignment transfer, for one edge.
-
-    The result interval comes from endpoint evaluation; its mass charges one
-    write, one read per distinct variable, each operand's density, a factor
-    per arithmetic op, and the result width (density times width is mass).
-    """
+    """Interval counterpart of the assignment transfer, for one edge: the
+    result interval comes from endpoint evaluation."""
     position = index[target]
-    names, charge = assign_charge(expr, spec)
-    reads = tuple(index[v] for v in names)
     evaluate = interval_evaluator(expr, index, spec, warnings)
 
     def transfer(state: tuple) -> State:
-        lo, hi = evaluate(state)
-        prob = charge
-        for i in reads:
-            elo, ehi, ep = state[i]
-            prob *= ep / (ehi - elo + 1)
-        prob *= hi - lo + 1
         out = list(state)
-        out[position] = (lo, hi, min(1.0, prob))
+        out[position] = evaluate(state)
         return tuple(out)
 
     return transfer
@@ -251,16 +217,13 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     Refinable shapes, after putting the variable on the left of a side that
     folds, as the machine computes it, to one value c: `x <op> c` truncates
     x's interval at c, and `x %. k ==. c` (or !=.) shrinks x's endpoints to
-    the nearest values satisfying the congruence. The refined variable's
-    probability scales by the width ratio; every variable's probability then
-    picks up the guard's read, comparison, and arithmetic factors (as the
-    concrete guard charges them). Anything else leaves all intervals
-    unchanged, but still evaluates each arithmetic side for its warnings.
+    the nearest values satisfying the congruence. Anything else leaves the
+    state unchanged, but still evaluates each arithmetic side for its
+    warnings.
     An unsatisfiable guard bottoms the whole state. A fold's overflow
     warnings are raised whenever an edge is applied, as the concrete guard
     raises them.
     """
-    factor = guard_factor(guard, spec)[1]
     lhs, rhs, op = guard.lhs, guard.rhs, guard.op
     notes: list[str] = []
     lhs_const = _fold(lhs, spec, notes)
@@ -275,18 +238,17 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
          and isinstance(lhs.lhs, Var) else None)
 
     if lhs_const is not None:  # both sides fold
-        transfers = [partial(_scale_all, factor)
-                     if COMPARE[o](lhs_const, rhs_const) else lambda state: None
-                     for o in ops]
+        transfers = [(lambda state: state) if COMPARE[o](lhs_const, rhs_const)
+                     else lambda state: None for o in ops]
     elif rhs_const is not None and isinstance(lhs, Var):
         c, low, high = rhs_const, spec.minint, spec.maxint
         cut = {"lt": (low, c - 1), "le": (low, c), "gt": (c + 1, high),
                "ge": (c, high), "eq": (c, c), "ne": (low, high)}
-        transfers = [partial(_refine_compare, factor, index[lhs.name], *cut[o],
+        transfers = [partial(_refine_compare, index[lhs.name], *cut[o],
                              c if o == "ne" else None) for o in ops]
     elif k:
-        transfers = [partial(_refine_congruence, factor, index[lhs.lhs.name],
-                             abs(k), rhs_const, o == "eq") for o in ops]
+        transfers = [partial(_refine_congruence, index[lhs.lhs.name], abs(k),
+                             rhs_const, o == "eq") for o in ops]
     else:
         if k == 0:
             notes.append(f"line {guard.line}: congruence guard has zero "
@@ -297,7 +259,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
         def transfer(state: tuple) -> State:
             for side in sides:
                 side(state)
-            return _scale_all(factor, state)
+            return state
         transfers = [transfer, transfer]
     if not notes:
         return tuple(transfers)
@@ -310,37 +272,26 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     return tuple(partial(warned, t) for t in transfers)
 
 
-# A guard only scales probabilities down: a probability and the factor (a
-# product of reliabilities) lie in [0,1], so their rounded product does too.
-
-def _scale_all(factor: float, state: tuple) -> State:
-    return tuple([(lo, hi, p * factor) for lo, hi, p in state])
+def _narrowed(state: tuple, i: int, lo: int, hi: int) -> State:
+    return (*state[:i], (lo, hi), *state[i + 1:])
 
 
-def _narrowed(factor: float, state: tuple, i: int, lo: int, hi: int) -> State:
-    elo, ehi, p = state[i]
-    out = [(a, b, q * factor) for a, b, q in state]
-    ratio = (hi - lo + 1) / (ehi - elo + 1)
-    out[i] = (lo, hi, p * ratio * factor)
-    return tuple(out)
-
-
-def _refine_compare(factor: float, i: int, low: int, high: int,
-                    skip: int | None, state: tuple) -> State:
+def _refine_compare(i: int, low: int, high: int, skip: int | None,
+                    state: tuple) -> State:
     # x within [low, high] and x != skip: an endpoint at skip moves inward
-    lo, hi, _ = state[i]
+    lo, hi = state[i]
     lo = max(lo, low)
     hi = min(hi, high)
     lo += lo == skip
     hi -= hi == skip
     if lo > hi:
         return None
-    return _narrowed(factor, state, i, lo, hi)
+    return _narrowed(state, i, lo, hi)
 
 
-def _refine_congruence(factor: float, i: int, k: int, c: int,
-                       keep_equal: bool, state: tuple) -> State:
-    elo, ehi, _ = state[i]
+def _refine_congruence(i: int, k: int, c: int, keep_equal: bool,
+                       state: tuple) -> State:
+    elo, ehi = state[i]
     if keep_equal:
         # c_mod(v, k) == c holds on v's residue class c mod k, restricted to
         # the sign c_mod gives c: v > 0 for c > 0 and v < 0 for c < 0
@@ -359,4 +310,4 @@ def _refine_congruence(factor: float, i: int, k: int, c: int,
         hi = ehi - (c_mod(ehi, k) == c)
     if lo > hi:
         return None
-    return _narrowed(factor, state, i, lo, hi)
+    return _narrowed(state, i, lo, hi)

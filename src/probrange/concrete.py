@@ -1,26 +1,14 @@
-"""Concrete probabilistic domain: finite value sets with a correctness bound.
+"""Concrete domain: finite value sets.
 
-An element <S, p> records that a variable's value is drawn from the finite set
-S and is correct (untouched by any hardware fault so far) with probability at
-least p. Elements are ordered by
-
-    <S1, p1>  <=  <S2, p2>   iff   S1 is a subset of S2  and  p1 >= p2
-
-so "up" means less information: more candidate values, weaker guarantee. The
-least element is <{}, 1> and the greatest <full range, 0>. The least upper
-bound unions the sets and keeps the smaller probability; the greatest lower
-bound intersects and keeps the larger one (an empty intersection keeps
-max(p1, p2), which is exactly the greatest lower bound under the order above).
-The module keeps one object per distinct live value set (hash-consing, in a
-weak table that outlives any one solve, as sys.intern does for strings;
-Filliatre and Conchon 2006), and a join whose union adds nothing to one side
-returns that side, so edges tell unchanged sets by identity.
-
-A state is None when no environment is reachable, and otherwise a tuple of
-flat (values, prob) pairs, a frozenset and a float, indexed by variable
-position; no pair inside a state has an empty set. The solver, its result
-and both report formats hold states in this form only; join and leq are
-written over pairs.
+A variable's cell is the finite set of values it may hold, ordered by
+inclusion; the join unions, and a union that adds nothing to one side
+returns that side. The module keeps one object per distinct live value set
+(hash-consing, in a weak table that outlives any one solve, as sys.intern does
+for strings; Filliatre and Conchon 2006), so edges tell unchanged sets by
+identity. A state is None when no environment is reachable, and otherwise a
+tuple of frozensets indexed by variable position; no set inside a state is
+empty. The module computes values only: engine.py charges each set's
+probability.
 
 The strongest-postcondition transfers run over edges compiled once per solve
 and enumerate tuples of operand values, so they are exact but only viable on
@@ -44,13 +32,11 @@ transfers up from bottom, so it only grows the sets, and the next call
 evaluates just the tuples with some component outside the kept sets, in the
 order of the full product; with _warn's de-duplication the warnings come out
 as if every tuple were visited. Operand sets that are the very objects of
-the last call cost no scan. Probabilities come from the current state on
-every call.
+the last call cost no scan.
 
-This module also holds what both domains share: the per-edge reliability
-charges, the comparison table, the warning helper, the state operations
-built from a domain's per-element join and order, and the one call that
-applies a compiled edge.
+This module also holds what both domains share: the comparison table, the
+warning helper, the state operations built from a domain's per-cell join and
+order, and the one call that applies a compiled edge.
 """
 
 from __future__ import annotations
@@ -72,12 +58,7 @@ class OracleBlowup(Exception):
     """An sp transfer's tuple product or the entry range exceeds TUPLE_CAP."""
 
 
-Pair = tuple[frozenset[int], float]
-State = tuple[Pair, ...] | None
-
-
-def _leq(a: Pair, b: Pair) -> bool:
-    return a[0] <= b[0] and a[1] >= b[1] - 1e-12
+State = tuple[frozenset[int], ...] | None
 
 
 # the value sets made so far, by hash and weakly, so unused ones are freed
@@ -91,17 +72,15 @@ def _canonical(values: frozenset[int]) -> frozenset:
     return kept if kept is values or kept == values else values
 
 
-def _join(a: Pair, b: Pair) -> Pair:
-    # min(p, q), without the call; a side that holds the union is returned
-    s, t = a[0], b[0]
-    s = s if s is t or t <= s else t if s <= t else _canonical(s | t)
-    return s, b[1] if b[1] < a[1] else a[1]
+def _join(s: frozenset, t: frozenset) -> frozenset:
+    # a side that holds the union is returned
+    return s if s is t or t <= s else t if s <= t else _canonical(s | t)
 
 
-def state_operations(join: Callable, leq: Callable,
-                     same: Callable) -> tuple[Callable, ...]:
-    """A domain's join_states, leq_states and same_values (values equal,
-    probabilities aside), from its element join, order and test."""
+def state_operations(join: Callable,
+                     leq: Callable) -> tuple[Callable, Callable]:
+    """A domain's join_states and leq_states, from its cell join and
+    order."""
     def join_states(a, b):
         if a is None or b is None:
             return a if b is None else b
@@ -110,14 +89,14 @@ def state_operations(join: Callable, leq: Callable,
     def leq_states(a, b) -> bool:
         return a is None or b is not None and all(map(leq, a, b))
 
-    def same_values(a, b) -> bool:  # bottom and () hold no values alike
-        return all(map(same, a, b)) if a and b else not (a or b)
-
-    return join_states, leq_states, same_values
+    return join_states, leq_states
 
 
-join_states, leq_states, same_values = state_operations(
-    _join, _leq, lambda a, b: a[0] is b[0] or a[0] == b[0])
+join_states, leq_states = state_operations(_join, operator.le)
+
+
+def width(values: frozenset) -> int:
+    return 1  # each value of a set carries the set's probability
 
 
 COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
@@ -131,39 +110,10 @@ def _warn(warnings: list[str], message: str) -> None:
         warnings.append(message)
 
 
-def _walk(e: Expr, spec: HardwareSpec) -> tuple[set[str], float]:
-    """e's variables and the product of its arithmetic ops' reliabilities,
-    taken in preorder, from one walk."""
-    names = set()
-    rel = 1.0
-    for node in walk_exprs(e):
-        if isinstance(node, BinOp):
-            rel *= spec.rel(node.op)
-        elif isinstance(node, Var):
-            names.add(node.name)
-    return names, rel
-
-
-def assign_charge(expr: Expr,
-                  spec: HardwareSpec) -> tuple[tuple[str, ...], float]:
-    """The distinct variables of `x =. expr`, sorted by name, and its
-    reliability: one write, one read per distinct variable and one factor
-    per arithmetic op."""
-    names, ops = _walk(expr, spec)
-    return (tuple(sorted(names)),
-            spec.rel("write") * spec.rel("read") ** len(names) * ops)
-
-
-def guard_factor(guard: Cmp,
-                 spec: HardwareSpec) -> tuple[tuple[str, ...], float]:
-    """The distinct variables of a guard, sorted by name, and the
-    reliability of evaluating it: one read per distinct variable, the
-    comparison, and one factor per arithmetic op on either side."""
-    lhs_names, lhs_ops = _walk(guard.lhs, spec)
-    rhs_names, rhs_ops = _walk(guard.rhs, spec)
-    names = tuple(sorted(lhs_names | rhs_names))
-    return names, (spec.rel("read") ** len(names) * spec.rel(guard.op)
-                   * lhs_ops * rhs_ops)
+def expr_names(e: Expr | Cmp) -> tuple[str, ...]:
+    """The distinct variables of an expression or guard, sorted by name."""
+    return tuple(sorted({node.name for node in walk_exprs(e)
+                         if isinstance(node, Var)}))
 
 
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
@@ -171,7 +121,7 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
         raise OracleBlowup(f"machine range [{spec.minint},{spec.maxint}] "
                            f"holds more than {TUPLE_CAP} values")
     full = _canonical(frozenset(range(spec.minint, spec.maxint + 1)))
-    return ((full, 1.0),) * len(variables)
+    return (full,) * len(variables)
 
 
 def compile_operand(e: Expr, position: Callable[[str], object],
@@ -318,9 +268,9 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
     unreachable = compare is not None and not reads
     seen = None  # the operand sets evaluated so far, None before the first
 
-    def scan(state: tuple[Pair, ...]) -> tuple | None:
+    def scan(state: tuple[frozenset, ...]) -> tuple | None:
         nonlocal seen
-        sets = [state[i][0] for i in reads]
+        sets = [state[i] for i in reads]
         if seen is not None and all(map(operator.is_, seen, sets)):
             return None  # the product was checked against the cap before
         if math.prod(map(len, sets)) > TUPLE_CAP:
@@ -341,19 +291,17 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
                    warnings: list[str]) -> Callable[[tuple], State]:
     """Strongest postcondition of `target =. expr`, for one edge.
 
-    The result set is the image of expr over every tuple of operand values;
-    the probability charges one write, one read per distinct variable, each
-    variable's own probability, and one factor per arithmetic op. Tuples that
-    divide by zero produce no value and are reported; if every tuple does, the
-    state has no reachable environment and becomes bottom.
+    The result set is the image of expr over every tuple of operand values.
+    Tuples that divide by zero produce no value and are reported; if every
+    tuple does, the state has no reachable environment and becomes bottom.
     """
     position = index[target]
-    names, charge = assign_charge(expr, spec)
+    names = expr_names(expr)
     reads = tuple(index[v] for v in names)
     scan = _scanner((expr,), names, reads, spec, warnings)
     image = frozenset()  # what the tuples evaluated so far evaluate to
 
-    def transfer(state: tuple[Pair, ...]) -> State:
+    def transfer(state: tuple[frozenset, ...]) -> State:
         nonlocal image
         scanned = scan(state)
         if scanned is not None and not image.issuperset(scanned[0]):
@@ -362,11 +310,8 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
             _warn(warnings, f"every operand tuple of `{target} =. ...` "
                             f"divides by zero; state is unreachable")
             return None
-        prob = charge
-        for i in reads:
-            prob *= state[i][1]
         out = list(state)
-        out[position] = (image, prob)
+        out[position] = image
         return tuple(out)
 
     return transfer
@@ -378,20 +323,17 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     the transfers of its true and false edges.
 
     On each edge every guard variable keeps only the values that occur in
-    some tuple taking it; every variable's probability (guard-related or
-    not) picks up one read per distinct guard variable, the factor of the
-    guard's own comparison, executed on either edge, and a factor per
-    arithmetic op inside the guard. An edge no tuple takes bottoms the whole
-    state; a guard over constants alone is decided outright. One scan serves
-    both edges: they read the same source node, whose state only grows.
+    some tuple taking it. An edge no tuple takes bottoms the whole state; a
+    guard over constants alone is decided outright. One scan serves both
+    edges: they read the same source node, whose state only grows.
     """
-    names, factor = guard_factor(guard, spec)
+    names = expr_names(guard)
     reads = tuple(index[v] for v in names)
     scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
                     COMPARE[guard.op])
     kept: list = [None, None]  # per edge, None until a tuple takes it
 
-    def transfer(edge: int, state: tuple[Pair, ...]) -> State:
+    def transfer(edge: int, state: tuple[frozenset, ...]) -> State:
         scanned = scan(state)
         if scanned is not None:
             hits, columns = scanned
@@ -404,9 +346,9 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                                   for s, v in zip(old, new)]
         if kept[edge] is None:
             return None
-        out = [(values, prob * factor) for values, prob in state]
+        out = list(state)
         for i, values in zip(reads, kept[edge]):
-            out[i] = (values, out[i][1])
+            out[i] = values
         return tuple(out)
 
     return partial(transfer, 0), partial(transfer, 1)

@@ -14,37 +14,49 @@ de-duplicate, so a skipped recomputation would have committed nothing, and
 every commit happens as in a pass that recomputes every node.
 
 Commit rule, one for every node: the stored state is replaced only when the
-recomputed state's value part (sets or intervals) differs. Probabilities
-shrink on every trip around a loop, so a pure-probability fixpoint does not
-exist; iteration therefore stops when the value parts stabilize and each node
-keeps the probability from its last value-changing update. Iteration counts
-reported here are committing passes; the final confirming pass is free.
+recomputed values (sets or intervals) differ. Probabilities shrink on every
+trip around a loop, so a pure-probability fixpoint does not exist; iteration
+stops when the values stabilize. The domains compute values only; a node's
+probabilities are computed, from the same source states, only when its
+values commit, so it keeps those of its last value-changing update.
+Iteration counts are committing passes; the final confirming pass is free.
 
 With widening enabled, the order's component heads (CFG.heads), through
 which every cycle of the CFG passes, are the widening points. A head first
-widens its recomputation by its stored state: a variable whose recomputed
-interval lies inside the stored one keeps its stored triple, whatever either
+widens its recomputed values by its stored ones: a variable whose recomputed
+interval lies inside the stored one keeps its stored interval and
 probability, and any other widens toward the threshold set. So no value
 reads a probability. Widening is idempotent (widening the result by the same
 recomputation gives it back), so a loop head, too, is recomputed only when a
 source commits.
 
-Each solve compiles every edge once through the domain module (operand
-positions, reliability charge, folded guard shape, expression closure) and
-iterates over flat states, None or a tuple indexed by variable position,
-and SolveResult keeps them as they are. Each assignment edge and each guard
-is compiled once, a guard for both of its edges, which share one concrete
-scan; the concrete domain's value sets are interned module-wide, so a set a
-solve builds again is the object already live.
+The probability rules below serve both domains. A cell's probability is
+spread evenly over its width: hi - lo + 1 for an interval, 1 for a set. The
+density, probability over width, orders cells: one lies below another when
+its values lie inside the other's and its density is not smaller. An
+assignment charges one write, one read per distinct variable, one factor per
+arithmetic op and each read variable's density, times the result's width. A
+guard charges every variable its reads, its written comparison, on either
+edge, and its arithmetic ops, and scales a variable it narrows by the new
+width over the old. A join takes the smaller density, capped at the hull's
+uniform density, and widening the larger, capped at the new interval's. At
+width 1 these are the concrete product of charges and minimum over joins.
+
+Each solve compiles every edge once, a guard for both of its edges, and
+iterates over value and probability states, each None or a tuple indexed by
+variable position; SolveResult zips them into flat states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from . import abstract, concrete
 from .cfg import CFG, Edge, literals
-from .hardware import HardwareSpec
+from .hardware import ALL_OPS, HardwareSpec
 from .record import Record
-from .syntax import Assign, LiteralRangeError, ParseError
+from .syntax import (Assign, BinOp, Cmp, Expr, LiteralRangeError, ParseError,
+                     Var, walk_exprs)
 
 
 class EquationSystem(Record):
@@ -69,11 +81,112 @@ def _check_literals(cfg: CFG, minint: int, maxint: int) -> None:
                                     f"{node.value} outside [{minint},{maxint}]")
 
 
+def _walk(e: Expr, rel: Callable) -> tuple[set[str], float]:
+    """e's variables, and its ops' reliabilities multiplied in preorder."""
+    names = set()
+    product = 1.0
+    for node in walk_exprs(e):
+        if isinstance(node, BinOp):
+            product *= rel(node.op)
+        elif isinstance(node, Var):
+            names.add(node.name)
+    return names, product
+
+
+def assign_charge(expr: Expr,
+                  rel: Callable) -> tuple[tuple[str, ...], float]:
+    """The distinct variables of `x =. expr`, sorted by name, and its
+    reliability under rel (an op's reliability, as HardwareSpec.rel gives
+    it): one write, one read per distinct variable and one factor per
+    arithmetic op."""
+    names, ops = _walk(expr, rel)
+    return tuple(sorted(names)), rel("write") * rel("read") ** len(names) * ops
+
+
+def guard_factor(guard: Cmp,
+                 rel: Callable) -> tuple[tuple[str, ...], float]:
+    """The distinct variables of a guard, sorted by name, and the
+    reliability of evaluating it: one read per distinct variable, the
+    comparison, and one factor per arithmetic op on either side."""
+    lhs_names, lhs_ops = _walk(guard.lhs, rel)
+    rhs_names, rhs_ops = _walk(guard.rhs, rel)
+    names = tuple(sorted(lhs_names | rhs_names))
+    return names, (rel("read") ** len(names) * rel(guard.op) * lhs_ops
+                   * rhs_ops)
+
+
+def assign_rule(target: str, expr: Expr, index: dict[str, int],
+                rel: Callable, width: Callable) -> Callable:
+    """The probabilities of the edge `target =. expr`'s values out, as
+    rule(src, probs, out), src and probs being its source state's halves."""
+    position = index[target]
+    names, charge = assign_charge(expr, rel)
+    reads = tuple(index[v] for v in names)
+
+    def rule(src: tuple, probs: tuple, out: tuple) -> tuple:
+        prob = charge
+        for i in reads:
+            prob *= probs[i] / width(src[i])
+        prob *= width(out[position])
+        new = list(probs)
+        new[position] = prob if prob < 1.0 else 1.0
+        return tuple(new)
+
+    return rule
+
+
+def guard_rule(guard: Cmp, index: dict[str, int], rel: Callable,
+               width: Callable) -> Callable:
+    """Both edges' probability rule, as assign_rule's; a probability times
+    the factor (a product of reliabilities) stays in [0,1] when rounded."""
+    names, factor = guard_factor(guard, rel)
+    reads = tuple(index[v] for v in names)  # the only variables it narrows
+
+    def rule(src: tuple, probs: tuple, out: tuple) -> tuple:
+        new = [p * factor for p in probs]
+        for i in reads:
+            if out[i] is not src[i]:
+                new[i] = probs[i] * (width(out[i]) / width(src[i])) * factor
+        return tuple(new)
+
+    return rule
+
+
+def join_probs(width: Callable, a: tuple, ap: tuple, b: tuple, bp: tuple,
+               out: tuple) -> tuple:
+    """The probabilities of out, the join of a and b (which hold ap, bp)."""
+    joined = []
+    for x, p, y, q, z in zip(a, ap, b, bp, out):
+        w = width(z)
+        p /= w if x is z else width(x)
+        q /= w if y is z else width(y)
+        if q < p:
+            p = q
+        if 1.0 / w < p:
+            p = 1.0 / w
+        p *= w
+        joined.append(p if p < 1.0 else 1.0)
+    return tuple(joined)
+
+
+def widen_probs(width: Callable, cur: tuple, curp: tuple, new: tuple,
+                newp: tuple, out: tuple) -> tuple:
+    """The probabilities of out, the stored values cur widened by the
+    recomputed new, as join_probs's; a cell kept keeps its probability."""
+    widened = []
+    for a, p, b, q, c in zip(cur, curp, new, newp, out):
+        if c is not a:
+            w = width(c)
+            p = min(1.0, w * min(max(p / width(a), q / width(b)), 1.0 / w))
+        widened.append(p)
+    return tuple(widened)
+
+
 class SolveResult(Record):
     """states and each trace snapshot (one per committing pass; trace is
     None without keep_trace) list each node's flat state: None when the node
-    is unreachable, else the domain's (lo, hi, prob) triples or (values,
-    prob) pairs in cfg.variables order."""
+    is unreachable, else its (lo, hi, prob) triples or (values, prob) pairs
+    in cfg.variables order."""
     _fields = ("states", "iterations", "converged", "warnings", "trace")
 
 
@@ -119,43 +232,61 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
              widening: tuple[int, ...] | None, max_iters: int,
              keep_trace: bool) -> SolveResult:
     dom = abstract if domain == "abstract" else concrete
+    width = dom.width
     cfg = system.cfg
     variables = cfg.variables
     index = {v: i for i, v in enumerate(variables)}
+    rel = {op: spec.rel(op) for op in ALL_OPS}.__getitem__
     warnings: list[str] = []
-    guards: dict[int, tuple] = {}  # by the Cmp's id: its two edges' transfers
+    guards: dict[int, tuple] = {}  # by the Cmp's id: transfers and rule
 
     def compiled(edge: Edge) -> tuple:
+        """The edge's source, value transfer and probability rule."""
         action = edge.action
         if isinstance(action, Assign):
-            return edge.src, dom.compile_assign(action.target, action.value,
-                                                index, spec, warnings)
+            target, expr = action.target, action.value
+            return (edge.src, dom.compile_assign(target, expr, index, spec,
+                                                 warnings),
+                    assign_rule(target, expr, index, rel, width))
         cond = action.cond
         if id(cond) not in guards:
-            guards[id(cond)] = dom.compile_guard(cond, index, spec, warnings)
-        return edge.src, guards[id(cond)][action.op != cond.op]
+            guards[id(cond)] = (dom.compile_guard(cond, index, spec, warnings),
+                                guard_rule(cond, index, rel, width))
+        transfers, rule = guards[id(cond)]
+        return edge.src, transfers[action.op != cond.op], rule
 
     incoming = [[compiled(e) for e in preds] for preds in system.preds]
     # without variables there is one state, and every node holds it
-    states: list = [None if variables else ()] * cfg.node_count
-    states[cfg.entry] = dom.entry_state(variables, spec)
+    values: list = [None if variables else ()] * cfg.node_count
+    probs = list(values)
+    values[cfg.entry] = dom.entry_state(variables, spec)
+    probs[cfg.entry] = (1.0,) * len(variables)
     widen_nodes = cfg.heads if widening is not None else frozenset()
-    trace: list[list] | None = [] if keep_trace else None
-
-    def recompute(node: int):
-        out = None
-        for i, (src, edge) in enumerate(incoming[node]):
-            new = dom.sp_assign(states[src], edge)
-            out = dom.join_states(out, new) if i else new
-        return out
+    trace: list | None = [] if keep_trace else None
 
     def try_commit(node: int) -> bool:
-        new, cur = recompute(node), states[node]
+        cur, new = values[node], None
+        edges = incoming[node]
+        outs = []  # per edge: its values, and the join up to it
+        for i, (src, edge, _) in enumerate(edges):
+            out = dom.sp_assign(values[src], edge)
+            new = dom.join_states(new, out) if i else out
+            outs.append((out, new))
+        joined = new
         if node in widen_nodes:
             new = abstract.widen_states(cur, new, widening)
-        if dom.same_values(new, cur):
+        if new == cur or not (new or cur):
             return False
-        states[node] = new
+        prob = before = None
+        for (src, _, rule), (out, upto) in zip(edges, outs):
+            if out is not None:
+                got = rule(values[src], probs[src], out)
+                prob = got if before is None else join_probs(
+                    width, before, prob, out, got, upto)
+            before = upto
+        if new is not joined:
+            prob = widen_probs(width, cur, probs[node], joined, prob, new)
+        values[node], probs[node] = new, prob
         return True
 
     targets = [n for n in cfg.order if n != cfg.entry]
@@ -178,6 +309,12 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
             break
         iterations += 1
         if trace is not None:
-            trace.append(list(states))
-    return SolveResult(states, iterations, converged, warnings, trace)
+            trace.append((list(values), list(probs)))
 
+    def flat(halves: tuple) -> list:  # (values, prob) pairs or triples
+        return [v and (tuple(zip(v, p)) if dom is concrete else
+                       tuple(map(tuple.__add__, v, zip(p))))
+                for v, p in zip(*halves)]
+
+    return SolveResult(flat((values, probs)), iterations, converged, warnings,
+                       None if trace is None else list(map(flat, trace)))

@@ -1,9 +1,11 @@
 """Shared test utilities: corpus access, one-call analysis, random programs
 and structured shapes, source printing, edges compiled and applied to
-hand-made flat states, the element operations that no analysis uses (width
-and density, order, join, widening, meet, top elements and the Galois maps,
-all over the solver's flat (lo, hi, prob) triples and (values, prob) pairs
-with None as bottom), the machine model's `clamp` and `reliable` and the
+hand-made flat states (a domain's value transfer, then the engine's
+probability rule), the element operations that no analysis uses (width and
+density, order, join, widening, meet, top elements and the Galois maps, all
+over the solver's flat (lo, hi, prob) triples and (values, prob) pairs with
+None as bottom, each built from a domain's value half and the engine's
+probability rules), the machine model's `clamp` and `reliable` and the
 CFG's `exits`, and the references that faster code in src/ is judged
 against: the argparse flag parser, the character-loop tokenizer, the
 scanning congruence refinement, Bourdoncle's general weak topological order,
@@ -25,7 +27,7 @@ import warnings
 from pathlib import Path
 
 from probrange import (abstract, build_cfg, build_equations, concrete,
-                       parse_program, solve)
+                       engine, parse_program, solve)
 from probrange.cli import SET_DISPLAY_LIMIT
 from probrange.hardware import (ALL_OPS, DEFAULT_MAXINT, DEFAULT_MININT,
                                 HardwareSpec, c_div, c_mod)
@@ -85,22 +87,69 @@ def analyze(source: str, spec, **kwargs):
 XYZ = {"x": 0, "y": 1, "z": 2}  # positions in the tests' hand-made states
 
 
+def halves(state) -> tuple:
+    """A flat state's values and probabilities, each None for bottom."""
+    if state is None:
+        return None, None
+    return (tuple(e[0] if len(e) == 2 else e[:2] for e in state),
+            tuple(e[-1] for e in state))
+
+
+def flat(values, probs):
+    """The flat state of a domain state's values and probabilities."""
+    if values is None:
+        return None
+    return tuple((v, p) if isinstance(v, frozenset) else (*v, p)
+                 for v, p in zip(values, probs))
+
+
+def flat_entry(mod, variables, spec):
+    """mod's entry state as the solver's result holds it: every variable
+    over the machine range, at probability 1."""
+    return flat(mod.entry_state(variables, spec), (1.0,) * len(variables))
+
+
+def flat_edge(mod, transfer, rule):
+    """A compiled edge on flat states: mod's value transfer, then the
+    engine's probability rule of the edge."""
+    def apply(state):
+        values, probs = halves(state)
+        out = mod.sp_assign(values, transfer)
+        return None if out is None else flat(out, rule(values, probs, out))
+    return apply
+
+
+def compile_flat_assign(mod, target: str, expr, index: dict[str, int], spec,
+                        warnings: list[str]):
+    """mod's edge `target =. expr` on flat states, as a solve compiles it."""
+    return flat_edge(mod, mod.compile_assign(target, expr, index, spec,
+                                             warnings),
+                     engine.assign_rule(target, expr, index, spec.rel,
+                                        mod.width))
+
+
+def compile_flat_guard(mod, guard, index: dict[str, int], spec,
+                       warnings: list[str]) -> tuple:
+    """Both edges of mod's guard on flat states, as a solve compiles them."""
+    rule = engine.guard_rule(guard, index, spec.rel, mod.width)
+    return tuple(flat_edge(mod, transfer, rule) for transfer in
+                 mod.compile_guard(guard, index, spec, warnings))
+
+
 def apply_assign(mod, state, source: str, spec, warnings=None):
     """mod's transfer of the assignment statement source, compiled for this
     one call, on a flat state over x, y, z (a state may stop before z)."""
     stmt = parse_program(source).body.stmts[0]
-    edge = mod.compile_assign(stmt.target, stmt.value, XYZ, spec,
-                              [] if warnings is None else warnings)
-    return mod.sp_assign(state, edge)
+    return compile_flat_assign(mod, stmt.target, stmt.value, XYZ, spec,
+                               [] if warnings is None else warnings)(state)
 
 
 def apply_guard(mod, state, source: str, spec, warnings=None):
     """mod's true-edge transfer of the condition of the `while` or `if`
     statement source, as apply_assign applies an assignment."""
     cond = parse_program(source).body.stmts[0].cond
-    edge = mod.compile_guard(cond, XYZ, spec,
-                             [] if warnings is None else warnings)[0]
-    return mod.sp_guard(state, edge)
+    return compile_flat_guard(mod, cond, XYZ, spec,
+                              [] if warnings is None else warnings)[0](state)
 
 
 def value_part(state) -> tuple:
@@ -598,6 +647,11 @@ class BottomArgument(Exception):
     """The density of the empty interval was requested."""
 
 
+# density comparisons allow this much absolute slack, so that chained joins
+# of equal densities stay reflexive
+PMF_TOLERANCE = 1e-12
+
+
 def width(m) -> int:
     """The number of values of a triple; 0 for None, the empty interval."""
     return 0 if m is None else m[1] - m[0] + 1
@@ -610,21 +664,36 @@ def pmf(m) -> float:
     return m[2] / width(m)
 
 
+def _cell(e) -> tuple:
+    """A triple's or pair's domain, and its value as a one-variable state."""
+    if len(e) == 2:
+        return concrete, (e[0],)
+    return abstract, (e[:2],)
+
+
 def leq(a, b) -> bool:
     """a below b in the order of their domain: two triples or two pairs,
-    None (bottom) on either side."""
+    None (bottom) on either side. Values are ordered by the domain, and the
+    densities (probability over the cell width) the other way round."""
     if a is None:
         return True
     if b is None:
         return False
-    return (abstract if len(a) == 3 else concrete)._leq(a, b)
+    mod, x = _cell(a)
+    y = _cell(b)[1]
+    return (mod.leq_states(x, y) and a[-1] / mod.width(x[0])
+            >= b[-1] / mod.width(y[0]) - PMF_TOLERANCE)
 
 
 def join(a, b):
-    """Least upper bound of two triples or two pairs, None being bottom."""
+    """Least upper bound of two triples or two pairs, None being bottom:
+    the domain's value join and the engine's probability rule."""
     if a is None or b is None:
         return a if b is None else b
-    return (abstract if len(a) == 3 else concrete)._join(a, b)
+    mod, x = _cell(a)
+    y = _cell(b)[1]
+    z = mod.join_states(x, y)
+    return flat(z, engine.join_probs(mod.width, x, a[-1:], y, b[-1:], z))[0]
 
 
 def widen(a, b, thresholds):
@@ -637,7 +706,27 @@ def widen(a, b, thresholds):
     """
     if a is None or b is None:
         return a if b is None else b
-    return abstract._widen(a, b, thresholds)
+    x, y = a[:2], b[:2]
+    z = abstract.widen_states((x,), (y,), thresholds)
+    return flat(z, engine.widen_probs(abstract.width, (x,), a[-1:], (y,),
+                                      b[-1:], z))[0]
+
+
+def join_states(a, b):
+    """The join of two flat states, variable by variable."""
+    if a is None or b is None:
+        return a if b is None else b
+    return tuple(map(join, a, b))
+
+
+def leq_states(a, b) -> bool:
+    return a is None or b is not None and all(map(leq, a, b))
+
+
+def widen_states(a, b, thresholds):
+    if a is None or b is None:
+        return a if b is None else b
+    return tuple(widen(x, y, thresholds) for x, y in zip(a, b))
 
 
 def range_top(minint: int, maxint: int) -> tuple[int, int, float]:
@@ -748,12 +837,12 @@ def reference_tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def reference_refine_congruence(factor: float, i: int, k: int, c: int,
-                                keep_equal: bool, state: tuple):
+def reference_refine_congruence(i: int, k: int, c: int, keep_equal: bool,
+                                state: tuple):
     """The congruence refinement that scanned up to 2k values with one c_mod
     call each, kept to judge abstract._refine_congruence's closed form
     against."""
-    elo, ehi, _ = state[i]
+    elo, ehi = state[i]
 
     def first(start: int, stop: int, step: int) -> int | None:
         for v in range(start, stop, step):
@@ -771,7 +860,7 @@ def reference_refine_congruence(factor: float, i: int, k: int, c: int,
     downs = [first(s, max(s - k, elo - 1), -1)
              for s in [ehi] + ([-1] if elo <= -1 < ehi else [])]
     return abstract._narrowed(
-        factor, state, i, min(v for v in ups if v is not None),
+        state, i, min(v for v in ups if v is not None),
         max(v for v in downs if v is not None))
 
 
@@ -836,7 +925,7 @@ def reference_compile_assign(target: str, expr, index: dict[str, int], spec,
     column evaluator against: the same state and the same warnings, in the
     same order, on every call."""
     position = index[target]
-    names, charge = concrete.assign_charge(expr, spec)
+    names, charge = engine.assign_charge(expr, spec.rel)
     reads = tuple(index[v] for v in names)
     is_var, is_const, x = _reference_operand(expr, names, spec, warnings)
     evaluate = (operator.itemgetter(x) if is_var
@@ -876,7 +965,7 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
                             warnings: list[str]):
     """The guard edge that evaluated one operand tuple at a time, kept to
     judge concrete.compile_guard against."""
-    names, factor = concrete.guard_factor(guard, spec)
+    names, factor = engine.guard_factor(guard, spec.rel)
     reads = tuple(index[v] for v in names)
     lvar, lconst, lhs = _reference_operand(guard.lhs, names, spec, warnings)
     rvar, rconst, rhs = _reference_operand(guard.rhs, names, spec, warnings)

@@ -11,8 +11,10 @@ from probrange.hardware import HardwareSpec, c_div, c_mod
 from probrange.syntax import NEGATED, Cmp, parse_program
 
 from helpers import (XYZ, BottomArgument, alpha, apply_assign, apply_guard,
-                     clamp, gamma, join, leq, meet, pmf, range_top,
-                     reference_refine_congruence, widen, width)
+                     clamp, compile_flat_guard, flat_entry, gamma, join,
+                     join_states, leq, leq_states, meet, pmf, range_top,
+                     reference_refine_congruence, value_part, widen,
+                     widen_states, width)
 
 # transfers on flat states over x, y, z, each edge compiled per call
 sp_assign, sp_guard = partial(apply_assign, abstract), partial(apply_guard,
@@ -287,7 +289,7 @@ def test_overflow_clamps_and_warns():
 # --- assignment transfer ---
 
 def test_assign_constant():
-    state = abstract.entry_state(("x",), SPEC)
+    state = flat_entry(abstract, ("x",), SPEC)
     out = sp_assign(state, "x =. 0;", SPEC)
     assert out == ((0, 0, SPEC.rel("write")),)
 
@@ -394,14 +396,14 @@ def test_guard_congruence_unsatisfiable():
 
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(1, 12), st.integers(-13, 13), st.booleans(),
-       st.integers(-40, 20), st.integers(0, 40), st.floats(0, 1))
-def test_congruence_bounds_match_the_scan(k, c, keep_equal, lo, width, p):
+       st.integers(-40, 20), st.integers(0, 40))
+def test_congruence_bounds_match_the_scan(k, c, keep_equal, lo, width):
     # the closed-form narrowing of `x %. k ==. c` (keep_equal) or `!=. c`
     # against the scan of up to 2k values it replaced; about half of the
     # intervals cross zero, where c_mod's residues change sign
-    state = ((0, 5, 0.5), (lo, lo + width, p), (7, 7, 1.0))
-    assert abstract._refine_congruence(0.99, 1, k, c, keep_equal, state) == \
-        reference_refine_congruence(0.99, 1, k, c, keep_equal, state)
+    state = ((0, 5), (lo, lo + width), (7, 7))
+    assert abstract._refine_congruence(1, k, c, keep_equal, state) == \
+        reference_refine_congruence(1, k, c, keep_equal, state)
 
 
 def test_guard_zero_modulus_scales_without_refining():
@@ -504,8 +506,9 @@ def test_false_edge_is_the_negated_guards_true_edge(x, y, source):
     guard = parse_program(source).body.stmts[0].cond
     negated = Cmp(NEGATED[guard.op], guard.lhs, guard.rhs, guard.line)
     warnings, negated_warnings = [], []
-    fails = abstract.compile_guard(guard, XYZ, TINY, warnings)[1]
-    holds = abstract.compile_guard(negated, XYZ, TINY, negated_warnings)[0]
+    fails = compile_flat_guard(abstract, guard, XYZ, TINY, warnings)[1]
+    holds = compile_flat_guard(abstract, negated, XYZ, TINY,
+                               negated_warnings)[0]
     assert fails((x, y)) == holds((x, y))
     assert warnings == negated_warnings
 
@@ -580,8 +583,8 @@ def test_widen_states_idempotent(cur, new, mids):
     # the solver does not revisit a widened loop head: recomputing it from
     # unchanged sources yields `new` again, which must commit nothing
     thresholds = tuple(sorted({-32768, 32767} | mids))
-    w = abstract.widen_states(cur, new, thresholds)
-    assert abstract.widen_states(w, new, thresholds) == w
+    w = widen_states(cur, new, thresholds)
+    assert widen_states(w, new, thresholds) == w
 
 
 # --- state helpers ---
@@ -589,20 +592,18 @@ def test_widen_states_idempotent(cur, new, mids):
 def test_state_helpers():
     a = ((0, 1, 0.9), (2, 2, 0.8))
     b = ((3, 4, 0.9), (2, 2, 0.6))
-    j = abstract.join_states(a, b)
+    j = join_states(a, b)
     assert j[0][:2] == (0, 4)
-    assert abstract.leq_states(a, j) and abstract.leq_states(b, j)
-    assert abstract.leq_states(None, a)
-    assert not abstract.leq_states(a, None)
-    same_values = abstract.same_values
-    assert same_values(a, ((0, 1, 0.1), (2, 2, 0.2)))
-    assert not same_values(a, b) and not same_values(a, j)
-    assert not same_values(a, ((0, 2, 0.9), (2, 2, 0.8)))
-    assert same_values(None, None)
-    assert same_values(None, ()) and same_values((), None)
-    w = abstract.widen_states(a, b, T)
+    assert leq_states(a, j) and leq_states(b, j)
+    assert leq_states(None, a)
+    assert not leq_states(a, None)
+    assert value_part(a) == value_part(((0, 1, 0.1), (2, 2, 0.2)))
+    assert value_part(a) != value_part(b) and value_part(a) != value_part(j)
+    assert value_part(a) != value_part(((0, 2, 0.9), (2, 2, 0.8)))
+    w = widen_states(a, b, T)
     assert w[0][0] <= 0 and w[0][1] >= 4
 
 
 def test_entry_state_is_full_and_certain():
-    assert abstract.entry_state(("x",), TINY) == ((-8, 8, 1.0),)
+    assert abstract.entry_state(("x",), TINY) == ((-8, 8),)
+    assert flat_entry(abstract, ("x",), TINY) == ((-8, 8, 1.0),)

@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORPUS, XYZ, analyze, apply_assign, apply_guard,
-                     bounded_loop_program, join, leq, loop_program, meet,
-                     product_sets, random_program,
-                     reference_compile_assign, reference_compile_guard,
-                     reliable, set_top)
+                     bounded_loop_program, compile_flat_assign,
+                     compile_flat_guard, flat_entry, join, join_states, leq,
+                     leq_states, loop_program, meet, product_sets,
+                     random_program, reference_compile_assign,
+                     reference_compile_guard, reliable, set_top, value_part)
 
 from probrange import concrete
 from probrange.cli import build_report, render_text
@@ -28,8 +29,6 @@ TINY = HardwareSpec.uniform(0.9, minint=-8, maxint=8)
 # transfers on flat states over x, y, z, each edge compiled per call
 sp_assign, sp_guard = (partial(apply_assign, concrete),
                        partial(apply_guard, concrete))
-join_states, leq_states = concrete.join_states, concrete.leq_states
-same_values = concrete.same_values
 
 
 def pair(*values, prob=1.0):
@@ -148,7 +147,7 @@ def test_order_transitive(a, b, c):
 # --- assignment transfer ---
 
 def test_assign_constant():
-    state = concrete.entry_state(("x",), SPEC)
+    state = flat_entry(concrete, ("x",), SPEC)
     (values, p), = sp_assign(state, "x =. 0;", SPEC)
     assert values == frozenset({0})
     assert math.isclose(p, SPEC.rel("write"), rel_tol=1e-12)
@@ -324,7 +323,7 @@ def test_fault_free_analysis_matches_product_oracle():
 
 def test_reliable_hardware_keeps_probability_one():
     spec = reliable(minint=-8, maxint=8)
-    state = concrete.entry_state(("x", "y"), spec)
+    state = flat_entry(concrete, ("x", "y"), spec)
     out = sp_assign(state, "x =. y +. 1;", spec)
     out = sp_guard(out, "while (x >. 0) { x =. 0; }", spec)
     (_, xp), (_, yp) = out
@@ -387,11 +386,9 @@ EDGE_ACTIONS = [
 def compile_action(source: str, warnings: list):
     stmt = parse_program(source).body.stmts[0]
     if isinstance(stmt, Assign):
-        edge = concrete.compile_assign(stmt.target, stmt.value, XYZ, TINY,
-                                       warnings)
-        return lambda state: concrete.sp_assign(state, edge)
-    edge = concrete.compile_guard(stmt.cond, XYZ, TINY, warnings)[0]
-    return lambda state: concrete.sp_guard(state, edge)
+        return compile_flat_assign(concrete, stmt.target, stmt.value, XYZ,
+                                   TINY, warnings)
+    return compile_flat_guard(concrete, stmt.cond, XYZ, TINY, warnings)[0]
 
 
 xyz_states = st.tuples(*[st.tuples(
@@ -415,7 +412,7 @@ def test_compiled_edge_matches_fresh_edge(source, steps):
         if kind == "bottom":
             passed = None
         else:
-            state = passed = concrete.join_states(state, drawn)
+            state = passed = join_states(state, drawn)
         fresh = compile_action(source, fresh_warnings)(passed)
         assert transfer(passed) == fresh
         assert warnings == fresh_warnings
@@ -476,7 +473,7 @@ def column_cases(draw):
     for grown in draw(st.lists(st.tuples(st.tuples(sets, probs),
                                          st.tuples(sets, probs)),
                                min_size=1, max_size=4)):
-        state = concrete.join_states(state, grown)
+        state = join_states(state, grown)
         states.append(state)
     return source, [s for s in states for _ in range(2)]
 
@@ -491,8 +488,8 @@ def test_column_edge_matches_tuple_at_a_time_reference(case):
     index = {"x": 0, "y": 1}
     warnings, reference_warnings = [], []
     if isinstance(stmt, Assign):
-        edge = concrete.compile_assign(stmt.target, stmt.value, index, TINY,
-                                       warnings)
+        edge = compile_flat_assign(concrete, stmt.target, stmt.value, index,
+                                   TINY, warnings)
         reference = reference_compile_assign(stmt.target, stmt.value, index,
                                              TINY, reference_warnings)
         for state in states:
@@ -514,7 +511,7 @@ def assert_guard_edges_match_references(guard: Cmp, index: dict,
     state, as the column cases give each state twice; a uniform spec
     charges the two comparisons alike."""
     warnings, holds_warnings, fails_warnings = [], [], []
-    edges = concrete.compile_guard(guard, index, TINY, warnings)
+    edges = compile_flat_guard(concrete, guard, index, TINY, warnings)
     references = (reference_compile_guard(guard, index, TINY, holds_warnings),
                   reference_compile_guard(negated(guard), index, TINY,
                                           fails_warnings))
@@ -536,7 +533,7 @@ def test_one_scan_serves_both_guard_edges(case, calls):
     assume(source.startswith("while"))
     guard = parse_program(source).body.stmts[0].cond
     index = {"x": 0, "y": 1}
-    edges = concrete.compile_guard(guard, index, TINY, [])
+    edges = compile_flat_guard(concrete, guard, index, TINY, [])
     for state, sides in zip(states, calls):
         for side in sides:
             fresh = reference_compile_guard((guard, negated(guard))[side],
@@ -564,29 +561,17 @@ def test_join_keeps_a_shared_set():
     shared = frozenset({1, 2})
     a = ((shared, 0.9), (frozenset({0}), 0.5))
     b = ((shared, 0.8), (frozenset({3}), 0.7))
-    joined = concrete.join_states(a, b)
+    joined = join_states(a, b)
     assert joined[0][0] is shared and joined[0][1] == 0.8
     assert joined[1] == (frozenset({0, 3}), 0.5)
     wider = frozenset({0, 1, 2})
     c, d = ((wider, 0.9),), ((shared, 0.8),)
-    assert concrete.join_states(c, d)[0] == (wider, 0.8)
-    assert concrete.join_states(c, d)[0][0] is wider
-    assert concrete.join_states(d, c)[0][0] is wider
-    union = concrete.join_states(a, b)[1][0]
+    assert join_states(c, d)[0] == (wider, 0.8)
+    assert join_states(c, d)[0][0] is wider
+    assert join_states(d, c)[0][0] is wider
+    union = join_states(a, b)[1][0]
     again = ((shared, 0.8), (frozenset({3}), 0.7))
-    assert concrete.join_states(a, again)[1][0] is union
-
-
-def test_same_values_ignores_probabilities_and_set_identity():
-    s, t = frozenset({1, 2}), frozenset({1, 2, 3}) - {3}
-    assert s == t and s is not t
-    same = concrete.same_values
-    assert same(((s, 0.9), (t, 0.5)), ((t, 0.1), (s, 0.2)))
-    assert not same(((s, 0.9), (s, 0.5)), ((s, 0.9), (frozenset({1}), 0.5)))
-    assert not same(((frozenset({0}), 0.9), (s, 0.5)), ((s, 0.9), (s, 0.5)))
-    # bottom and the state of a program without variables hold no values
-    assert same(None, ()) and same((), None) and same(None, None)
-    assert not same(None, ((s, 1.0),)) and not same(((s, 1.0),), None)
+    assert join_states(a, again)[1][0] is union
 
 
 def test_loops2_concrete_evaluates_each_guard_tuple_once_for_both_edges(
@@ -718,12 +703,13 @@ def test_state_join_and_value_part():
     j = join_states(a, b)
     assert j[0] == pair(0, 3, prob=0.7)
     assert j[1] == pair(1, prob=0.8)
-    assert not same_values(a, b)
-    assert same_values(j, (pair(0, 3, prob=0.1), pair(1, prob=0.2)))
+    assert value_part(a) != value_part(b)
+    assert value_part(j) == value_part((pair(0, 3, prob=0.1),
+                                        pair(1, prob=0.2)))
 
 
 def test_bottom_state_is_join_identity():
     a = (pair(0, prob=0.9),)
     assert join_states(None, a) == a
-    assert same_values(None, None)
-    assert not same_values(None, a)
+    assert value_part(None) == value_part(None)
+    assert value_part(None) != value_part(a)

@@ -1,8 +1,10 @@
 """Self-test of tools/differential.py on two cases: a tree against itself is
 identical, a copy with a mutated text renderer differs in exactly the text
 case, and with --values-only a copy whose probabilities all change differs
-in no case and lists the changed probabilities of both. Every rejected
-program of the matrix also exits 1 with one line of message."""
+in no case and lists the changed probabilities of both. A copy that charges
+each read as a write and each write as a read differs under the mixed spec
+only. Every rejected program of the matrix also exits 1 with one line of
+message."""
 
 import importlib.util
 import shutil
@@ -66,6 +68,22 @@ def test_values_only_lists_changed_probabilities(head, tmp_path):
             "0.995659289447" in changed)
     assert {line.split(": ")[1] for line in changed} == {label for label, _
                                                           in CASES}
+
+
+def test_swapped_charges_differ_under_the_mixed_spec_only(head, tmp_path):
+    # a uniform spec gives read and write the same reliability, so only the
+    # mixed spec's cases can tell a charge applied to the wrong op
+    mutated = tmp_path / "src"
+    shutil.copytree(head, mutated)
+    engine = mutated / "probrange" / "engine.py"
+    text = engine.read_text()
+    assert 'rel("read")' in text and 'rel("write")' in text
+    engine.write_text(text.replace('rel("read")', "READ").replace(
+        'rel("write")', 'rel("read")').replace("READ", 'rel("write")'))
+    mixed = [(f"{label} mixed", (args[0], *differential.MIXED, *args[3:]))
+             for label, args in CASES]
+    assert differential.compare(head, mutated, CASES + mixed) == [
+        label for label, _ in mixed]
 
 
 def test_rejected_programs_exit_1(tmp_path):

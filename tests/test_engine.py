@@ -17,8 +17,9 @@ from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If,
                               parse_program)
 
 from helpers import (CORPUS, analyze, bounded_loop_program, check_soundness,
-                     corpus_source, line_map, loop_program, random_program,
-                     value_part)
+                     compile_flat_assign, compile_flat_guard, corpus_source,
+                     flat_entry, join_states, leq_states, line_map,
+                     loop_program, random_program, value_part)
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,18 +27,19 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def recompute(system, states, node, mod, spec):
     """node's flat state from its sources' states in states, each incoming
-    edge compiled afresh and joined into bottom."""
+    edge compiled afresh (mod's value transfer, then the engine's
+    probability rule) and joined into bottom."""
     index = {v: i for i, v in enumerate(system.cfg.variables)}
     out = None
     for edge in system.preds[node]:
         action = edge.action
         if isinstance(action, Assign):
-            compiled = mod.compile_assign(action.target, action.value, index,
-                                          spec, [])
+            compiled = compile_flat_assign(mod, action.target, action.value,
+                                           index, spec, [])
         else:
-            compiled = mod.compile_guard(action.cond, index, spec, [])[
+            compiled = compile_flat_guard(mod, action.cond, index, spec, [])[
                 action.op != action.cond.op]
-        out = mod.join_states(out, mod.sp_assign(states[edge.src], compiled))
+        out = join_states(out, compiled(states[edge.src]))
     return out
 
 
@@ -246,7 +248,7 @@ def test_schedules_agree_on_loop_free_programs():
         for name, mod in (("concrete", concrete), ("abstract", abstract)):
             rr = solve(system, TINY, domain=name)
             assert rr.converged, source
-            states = {cfg.entry: mod.entry_state(system.cfg.variables, TINY)}
+            states = {cfg.entry: flat_entry(mod, system.cfg.variables, TINY)}
             for node in topological_order(cfg):
                 if node != cfg.entry:
                     states[node] = recompute(system, states, node, mod, TINY)
@@ -261,12 +263,12 @@ def test_committed_states_climb(spec4, spec7):
     assert len(conc.trace) == conc.iterations
     for before, after in zip(conc.trace, conc.trace[1:]):
         for old, new in zip(before, after):
-            assert concrete.leq_states(old, new)
+            assert leq_states(old, new)
     _, abst = analyze(corpus_source("collatz.up"), spec7, domain="abstract",
                       keep_trace=True)
     for before, after in zip(abst.trace, abst.trace[1:]):
         for old, new in zip(before, after):
-            assert abstract.leq_states(old, new)
+            assert leq_states(old, new)
 
 
 # --- widening ---
@@ -356,7 +358,8 @@ def count_calls(monkeypatch, mod, *names) -> dict[str, int]:
     return calls
 
 
-def solve_golden(spec, program: str, domain: str, bounds):
+def solve_golden(spec, program: str, domain: str, bounds,
+                 keep_trace: bool = False):
     """Solve a golden program to convergence, widened in abstract mode."""
     if bounds is not None:
         spec = spec.replace(minint=bounds[0], maxint=bounds[1])
@@ -365,7 +368,29 @@ def solve_golden(spec, program: str, domain: str, bounds):
     if domain == "abstract":
         widening = collect_thresholds(cfg, spec.minint, spec.maxint)
     return solve(build_equations(cfg), spec, domain=domain,
-                 widening=widening, max_iters=2000)
+                 widening=widening, max_iters=2000, keep_trace=keep_trace)
+
+
+def scheduled_recomputes(cfg, result) -> list[int]:
+    """The nodes the solver recomputes, in order, told from the passes'
+    trace: each pass visits cfg.order and recomputes a node none of whose
+    sources committed since its last recomputation, every node in the first
+    pass; a node commits in a pass exactly when its state there differs
+    from the pass before."""
+    states = [[None if cfg.variables else ()] * cfg.node_count,
+              *result.trace, result.trace[-1] if result.trace else None]
+    succs = cfg.succs()
+    dirty = set(range(cfg.node_count))
+    done = []
+    for before, after in zip(states, states[1:]):
+        for node in cfg.order:
+            if node == cfg.entry or node not in dirty:
+                continue
+            dirty.discard(node)
+            done.append(node)
+            if after is not None and after[node] != before[node]:
+                dirty.update(succs[node])
+    return done
 
 
 WORK = pytest.mark.parametrize("program, domain, bounds, passes, transfers", [
@@ -392,17 +417,19 @@ def test_round_robin_recomputes_only_changed_sources(
 def test_a_recomputation_joins_only_its_later_edges(
         monkeypatch, spec4, program, domain, bounds, passes, transfers):
     # the first incoming edge's transfer starts a node's state, and each
-    # later one is joined into it: a recomputation over k edges makes k - 1
-    # joins. Every recomputation ends in one value check, a loop head's
-    # after its widening.
+    # later one is joined into it: a recomputation over k edges makes k
+    # transfers and k - 1 joins, and only the recomputations the schedule
+    # calls for are made
     mod = abstract if domain == "abstract" else concrete
-    calls = count_calls(monkeypatch, mod, "sp_assign", "join_states",
-                        "same_values")
-    result = solve_golden(spec4, program, domain, bounds)
+    calls = count_calls(monkeypatch, mod, "sp_assign", "join_states")
+    result = solve_golden(spec4, program, domain, bounds, keep_trace=True)
     assert result.converged and result.iterations == passes
-    recomputes = calls["same_values"]
-    assert calls["sp_assign"] == transfers
-    assert calls["join_states"] == transfers - recomputes
+    cfg = build_cfg(parse_program((GOLDEN / program).read_text()))
+    preds = cfg.preds()
+    recomputes = scheduled_recomputes(cfg, result)
+    assert calls["sp_assign"] == transfers == sum(
+        len(preds[node]) for node in recomputes)
+    assert calls["join_states"] == transfers - len(recomputes)
 
 
 @pytest.mark.parametrize("domain, bounds", [("abstract", None),
@@ -626,6 +653,88 @@ def test_every_state_and_snapshot_is_well_formed(spec4):
                     checked[i] += len(state or ())
     assert not violations, violations[:5]
     assert all(checked), checked
+
+
+def value_violations(states: list, domain: str) -> list:
+    """What in a domain's states is not a value: a state is None, or a
+    tuple of frozensets of ints (concrete) or of (lo, hi) int pairs
+    (abstract). Each distinct set object is checked once."""
+    bad, sets = [], {}
+    for state in states:
+        if state is None:
+            continue
+        if not isinstance(state, tuple):
+            bad.append(state)
+            continue
+        for cell in state:
+            if domain == "concrete":
+                if type(cell) is not frozenset:
+                    bad.append(cell)
+                elif id(cell) not in sets:
+                    sets[id(cell)] = cell
+                    if not all(type(v) is int for v in cell):
+                        bad.append(cell)
+            elif not (type(cell) is tuple and len(cell) == 2
+                      and all(type(v) is int for v in cell)):
+                bad.append(cell)
+    return bad
+
+
+@pytest.mark.parametrize("domain, modes", [
+    ("abstract", [(None, False), (None, True)]),
+    ("concrete", [((-64, 63), False), ((-8, 8), False), (None, False)])])
+def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
+    # the domains compute values only, and the engine charges every
+    # probability: the entry state, each compiled transfer's result, each
+    # join and each widening hold no float. Every corpus and golden program
+    # is solved in each domain: abstract with and without widening,
+    # concrete on the first range that holds its literals and keeps its
+    # products under the cap
+    mod = abstract if domain == "abstract" else concrete
+    returned = []
+    for module, name in ((mod, "entry_state"), (mod, "sp_assign"),
+                         (mod, "join_states"), (abstract, "widen_states")):
+        def recorded(*args, real=getattr(module, name)):
+            returned.append(real(*args))
+            return returned[-1]
+        monkeypatch.setattr(module, name, recorded)
+    programs = sorted([*CORPUS.glob("*.up"), *GOLDEN.glob("*.up")])
+    solved = set()
+    for path in programs:
+        cfg = build_cfg(parse_program(path.read_text()))
+        for bounds, widen in modes:
+            spec = spec4 if bounds is None else spec4.replace(
+                minint=bounds[0], maxint=bounds[1])
+            widening = (collect_thresholds(cfg, spec.minint, spec.maxint)
+                        if widen else None)
+            try:
+                solve(build_equations(cfg), spec, domain=domain,
+                      widening=widening, max_iters=12)
+            except (LiteralRangeError, OracleBlowup):
+                continue
+            solved.add(path)
+            if domain == "concrete":
+                break
+    assert solved == set(programs) and len(returned) > 1000
+    bad = value_violations(returned, domain)
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("program, bounds", [
+    ("corpus/fig1.up", None), ("corpus/collatz.up", (-64, 63)),
+    ("golden/loops2.up", (-64, 63))])
+def test_commit_compares_sets_by_value(monkeypatch, spec4, program, bounds):
+    # with the set table bypassed, a join rebuilds an equal set as a new
+    # object on every recomputation; the commit rule tells it unchanged by
+    # its values, so the solve takes the same passes to the same states
+    spec = spec4 if bounds is None else spec4.replace(minint=bounds[0],
+                                                      maxint=bounds[1])
+    source = (Path(__file__).parent / program).read_text()
+    _, shared = analyze(source, spec, domain="concrete", max_iters=2000)
+    monkeypatch.setattr(concrete, "_canonical", frozenset)
+    _, fresh = analyze(source, spec, domain="concrete", max_iters=2000)
+    assert fresh.converged and fresh.iterations == shared.iterations
+    assert fresh.states == shared.states
 
 
 def test_readme_library_block_runs(capsys):

@@ -13,7 +13,11 @@ mode without and with --widening and in concrete mode (at the default range
 for the corpus, whose goldens use it, and at [-64,63] and [-8,8] for every
 program; arithmetic overflows often on [-8,8], so warning order is compared
 there), in text and machine format, each once plain and once with --trace
---max-iters 3; seeded programs of the benchmark's loop family: two of four
+--max-iters 3, all under tests/corpus/uniform-1e4.spec; every program again
+in each of those modes under tests/corpus/mixed.spec, which gives each
+charged op its own probability, so that an op charged in place of another
+shows, in text format, plain and with the trace; seeded programs of the
+benchmark's loop family: two of four
 loops under --widening and two of two loops in concrete mode on [-64,63];
 and 20 programs the CLI rejects with exit code 1 (misshapen assignments and
 guards, compound guards, an unexpected character, a literal outside the
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "corpus"
 GOLDEN = ROOT / "tests" / "golden"
 SPEC = ("--spec", str(CORPUS / "uniform-1e4.spec"))
+MIXED = ("--spec", str(CORPUS / "mixed.spec"))
 SMALL = ("--minint", "-64", "--maxint", "63")
 TINY = ("--minint", "-8", "--maxint", "8")
 TRACE = ("--trace", "--max-iters", "3")
@@ -98,10 +103,13 @@ def cases(work: Path) -> list[Case]:
         if program in corpus:
             modes.append(("--mode", "concrete"))
         for mode in modes:
-            for fmt in FORMATS:
-                for variant in ((), TRACE):
-                    args = (str(program), *SPEC, *mode, *fmt, *variant)
-                    out.append((f"{program.name} {' '.join(args[3:])}", args))
+            for spec, formats, tag in ((SPEC, FORMATS, ""),
+                                       (MIXED, ((),), " mixed.spec")):
+                for fmt in formats:
+                    for variant in ((), TRACE):
+                        args = (str(program), *spec, *mode, *fmt, *variant)
+                        out.append((f"{program.name}{tag} "
+                                    f"{' '.join(args[3:])}", args))
     for seed in LOOP_SEEDS:
         for trips, mode in (((2, 3, 4, 5), ("--widening", "--max-iters",
                                             "1000")),
