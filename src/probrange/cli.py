@@ -262,20 +262,22 @@ def _stem(path: str) -> str:
 
 class Rows(Record):
     """A report's rows, one per node and variable in that order, held as the
-    solve's flat states: per node, None when unreachable, else the domain's
-    (lo, hi, prob) triples or (values, prob) pairs in variable order."""
-    _fields = ("lines", "variables", "states", "intervals")
+    solve's halves: per node, None when unreachable, else its values (sets,
+    or (lo, hi) pairs when intervals) and their probabilities, each a tuple
+    in variable order."""
+    _fields = ("lines", "variables", "values", "probs", "intervals")
 
 
 def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
                  cfg, result, warnings: list[str]) -> dict:
     """Assemble the report as one plain dict; both renderers feed on it.
 
-    Its results, and each trace entry's rows, are Rows over the solve's flat
-    states.
+    Its results, and each trace entry's rows, are Rows over the solve's
+    value and probability lists.
     """
-    def rows(states: list) -> Rows:
-        return Rows(cfg.lines, cfg.variables, states, mode == "abstract")
+    def rows(values: list, probs: list) -> Rows:
+        return Rows(cfg.lines, cfg.variables, values, probs,
+                    mode == "abstract")
 
     report = {
         "schema": 2,
@@ -291,66 +293,52 @@ def build_report(name: str, mode: str, widening: bool, spec: HardwareSpec,
         "iterations": result.iterations,
         "converged": result.converged,
         "warnings": list(warnings),
-        "results": rows(result.states),
+        "results": rows(result.values, result.probs),
     }
     if result.trace is not None:
-        report["trace"] = [{"iteration": i + 1, "rows": rows(states)}
-                           for i, states in enumerate(result.trace)]
+        report["trace"] = [{"iteration": i + 1, "rows": rows(*halves)}
+                           for i, halves in enumerate(result.trace)]
     return report
 
 
-def _sorted_set(memo: dict, values: frozenset[int], form) -> str:
-    """form(sorted values), kept in memo under the set."""
-    text = memo.get(values)
-    if text is None:
-        text = memo[values] = form(sorted(values))
-    return text
-
-
 def _set_text(values: list[int]) -> str:
-    if not values:
-        return "{}"
     if len(values) <= SET_DISPLAY_LIMIT:
         return "{" + ",".join(map(str, values)) + "}"
     shown = ",".join(map(str, values[:3]))
     return f"{{{shown},...,{values[-1]}}} ({len(values)} values)"
 
 
-def _text_cell(sets: dict, element: tuple | None) -> tuple[str, str]:
-    """A triple's, pair's or bottom's value and probability text."""
-    if element is None:
-        return sets[None]
-    value = (f"[{element[0]},{element[1]}]" if len(element) == 3
-             else _sorted_set(sets, element[0], _set_text))
-    return value, f"{element[-1]:.12g}"
-
-
 def _text_rows(rows: Rows, parts: list, sets: dict, cells: dict,
                table: bool) -> None:
-    """Append rows, a line each of three shared pieces: its node's line, its
-    variable and its element's, kept in cells across calls, as sets keeps set
-    texts and bottom's under None. A table pads each column but the last to
+    """Append rows, a line each of four shared pieces: its node's line, its
+    variable, its value and its probability. cells keeps the value pieces,
+    an unreachable node's under None, and the probability pieces across
+    calls, as sets keeps set texts. A table pads each column but the last to
     its widest piece, as ljust does."""
-    texts = {e: _text_cell(sets, e) for e in set().union(
-        (None,), *filter(None, rows.states)).difference(cells)}
-    head, name, cell = "    line {}: ", "{} = ", "{} p={}\n"
+    texts = {None: "[]" if rows.intervals else "{}"}  # values' texts
+    for v in set().union(*filter(None, rows.values)).difference(cells):
+        texts[v] = (f"[{v[0]},{v[1]}]" if rows.intervals else sets.get(v)
+                    or sets.setdefault(v, _set_text(sorted(v))))
+    chances = {p: f"{p:.12g}" for p in set().union(
+        (1.0,), *filter(None, rows.probs)).difference(cells)}
+    head, name, value, prob = "    line {}: ", "{} = ", "{} p=", "{}\n"
     if table:
         columns = (map(str, rows.lines) if rows.variables else (),
-                   rows.variables, *zip(*texts.values()))
+                   rows.variables, texts.values(), chances.values())
         widths = [max(map(len, (title, *column))) for title, column in
                   zip(("line", "variable", "value", "probability"), columns)]
-        head, name, cell = ["{:<%d} | " % w for w in widths[:3]]
-        cell += "{}\n"
+        head, name, value = ["{:<%d} | " % w for w in widths[:3]]
         parts += (head.format("line"), name.format("variable"),
-                  cell.format("value", "probability"),
+                  value.format("value"), prob.format("probability"),
                   "-+-".join(["-" * w for w in widths]) + "\n")
-    cells.update({element: cell.format(*t) for element, t in texts.items()})
+    cells.update({v: value.format(text) for v, text in texts.items()})
+    cells.update({p: prob.format(text) for p, text in chances.items()})
     names = list(map(name.format, rows.variables))
-    bottom = (None,) * len(names)  # an unreachable node's elements
-    for line, state in zip(rows.lines, rows.states):
+    nones, ones = (None,) * len(names), (1.0,) * len(names)  # bottom's
+    for line, values, probs in zip(rows.lines, rows.values, rows.probs):
         line = head.format(line)
-        for var, element in zip(names, state or bottom):
-            parts += (line, var, cells[element])
+        for var, v, p in zip(names, values or nones, probs or ones):
+            parts += (line, var, cells[v], cells[p])
 
 
 def _spec_text(spec: dict) -> str:
@@ -367,7 +355,7 @@ def render_text(report: dict) -> str:
              f"spec: {_spec_text(report['spec'])}\n"
              f"converged: {status} ({report['iterations']} iterations, "
              f"{report['schedule']})\n\n"]
-    sets = {None: ("{}" if report["mode"] == "concrete" else "[]", "1")}
+    sets = {}
     _text_rows(report["results"], parts, sets, {}, table=True)
     if report["warnings"]:
         parts += ["\nwarnings:\n", *[f"  - {w}\n" for w in report["warnings"]]]
@@ -392,32 +380,29 @@ def _escape(char: str) -> str:
     return _ESCAPES.get(char) or f"\\u{code:04x}"
 
 
-def _json_tail(memo: dict, element: tuple) -> tuple[str, ...]:
-    """A triple's or pair's row JSON after the variable, in pieces: a set's
-    text is one piece, shared by every row that prints it."""
-    end = f',"probability":{float(f"{element[-1]:.12g}")!r}}}'
-    if len(element) == 3:
-        return (f'"interval":[{element[0]},{element[1]}]{end}',)
-    return '"values":', _sorted_set(  # one string, no str per value
-        memo, element[0], lambda v: repr(v).replace(" ", "")), end
-
-
 def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
-    """Append rows as _json writes a list of row dicts, each as its node's
-    head, its variable and its element's tail; memo keeps tails, set texts."""
-    memo.setdefault(None, (('"interval":null' if rows.intervals
-                            else '"values":[]') + ',"probability":1.0}',))
+    """Append rows as _json writes a list of row dicts, each in six pieces:
+    a separator, its node's head, its variable, its value's key, its value
+    and its probability's tail. memo keeps the value texts, an unreachable
+    node's under None, and the tails, so a set's text is one piece that
+    every row printing the set shares."""
+    key = '"interval":' if rows.intervals else '"values":'
+    memo.setdefault(None, "null" if rows.intervals else "[]")
     names = [f'"{v}",' for v in rows.variables]  # ASCII words: no escapes
-    bottom = (None,) * len(names)
+    nones, ones = (None,) * len(names), (1.0,) * len(names)  # bottom's
     sep = "["
-    for node, (line, state) in enumerate(zip(rows.lines, rows.states)):
+    for node, (line, values, probs) in enumerate(zip(rows.lines, rows.values,
+                                                     rows.probs)):
         head = f'{{"node":{node},"line":{line},"variable":'
-        for name, element in zip(names, state or bottom):
-            tail = memo.get(element)
+        for name, v, p in zip(names, values or nones, probs or ones):
+            text = memo.get(v)
+            if text is None:  # no str per value of a set
+                text = memo[v] = (f"[{v[0]},{v[1]}]" if rows.intervals
+                                  else repr(sorted(v)).replace(" ", ""))
+            tail = memo.get(p)
             if tail is None:
-                tail = memo[element] = _json_tail(memo, element)
-            parts += (sep, head, name)
-            parts += tail
+                tail = memo[p] = f',"probability":{float(f"{p:.12g}")!r}}}'
+            parts += (sep, head, name, key, text, tail)
             sep = ","
     parts.append("]" if sep == "," else "[]")
 

@@ -43,8 +43,8 @@ uniform density, and widening the larger, capped at the new interval's. At
 width 1 these are the concrete product of charges and minimum over joins.
 
 Each solve compiles every edge once, a guard for both of its edges, and
-iterates over value and probability states, each None or a tuple indexed by
-variable position; SolveResult zips them into flat states.
+iterates over a value and a probability list, each entry None or a tuple
+indexed by variable position; SolveResult returns both lists as they are.
 """
 
 from __future__ import annotations
@@ -183,11 +183,13 @@ def widen_probs(width: Callable, cur: tuple, curp: tuple, new: tuple,
 
 
 class SolveResult(Record):
-    """states and each trace snapshot (one per committing pass; trace is
-    None without keep_trace) list each node's flat state: None when the node
-    is unreachable, else its (lo, hi, prob) triples or (values, prob) pairs
-    in cfg.variables order."""
-    _fields = ("states", "iterations", "converged", "warnings", "trace")
+    """values and probs list each node's state in two halves, each None when
+    the node is unreachable, else a tuple in cfg.variables order: values
+    holds frozensets, or (lo, hi) pairs in the abstract domain, and probs
+    their probabilities. trace is None without keep_trace, else a
+    (values, probs) pair of such lists per committing pass."""
+    _fields = ("values", "probs", "iterations", "converged", "warnings",
+               "trace")
 
 
 def solve(system: EquationSystem, spec: HardwareSpec, domain: str = "abstract",
@@ -311,10 +313,4 @@ def _iterate(system: EquationSystem, spec: HardwareSpec, domain: str,
         if trace is not None:
             trace.append((list(values), list(probs)))
 
-    def flat(halves: tuple) -> list:  # (values, prob) pairs or triples
-        return [v and (tuple(zip(v, p)) if dom is concrete else
-                       tuple(map(tuple.__add__, v, zip(p))))
-                for v, p in zip(*halves)]
-
-    return SolveResult(flat((values, probs)), iterations, converged, warnings,
-                       None if trace is None else list(map(flat, trace)))
+    return SolveResult(values, probs, iterations, converged, warnings, trace)

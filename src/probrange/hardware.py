@@ -54,18 +54,22 @@ class HardwareSpec(Record):
     _defaults = {"probs": dict, "minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
 
     def __new__(cls, *args, **kwargs) -> HardwareSpec:
-        """Check the fields, on every construction, replace included."""
-        self = super().__new__(cls, *args, **kwargs)
-        for op, p in self.probs.items():
+        """Check the fields, on every construction, replace included. The
+        spec keeps the copy of probs it checked, out of the caller's reach."""
+        probs, minint, maxint = cls._complete(args, kwargs)
+        probs = dict(probs)
+        for op, p in probs.items():
             if op not in ALL_OPS:
                 raise SpecError(f"unknown op {op!r}")
             if not 0.0 <= p <= 1.0:
                 raise SpecError(f"probability for {op!r} out of [0,1]: {p}")
-        if self.minint >= self.maxint:
-            raise SpecError(f"integer range [{self.minint},{self.maxint}] must hold at least two values")
-        if not self.minint <= 0 <= self.maxint:
+        if type(minint) is not int or type(maxint) is not int:
+            raise SpecError(f"integer range bounds must be ints: {minint!r}, {maxint!r}")
+        if minint >= maxint:
+            raise SpecError(f"integer range [{minint},{maxint}] must hold at least two values")
+        if not minint <= 0 <= maxint:
             raise SpecError("integer range must contain 0")
-        return self
+        return tuple.__new__(cls, (probs, minint, maxint))
 
     @property
     def width(self) -> int:

@@ -3,16 +3,17 @@ and structured shapes, source printing, edges compiled and applied to
 hand-made flat states (a domain's value transfer, then the engine's
 probability rule), the element operations that no analysis uses (width and
 density, order, join, widening, meet, top elements and the Galois maps, all
-over the solver's flat (lo, hi, prob) triples and (values, prob) pairs with
-None as bottom, each built from a domain's value half and the engine's
-probability rules), the machine model's `clamp` and `reliable` and the
-CFG's `exits`, and the references that faster code in src/ is judged
-against: the argparse flag parser, the character-loop tokenizer, the
-scanning congruence refinement, Bourdoncle's general weak topological order,
-the second walk over the statements that listed the program's variables,
-the recursive predicates that checked each statement's shape after it was
-parsed, the tuple-at-a-time concrete edges and the report builder and text
-renderer that went through a dict per row."""
+over flat (lo, hi, prob) triples and (values, prob) pairs with None as
+bottom, each built from a domain's value half and the engine's probability
+rules, and a solve's flat states rebuilt from its two lists), the machine
+model's `clamp` and `reliable` and the CFG's `exits`, and the references
+that faster code in src/ is judged against: the argparse flag parser, the
+character-loop tokenizer, the scanning congruence refinement, Bourdoncle's
+general weak topological order, the second walk over the statements that
+listed the program's variables, the recursive predicates that checked each
+statement's shape after it was parsed, the tuple-at-a-time concrete edges
+and the report builder and text renderer that went through a dict per
+row."""
 
 from __future__ import annotations
 
@@ -101,6 +102,11 @@ def flat(values, probs):
         return None
     return tuple((v, p) if isinstance(v, frozenset) else (*v, p)
                  for v, p in zip(values, probs))
+
+
+def flat_states(values: list, probs: list) -> list:
+    """A solve's flat states, from its value and probability lists."""
+    return list(map(flat, values, probs))
 
 
 def flat_entry(mod, variables, spec):
@@ -472,7 +478,8 @@ def check_soundness(concrete_result, abstract_result, variables) -> list[str]:
     abstract run soundly covers the concrete one.
     """
     violations = []
-    states = zip(concrete_result.states, abstract_result.states)
+    states = zip(flat_states(concrete_result.values, concrete_result.probs),
+                 flat_states(abstract_result.values, abstract_result.probs))
     for node, (cstate, astate) in enumerate(states):
         if cstate is None:
             continue
@@ -1007,14 +1014,17 @@ def reference_compile_guard(guard, index: dict[str, int], spec,
 def reference_report(name: str, mode: str, widening: bool, spec, cfg, result,
                      warnings: list[str]) -> dict:
     """The report as probrange.cli.build_report once assembled it, and as a
-    machine report reads back: from the result's flat states, one dict per
-    row. json.dumps(report, separators=(",", ":")) + "\n" is then the
-    machine report and reference_text(report) the text report."""
-    def rows(states: list) -> list[dict]:
+    machine report reads back: from the result's value and probability
+    lists, one dict per row. json.dumps(report, separators=(",", ":")) +
+    "\n" is then the machine report and reference_text(report) the text
+    report."""
+    def rows(values: list, probs: list) -> list[dict]:
         bottom = (None,) * len(cfg.variables)  # an unreachable node's
-        return [_reference_row(node, cfg.lines[node], var, element, mode)
-                for node, state in enumerate(states)
-                for var, element in zip(cfg.variables, state or bottom)]
+        return [_reference_row(node, cfg.lines[node], var, value, prob, mode)
+                for node in range(cfg.node_count)
+                for var, value, prob in zip(cfg.variables,
+                                            values[node] or bottom,
+                                            probs[node] or bottom)]
 
     report = {
         "schema": 2, "program": name, "mode": mode, "widening": widening,
@@ -1022,22 +1032,23 @@ def reference_report(name: str, mode: str, widening: bool, spec, cfg, result,
         "spec": {"minint": spec.minint, "maxint": spec.maxint,
                  "probabilities": {op: spec.prob(op) for op in ALL_OPS}},
         "iterations": result.iterations, "converged": result.converged,
-        "warnings": list(warnings), "results": rows(result.states),
+        "warnings": list(warnings),
+        "results": rows(result.values, result.probs),
     }
     if result.trace is not None:
-        report["trace"] = [{"iteration": i + 1, "rows": rows(snapshot)}
+        report["trace"] = [{"iteration": i + 1, "rows": rows(*snapshot)}
                            for i, snapshot in enumerate(result.trace)]
     return report
 
 
-def _reference_row(node: int, line: int, var: str, element,
+def _reference_row(node: int, line: int, var: str, value, prob,
                    mode: str) -> dict:
     row = {"node": node, "line": line, "variable": var}
     if mode == "abstract":
-        row["interval"] = None if element is None else list(element[:2])
+        row["interval"] = None if value is None else list(value)
     else:
-        row["values"] = [] if element is None else sorted(element[0])
-    prob = 1.0 if element is None else element[-1]
+        row["values"] = [] if value is None else sorted(value)
+    prob = 1.0 if prob is None else prob
     row["probability"] = float(f"{prob:.12g}")
     return row
 

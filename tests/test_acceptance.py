@@ -37,7 +37,7 @@ def test_criterion_1_concrete_worked_example(spec4):
     }
     errors = []
     for node, (values, prob) in want.items():
-        (got_values, got_prob), = result.states[node]
+        (got_values,), (got_prob,) = result.values[node], result.probs[node]
         if got_values != values:
             errors.append(f"node {node} values {sorted(got_values)}")
         if rel_err(got_prob, prob) > 1e-9:
@@ -62,7 +62,8 @@ def test_criterion_2_abstract_worked_example(spec4):
     }
     errors = []
     for node, (lo, hi, prob) in want.items():
-        (got_lo, got_hi, got_prob), = result.states[node]
+        ((got_lo, got_hi),), (got_prob,) = (result.values[node],
+                                            result.probs[node])
         if (got_lo, got_hi) != (lo, hi):
             errors.append(f"node {node} interval [{got_lo},{got_hi}]")
         if rel_err(got_prob, prob) > 1e-9:
@@ -89,13 +90,13 @@ def test_criterion_3_collatz_intervals(spec7):
     errors = []
     for run, label in ((plain, "plain"), (widened, "widened")):
         for line, (lo, hi) in want.items():
-            (got_lo, got_hi, got_prob), = run.states[lines[line]]
+            ((got_lo, got_hi),), (got_prob,) = (run.values[lines[line]],
+                                                run.probs[lines[line]])
             if (got_lo, got_hi) != (lo, hi):
                 errors.append(f"{label} line {line}: [{got_lo},{got_hi}]")
             if not 0.0 < got_prob <= 1.0:
                 errors.append(f"{label} line {line}: prob {got_prob}")
-        (_, _, head), = run.states[lines[3]]
-        (_, _, exit_prob), = run.states[lines[8]]
+        (head,), (exit_prob,) = run.probs[lines[3]], run.probs[lines[8]]
         if exit_prob > head:
             errors.append(f"{label}: line 8 prob above line 3")
     if not (widened.converged and widened.iterations <= 4):
@@ -114,8 +115,9 @@ def test_criterion_4_collatz_concrete_sets(spec7):
     cfg, result = analyze(corpus_source("collatz.up"), spec7,
                           domain="concrete")
     lines = line_map(cfg)
-    (head, head_prob), = result.states[lines[3]]
-    (exit_values, exit_prob), = result.states[lines[8]]
+    (head,), (head_prob,) = result.values[lines[3]], result.probs[lines[3]]
+    (exit_values,), (exit_prob,) = (result.values[lines[8]],
+                                    result.probs[lines[8]])
     errors = []
     if head != frozenset({1, 2, 4, 5, 8, 10, 16}):
         errors.append(f"line 3 values {sorted(head)}")
@@ -244,10 +246,10 @@ def _values_outside(concrete_result, abstract_result, variables) -> list:
     """(node, variable) wherever a concrete value lies outside the abstract
     interval, probabilities aside."""
     out = []
-    for node, (cstate, astate) in enumerate(zip(concrete_result.states,
-                                                abstract_result.states)):
+    for node, (cstate, astate) in enumerate(zip(concrete_result.values,
+                                                abstract_result.values)):
         for i, var in enumerate(variables if cstate else ()):
-            values = cstate[i][0]
+            values = cstate[i]
             if values and (astate is None or min(values) < astate[i][0]
                            or max(values) > astate[i][1]):
                 out.append((node, var))

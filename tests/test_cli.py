@@ -880,7 +880,7 @@ def test_big_value_sets_elided(capsys):
     assert "(65536 values)" in out
 
 
-# --- reports written straight from the solve's flat states ---
+# --- reports written straight from the solve's two lists ---
 
 UNREACHABLE_THEN = "x =. 0;\nif (x >. 5) {\n  y =. 1;\n}\n"
 REPORT_MODES = {"abstract": (), "widening": ("--widening",),
@@ -889,10 +889,11 @@ REPORT_MODES = {"abstract": (), "widening": ("--widening",),
 
 @pytest.mark.parametrize("mode", sorted(REPORT_MODES))
 def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
-    # the reference builds a dict per row from the flat states, as the CLI
-    # once did; on [-8,8], an unreachable branch and seeded loop-free
-    # programs give bottom rows, value sets longer than SET_DISPLAY_LIMIT,
-    # warnings, and the same element at many rows
+    # the reference builds a dict per row from the solve's two lists, as
+    # the CLI once did from its flat states; on [-8,8], an unreachable
+    # branch and seeded loop-free programs give bottom rows, value sets
+    # longer than SET_DISPLAY_LIMIT, warnings, and the same element at many
+    # rows
     references = []
     build = cli.build_report
     monkeypatch.setattr(cli, "build_report", lambda *args: references.append(

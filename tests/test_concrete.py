@@ -310,12 +310,13 @@ def test_fault_free_analysis_matches_product_oracle():
         cfg, result = analyze(source, spec, domain="concrete")
         assert result.converged, source
         oracle = product_sets(cfg, -8, 8)
-        for node, state in enumerate(result.states):
+        for node, (state, probs) in enumerate(zip(result.values,
+                                                  result.probs)):
             if state is None:
                 assert not any(oracle[node].values()), \
                     f"node {node} of:\n{source}"
                 continue
-            for v, (values, prob) in zip(cfg.variables, state):
+            for v, values, prob in zip(cfg.variables, state, probs):
                 assert values == frozenset(oracle[node][v]), \
                     f"node {node} var {v} of:\n{source}"
                 assert prob == 1.0
@@ -606,8 +607,9 @@ def test_loops2_concrete_holds_one_object_per_distinct_set():
     _, result = analyze(source, spec, domain="concrete", max_iters=2000,
                         keep_trace=True)
     assert result.converged and len(result.trace) == 7
-    sets = [values for states in (result.states, *result.trace)
-            for state in states if state is not None for values, _ in state]
+    snapshots = [result.values, *(values for values, _ in result.trace)]
+    sets = [values for states in snapshots
+            for state in states if state is not None for values in state]
     assert len(sets) == 2032
     assert len(set(map(id, sets))) == len(set(sets)) == 27
 
@@ -623,10 +625,10 @@ def test_loops2_concrete_solves_share_their_sets_and_reports():
         results.append(result)
         reports.append(render_text(build_report(
             "loops2", "concrete", False, spec, cfg, result, result.warnings)))
-    first, second = (result.states for result in results)
-    assert first == second
-    sets = [(a[0], b[0]) for s, t in zip(first, second) if s is not None
-            for a, b in zip(s, t)]
+    first, second = results
+    assert first.values == second.values and first.probs == second.probs
+    sets = [(a, b) for s, t in zip(first.values, second.values)
+            if s is not None for a, b in zip(s, t)]
     assert sets and all(a is b for a, b in sets)
     assert reports[0] == reports[1]
 

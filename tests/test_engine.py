@@ -18,8 +18,8 @@ from probrange.syntax import (Assign, BinOp, Block, Cmp, Const, If,
 
 from helpers import (CORPUS, analyze, bounded_loop_program, check_soundness,
                      compile_flat_assign, compile_flat_guard, corpus_source,
-                     flat_entry, join_states, leq_states, line_map,
-                     loop_program, random_program, value_part)
+                     flat_entry, flat_states, halves, join_states,
+                     leq_states, line_map, loop_program, random_program)
 
 TINY = HardwareSpec.uniform(0.99, minint=-8, maxint=8)
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,21 +75,23 @@ def test_single_assignment_both_domains():
     cfg, conc = analyze("x =. 1;\n", TINY, domain="concrete")
     assert cfg.node_count == 2
     assert conc.converged and conc.iterations == 1
-    assert conc.states[1] == ((frozenset({1}), TINY.rel("write")),)
+    assert conc.values[1] == (frozenset({1}),)
+    assert conc.probs[1] == (TINY.rel("write"),)
     _, abst = analyze("x =. 1;\n", TINY, domain="abstract")
-    assert abst.states[1] == ((1, 1, TINY.rel("write")),)
+    assert abst.values[1] == ((1, 1),)
+    assert abst.probs[1] == (TINY.rel("write"),)
 
 
 def test_no_target_nodes():
     cfg = CFG([1], [], ("x",), (0,), frozenset())
     result = solve(build_equations(cfg), TINY, domain="abstract")
     assert result.converged and result.iterations == 0
-    assert result.states[0] == ((-8, 8, 1.0),)
+    assert result.values[0] == ((-8, 8),) and result.probs[0] == (1.0,)
 
 
 def test_entry_state_never_recomputed(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
-    (values, prob), = result.states[0]
+    (values,), (prob,) = result.values[0], result.probs[0]
     assert prob == 1.0
     assert len(values) == spec4.maxint - spec4.minint + 1
 
@@ -99,15 +101,15 @@ def test_entry_state_never_recomputed(spec4):
 def test_fig1_concrete_pinned(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     assert result.converged and result.iterations == 5
-    assert result.states[1][0][0] == frozenset({0, 3, 6, 9, 12})
-    assert result.states[2][0][0] == frozenset({0, 3, 6, 9})
-    assert result.states[3][0][0] == frozenset({12})
+    assert result.values[1][0] == frozenset({0, 3, 6, 9, 12})
+    assert result.values[2][0] == frozenset({0, 3, 6, 9})
+    assert result.values[3][0] == frozenset({12})
 
 
 def test_fig1_abstract_pinned(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     assert result.converged and result.iterations == 5
-    got = {n: result.states[n][0][:2] for n in (1, 2, 3)}
+    got = {n: result.values[n][0] for n in (1, 2, 3)}
     assert got == {1: (0, 12), 2: (0, 9), 3: (10, 12)}
 
 
@@ -118,7 +120,7 @@ def test_collatz_widened_pinned(spec7):
                    widening=thresholds)
     assert result.converged and result.iterations == 4
     lines = line_map(cfg)
-    assert result.states[lines[8]][0][:2] == (1, 1)
+    assert result.values[lines[8]][0] == (1, 1)
 
 
 # --- commit rule ---
@@ -126,8 +128,9 @@ def test_collatz_widened_pinned(spec7):
 def test_commit_keeps_probability_of_last_value_change(spec4):
     cfg, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     system = build_equations(cfg)
-    (stored,) = result.states[2]
-    (redo,) = recompute(system, result.states, 2, abstract, spec4)
+    states = flat_states(result.values, result.probs)
+    (stored,) = states[2]
+    (redo,) = recompute(system, states, 2, abstract, spec4)
     # the loop body's interval stopped changing one sweep before the head's
     # probability settled, so the stored probability is the earlier, larger one
     assert redo[:2] == stored[:2] == (0, 9)
@@ -143,7 +146,7 @@ def test_program_without_variables_reaches_every_guard(spec4):
                    {"domain": "abstract", "widening": (-32768, 32767)}):
         result = solve(build_equations(cfg), spec4, **kwargs)
         assert result.converged and result.iterations == 0
-        assert all(state == () for state in result.states)
+        assert all(state == () for state in result.values + result.probs)
     concrete_run = solve(build_equations(cfg), spec4, domain="concrete")
     assert concrete_run.warnings == [
         "line 3: division by zero (offending operand tuple excluded)",
@@ -201,18 +204,19 @@ def test_converged_run_is_a_value_fixpoint(spec4, spec7):
         result = solve(system, spec, domain=name, widening=widening)
         assert result.converged
         mod = abstract if name == "abstract" else concrete
+        states = flat_states(result.values, result.probs)
         for node in range(cfg.node_count):
             if node == cfg.entry:
                 continue
-            redo = recompute(system, result.states, node, mod, spec)
-            stored = result.states[node]
+            redo = recompute(system, states, node, mod, spec)
+            stored = states[node]
             if widened and node in cfg.heads:
                 assert redo is None or stored is not None and all(
                     slo <= lo and hi <= shi
                     for (lo, hi, _), (slo, shi, _) in zip(redo, stored)), \
                     (node, source)
             else:
-                assert value_part(redo) == value_part(stored), \
+                assert halves(redo)[0] == result.values[node], \
                     (name, node, source)
 
 
@@ -253,8 +257,8 @@ def test_schedules_agree_on_loop_free_programs():
                 if node != cfg.entry:
                     states[node] = recompute(system, states, node, mod, TINY)
             for node in range(cfg.node_count):
-                assert value_part(rr.states[node]) == \
-                    value_part(states[node]), (name, node, source)
+                assert rr.values[node] == halves(states[node])[0], \
+                    (name, node, source)
 
 
 def test_committed_states_climb(spec4, spec7):
@@ -262,12 +266,12 @@ def test_committed_states_climb(spec4, spec7):
                       keep_trace=True)
     assert len(conc.trace) == conc.iterations
     for before, after in zip(conc.trace, conc.trace[1:]):
-        for old, new in zip(before, after):
+        for old, new in zip(flat_states(*before), flat_states(*after)):
             assert leq_states(old, new)
     _, abst = analyze(corpus_source("collatz.up"), spec7, domain="abstract",
                       keep_trace=True)
     for before, after in zip(abst.trace, abst.trace[1:]):
-        for old, new in zip(before, after):
+        for old, new in zip(flat_states(*before), flat_states(*after)):
             assert leq_states(old, new)
 
 
@@ -283,8 +287,8 @@ def test_widening_accelerates_collatz(spec7):
     assert widened.iterations < plain.iterations
     # intervals only: the max-density widening rule can store a higher
     # probability than plain iteration, so the runs need not be ordered
-    for node, state in enumerate(plain.states):
-        for e, w in zip(state or (), widened.states[node]):
+    for node, state in enumerate(plain.values):
+        for e, w in zip(state or (), widened.values[node]):
             assert w[0] <= e[0] and e[1] <= w[1]
 
 
@@ -319,7 +323,7 @@ def test_values_do_not_depend_on_probabilities():
             for p in (1.0, 0.999, 0.9):
                 spec = HardwareSpec.uniform(p, minint=minint, maxint=maxint)
                 r = solve(system, spec, widening=widening, max_iters=max_iters)
-                outcomes.add((tuple(map(value_part, r.states)),
+                outcomes.add((tuple(r.values),
                               tuple(r.warnings), r.iterations, r.converged))
             if len(outcomes) > 1:
                 differ.append((source, widening is not None))
@@ -334,13 +338,13 @@ def test_trace_has_one_snapshot_per_committing_pass(spec4):
                         max_iters=2, keep_trace=True)
     assert not result.converged
     assert len(result.trace) == result.iterations == 2
-    assert result.trace[-1] == result.states
+    assert result.trace[-1] == (result.values, result.probs)
 
 
 def test_round_robin_trace_matches_final_state(spec4):
     _, result = analyze(corpus_source("fig1.up"), spec4, domain="abstract",
                         keep_trace=True)
-    assert result.trace[-1] == result.states
+    assert result.trace[-1] == (result.values, result.probs)
     _, bare = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
     assert bare.trace is None
 
@@ -375,10 +379,11 @@ def scheduled_recomputes(cfg, result) -> list[int]:
     """The nodes the solver recomputes, in order, told from the passes'
     trace: each pass visits cfg.order and recomputes a node none of whose
     sources committed since its last recomputation, every node in the first
-    pass; a node commits in a pass exactly when its state there differs
+    pass; a node commits in a pass exactly when its values there differ
     from the pass before."""
-    states = [[None if cfg.variables else ()] * cfg.node_count,
-              *result.trace, result.trace[-1] if result.trace else None]
+    snapshots = [values for values, _ in result.trace]
+    states = [[None if cfg.variables else ()] * cfg.node_count, *snapshots,
+              snapshots[-1] if snapshots else None]
     succs = cfg.succs()
     dirty = set(range(cfg.node_count))
     done = []
@@ -523,8 +528,8 @@ def test_less_than_minint_guard_solves():
     abst = solve(build_equations(cfg), TINY, domain="abstract")
     assert conc.converged and abst.converged
     exit_node = cfg.node_count - 1
-    assert conc.states[exit_node][0][0] == frozenset({0})
-    assert abst.states[exit_node][0][:2] == (0, 0)
+    assert conc.values[exit_node][0] == frozenset({0})
+    assert abst.values[exit_node][0] == (0, 0)
 
 
 def test_tuple_cap_propagates(monkeypatch):
@@ -585,13 +590,13 @@ def test_guard_edge_charges_the_written_comparison(domain, source, op, taken):
     spec = HardwareSpec({op: 0.5}, -8, 7)
     cfg, result = analyze(source, spec, domain=domain)
     x = cfg.variables.index("x")
-    assert result.states[line_map(cfg)[taken]][x][-1] == 0.75
+    assert result.probs[line_map(cfg)[taken]][x] == 0.75
 
 
 def test_check_soundness_flags_tampering(spec4):
     cfg, conc = analyze(corpus_source("fig1.up"), spec4, domain="concrete")
     _, abst = analyze(corpus_source("fig1.up"), spec4, domain="abstract")
-    abst.states[1] = ((0, 5, 1.0),)
+    abst.values[1] = ((0, 5),)
     violations = check_soundness(conc, abst, cfg.variables)
     assert violations
     assert any("node 1" in v and "x" in v for v in violations)
@@ -645,9 +650,10 @@ def test_every_state_and_snapshot_is_well_formed(spec4):
                                widening=widening, keep_trace=True)
             except LiteralRangeError:
                 continue
-            for states in (result.states, *result.trace):
-                assert len(states) == cfg.node_count
-                for state in states:
+            for values, probs in ((result.values, result.probs),
+                                  *result.trace):
+                assert len(values) == len(probs) == cfg.node_count
+                for state in flat_states(values, probs):
                     violations += flat_state_violations(
                         state, len(cfg.variables), spec, domain)
                     checked[i] += len(state or ())
@@ -680,14 +686,39 @@ def value_violations(states: list, domain: str) -> list:
     return bad
 
 
+def result_violations(result, cfg, domain: str) -> list:
+    """What in a solve's result does not hold its two halves: the result's
+    and each trace entry's (values, probs) pair of lists, each node_count
+    long. A value state is as value_violations asks; a probability state is
+    None exactly where the value state is, else a tuple of one float in
+    [0, 1] per variable."""
+    bad = []
+    for entry in ((result.values, result.probs), *result.trace):
+        if not (type(entry) is tuple and len(entry) == 2 and all(
+                type(half) is list and len(half) == cfg.node_count
+                for half in entry)):
+            bad.append(entry)
+            continue
+        bad += value_violations(entry[0], domain)
+        for values, probs in zip(*entry):
+            if (probs is None) != (values is None) or probs is not None and not (
+                    type(probs) is tuple
+                    and len(values) == len(probs) == len(cfg.variables)
+                    and all(type(p) is float and 0.0 <= p <= 1.0
+                            for p in probs)):
+                bad.append((values, probs))
+    return bad
+
+
 @pytest.mark.parametrize("domain, modes", [
     ("abstract", [(None, False), (None, True)]),
     ("concrete", [((-64, 63), False), ((-8, 8), False), (None, False)])])
 def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
     # the domains compute values only, and the engine charges every
     # probability: the entry state, each compiled transfer's result, each
-    # join and each widening hold no float. Every corpus and golden program
-    # is solved in each domain: abstract with and without widening,
+    # join and each widening hold no float, and each solve returns the two
+    # halves apart, in its result and its trace. Every corpus and golden
+    # program is solved in each domain: abstract with and without widening,
     # concrete on the first range that holds its literals and keeps its
     # products under the cap
     mod = abstract if domain == "abstract" else concrete
@@ -699,7 +730,7 @@ def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
             return returned[-1]
         monkeypatch.setattr(module, name, recorded)
     programs = sorted([*CORPUS.glob("*.up"), *GOLDEN.glob("*.up")])
-    solved = set()
+    solved, results = set(), []
     for path in programs:
         cfg = build_cfg(parse_program(path.read_text()))
         for bounds, widen in modes:
@@ -708,8 +739,9 @@ def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
             widening = (collect_thresholds(cfg, spec.minint, spec.maxint)
                         if widen else None)
             try:
-                solve(build_equations(cfg), spec, domain=domain,
-                      widening=widening, max_iters=12)
+                results.append((solve(build_equations(cfg), spec,
+                                      domain=domain, widening=widening,
+                                      max_iters=12, keep_trace=True), cfg))
             except (LiteralRangeError, OracleBlowup):
                 continue
             solved.add(path)
@@ -717,6 +749,8 @@ def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
                 break
     assert solved == set(programs) and len(returned) > 1000
     bad = value_violations(returned, domain)
+    for result, cfg in results:
+        bad += result_violations(result, cfg, domain)
     assert not bad, bad[:5]
 
 
@@ -734,12 +768,12 @@ def test_commit_compares_sets_by_value(monkeypatch, spec4, program, bounds):
     monkeypatch.setattr(concrete, "_canonical", frozenset)
     _, fresh = analyze(source, spec, domain="concrete", max_iters=2000)
     assert fresh.converged and fresh.iterations == shared.iterations
-    assert fresh.states == shared.states
+    assert fresh.values == shared.values and fresh.probs == shared.probs
 
 
 def test_readme_library_block_runs(capsys):
     # the README's "Library use" block, run on fig1: one line per node, each
-    # a source line and its variables' triples
+    # a source line and its variables' intervals and probabilities
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme[readme.index("## Library use"):]
     block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
@@ -747,7 +781,7 @@ def test_readme_library_block_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     cfg = build_cfg(parse_program(corpus_source("fig1.up")))
     assert len(lines) == cfg.node_count
-    assert lines[0] == "1 {'x': (-64, 63, 1.0)}"
+    assert lines[0] == "1 {'x': ((-64, 63), 1.0)}"
     assert [line.split()[0] for line in lines] == list(map(str, cfg.lines))
 
 
@@ -793,7 +827,7 @@ RECORDS = [Token("int", "1", 1, 1), Const(1, 2), Var("x", 3),
            Program("f", ("x",), Block(())), FIG1_CFG, FIG1_CFG.edges[0],
            GuardAction(Cmp("lt", Var("x"), Const(1)), "ge"),
            build_equations(FIG1_CFG), FIG1_RESULT, TINY,
-           Rows((1,), ("x",), [None], True)]
+           Rows((1,), ("x",), [None], [None], True)]
 
 
 def test_a_record_is_the_tuple_of_its_fields():

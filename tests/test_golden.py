@@ -10,10 +10,10 @@ A cross-check ties the two formats together: each machine golden, and a
 fresh machine report of the loops2 concrete case, must render through
 `helpers.reference_text` to the matching text golden byte for byte, so a
 machine report carries exactly the content of its text twin. `render_machine`
-writes its rows straight from the solve's flat states, so it is also held
-to `json.dumps` of the row dicts that `helpers.reference_report` builds from
-the same result, on the machine goldens, concrete traces and generated loop
-programs.
+writes its rows straight from the solve's value and probability lists, so it
+is also held to `json.dumps` of the row dicts that `helpers.reference_report`
+builds from the same result, on the machine goldens, concrete traces and
+generated loop programs.
 
 After an intended change to the reports, rewrite the expected files with
 
@@ -144,7 +144,7 @@ RENDER_CASES["loops2-concrete-trace"] = (
 
 
 def _check_machine_rendering(program, flags, tmp_path, monkeypatch):
-    # the report holds the solve's flat states; json.dumps writes the row
+    # the report holds the solve's two lists; json.dumps writes the row
     # dicts the reference builder makes from the same build_report call
     references = []
     build = cli.build_report

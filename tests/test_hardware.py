@@ -8,7 +8,7 @@ from probrange.hardware import (ALL_OPS, ARITH_OPS, BOOL_OPS, UNCHARGED_OPS,
                                 HardwareSpec, SpecError, c_div, c_mod,
                                 parse_spec)
 
-from helpers import clamp, reliable
+from helpers import analyze, clamp, reliable
 
 
 def test_cdiv_truncates_toward_zero():
@@ -115,6 +115,28 @@ def test_validation_rejects_bad_range():
         HardwareSpec({}, minint=5, maxint=5)
     with pytest.raises(SpecError):
         HardwareSpec({}, minint=1, maxint=9)  # zero must be representable
+
+
+@pytest.mark.parametrize("bounds", [(-8.5, 7), (-8, 7.0), (False, 7)])
+def test_validation_rejects_bounds_that_are_not_ints(bounds):
+    # a float bound once passed: abstract mode solved on a range 16.5 wide
+    # and concrete mode ended in a TypeError
+    with pytest.raises(SpecError, match="must be ints"):
+        HardwareSpec.uniform(0.99, *bounds)
+    with pytest.raises(SpecError, match="must be ints"):
+        HardwareSpec.uniform(0.99).replace(minint=bounds[0], maxint=bounds[1])
+
+
+def test_spec_keeps_its_own_copy_of_the_probabilities():
+    # the spec checks the probabilities it is given, so a later change to
+    # the caller's dict must not reach it: here it once printed x at a
+    # probability above 1
+    given = {op: 0.99 for op in ("add", "read", "write", "lt", "gt")}
+    spec = HardwareSpec(given, -8, 7)
+    given["gt"] = 3.0
+    assert spec.probs == {op: 0.99 for op in given}
+    _, result = analyze("x =. 1;\nif (x >. 0) {\n  y =. 2;\n}\n", spec)
+    assert all(0.0 <= p <= 1.0 for probs in result.probs for p in probs)
 
 
 def test_default_probabilities_are_not_shared():
