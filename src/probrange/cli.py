@@ -201,16 +201,10 @@ def _analyze(args: dict) -> int:
     try:
         program = parse_program(source)
         cfg = build_cfg(program)
-    except FrontendError as exc:
-        print(f"probrange: {exc}", file=sys.stderr)
-        return 1
-
-    widening = None
-    if args["--widening"]:
-        widening = collect_thresholds(cfg, spec.minint, spec.maxint)
-    system = build_equations(cfg)
-    try:
-        result = solve(system, spec, domain=args["--mode"],
+        widening = None
+        if args["--widening"]:
+            widening = collect_thresholds(cfg, spec.minint, spec.maxint)
+        result = solve(build_equations(cfg), spec, domain=args["--mode"],
                        widening=widening, max_iters=args["--max-iters"],
                        keep_trace=args["--trace"])
     except (OracleBlowup, FrontendError) as exc:

@@ -110,12 +110,6 @@ def _warn(warnings: list[str], message: str) -> None:
         warnings.append(message)
 
 
-def expr_names(e: Expr | Cmp) -> tuple[str, ...]:
-    """The distinct variables of an expression or guard, sorted by name."""
-    return tuple(sorted({node.name for node in walk_exprs(e)
-                         if isinstance(node, Var)}))
-
-
 def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     if spec.maxint - spec.minint >= TUPLE_CAP:  # before any set is built
         raise OracleBlowup(f"machine range [{spec.minint},{spec.maxint}] "
@@ -248,16 +242,22 @@ def _evaluate(steps: list, top: tuple, spec: HardwareSpec,
     return columns[x] if var else [x] * n if const else stack.pop(), columns
 
 
-def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
-             reads: tuple[int, ...], spec: HardwareSpec, warnings: list[str],
-             compare: Callable | None = None) -> Callable:
+def _scanner(sides: tuple[Expr, ...], index: dict[str, int],
+             spec: HardwareSpec, warnings: list[str],
+             compare: Callable | None = None) -> tuple[Callable, tuple]:
     """An edge's column evaluation of its expression, or of its guard's
     two sides and compare, over the operand tuples it has not evaluated.
 
-    scan(state) is None when no tuple is new, and otherwise _evaluate's
-    result over the new tuples. Every operand set the same object as on the
-    last call means no tuple is new, at no cost.
+    The operands are the sides' distinct variables, sorted by name. Returns
+    (scan, reads), reads holding the operands' state positions in that
+    order. scan(state) is None when no tuple is new, and otherwise
+    _evaluate's result over the new tuples. Every operand set the same
+    object as on the last call means no tuple is new, at no cost.
     """
+    names = tuple(sorted({node.name for side in sides
+                          for node in walk_exprs(side)
+                          if isinstance(node, Var)}))
+    reads = tuple(index[v] for v in names)
     steps = []
     tops = [compile_operand(side, names.index, int,
                             partial(_column_step, spec, steps))
@@ -283,7 +283,7 @@ def _scanner(sides: tuple[Expr, ...], names: tuple[str, ...],
         return _evaluate(steps, tops[0], spec, warnings, unreachable, columns,
                          n)
 
-    return scan
+    return scan, reads
 
 
 def compile_assign(target: str, expr: Expr, index: dict[str, int],
@@ -296,9 +296,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
     tuple does, the state has no reachable environment and becomes bottom.
     """
     position = index[target]
-    names = expr_names(expr)
-    reads = tuple(index[v] for v in names)
-    scan = _scanner((expr,), names, reads, spec, warnings)
+    scan, _ = _scanner((expr,), index, spec, warnings)
     image = frozenset()  # what the tuples evaluated so far evaluate to
 
     def transfer(state: tuple[frozenset, ...]) -> State:
@@ -327,10 +325,8 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
     guard over constants alone is decided outright. One scan serves both
     edges: they read the same source node, whose state only grows.
     """
-    names = expr_names(guard)
-    reads = tuple(index[v] for v in names)
-    scan = _scanner((guard.lhs, guard.rhs), names, reads, spec, warnings,
-                    COMPARE[guard.op])
+    scan, reads = _scanner((guard.lhs, guard.rhs), index, spec, warnings,
+                           COMPARE[guard.op])
     kept: list = [None, None]  # per edge, None until a tuple takes it
 
     def transfer(edge: int, state: tuple[frozenset, ...]) -> State:

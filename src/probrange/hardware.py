@@ -18,6 +18,8 @@ values ignored: no guard can use them, since compound guards do not parse.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .record import Record
 
 ARITH_OPS = ("add", "sub", "mul", "div", "mod", "read", "write")
@@ -51,13 +53,13 @@ class HardwareSpec(Record):
     """Success probability per op plus the machine integer range."""
 
     _fields = ("probs", "minint", "maxint")
-    _defaults = {"probs": dict, "minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
+    _defaults = {"probs": {}, "minint": DEFAULT_MININT, "maxint": DEFAULT_MAXINT}
 
     def __new__(cls, *args, **kwargs) -> HardwareSpec:
         """Check the fields, on every construction, replace included. The
-        spec keeps the copy of probs it checked, out of the caller's reach."""
+        spec keeps a read-only copy of the probs it checked."""
         probs, minint, maxint = cls._complete(args, kwargs)
-        probs = dict(probs)
+        probs = MappingProxyType(dict(probs))
         for op, p in probs.items():
             if op not in ALL_OPS:
                 raise SpecError(f"unknown op {op!r}")
@@ -70,6 +72,9 @@ class HardwareSpec(Record):
         if not minint <= 0 <= maxint:
             raise SpecError("integer range must contain 0")
         return tuple.__new__(cls, (probs, minint, maxint))
+
+    def __getnewargs__(self) -> tuple:  # pickle takes no mapping proxy
+        return dict(self.probs), self.minint, self.maxint
 
     @property
     def width(self) -> int:

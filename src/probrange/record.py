@@ -1,10 +1,10 @@
 """Immutable records: tuples with named fields that cost nothing to define.
 
 A class names its fields once, as _fields in order; `_defaults` holds
-defaults (a callable one is called per instance) and `_loose` the fields that
-== and hash leave out. A record is a tuple of its fields, so it can be
-indexed, iterated and unpacked, but it equals only a record of its own class.
-A record holding a list is unhashable, as the list is.
+defaults and `_loose` the fields that == and hash leave out. A record is a
+tuple of its fields, so it can be indexed, iterated and unpacked, but it
+equals only a record of its own class. A record holding a list is
+unhashable, as the list is.
 """
 
 from operator import itemgetter
@@ -40,8 +40,7 @@ class Record(tuple):
             if name not in values:
                 if name not in cls._defaults:
                     raise TypeError(f"{cls.__name__}() is missing {name!r}")
-                default = cls._defaults[name]
-                values[name] = default() if callable(default) else default
+                values[name] = cls._defaults[name]
         return tuple(values[name] for name in names)
 
     def __getnewargs__(self) -> tuple:  # copy and pickle pass each field

@@ -314,15 +314,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "while":
             self.next()
-            self.expect("(")
-            cond = self.condition()
-            self.expect(")")
-            return While(cond, self.body(), tok.line)
+            return While(self.condition(), self.body(), tok.line)
         if tok.kind == "if":
             self.next()
-            self.expect("(")
             cond = self.condition()
-            self.expect(")")
             then = self.body()
             orelse = None
             if self.peek().kind == "else":
@@ -343,6 +338,7 @@ class _Parser:
         return Assign(tok.text, value, tok.line)
 
     def condition(self) -> Cmp:
+        self.expect("(")
         tok = self.peek()
         self.misshapen = False
         c = self.expr()
@@ -350,6 +346,7 @@ class _Parser:
             raise ParseError(f"line {tok.line}: assignment is not allowed in a condition")
         if self.misshapen or c.__class__ is not Cmp:
             raise ParseError(f"line {tok.line}: condition must compare arithmetic expressions")
+        self.expect(")")
         return c
 
     # expressions, loosest binding first

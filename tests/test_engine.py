@@ -838,7 +838,8 @@ def test_a_record_is_the_tuple_of_its_fields():
         assert tuple(record) == tuple(getattr(record, name)
                                       for name in record._fields)
         assert len(record) == len(record._fields)
-        for copied in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        for copied in (copy.copy(record), copy.deepcopy(record),
+                       pickle.loads(pickle.dumps(record))):
             assert type(copied) is type(record)
             assert tuple(copied) == tuple(record)
 

@@ -135,6 +135,9 @@ def test_spec_keeps_its_own_copy_of_the_probabilities():
     spec = HardwareSpec(given, -8, 7)
     given["gt"] = 3.0
     assert spec.probs == {op: 0.99 for op in given}
+    with pytest.raises(TypeError):  # nor can a change through the spec
+        spec.probs["gt"] = 3.0
+    assert spec.probs == {op: 0.99 for op in given}
     _, result = analyze("x =. 1;\nif (x >. 0) {\n  y =. 2;\n}\n", spec)
     assert all(0.0 <= p <= 1.0 for probs in result.probs for p in probs)
 

@@ -182,6 +182,8 @@ def test_assignment_rhs_must_be_arithmetic():
     ("x +. 1;", "expression statement must be an assignment"),
     ("3 =. x;", "expression statement must be an assignment"),
     ("(x) =. 3;", "expression statement must be an assignment"),
+    ("while x <. 1 { x =. 1; }", r"expected '\('"),
+    ("if (x <. 1 { x =. 1; }", r"expected '\)'"),
 ])
 def test_misplaced_assignment_messages(source, message):
     with pytest.raises(ParseError, match=message):

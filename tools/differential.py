@@ -19,10 +19,10 @@ charged op its own probability, so that an op charged in place of another
 shows, in text format, plain and with the trace; seeded programs of the
 benchmark's loop family: two of four
 loops under --widening and two of two loops in concrete mode on [-64,63];
-and 20 programs the CLI rejects with exit code 1 (misshapen assignments and
-guards, compound guards, an unexpected character, a literal outside the
-machine range, and nesting too deep to parse or to solve), each once in
-text format.
+and 22 programs the CLI rejects with exit code 1 (misshapen assignments and
+guards, a guard missing a parenthesis, compound guards, an unexpected
+character, a literal outside the machine range, and nesting too deep to
+parse or to solve), each once in text format.
 
 The last line is the summary, `differential: N cases, D differ (base REV)`;
 each differing case is listed above it. The exit code is 0 when no case
@@ -76,6 +76,8 @@ REJECTED = (
     ("cond-cmp-rhs", "if (x <. (y <. 3))"),
     ("cond-assign", "while ((x <. 3) =. 1)"),
     ("cond-cmp-operand", "if (x +. (y ==. 1) >. 0)"),
+    ("cond-no-open", "while x <. 1 { x =. 1; }"),
+    ("cond-unclosed", "if (x <. 1 { x =. 1; }"),
     ("body-assign-cmp", "if ((x <. 3)) { y =. (x <. 1); }"),
     ("guard-and", "x =. 0;\nwhile (x <. 1 &&. x >. 0) {\n  x =. 1;\n}"),
     ("guard-or", "x =. 0;\nwhile (x <. 1 ||. x >. 0) {\n  x =. 1;\n}"),
