@@ -362,18 +362,6 @@ def render_text(report: dict) -> str:
     return "".join(parts)
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-            "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return _ESCAPES.get(char) or f"\\u{code:04x}"
-
-
 def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
     """Append rows as _json writes a list of row dicts, each in six pieces:
     a separator, its node's head, its variable, its value's key, its value
@@ -403,15 +391,15 @@ def _rows_json(rows: Rows, parts: list, memo: dict) -> None:
 
 def _json(value, parts: list, memo: dict) -> None:
     """Append value to parts as json.dumps(value, separators=(",", ":"))
-    writes it, for the types a report holds: str, int, float, bool, None,
-    list, dict with str keys, and Rows, written as its list of row dicts.
-    Strings are escaped as json's default ensure_ascii does."""
+    writes it, for str, int, float, bool, None, list, dict with str keys,
+    and Rows, written as its list of row dicts."""
     if isinstance(value, str):
-        if not (value.isascii() and value.isprintable() and '"' not in value
+        if (value.isascii() and value.isprintable() and '"' not in value
                 and "\\" not in value):
-            value = "".join(c if " " <= c <= "~" and c not in '"\\'
-                            else _escape(c) for c in value)
-        parts.append(f'"{value}"')
+            parts.append(f'"{value}"')
+        else:  # json only for a string that needs escaping
+            from json.encoder import encode_basestring_ascii
+            parts.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
         parts.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, (int, float)):

@@ -587,6 +587,15 @@ def test_widen_states_idempotent(cur, new, mids):
     assert widen_states(w, new, thresholds) == w
 
 
+def test_widen_states_against_bottom_keeps_the_state():
+    # the engine never widens against a bottom recomputation, and the
+    # helpers' flat widen_states handles bottom itself, so no other test
+    # reaches the check for a bottom second state
+    state = ((0, 3), (-8, 8))
+    assert abstract.widen_states(state, None, T) is state
+    assert abstract.widen_states(None, state, T) is state
+
+
 # --- state helpers ---
 
 def test_state_helpers():

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -33,6 +34,7 @@ COUNTER = str(CORPUS / "counter.up")
 GCD = str(CORPUS / "gcd.up")
 SPEC4 = str(CORPUS / "uniform-1e4.spec")
 SPEC7 = str(CORPUS / "uniform-1e7.spec")
+MIXED = str(CORPUS / "mixed.spec")
 
 
 def run(capsys, *argv):
@@ -667,27 +669,21 @@ def test_import_leaves_out_start_up_heavy_modules(tmp_path):
     # start-up is most of a CLI run on a small program: dataclasses pulls in
     # inspect, ast and dis, annotations need no typing, flags need no
     # argparse (nor its gettext), and files need no pathlib; -S keeps site's
-    # own imports out of the picture
+    # own imports out of the picture. A machine report whose strings need no
+    # escaping needs no json either
+    out = tmp_path / "report"
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import probrange.cli; "
          "print(*[m for m in ('argparse', 'dataclasses', 'gettext', "
          "'inspect', 'json', 'pathlib', 'typing') "
-         "if m in sys.modules and m not in before])"],
+         "if m in sys.modules and m not in before]); "
+         f"probrange.cli.main([{FIG1!r}, '--spec', {SPEC4!r}, '--format', "
+         f"'machine', '--trace', '--out', {str(out)!r}]); "
+         "print('json' in sys.modules)"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-
-
-def test_machine_report_needs_no_json(tmp_path):
-    out = tmp_path / "report"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys; from probrange.cli import main; "
-         f"main([{FIG1!r}, '--spec', {SPEC4!r}, '--format', 'machine', "
-         f"'--trace', '--out', {str(out)!r}]); print('json' in sys.modules)"],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env())
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout.split("\n") == ["", "False", ""]
     assert json.loads(out.read_text())["program"] == "fig1"
 
 
@@ -893,7 +889,8 @@ def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
     # the CLI once did from its flat states; on [-8,8], an unreachable
     # branch and seeded loop-free programs give bottom rows, value sets
     # longer than SET_DISPLAY_LIMIT, warnings, and the same element at many
-    # rows
+    # rows, and the mixed spec gives the text header's range of op
+    # probabilities
     references = []
     build = cli.build_report
     monkeypatch.setattr(cli, "build_report", lambda *args: references.append(
@@ -903,26 +900,28 @@ def test_reports_match_the_reference_renderer(tmp_path, monkeypatch, mode):
     for seed in range(12):
         program.write_text(UNREACHABLE_THEN if seed == 0 else
                            random_program(random.Random(seed), max_stmts=8))
-        for fmt in ("text", "machine"):
-            for trace in ((), ("--trace",)):
-                code = main([str(program), "--spec", SPEC4, *REPORT_MODES[mode],
-                             "--minint", "-8", "--maxint", "8", "--format",
-                             fmt, *trace, "--out", str(out)])
-                assert code == 0
-                (report,) = references
-                references.clear()
-                expected = (reference_text(report) if fmt == "text" else
-                            json.dumps(report, separators=(",", ":")) + "\n")
-                assert out.read_text() == expected, (seed, fmt, trace)
-                rows = report["results"]
-                cells = [(repr(row.get("interval", row.get("values"))),
-                          row["probability"]) for row in rows]
-                seen.update(name for name, hit in (
-                    ("warning", report["warnings"]),
-                    ("trace", report.get("trace")),
-                    ("bottom", {("None", 1.0), ("[]", 1.0)} & set(cells)),
-                    ("long set", any(len(row.get("values", ()))
-                                     > SET_DISPLAY_LIMIT for row in rows)),
-                    ("repeated", len(set(cells)) < len(cells))) if hit)
-    assert seen == {"warning", "trace", "bottom", "repeated"} | (
+        for spec, fmt, trace in itertools.product(
+                (SPEC4, MIXED), ("text", "machine"), ((), ("--trace",))):
+            code = main([str(program), "--spec", spec, *REPORT_MODES[mode],
+                         "--minint", "-8", "--maxint", "8", "--format", fmt,
+                         *trace, "--out", str(out)])
+            assert code == 0
+            (report,) = references
+            references.clear()
+            expected = (reference_text(report) if fmt == "text" else
+                        json.dumps(report, separators=(",", ":")) + "\n")
+            assert out.read_text() == expected, (seed, spec, fmt, trace)
+            rows = report["results"]
+            cells = [(repr(row.get("interval", row.get("values"))),
+                      row["probability"]) for row in rows]
+            seen.update(name for name, hit in (
+                ("warning", report["warnings"]),
+                ("trace", report.get("trace")),
+                ("bottom", {("None", 1.0), ("[]", 1.0)} & set(cells)),
+                ("long set", any(len(row.get("values", ()))
+                                 > SET_DISPLAY_LIMIT for row in rows)),
+                ("repeated", len(set(cells)) < len(cells)),
+                ("ops differ", len(set(
+                    report["spec"]["probabilities"].values())) > 1)) if hit)
+    assert seen == {"warning", "trace", "bottom", "repeated", "ops differ"} | (
         {"long set"} if mode == "concrete" else set())
