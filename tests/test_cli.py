@@ -669,21 +669,28 @@ def test_import_leaves_out_start_up_heavy_modules(tmp_path):
     # start-up is most of a CLI run on a small program: dataclasses pulls in
     # inspect, ast and dis, annotations need no typing, flags need no
     # argparse (nor its gettext), and files need no pathlib; -S keeps site's
-    # own imports out of the picture. A machine report whose strings need no
-    # escaping needs no json either
-    out = tmp_path / "report"
+    # own imports out of the picture
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import probrange.cli; "
          "print(*[m for m in ('argparse', 'dataclasses', 'gettext', "
          "'inspect', 'json', 'pathlib', 'typing') "
-         "if m in sys.modules and m not in before]); "
-         f"probrange.cli.main([{FIG1!r}, '--spec', {SPEC4!r}, '--format', "
-         f"'machine', '--trace', '--out', {str(out)!r}]); "
-         "print('json' in sys.modules)"],
+         "if m in sys.modules and m not in before])"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", "False", ""]
+    assert proc.stdout.split() == []
+
+
+def test_machine_report_needs_no_json(tmp_path):
+    # a machine report whose strings need no escaping needs no json either
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from probrange.cli import main; "
+         f"main([{FIG1!r}, '--spec', {SPEC4!r}, '--format', 'machine', "
+         f"'--trace', '--out', {str(out)!r}]); print('json' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.stdout == "False\n", proc.stderr
     assert json.loads(out.read_text())["program"] == "fig1"
 
 
