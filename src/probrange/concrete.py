@@ -2,12 +2,12 @@
 
 A variable's cell is the finite set of values it may hold, ordered by
 inclusion; the join unions, and a union that adds nothing to one side
-returns that side. The module keeps one object per distinct live value set
-(hash-consing, in a weak table that outlives any one solve, as sys.intern does
-for strings; Filliatre and Conchon 2006), so edges tell unchanged sets by
-identity. A state is None when no environment is reachable, and otherwise a
-tuple of frozensets indexed by variable position; no set inside a state is
-empty. The module computes values only: engine.py charges each set's
+returns that side. A compiled edge keeps the sets it built and replaces one
+only when new tuples add values to it, so together with that join an
+unchanged set stays the same object, and edges tell unchanged sets by
+identity. A state is None when no environment is reachable, and otherwise
+a tuple of frozensets indexed by variable position; no set inside a state
+is empty. The module computes values only: engine.py charges each set's
 probability.
 
 The strongest-postcondition transfers run over edges compiled once per solve
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from collections.abc import Callable, Iterable
 from functools import partial
 
@@ -61,20 +60,9 @@ class OracleBlowup(Exception):
 State = tuple[frozenset[int], ...] | None
 
 
-# the value sets made so far, by hash and weakly, so unused ones are freed
-_SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _canonical(values: frozenset[int]) -> frozenset:
-    """The live set equal to values, else values, now stored (a hash
-    collision keeps values unshared)."""
-    kept = _SETS.setdefault(hash(values), values)
-    return kept if kept is values or kept == values else values
-
-
 def _join(s: frozenset, t: frozenset) -> frozenset:
     # a side that holds the union is returned
-    return s if s is t or t <= s else t if s <= t else _canonical(s | t)
+    return s if s is t or t <= s else t if s <= t else s | t
 
 
 def state_operations(join: Callable,
@@ -114,7 +102,7 @@ def entry_state(variables: tuple[str, ...], spec: HardwareSpec) -> State:
     if spec.maxint - spec.minint >= TUPLE_CAP:  # before any set is built
         raise OracleBlowup(f"machine range [{spec.minint},{spec.maxint}] "
                            f"holds more than {TUPLE_CAP} values")
-    full = _canonical(frozenset(range(spec.minint, spec.maxint + 1)))
+    full = frozenset(range(spec.minint, spec.maxint + 1))
     return (full,) * len(variables)
 
 
@@ -303,7 +291,7 @@ def compile_assign(target: str, expr: Expr, index: dict[str, int],
         nonlocal image
         scanned = scan(state)
         if scanned is not None and not image.issuperset(scanned[0]):
-            image = _canonical(image.union(scanned[0]))
+            image = image.union(scanned[0])
         if not image:  # every tuple evaluated so far, at least one, divided
             _warn(warnings, f"every operand tuple of `{target} =. ...` "
                             f"divides by zero; state is unreachable")
@@ -337,8 +325,7 @@ def compile_guard(guard: Cmp, index: dict[str, int], spec: HardwareSpec,
                 if any(taken):
                     old = kept[side] or [frozenset()] * len(reads)
                     new = (list(itertools.compress(c, taken)) for c in columns)
-                    kept[side] = [s if s.issuperset(v)
-                                  else _canonical(s.union(v))
+                    kept[side] = [s if s.issuperset(v) else s.union(v)
                                   for s, v in zip(old, new)]
         if kept[edge] is None:
             return None

@@ -85,8 +85,9 @@ _WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 
 
 class Token(Record):
-    """One token: its kind ("ident", "int", "eof", a keyword, an operator or
-    punctuation), its text, and the line and column where it starts.
+    """One token: its kind ("ident", "num" for a literal, "eof", a keyword
+    as its own text, an operator or punctuation), its text, and the line
+    and column where it starts.
 
     tokenize builds one as a tuple, without a Python call.
     """
@@ -149,7 +150,7 @@ def _cut(chunk: str, line: int, col: int) -> tuple:
             if "0" <= ch <= "9":
                 while j < n and "0" <= chunk[j] <= "9":
                     j += 1
-                kind, text = "int", chunk[i:j]
+                kind, text = "num", chunk[i:j]
                 digits = text.lstrip("0")
                 if (len(digits) > _MAX_DIGITS
                         or int(digits or "0") > _MAX_LITERAL):
@@ -377,7 +378,7 @@ class _Parser:
 
     def atom(self):
         kind, text, line, _ = tok = self.next()
-        if kind == "int":
+        if kind == "num":
             # the tokenizer bounds the digits after any leading zeros
             return Const(int(text.lstrip("0") or "0"), line)
         if kind == "ident":

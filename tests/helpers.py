@@ -823,7 +823,7 @@ def reference_tokenize(source: str) -> list[Token]:
             text = source[i:j]
             if int(text) > _MAX_LITERAL:
                 raise LexError(f"line {line}: literal {text} does not fit in 64 bits")
-            tokens.append(Token("int", text, line, col))
+            tokens.append(Token("num", text, line, col))
             col += j - i
             i = j
         elif ch in _WORD:

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 from pathlib import Path
@@ -758,14 +759,17 @@ def test_domain_states_hold_values_only(monkeypatch, spec4, domain, modes):
     ("corpus/fig1.up", None), ("corpus/collatz.up", (-64, 63)),
     ("golden/loops2.up", (-64, 63))])
 def test_commit_compares_sets_by_value(monkeypatch, spec4, program, bounds):
-    # with the set table bypassed, a join rebuilds an equal set as a new
-    # object on every recomputation; the commit rule tells it unchanged by
-    # its values, so the solve takes the same passes to the same states
+    # with a cell join that builds a new union even when one side holds it,
+    # an equal set is a new object on every recomputation; the commit rule
+    # tells it unchanged by its values, so the solve takes the same passes
+    # to the same states (join_states binds its cell join when it is built,
+    # so the patch replaces join_states)
     spec = spec4 if bounds is None else spec4.replace(minint=bounds[0],
                                                       maxint=bounds[1])
     source = (Path(__file__).parent / program).read_text()
     _, shared = analyze(source, spec, domain="concrete", max_iters=2000)
-    monkeypatch.setattr(concrete, "_canonical", frozenset)
+    fresh_join, _ = concrete.state_operations(operator.or_, operator.le)
+    monkeypatch.setattr(concrete, "join_states", fresh_join)
     _, fresh = analyze(source, spec, domain="concrete", max_iters=2000)
     assert fresh.converged and fresh.iterations == shared.iterations
     assert fresh.values == shared.values and fresh.probs == shared.probs
@@ -792,7 +796,7 @@ FIG1_RESULT = solve(build_equations(FIG1_CFG), HardwareSpec.uniform(0.9999))
 
 
 @pytest.mark.parametrize("record, field", [
-    (Token("int", "1", 1, 1), "kind"),
+    (Token("num", "1", 1, 1), "kind"),
     (Const(1, 2), "line"),
     (Cmp("lt", Var("x"), Const(1)), "op"),
     (Edge(0, 1, Assign("x", Const(1))), "dst"),
@@ -819,7 +823,7 @@ def record_classes(cls=Record) -> set:
     return found
 
 
-RECORDS = [Token("int", "1", 1, 1), Const(1, 2), Var("x", 3),
+RECORDS = [Token("num", "1", 1, 1), Const(1, 2), Var("x", 3),
            BinOp("add", Var("x"), Const(1), 4), Cmp("lt", Var("x"), Const(1)),
            Assign("x", Const(1), 5), Block((), 6),
            While(Cmp("lt", Var("x"), Const(1)), Block(()), 7),

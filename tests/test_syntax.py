@@ -88,11 +88,11 @@ def test_tokenize_matches_the_character_loop_on_the_corpus():
 
 
 def test_token_equals_only_tokens():
-    token = Token("int", "1", 2, 5)
-    assert token == Token("int", "1", 2, 5)
-    assert hash(token) == hash(Token("int", "1", 2, 5))
-    assert token != ("int", "1", 2, 5) and ("int", "1", 2, 5) != token
-    assert (token.kind, token.text, token.line, token.col) == ("int", "1", 2, 5)
+    token = Token("num", "1", 2, 5)
+    assert token == Token("num", "1", 2, 5)
+    assert hash(token) == hash(Token("num", "1", 2, 5))
+    assert token != ("num", "1", 2, 5) and ("num", "1", 2, 5) != token
+    assert (token.kind, token.text, token.line, token.col) == ("num", "1", 2, 5)
 
 
 def test_parse_simple_assignment():
@@ -186,6 +186,19 @@ def test_assignment_rhs_must_be_arithmetic():
     ("if (x <. 1 { x =. 1; }", r"expected '\)'"),
 ])
 def test_misplaced_assignment_messages(source, message):
+    with pytest.raises(ParseError, match=message):
+        parse_program(source)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x =. int;", r"^line 1: expected an expression, got 'int'$"),
+    ("void f(int a) { a =. int +. 1; }",
+     r"^line 1: expected an expression, got 'int'$"),
+    ("void f(7 a) { a =. a +. 1; }", r"^line 1: expected 'int', got '7'$"),
+], ids=["keyword-as-literal", "keyword-in-expression", "literal-as-keyword"])
+def test_keyword_int_and_a_literal_are_told_apart(source, message):
+    # a literal's token kind is "num", which no keyword's text can be: the
+    # keyword int is no literal, and a literal is no parameter's type
     with pytest.raises(ParseError, match=message):
         parse_program(source)
 
@@ -416,7 +429,7 @@ def test_records_leave_lines_out_of_eq_and_hash(a, b):
 @pytest.mark.parametrize("a, b", [
     (Cmp("lt", X, TWO), BinOp("lt", X, TWO)),
     (Const("x"), Var("x")),
-    (Token("int", "2", 1, 1), Token("int", "2", 2, 1)),
+    (Token("num", "2", 1, 1), Token("num", "2", 2, 1)),
     (Const(1), 1),
     (Const(1, 0), (1, 0)),  # a record is a tuple, yet no plain one equals it
     (Edge(0, 1, None), (0, 1, None)),

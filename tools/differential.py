@@ -18,9 +18,12 @@ in each of those modes under tests/corpus/mixed.spec, which gives each
 charged op its own probability, so that an op charged in place of another
 shows, in text format, plain and with the trace; seeded programs of the
 benchmark's loop family: two of four
-loops under --widening and two of two loops in concrete mode on [-64,63];
-and 22 programs the CLI rejects with exit code 1 (misshapen assignments and
-guards, a guard missing a parenthesis, compound guards, an unexpected
+loops under --widening and two of two loops in concrete mode on [-64,63],
+and, at the default iteration budget and in text format, two of eight
+loops in abstract mode without and with --widening and in concrete mode on
+[-64,63]; and 24 programs the CLI rejects with exit code 1 (misshapen
+assignments and guards, a guard missing a parenthesis, compound guards, the
+keyword int as a literal and a literal as a parameter's type, an unexpected
 character, a literal outside the machine range, and nesting too deep to
 parse or to solve), each once in text format.
 
@@ -82,6 +85,8 @@ REJECTED = (
     ("guard-and", "x =. 0;\nwhile (x <. 1 &&. x >. 0) {\n  x =. 1;\n}"),
     ("guard-or", "x =. 0;\nwhile (x <. 1 ||. x >. 0) {\n  x =. 1;\n}"),
     ("guard-not", "x =. 0;\nwhile (!. (x ==. 0)) {\n  x =. 1;\n}"),
+    ("int-literal", "x =. int;"),
+    ("literal-param-type", "void f(7 a) { a =. a +. 1; }"),
     ("character", "x =. 1 $ 2;"),
     ("literal-range", "x =. 40000;"),
     # tests/helpers.nested_program's parens 200, chain 1000 and ifs 600
@@ -123,6 +128,14 @@ def cases(work: Path) -> list[Case]:
             for fmt in FORMATS:
                 args = (str(program), *SPEC, *mode, *fmt)
                 out.append((f"{program.name} {' '.join(args[3:])}", args))
+        # eight loops at the default budget, as a user runs them
+        for mode in ((), ("--widening",), ("--mode", "concrete", *SMALL)):
+            lo, hi = (-64, 63) if "concrete" in mode else (-32768, 32767)
+            program = work / f"loops8-{seed}-{hi}.up"
+            program.write_text(progen.generate(seed, tuple(range(2, 10)), lo,
+                                               hi).source)
+            args = (str(program), *SPEC, *mode)
+            out.append((f"{program.name} {' '.join(args[3:])}", args))
     for name, source in REJECTED:
         program = work / f"rejected-{name}.up"
         program.write_text(source + "\n")
